@@ -10,6 +10,7 @@ from .analysis import (
     BentProfile,
     BentType,
     HypothesisError,
+    Hypotheses,
     NotBentError,
     PreimageSets,
     Regularity,
@@ -18,6 +19,7 @@ from .analysis import (
     bent_profile,
     coset_structure,
     decode_coefficient,
+    establish,
     expected_preimage_sizes,
     expected_s0_minus_s1,
     is_bent,

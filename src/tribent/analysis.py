@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,14 +20,10 @@ from .core import (
     check_dim,
     coord_matrix,
     decode,
-    dot,
     dots_with,
-    is_nondegenerate,
-    is_subspace,
     legendre,
     neg_table,
     omega_pow,
-    orthogonal_complement,
     root_sum,
     size,
     span,
@@ -74,8 +70,7 @@ class TernaryFunction:
 
     __slots__ = ("n", "table")
 
-    def __init__(self, n: int, table: Sequence[int] | np.ndarray, cap: int | None = None):
-        check_dim(n, cap)
+    def __init__(self, n: int, table: Sequence[int] | np.ndarray):
         arr = np.asarray(table, dtype=np.int8) % 3
         if arr.shape != (size(n),):
             raise ValueError(f"table must have 3^{n} = {size(n)} entries, got {arr.shape}")
@@ -87,7 +82,7 @@ class TernaryFunction:
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int],
                       cap: int | None = None) -> "TernaryFunction":
         check_dim(n, cap)
-        return cls(n, [fn(decode(x, n)) % 3 for x in range(size(n))], cap)
+        return cls(n, [fn(decode(x, n)) % 3 for x in range(size(n))])
 
     @classmethod
     def constant(cls, n: int, value: int) -> "TernaryFunction":
@@ -218,6 +213,18 @@ def is_plateaued(f: TernaryFunction) -> int | None:
     return s
 
 
+def _unit_values(n: int) -> list[Eisenstein]:
+    """The sign +1 spectral value of magnitude 3^(n/2), by dual value j.
+
+    3^(n/2) w^j for even n; for odd n, i 3^(n/2) w^j written in the
+    (1, w) basis as 3^((n-1)/2) (w^(j+1) - w^(j+2)).
+    """
+    if n % 2 == 0:
+        return [omega_pow(j) * 3 ** (n // 2) for j in range(3)]
+    half = 3 ** ((n - 1) // 2)
+    return [(omega_pow(j + 1) - omega_pow(j + 2)) * half for j in range(3)]
+
+
 def decode_coefficient(w: Eisenstein, n: int) -> tuple[int, int]:
     """Split a magnitude-3^(n/2) spectral value into (sign, dual value).
 
@@ -228,22 +235,11 @@ def decode_coefficient(w: Eisenstein, n: int) -> tuple[int, int]:
     """
     if w.squared_norm() != 3 ** n:
         raise ValueError(f"squared norm {w.squared_norm()} is not 3^{n}")
-    if n % 2 == 0:
-        root = 3 ** (n // 2)
-        for j in range(3):
-            base = omega_pow(j) * root
-            if w == base:
-                return 1, j
-            if w == -base:
-                return -1, j
-    else:
-        half = 3 ** ((n - 1) // 2)
-        for j in range(3):
-            base = (omega_pow(j + 1) - omega_pow(j + 2)) * half
-            if w == base:
-                return 1, j
-            if w == -base:
-                return -1, j
+    for j, base in enumerate(_unit_values(n)):
+        if w == base:
+            return 1, j
+        if w == -base:
+            return -1, j
     raise AssertionError(f"value {w} has bent magnitude but no sign/phase split")
 
 
@@ -289,13 +285,7 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     sign = np.zeros(size(n), dtype=np.int8)
     dual = np.zeros(size(n), dtype=np.int8)
     a, b = spectrum.coeff_1, spectrum.coeff_w
-    if n % 2 == 0:
-        scale = 3 ** (n // 2)
-        candidates = [omega_pow(j) * scale for j in range(3)]
-    else:
-        scale = 3 ** ((n - 1) // 2)
-        candidates = [(omega_pow(j + 1) - omega_pow(j + 2)) * scale for j in range(3)]
-    for j, base in enumerate(candidates):
+    for j, base in enumerate(_unit_values(n)):
         for s, v in ((1, base), (-1, -base)):
             mask = (a == v.a) & (b == v.b)
             sign[mask] = s
@@ -343,11 +333,8 @@ def is_dual_bent(f: TernaryFunction,
 def expected_s0_minus_s1(f: TernaryFunction, y: int) -> Eisenstein:
     """The exact closed form of S0 - S1 at y: 3^(n/2) w^f(y) for even n,
     -i 3^(n/2) w^f(y) = 3^((n-1)/2) (w^(f(y)+2) - w^(f(y)+1)) for odd n."""
-    j = f(y)
-    if f.n % 2 == 0:
-        return omega_pow(j) * (3 ** (f.n // 2))
-    half = 3 ** ((f.n - 1) // 2)
-    return (omega_pow(j + 2) - omega_pow(j + 1)) * half
+    unit = _unit_values(f.n)[f(y)]
+    return unit if f.n % 2 == 0 else -unit
 
 
 def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein, Eisenstein]:
@@ -419,6 +406,105 @@ def expected_preimage_sizes(n: int, r: int, j0: int, side: BentType) -> dict[int
     return sizes
 
 
+# The theorem's hypotheses in the order they are decided and reported, each
+# with the phrase a HypothesisError names it by.
+HYPOTHESES = {
+    "bent": "bent",
+    "non-weakly-regular": "non-weakly-regular",
+    "even": "even function",
+    "dual-bent": "dual bent",
+    "type-side-subspace": "type side is a subspace",
+    "non-degenerate": "type side non-degenerate",
+    "dimension-bound": "dimension bound",
+}
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """Every hypothesis of the theorem about f, each decided once.
+
+    stages follow HYPOTHESES order.  After a failed bent stage nothing
+    else is defined, and the non-degenerate and dimension-bound stages
+    exist only when the type side is a subspace.  v is the span of the
+    type side, r its dimension, and in_kernel is true exactly on the
+    points of V-perp.
+    """
+
+    f: TernaryFunction
+    stages: tuple[Stage, ...]
+    profile: BentProfile | None = None
+    dual_profile: BentProfile | None = None
+    v: Subspace | None = None
+    in_kernel: np.ndarray | None = None
+
+    @property
+    def r(self) -> int | None:
+        return None if self.v is None else self.v.dim
+
+    @property
+    def ok(self) -> bool:
+        return all(s.ok for s in self.stages)
+
+    def require(self, through: str = "dimension-bound") -> None:
+        """Raise HypothesisError for the first failing stage up to and
+        including `through`, in HYPOTHESES order."""
+        for stage in self.stages:
+            if not stage.ok:
+                raise HypothesisError(HYPOTHESES[stage.name], stage.detail)
+            if stage.name == through:
+                return
+
+
+def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypotheses:
+    """Decide every hypothesis once, recording each even after one fails.
+
+    Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
+    non-degenerate, dimension-bound.  The type side lies in its span V,
+    so it is a subspace exactly when |side| = 3^dim V; V is non-degenerate
+    exactly when the kernel mask (V-perp) meets the side only at 0.
+    """
+    n = f.n
+    if profile is None:
+        try:
+            profile = bent_profile(f)
+        except NotBentError as exc:
+            return Hypotheses(f, (Stage("bent", False, str(exc)),))
+    stages = [Stage("bent", True, f"all squared norms 3^{n}")]
+
+    nwr = profile.regularity is Regularity.NON_WEAKLY_REGULAR
+    stages.append(Stage("non-weakly-regular", nwr, "" if nwr else
+                        f"B_{profile.type.flipped().value}(f) is empty: "
+                        f"function is {profile.regularity.value}"))
+    even = f.is_even()
+    stages.append(Stage("even", even, "" if even else "f(x) != f(-x) somewhere"))
+    dual_ok, dual_profile = is_dual_bent(f, profile)
+    stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
+
+    side = profile.type_side()
+    v = span(side, n)
+    coords = coord_matrix(n).astype(np.int64)
+    in_kernel = ~((coords @ coords[list(v.basis)].T) % 3).any(axis=1)
+    subspace = len(side) == size(v.dim)
+    stages.append(Stage("type-side-subspace", subspace, "" if subspace else
+                        f"|side| = {len(side)} is not a subspace"))
+    if subspace:
+        side_idx = np.fromiter(side, dtype=np.int64, count=len(side))
+        nondeg = int(np.count_nonzero(in_kernel[side_idx])) == 1
+        stages.append(Stage("non-degenerate", nondeg, "" if nondeg else
+                            "type side meets its complement beyond 0"))
+        bound = v.dim >= n // 2 + 1
+        stages.append(Stage("dimension-bound", bound, f"r = {v.dim}" if bound else
+                            f"r = {v.dim} < floor(n/2)+1 = {n // 2 + 1}"))
+    return Hypotheses(f, tuple(stages), profile, dual_profile, v, in_kernel)
+
+
 @dataclass(frozen=True)
 class CosetStructure:
     """Result of the coset decomposition check of the dual's point sets.
@@ -442,63 +528,44 @@ class CosetStructure:
 def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
     """Verify the coset tiling of the dual's point sets, exhaustively.
 
-    Requires f even, non-weakly regular, dual-bent, with the type side a
+    Requires f non-weakly regular, even, dual-bent, with the type side a
     non-degenerate subspace; raises HypothesisError naming the first
     failing requirement otherwise.
     """
-    n = f.n
-    if profile.regularity is not Regularity.NON_WEAKLY_REGULAR:
-        raise HypothesisError("non-weakly-regular", profile.regularity.value)
-    if not f.is_even():
-        raise HypothesisError("even function")
-    ok, dual_profile = is_dual_bent(f, profile)
-    if not ok:
-        raise HypothesisError("dual bent")
-    side_set = profile.type_side()
-    if not is_subspace(side_set, n):
-        raise HypothesisError("type side is a subspace")
-    v = span(side_set, n)
-    if not is_nondegenerate(v):
-        raise HypothesisError("type side non-degenerate")
+    return coset_tiling(establish(f, profile))
 
-    perp = orthogonal_complement(v)
-    perp_points = perp.points()
+
+def coset_tiling(hyp: Hypotheses) -> CosetStructure:
+    """coset_structure on hypotheses already established."""
+    hyp.require(through="non-degenerate")
+    f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
+    n = f.n
+    side_set = profile.type_side()
     i_plus = side_set & dual_profile.b_plus
     i_minus = side_set & dual_profile.b_minus
+    coords = coord_matrix(n)
+    perp = coords[np.flatnonzero(hyp.in_kernel)]  # first row is the point 0
+    weights = 3 ** np.arange(n, dtype=np.int64)
 
-    def coset_union(reps: frozenset[int]) -> frozenset[int]:
-        out = set()
-        for u in reps:
-            base = u
-            for w in perp_points:
-                out.add(_add_cached(base, w, n))
-        return frozenset(out)
+    def cosets(reps: frozenset[int]) -> np.ndarray:
+        """Row k holds the points of u_k + V-perp, u_k first."""
+        idx = np.fromiter(reps, dtype=np.int64, count=len(reps))
+        return ((coords[idx][:, None, :] + perp[None, :, :]) % 3) @ weights
 
-    union_ok = (coset_union(i_plus) == dual_profile.b_plus
-                and coset_union(i_minus) == dual_profile.b_minus)
+    union_ok = (frozenset(cosets(i_plus).ravel().tolist()) == dual_profile.b_plus
+                and frozenset(cosets(i_minus).ravel().tolist()) == dual_profile.b_minus)
 
     # n even pairs the constant restriction with the plus intersection on
     # the plus side (and the minus intersection on the minus side); odd n
     # swaps the pairing.
-    if n % 2 == 0:
-        branch = i_plus if profile.type is BentType.PLUS else i_minus
-        branch_name = "i_plus" if profile.type is BentType.PLUS else "i_minus"
-    else:
-        branch = i_minus if profile.type is BentType.PLUS else i_plus
-        branch_name = "i_minus" if profile.type is BentType.PLUS else "i_plus"
-    constant_ok = True
-    for u in branch:
-        want = f(u)
-        for w in perp_points:
-            if f(_add_cached(u, w, n)) != want:
-                constant_ok = False
-                break
-        if not constant_ok:
-            break
+    on_plus = (n % 2 == 0) == (profile.type is BentType.PLUS)
+    branch_name = "i_plus" if on_plus else "i_minus"
+    values = f.table[cosets(i_plus if on_plus else i_minus)]
+    constant_ok = bool((values == values[:, :1]).all())
 
     return CosetStructure(
         side=profile.type,
-        subspace=v,
+        subspace=hyp.v,
         i_plus=i_plus,
         i_minus=i_minus,
         coset_union_ok=union_ok,
@@ -506,15 +573,3 @@ def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
         constant_ok=constant_ok,
         dual_profile=dual_profile,
     )
-
-
-def _add_cached(x: int, y: int, n: int) -> int:
-    # add_points without tuple churn: digitwise base-3 add
-    out = 0
-    mult = 1
-    for _ in range(n):
-        out += ((x % 3 + y % 3) % 3) * mult
-        x //= 3
-        y //= 3
-        mult *= 3
-    return out

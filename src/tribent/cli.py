@@ -33,7 +33,7 @@ from .constructions import (
     quadratic_function,
     trace_function,
 )
-from .core import DimensionCapError, size
+from .core import DimensionCapError, check_dim, size
 from .fields import ExtField
 from .fixtures import FIXTURES, get_fixture, run_fixture
 from .pipeline import PipelineReport, run_pipeline
@@ -64,11 +64,16 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
     if not values:
         raise InputError(f"{path}: empty table file")
     n, trits = values[0], values[1:]
+    check_dim(n, cap)
     if len(trits) != size(n):
         raise InputError(f"{path}: expected 3^{n} = {size(n)} values, found {len(trits)}")
+    _check_trits(path, trits)
+    return TernaryFunction(n, trits)
+
+
+def _check_trits(path: str, trits: list) -> None:
     if any(t not in (0, 1, 2) for t in trits):
         raise InputError(f"{path}: table entries must be 0, 1 or 2")
-    return TernaryFunction(n, trits, cap)
 
 
 def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
@@ -86,10 +91,11 @@ def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         m, s = int(data["m"]), int(data["s"])
-        raw = data["components"]
+        check_dim(m + 2 * s, cap)
         comps = []
-        for entry in raw:
+        for entry in data["components"]:
             if "table" in entry:
+                _check_trits(path, entry["table"])
                 comps.append(TernaryFunction(m, entry["table"]))
             else:
                 q = QuadraticForm(tuple(int(c) for c in entry["d"]),
@@ -98,10 +104,7 @@ def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
         spec = GmmfSpec(m, s, tuple(comps))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad glue spec: {exc}") from exc
-    f = gmmf_build(spec)
-    if cap is not None and f.n > cap:
-        raise InputError(f"{path}: n = {f.n} exceeds --max-n {cap}")
-    return f
+    return gmmf_build(spec)
 
 
 def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
@@ -119,6 +122,7 @@ def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         k = int(data["k"])
+        check_dim(k, cap)
         modulus = tuple(int(c) for c in data["modulus"])
         gen = data["generator"]
         if isinstance(gen, list):
@@ -127,10 +131,7 @@ def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
         field = ExtField.create(k, modulus, int(gen))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad trace spec: {exc}") from exc
-    f = trace_function(TraceSpec(field, terms))
-    if cap is not None and f.n > cap:
-        raise InputError(f"{path}: n = {f.n} exceeds --max-n {cap}")
-    return f
+    return trace_function(TraceSpec(field, terms))
 
 
 # ---------------------------------------------------------------------------

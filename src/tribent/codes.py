@@ -19,25 +19,20 @@ from .analysis import (
     BentProfile,
     BentType,
     HypothesisError,
+    Hypotheses,
     PreimageSets,
-    Regularity,
     TernaryFunction,
-    bent_profile,
-    is_dual_bent,
+    establish,
     preimage_sets,
 )
 from .core import (
     Eisenstein,
     coord_matrix,
-    decode,
     dots_with,
-    is_nondegenerate,
-    is_subspace,
     neg_table,
     rank,
     root_sum,
     size,
-    span,
 )
 
 
@@ -178,7 +173,10 @@ def selected_dual_value(case: CodeCase, j0: int) -> int:
 
 @dataclass(frozen=True)
 class SelectionContext:
-    """Everything the selector established on the way to a defining set."""
+    """Everything the selector established on the way to a defining set.
+
+    value is the dual value whose type-side pre-image is the defining set.
+    """
 
     case: CodeCase
     j0: int
@@ -187,6 +185,8 @@ class SelectionContext:
     profile: BentProfile
     dual_profile: BentProfile
     preimages: PreimageSets
+    hypotheses: Hypotheses
+    value: int
 
 
 def select_defining_set(f: TernaryFunction,
@@ -194,43 +194,30 @@ def select_defining_set(f: TernaryFunction,
                         minus_shift: int = 2) -> SelectionContext:
     """Pick the theorem-grade pre-image defining set for f.
 
-    Checks, in order: f even; non-weakly regular; dual bent; the type
-    side a subspace; non-degenerate; dim r at least floor(n/2) + 1.  Each
-    failure raises HypothesisError naming the requirement.  For the
+    The hypotheses are decided by analysis.establish; a failure raises
+    HypothesisError naming the first failing stage in pipeline order
+    (bent, non-weakly-regular, even function, dual bent, type side is a
+    subspace, type side non-degenerate, dimension bound).  For the
     even/minus case minus_shift may be 1 instead of 2 (both dual values
     give full-rank sets); the default matches the tabulated case.
     """
-    n = f.n
-    if profile is None:
-        profile = bent_profile(f)
-    if not f.is_even():
-        raise HypothesisError("even function")
-    if profile.regularity is not Regularity.NON_WEAKLY_REGULAR:
-        raise HypothesisError("non-weakly-regular",
-                              f"classified {profile.regularity.value}")
-    ok, dual_profile = is_dual_bent(f, profile)
-    if not ok:
-        raise HypothesisError("dual bent")
-    side_set = profile.type_side()
-    if not is_subspace(side_set, n):
-        raise HypothesisError("type side is a subspace")
-    v = span(side_set, n)
-    if not is_nondegenerate(v):
-        raise HypothesisError("type side non-degenerate")
-    r = v.dim
-    if r < n // 2 + 1:
-        raise HypothesisError("dimension bound", f"r={r} < floor(n/2)+1={n // 2 + 1}")
+    return defining_set_for(establish(f, profile), minus_shift)
 
+
+def defining_set_for(hyp: Hypotheses, minus_shift: int = 2) -> SelectionContext:
+    """select_defining_set on hypotheses already established."""
+    hyp.require()
+    f, profile = hyp.f, hyp.profile
     j0 = f(0)
-    case = case_for(n, profile.type)
+    case = case_for(f.n, profile.type)
     if case is CodeCase.EVEN_MINUS and minus_shift == 1:
-        i = (j0 + 1) % 3
+        value = (j0 + 1) % 3
     else:
-        i = selected_dual_value(case, j0)
+        value = selected_dual_value(case, j0)
     pre = preimage_sets(profile)
-    points = pre.plus[i] if case.side is BentType.PLUS else pre.minus[i]
-    defining = DefiningSet.from_points(points, n)
-    return SelectionContext(case, j0, r, defining, profile, dual_profile, pre)
+    points = (pre.plus if case.side is BentType.PLUS else pre.minus)[value]
+    return SelectionContext(case, j0, hyp.r, DefiningSet.from_points(points, f.n),
+                            profile, hyp.dual_profile, pre, hyp, value)
 
 
 @dataclass(frozen=True)
@@ -312,19 +299,15 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
 class WeightClassifier:
     """Per-message weight prediction for a selected defining set.
 
-    Precomputes the kernel membership mask so classifying all 3^n
-    messages is a table walk.
+    Reads the kernel membership mask (V-perp) from the established
+    hypotheses, so classifying all 3^n messages is a table walk.
     """
 
     def __init__(self, ctx: SelectionContext, f: TernaryFunction):
         self.ctx = ctx
         self.f = f
         n = f.n
-        side_span = span(ctx.profile.type_side(), n)
-        coords = coord_matrix(n).astype(np.int64)
-        bmat = np.stack([np.array(decode(b, n), dtype=np.int64) for b in side_span.basis])
-        prods = (coords @ bmat.T) % 3
-        self.in_kernel = ~prods.any(axis=1)
+        self.in_kernel = ctx.hypotheses.in_kernel
         self.in_dual_plus = np.zeros(size(n), dtype=bool)
         idx = np.fromiter(ctx.dual_profile.b_plus, dtype=np.int64,
                           count=len(ctx.dual_profile.b_plus))

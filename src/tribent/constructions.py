@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_profile
-from .core import check_dim, coord_matrix, decode, dot, legendre, size
+from .core import check_dim, coord_matrix, legendre, size
 from .fields import ExtField
 
 

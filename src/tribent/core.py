@@ -14,8 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Desk-scale guard: 3^12 = 531441 points.  Every table-building entry point
-# checks against this cap; pass a larger explicit cap to override.
+# Desk-scale guard: 3^12 = 531441 points.  Every entry point that tabulates
+# a function from outside input checks against this cap before allocating;
+# pass a larger explicit cap to override.
 DIM_CAP = 12
 
 
@@ -88,11 +89,6 @@ def add_points(x: int, y: int, n: int) -> int:
     """Index of x + y in F_3^n."""
     xs, ys = decode(x, n), decode(y, n)
     return encode(tuple(a + b for a, b in zip(xs, ys)))
-
-
-def sub_points(x: int, y: int, n: int) -> int:
-    xs, ys = decode(x, n), decode(y, n)
-    return encode(tuple(a - b for a, b in zip(xs, ys)))
 
 
 def dot(u: int, v: int, n: int) -> int:
@@ -174,9 +170,6 @@ class Eisenstein:
         return f"{self.a}{self.b:+d}w"
 
 
-E_ZERO = Eisenstein(0, 0)
-E_ONE = Eisenstein(1, 0)
-OMEGA = Eisenstein(0, 1)
 # w^0, w^1, w^2 = -1 - w
 OMEGA_POW = (Eisenstein(1, 0), Eisenstein(0, 1), Eisenstein(-1, -1))
 
@@ -252,9 +245,6 @@ class Subspace:
             }
         return frozenset(members)
 
-    def contains(self, x: int) -> bool:
-        return rank(list(self.basis) + [x], self.n) == self.dim
-
 
 def span(points: Iterable[int], n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for empty input)."""
@@ -263,11 +253,15 @@ def span(points: Iterable[int], n: int) -> Subspace:
 
 
 def is_subspace(points: Iterable[int], n: int) -> bool:
-    """True iff the set equals its own span."""
+    """True iff the set equals its own span.
+
+    A set lies inside its span, so the two are equal exactly when their
+    sizes are; the span's members are never enumerated.
+    """
     pts = frozenset(points)
     if not pts:
         return False
-    return span(pts, n).points() == pts
+    return len(pts) == size(span(pts, n).dim)
 
 
 def is_nondegenerate(v: Subspace) -> bool:

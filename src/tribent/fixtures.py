@@ -8,8 +8,8 @@ one is recorded, the polynomial of the dual; both are cross-checked
 pointwise against the built tables.
 
 For the two trace-form fixtures the field representation is not pinned
-down by the classification alone, so suitable parameters were found by
-search (see find_trace_generator) and frozen here: both use the
+down by the classification alone, so suitable parameters were found by a
+scan over primitive generators and frozen here: both use the
 lexicographically smallest primitive modulus for their degree with the
 residue class of t as the generator.
 """
@@ -27,7 +27,6 @@ from .constructions import (
     TraceSpec,
     eval_poly,
     gmmf_build,
-    gmmf_predict,
     parse_poly,
     quadratic_function,
     trace_function,
@@ -317,18 +316,3 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
 def run_all_fixtures() -> list[FixtureResult]:
     return [run_fixture(f) for f in FIXTURES]
 
-
-def find_trace_generator(k: int, modulus: tuple[int, ...],
-                         terms_for: Callable[[int], tuple[tuple[int, int], ...]],
-                         predicate: Callable[[TernaryFunction], bool],
-                         base_generator: int = 3) -> int | None:
-    """Scan primitive elements until the built trace form satisfies the
-    predicate; returns the generator found (the search that pinned the
-    trace fixtures above)."""
-    base = ExtField.create(k, modulus, base_generator)
-    for g in base.primitive_elements():
-        fld = ExtField.create(k, modulus, g)
-        f = trace_function(TraceSpec(fld, terms_for(g)))
-        if predicate(f):
-            return g
-    return None

@@ -13,34 +13,22 @@ from dataclasses import dataclass, field
 from .analysis import (
     BentProfile,
     BentType,
-    NotBentError,
-    Regularity,
+    Stage,
     TernaryFunction,
-    bent_profile,
-    coset_structure,
+    coset_tiling,
+    establish,
     expected_preimage_sizes,
-    is_dual_bent,
     preimage_sets,
 )
 from .codes import (
-    CodeCase,
     CodeReport,
     DefiningSet,
-    HypothesisError,
     WeightClassifier,
     build_code,
     code_report,
+    defining_set_for,
     predict_distribution,
-    select_defining_set,
 )
-from .core import is_nondegenerate, is_subspace, span
-
-
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 @dataclass
@@ -90,7 +78,7 @@ class PipelineReport:
         }
 
 
-def _forced_points(label: str, profile: BentProfile, f: TernaryFunction):
+def _forced_points(label: str, profile: BentProfile):
     pre = preimage_sets(profile)
     side, value = label[0].upper(), int(label[1])
     if side == "C":
@@ -105,59 +93,25 @@ def run_pipeline(f: TernaryFunction,
                  check_cosets: bool = True) -> PipelineReport:
     """Full run: spectrum, hypotheses, selection, code, prediction.
 
-    Every hypothesis stage is evaluated and recorded even after one
-    fails; selection and prediction run only when all hold.  A force_set
-    label ("C0".."D2") builds and measures that pre-image code without a
-    closed-form prediction whenever the function is at least bent.
+    The hypothesis stages are the record of analysis.establish, every one
+    evaluated even after one fails; selection and prediction run only
+    when all hold.  A force_set label ("C0".."D2") builds and measures
+    that pre-image code without a closed-form prediction whenever the
+    function is at least bent.
     """
-    rep = PipelineReport()
-
-    try:
-        profile = bent_profile(f)
-    except NotBentError as exc:
-        rep.stages.append(Stage("bent", False, str(exc)))
+    hyp = establish(f)
+    rep = PipelineReport(stages=list(hyp.stages))
+    profile = hyp.profile
+    if profile is None:
         return rep
-    rep.stages.append(Stage("bent", True, f"all squared norms 3^{f.n}"))
     rep.type = profile.type.value
     rep.regularity = profile.regularity.value
     rep.j0 = int(f(0))
+    rep.r = hyp.r
 
-    if profile.regularity is Regularity.NON_WEAKLY_REGULAR:
-        rep.stages.append(Stage("non-weakly-regular", True, ""))
-    else:
-        side = "minus" if profile.type is BentType.PLUS else "plus"
-        rep.stages.append(Stage(
-            "non-weakly-regular", False,
-            f"B_{side}(f) is empty: function is {profile.regularity.value}"))
-
-    rep.stages.append(Stage("even", f.is_even(),
-                            "" if f.is_even() else "f(x) != f(-x) somewhere"))
-
-    dual_ok, _ = is_dual_bent(f, profile)
-    rep.stages.append(Stage("dual-bent", dual_ok,
-                            "" if dual_ok else "dual function is not bent"))
-
-    side_set = profile.type_side()
-    subspace_ok = is_subspace(side_set, f.n)
-    rep.stages.append(Stage("type-side-subspace", subspace_ok,
-                            "" if subspace_ok
-                            else f"|side| = {len(side_set)} is not a subspace"))
-    v = span(side_set, f.n)
-    rep.r = v.dim
-    if subspace_ok:
-        nondeg = is_nondegenerate(v)
-        rep.stages.append(Stage("non-degenerate", nondeg,
-                                "" if nondeg
-                                else "type side meets its complement beyond 0"))
-        bound_ok = v.dim >= f.n // 2 + 1
-        rep.stages.append(Stage(
-            "dimension-bound", bound_ok,
-            f"r = {v.dim}" if bound_ok
-            else f"r = {v.dim} < floor(n/2)+1 = {f.n // 2 + 1}"))
-
-    if not rep.hypotheses_ok:
+    if not hyp.ok:
         if force_set is not None:
-            points = set(_forced_points(force_set, profile, f)) - {0}
+            points = set(_forced_points(force_set, profile)) - {0}
             if points:
                 code = build_code(DefiningSet.from_points(points, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
@@ -169,29 +123,19 @@ def run_pipeline(f: TernaryFunction,
                 )
         return rep
 
-    ctx = select_defining_set(f, profile)
+    ctx = defining_set_for(hyp)
     rep.case = ctx.case.value
-    rep.r = ctx.r
-    side_letter = "C" if ctx.case.side is BentType.PLUS else "D"
-    pre = ctx.preimages
-    sel_value = None
-    for i in range(3):
-        pts = pre.plus[i] if ctx.case.side is BentType.PLUS else pre.minus[i]
-        if frozenset(ctx.defining.points) == pts - {0}:
-            sel_value = i
-            break
-    rep.defining_label = f"{side_letter}{sel_value}"
+    plus_side = ctx.case.side is BentType.PLUS
+    rep.defining_label = ("C" if plus_side else "D") + str(ctx.value)
 
     sizes = expected_preimage_sizes(f.n, ctx.r, ctx.j0, ctx.case.side)
-    measured = {
-        i: len(pre.plus[i] if ctx.case.side is BentType.PLUS else pre.minus[i])
-        for i in range(3)
-    }
+    side_sets = ctx.preimages.plus if plus_side else ctx.preimages.minus
+    measured = {i: len(side_sets[i]) for i in range(3)}
     rep.stages.append(Stage("preimage-sizes", measured == sizes,
                             f"measured {measured}, closed form {sizes}"))
 
     if check_cosets:
-        cs = coset_structure(f, profile)
+        cs = coset_tiling(hyp)
         rep.stages.append(Stage("coset-structure",
                                 cs.coset_union_ok and cs.constant_ok,
                                 f"constant branch {cs.constant_branch}"))

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 
 from .analysis import BentType, TernaryFunction
-from .codes import CodeCase
 from .constructions import (
     GmmfSpec,
     QuadraticForm,
@@ -23,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import DIM_CAP, Subspace, check_dim, legendre, neg_point, size, span
+from .core import Subspace, check_dim, legendre, neg_point, size, span
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -149,7 +148,7 @@ def run_search(m: int, s: int, count: int, seed: int,
     if m < 1 or s < 1:
         raise ValueError("m and s must be at least 1")
     n = m + 2 * s
-    check_dim(n, cap if cap is not None else DIM_CAP)
+    check_dim(n, cap)
     if not 0 <= u_dim <= s:
         raise ValueError(f"u_dim must lie in [0, {s}]")
     rng = random.Random(seed)

@@ -1,0 +1,52 @@
+"""What the benchmark under perfbench/ relies on in the package.
+
+The traced run wraps the functions named in perfbench/tracing.TARGETS,
+and the structure-large workload drives the public hypothesis path; a
+refactor that renames either away breaks the benchmark, so it fails here.
+Nothing under perfbench/ is modified or installed.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import tribent
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    """Execute perfbench/<name>.py as a module, leaving no bytecode there."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    sys.modules[module.__name__] = module  # dataclasses look their module up here
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(tracing.TARGETS))
+def test_trace_target_resolves(name):
+    module, path, _ = tracing.TARGETS[name]
+    owner = getattr(tribent, module)
+    for attr in path.split("."):
+        owner = getattr(owner, attr)
+    assert callable(owner)
+
+
+def test_trace_targets_include_the_dense_layers():
+    paths = {(module, path) for module, path, _ in tracing.TARGETS.values()}
+    assert {("core", "Subspace.points"), ("codes", "WeightClassifier.check_all")} <= paths
+
+
+def test_hypothesis_path_verdict():
+    inst = workloads.glue_instance(random.Random(0), 4, 1, 0, "minus")
+    assert workloads.check_hypotheses(inst, workloads.run_hypotheses(inst)) is None

@@ -189,3 +189,26 @@ def test_max_n_cap(tmp_path, capsys):
     f.write_text("1\n0 1 1\n")
     code, _, _ = run_cli(capsys, "verify", "--table-file", str(f), "--max-n", "1")
     assert code == 1  # runs fine under the raised/explicit cap
+
+
+@pytest.mark.parametrize("entry", [300, 5])
+def test_verify_gmmf_table_entry_out_of_range(tmp_path, capsys, entry):
+    spec = {
+        "m": 1, "s": 1,
+        "components": [{"table": [0, 1, 1]}, {"table": [0, 2, entry]},
+                       {"table": [0, 2, entry]}],
+    }
+    f = tmp_path / "glue.json"
+    f.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "verify", "--gmmf-file", str(f))
+    assert code == 2
+    assert err.strip() == f"error: {f}: table entries must be 0, 1 or 2"
+
+
+def test_verify_poly_above_default_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--poly", "x1^2", "--n", "13",
+                           "--max-n", "13", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["stages"][0]["name"] == "bent"
+    assert not doc["stages"][0]["ok"]

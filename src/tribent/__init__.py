@@ -40,6 +40,7 @@ from .codes import (
     WeightPrediction,
     build_code,
     enumerator_string,
+    message_weights,
     negation_check,
     predict_distribution,
     select_defining_set,

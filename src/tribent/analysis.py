@@ -164,14 +164,21 @@ def _radix3_pass(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[np.ndarray, n
             np.stack([o0b, o1b, o2b], axis=axis))
 
 
-def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
-    """All transform values via n rounds of radix-3 butterflies in Z[w]."""
-    n = f.n
-    a = _W_RE[f.table].reshape((3,) * n)
-    b = _W_IM[f.table].reshape((3,) * n)
+def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
+
+    a and b are flat coefficient arrays over the 3^n point indices; the
+    result is indexed the same way.
+    """
+    a, b = a.reshape((3,) * n), b.reshape((3,) * n)
     for axis in range(n):
         a, b = _radix3_pass(a, b, axis)
-    return WalshSpectrum(n, a.reshape(-1), b.reshape(-1))
+    return a.reshape(-1), b.reshape(-1)
+
+
+def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
+    """All transform values via n rounds of radix-3 butterflies in Z[w]."""
+    return WalshSpectrum(f.n, *_radix3(_W_RE[f.table], _W_IM[f.table], f.n))
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:

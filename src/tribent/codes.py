@@ -22,12 +22,12 @@ from .analysis import (
     Hypotheses,
     PreimageSets,
     TernaryFunction,
+    _radix3,
     establish,
     preimage_sets,
 )
 from .core import (
     Eisenstein,
-    coord_matrix,
     dots_with,
     neg_table,
     rank,
@@ -110,21 +110,37 @@ def weight_of_character_sum(u: int, s: DefiningSet) -> int:
     return num // 3
 
 
+def message_weights(s: DefiningSet) -> np.ndarray:
+    """The weight of every message's codeword, indexed by message u.
+
+    One radix-3 transform of the indicator 1_S gives sum over S of
+    w^(-u.x) for every u, the conjugate of chi_u(S); conjugation keeps the
+    orbit sum 2a - b, so the identity of weight_of_character_sum holds for
+    all u at once, each division by 3 asserted exact.  Coefficients stay
+    within |S| in absolute value.
+    """
+    n = s.n
+    indicator = np.zeros(size(n), dtype=np.int64)
+    indicator[list(s.points)] = 1
+    a, b = _radix3(indicator, np.zeros_like(indicator), n)
+    num = 2 * len(s) - (2 * a - b)
+    assert not (num % 3).any(), "character-sum weight must be an integer"
+    return num // 3
+
+
 def build_code(s: DefiningSet) -> LinearCode:
-    """Measure dimension and weight distribution by full enumeration.
+    """Measure dimension and weight distribution over all 3^n messages.
 
     Every codeword arises from exactly 3^(n-r) messages (the kernel is
     the orthogonal complement of the span of S), so the per-weight counts
     over all 3^n messages divide exactly by that factor; the division is
-    asserted rather than trusted.
+    asserted rather than trusted.  So is the first Pless power moment:
+    no coordinate of the code is identically zero (0 is not in S), so
+    the weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.
     """
     n = s.n
     r = rank(s.points, n)
-    coords = coord_matrix(n).astype(np.int64)
-    cols = coords[np.fromiter(s.points, dtype=np.int64)]
-    prods = (coords @ cols.T) % 3
-    weights = np.count_nonzero(prods, axis=1)
-    counts = np.bincount(weights, minlength=len(s.points) + 1)
+    counts = np.bincount(message_weights(s), minlength=len(s) + 1)
     kernel = size(n - r)
     distribution = {}
     for w, c in enumerate(counts):
@@ -132,6 +148,8 @@ def build_code(s: DefiningSet) -> LinearCode:
             assert c % kernel == 0, "message count per weight must divide by the kernel size"
             distribution[int(w)] = int(c // kernel)
     assert distribution.get(0) == 1
+    assert sum(w * e for w, e in distribution.items()) == 2 * 3 ** (r - 1) * len(s), \
+        "first Pless power moment"
     return LinearCode(defining=s, length=len(s), dimension=r, distribution=distribution)
 
 
@@ -247,6 +265,19 @@ class WeightPrediction:
         return self.weights[0]
 
 
+def _case_weights(case: CodeCase, n: int, r: int) -> tuple[int, int, int]:
+    """The three nonzero weights (w1, w2, w3) of a case, w1 the lowest."""
+    base = 3 ** (r - 2)
+    if case is CodeCase.EVEN_PLUS:
+        return 2 * base, 2 * (base + 3 ** (n // 2 - 1)), \
+            2 * (base - 3 ** (n // 2 - 2) + 3 ** (n // 2 - 1))
+    if case is CodeCase.EVEN_MINUS:
+        return 2 * base, 2 * (base + 3 ** (n // 2 - 1)), 2 * (base + 3 ** (n // 2 - 2))
+    # the two odd cases share their weights
+    h = 3 ** ((n - 3) // 2)
+    return 2 * base, 2 * (base + h), 2 * (base + 2 * h)
+
+
 def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     """Exact predicted [length, r] parameters and weight multiplicities.
 
@@ -259,41 +290,41 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
         raise ValueError(f"r={r} below the bound floor(n/2)+1={n // 2 + 1}")
 
     alt = None
+    w1, w2, w3 = _case_weights(case, n, r)
     if case is CodeCase.EVEN_PLUS:
         length = 3 ** (r - 1) - 3 ** (n // 2 - 1) + 3 ** (n // 2) - 1
-        w1 = 2 * 3 ** (r - 2)
-        w2 = 2 * (3 ** (r - 2) + 3 ** (n // 2 - 1))
-        w3 = 2 * (3 ** (r - 2) - 3 ** (n // 2 - 2) + 3 ** (n // 2 - 1))
         e1 = 3 ** (2 * r - n - 1) + 2 * 3 ** (r - n // 2 - 1) - 1
         e2 = 2 * 3 ** (2 * r - n - 1) - 2 * 3 ** (r - n // 2 - 1)
         e3 = 3 ** r - 3 ** (2 * r - n)
         alt_e1 = 3 ** (2 * r - n - 1) + 3 ** (r - n // 2 - 1)
         if alt_e1 != e1:
             alt = alt_e1
-        dist = {0: 1, w1: e1, w2: e2, w3: e3}
     elif case is CodeCase.EVEN_MINUS:
         length = 3 ** (r - 1) + 3 ** (n // 2 - 1)
-        w1 = 2 * 3 ** (r - 2)
-        w2 = 2 * (3 ** (r - 2) + 3 ** (n // 2 - 1))
-        w3 = 2 * (3 ** (r - 2) + 3 ** (n // 2 - 2))
         e1 = 2 * 3 ** (2 * r - n - 1) - 3 ** (r - n // 2 - 1) - 1
         e2 = 3 ** (2 * r - n - 1) + 3 ** (r - n // 2 - 1)
         e3 = 3 ** r - 3 ** (2 * r - n)
-        dist = {0: 1, w1: e1, w2: e2, w3: e3}
     else:
         # the two odd cases share length and multiplicities
         length = 3 ** (r - 1) + 3 ** ((n - 1) // 2)
-        w1 = 2 * 3 ** (r - 2)
-        w2 = 2 * (3 ** (r - 2) + 3 ** ((n - 3) // 2))
-        w3 = 2 * (3 ** (r - 2) + 2 * 3 ** ((n - 3) // 2))
         e1 = 3 ** (2 * r - n - 1) - 1
         e2 = 3 ** r - 2 * 3 ** (2 * r - n - 1) - 3 ** (r - (n + 1) // 2)
         e3 = 3 ** (2 * r - n - 1) + 3 ** (r - (n + 1) // 2)
-        dist = {0: 1, w1: e1, w2: e2, w3: e3}
 
+    dist = {0: 1, w1: e1, w2: e2, w3: e3}
     assert sum(dist.values()) == 3 ** r
     assert all(v >= 0 for v in dist.values())
     return WeightPrediction(case, n, r, length, dist, alt)
+
+
+# The weight (index 0, 1, 2 for w1, w2, w3) of a message off the kernel,
+# by [u in the dual's plus set][(f(u) - j0) % 3].
+_WEIGHT_CLASS = {
+    CodeCase.EVEN_PLUS: np.array([[2, 2, 2], [0, 1, 1]]),
+    CodeCase.ODD_PLUS: np.array([[0, 2, 1], [1, 1, 1]]),
+    CodeCase.EVEN_MINUS: np.array([[0, 0, 1], [2, 2, 2]]),
+    CodeCase.ODD_MINUS: np.array([[1, 1, 1], [0, 1, 2]]),
+}
 
 
 class WeightClassifier:
@@ -306,61 +337,28 @@ class WeightClassifier:
     def __init__(self, ctx: SelectionContext, f: TernaryFunction):
         self.ctx = ctx
         self.f = f
-        n = f.n
         self.in_kernel = ctx.hypotheses.in_kernel
-        self.in_dual_plus = np.zeros(size(n), dtype=bool)
-        idx = np.fromiter(ctx.dual_profile.b_plus, dtype=np.int64,
-                          count=len(ctx.dual_profile.b_plus))
-        self.in_dual_plus[idx] = True
+        self.in_dual_plus = ctx.dual_profile.sign == 1
+
+    def expected_weights(self) -> np.ndarray:
+        """The case table over all messages: 0 on the kernel, elsewhere the
+        weight picked by dual-side membership and f(u) - j0."""
+        case = self.ctx.case
+        weights = np.array(_case_weights(case, self.f.n, self.ctx.r), dtype=np.int64)
+        delta = (self.f.table.astype(np.int64) - self.ctx.j0) % 3
+        picked = weights[_WEIGHT_CLASS[case][self.in_dual_plus.astype(np.int64), delta]]
+        return np.where(self.in_kernel, 0, picked)
 
     def expected_weight(self, u: int) -> int:
-        """The case table: weight from dual-side membership and f(u) - j0."""
-        if self.in_kernel[u]:
-            return 0
-        case, j0, r = self.ctx.case, self.ctx.j0, self.ctx.r
-        n = self.f.n
-        in_plus = bool(self.in_dual_plus[u])
-        delta = (self.f(u) - j0) % 3
-
-        if case is CodeCase.EVEN_PLUS:
-            if in_plus:
-                return 2 * 3 ** (r - 2) if delta == 0 else 2 * (3 ** (r - 2) + 3 ** (n // 2 - 1))
-            return 2 * (3 ** (r - 2) - 3 ** (n // 2 - 2) + 3 ** (n // 2 - 1))
-        if case is CodeCase.ODD_PLUS:
-            if not in_plus:
-                if delta == 0:
-                    return 2 * 3 ** (r - 2)
-                if delta == 1:
-                    return 2 * (3 ** (r - 2) + 2 * 3 ** ((n - 3) // 2))
-                return 2 * (3 ** (r - 2) + 3 ** ((n - 3) // 2))
-            return 2 * (3 ** (r - 2) + 3 ** ((n - 3) // 2))
-        if case is CodeCase.EVEN_MINUS:
-            if not in_plus:
-                if delta == 2:
-                    return 2 * (3 ** (r - 2) + 3 ** (n // 2 - 1))
-                return 2 * 3 ** (r - 2)
-            return 2 * (3 ** (r - 2) + 3 ** (n // 2 - 2))
-        # ODD_MINUS
-        if in_plus:
-            if delta == 0:
-                return 2 * 3 ** (r - 2)
-            if delta == 2:
-                return 2 * (3 ** (r - 2) + 2 * 3 ** ((n - 3) // 2))
-            return 2 * (3 ** (r - 2) + 3 ** ((n - 3) // 2))
-        return 2 * (3 ** (r - 2) + 3 ** ((n - 3) // 2))
+        """The case table's weight for one message (builds the whole
+        table; use expected_weights for many messages)."""
+        return int(self.expected_weights()[u])
 
     def check_all(self) -> int | None:
         """First message whose actual weight differs from the prediction,
         or None when every codeword agrees."""
-        n = self.f.n
-        coords = coord_matrix(n).astype(np.int64)
-        cols = coords[np.fromiter(self.ctx.defining.points, dtype=np.int64)]
-        prods = (coords @ cols.T) % 3
-        weights = np.count_nonzero(prods, axis=1)
-        for u in range(size(n)):
-            if self.expected_weight(u) != int(weights[u]):
-                return u
-        return None
+        bad = np.flatnonzero(self.expected_weights() != message_weights(self.ctx.defining))
+        return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

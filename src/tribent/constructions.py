@@ -92,9 +92,12 @@ class GmmfSpec:
 
 
 def gmmf_build(spec: GmmfSpec) -> TernaryFunction:
-    """Evaluate the glued table by block lookup; no interpolation."""
+    """Evaluate the glued table by block lookup; no interpolation.
+
+    The dimension cap is checked at the input surfaces (the glue-file
+    loader and run_search), which know the caller's cap.
+    """
     m, s, n = spec.m, spec.s, spec.n
-    check_dim(n)
     sm, ss = size(m), size(s)
     comp = np.stack([c.table for c in spec.components])  # (3^s, 3^m)
     # index = x + 3^m y + 3^(m+s) z

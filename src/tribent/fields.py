@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .core import decode, encode, size
+from .core import add_points, decode, encode, neg_point, size
 
 
 def _poly_trim(p: list[int]) -> list[int]:
@@ -128,32 +128,21 @@ class ExtField:
             acc = 0
             for i in range(k):
                 fr = exp[(log[x] * pow(3, i, q - 1)) % (q - 1)]
-                acc = cls._add_static(acc, fr, k)
+                acc = add_points(acc, fr, k)
             digits = decode(acc, k)
             assert all(d == 0 for d in digits[1:]), "trace must land in the prime field"
             trace[x] = digits[0]
         return cls(k, mod, generator, tuple(exp), tuple(log), tuple(trace))
-
-    @staticmethod
-    def _add_static(a: int, b: int, k: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(k):
-            out += ((a % 3) + (b % 3)) % 3 * mult
-            a //= 3
-            b //= 3
-            mult *= 3
-        return out
 
     @property
     def q(self) -> int:
         return size(self.k)
 
     def add(self, a: int, b: int) -> int:
-        return self._add_static(a, b, self.k)
+        return add_points(a, b, self.k)
 
     def neg(self, a: int) -> int:
-        return encode(tuple((-c) % 3 for c in decode(a, self.k)))
+        return neg_point(a, self.k)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -212,3 +212,19 @@ def test_verify_poly_above_default_cap(capsys):
     doc = json.loads(out)
     assert doc["stages"][0]["name"] == "bent"
     assert not doc["stages"][0]["ok"]
+
+
+def test_verify_gmmf_file_above_default_cap(tmp_path, capsys):
+    spec = {"m": 1, "s": 6, "components": [{"table": [0, 0, 0]}] * 729}
+    f = tmp_path / "glue13.json"
+    f.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "verify", "--gmmf-file", str(f),
+                           "--max-n", "13", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["stages"][0]["name"] == "bent"
+    assert not doc["stages"][0]["ok"]
+    code, _, err = run_cli(capsys, "verify", "--gmmf-file", str(f))
+    assert code == 2
+    assert err.strip() == (f"error: {f}: bad glue spec: n=13 exceeds the dimension "
+                           "cap 12 (3^13 points); raise the cap explicitly to proceed")

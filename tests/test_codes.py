@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tribent.analysis import HypothesisError, TernaryFunction, bent_profile
 from tribent.codes import (
@@ -10,6 +13,7 @@ from tribent.codes import (
     case_for,
     code_report,
     enumerator_string,
+    message_weights,
     negation_check,
     predict_distribution,
     select_defining_set,
@@ -65,6 +69,15 @@ def test_weight_of_agrees_with_character_sum_exhaustively(built_fixtures):
         for u in range(size(f.n)):
             assert weight_of(u, ctx.defining) == \
                 weight_of_character_sum(u, ctx.defining)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, size(n) - 1), min_size=1))))
+def test_message_weights_equal_direct_count(n_points):
+    n, points = n_points
+    s = DefiningSet.from_points(points, n)
+    weights = message_weights(s)
+    assert [int(w) for w in weights] == [weight_of(u, s) for u in range(size(n))]
 
 
 def test_build_code_dimension_is_rank():
@@ -191,6 +204,19 @@ def test_classifier_matches_actual_weights(built_fixtures):
     code = build_code(ctx.defining)
     for u in (0, 1, 17, 100, 242):
         assert clf.expected_weight(u) == weight_of(u, ctx.defining)
+
+
+def test_classifier_reports_first_mismatch(built_fixtures):
+    # the odd/minus rule applied to another pre-image of the dual
+    f = built_fixtures["code36"]
+    ctx = select_defining_set(f)
+    other = ctx.preimages.minus[(ctx.value + 1) % 3]
+    swapped = dataclasses.replace(
+        ctx, defining=DefiningSet.from_points(other, f.n))
+    clf = WeightClassifier(swapped, f)
+    first = next(u for u in range(size(f.n))
+                 if clf.expected_weight(u) != weight_of(u, swapped.defining))
+    assert clf.check_all() == first
 
 
 def test_classifier_kernel_is_complement(built_fixtures):

@@ -77,6 +77,16 @@ def test_search_deterministic_under_seed():
     assert a != c
 
 
+def test_search_at_eleven_dimensions():
+    # n = 11: the whole pipeline, per-codeword check included, at the
+    # first dimension the previous dense code stage could not reach
+    summary = run_search(9, 1, 1, seed=0)
+    report = summary.outcomes[0].report
+    assert report.passed
+    assert report.code.match
+    assert report.stage("per-codeword-weights").ok
+
+
 def test_search_validates_parameters():
     with pytest.raises(ValueError):
         run_search(0, 1, 1, seed=0)

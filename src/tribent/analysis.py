@@ -24,6 +24,7 @@ from .core import (
     legendre,
     neg_table,
     omega_pow,
+    perp_mask,
     root_sum,
     size,
     span,
@@ -496,8 +497,7 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
 
     side = profile.type_side()
     v = span(side, n)
-    coords = coord_matrix(n).astype(np.int64)
-    in_kernel = ~((coords @ coords[list(v.basis)].T) % 3).any(axis=1)
+    in_kernel = perp_mask(v)
     subspace = len(side) == size(v.dim)
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
                         f"|side| = {len(side)} is not a subspace"))

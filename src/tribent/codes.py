@@ -65,12 +65,15 @@ class LinearCode:
 
     distribution maps Hamming weight to codeword count and includes the
     zero codeword at weight 0; counts sum to 3^dimension.
+    message_weights is the weight of every message's codeword, indexed by
+    message, as measured by build_code; it is left out of eq and repr.
     """
 
     defining: DefiningSet
     length: int
     dimension: int
     distribution: dict[int, int]
+    message_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def min_distance(self) -> int:
@@ -140,7 +143,8 @@ def build_code(s: DefiningSet) -> LinearCode:
     """
     n = s.n
     r = rank(s.points, n)
-    counts = np.bincount(message_weights(s), minlength=len(s) + 1)
+    weights = message_weights(s)
+    counts = np.bincount(weights, minlength=len(s) + 1)
     kernel = size(n - r)
     distribution = {}
     for w, c in enumerate(counts):
@@ -150,7 +154,8 @@ def build_code(s: DefiningSet) -> LinearCode:
     assert distribution.get(0) == 1
     assert sum(w * e for w, e in distribution.items()) == 2 * 3 ** (r - 1) * len(s), \
         "first Pless power moment"
-    return LinearCode(defining=s, length=len(s), dimension=r, distribution=distribution)
+    return LinearCode(defining=s, length=len(s), dimension=r, distribution=distribution,
+                      message_weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +359,17 @@ class WeightClassifier:
         table; use expected_weights for many messages)."""
         return int(self.expected_weights()[u])
 
-    def check_all(self) -> int | None:
+    def check_all(self, measured: np.ndarray | None = None) -> int | None:
         """First message whose actual weight differs from the prediction,
-        or None when every codeword agrees."""
-        bad = np.flatnonzero(self.expected_weights() != message_weights(self.ctx.defining))
+        or None when every codeword agrees.
+
+        measured is message_weights of the defining set when the caller
+        already has it (LinearCode.message_weights); otherwise it is
+        computed here.
+        """
+        if measured is None:
+            measured = message_weights(self.ctx.defining)
+        bad = np.flatnonzero(self.expected_weights() != measured)
         return int(bad[0]) if bad.size else None
 
 

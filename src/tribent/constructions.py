@@ -112,13 +112,8 @@ def gmmf_build(spec: GmmfSpec) -> TernaryFunction:
 
 def _block_dot(u: np.ndarray, v: np.ndarray, s: int) -> np.ndarray:
     """Dot product of two arrays of F_3^s point indices, elementwise."""
-    out = np.zeros_like(u)
-    uu, vv = u.copy(), v.copy()
-    for _ in range(s):
-        out += (uu % 3) * (vv % 3)
-        uu //= 3
-        vv //= 3
-    return out % 3
+    coords = coord_matrix(s)
+    return (coords[u] * coords[v]).sum(axis=1) % 3
 
 
 @dataclass(frozen=True)

@@ -189,37 +189,35 @@ def root_sum(counts: Sequence[int]) -> Eisenstein:
 # Subspaces of F_3^n
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: list[list[int]]) -> list[list[int]]:
-    """Row-reduce mod 3, returning the nonzero rows in echelon form."""
-    rows = [[c % 3 for c in r] for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 if rows[pivot_row][col] == 1 else 2  # inverse mod 3
-        rows[pivot_row] = [(inv * c) % 3 for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                m = rows[r][col]
-                rows[r] = [(a - m * b) % 3 for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
+def _rref(m: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form mod 3 of an int8 matrix with entries in
+    {0, 1, 2}, nonzero rows only.
+
+    One whole-array elimination per pivot column, at most n of them.
+    Every entry stays in {0, 1, 2} after each step and m - f * p lies in
+    [-4, 2], so int8 never overflows.  The reduced echelon form of a row
+    space is unique, so the result depends only on the span of the rows.
+    m itself is overwritten.
+    """
+    rows = 0
+    for col in range(m.shape[1]):
+        if rows == len(m):
             break
-    return [r for r in rows if any(r)]
+        nonzero = np.flatnonzero(m[rows:, col])
+        if not nonzero.size:
+            continue
+        p = rows + nonzero[0]
+        pivot = m[p] * m[p, col] % 3  # a * a = 1 mod 3: a is its own inverse
+        m[p] = m[rows]
+        m = (m - m[:, col, None] * pivot) % 3
+        m[rows] = pivot
+        rows += 1
+    return m[:rows]
 
 
 def rank(points: Iterable[int], n: int) -> int:
     """Rank over F_3 of the coordinate vectors of the given points."""
-    return len(_row_reduce([list(decode(p, n)) for p in points]))
+    return span(points, n).dim
 
 
 @dataclass(frozen=True)
@@ -234,22 +232,17 @@ class Subspace:
         return len(self.basis)
 
     def points(self) -> frozenset[int]:
-        """All 3^dim members, by enumerating coefficient tuples."""
-        members = {0}
-        for b in self.basis:
-            b2 = add_points(b, b, self.n)
-            members = {
-                add_points(m, scaled, self.n)
-                for m in members
-                for scaled in (0, b, b2)
-            }
-        return frozenset(members)
+        """All 3^dim members: every coefficient vector times the basis
+        (int8 sums of dim products, at most 4 * dim)."""
+        members = coord_matrix(self.dim) @ coord_matrix(self.n)[list(self.basis)] % 3
+        return frozenset((members @ 3 ** np.arange(self.n)).tolist())
 
 
 def span(points: Iterable[int], n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for empty input)."""
-    rows = _row_reduce([list(decode(p, n)) for p in points])
-    return Subspace(n, tuple(encode(r) for r in rows))
+    idx = np.fromiter(points, dtype=np.int64)
+    rows = _rref(coord_matrix(n)[idx])
+    return Subspace(n, tuple((rows @ 3 ** np.arange(n)).tolist()))
 
 
 def is_subspace(points: Iterable[int], n: int) -> bool:
@@ -267,27 +260,21 @@ def is_subspace(points: Iterable[int], n: int) -> bool:
 def is_nondegenerate(v: Subspace) -> bool:
     """True iff only 0 in V is orthogonal to all of V.
 
-    Decided by exhaustive scan of the members against the basis; the
-    spaces involved never exceed a few thousand points.
+    With B the basis matrix, the member c.B of V is orthogonal to V
+    exactly when c.(B B^T) = 0, so V is non-degenerate iff its Gram
+    matrix B B^T has full rank mod 3; no member is enumerated.
     """
-    if not v.basis:
-        return True
-    members = np.fromiter(v.points(), dtype=np.int64)
-    coords = coord_matrix(v.n).astype(np.int64)[members]
-    bmat = np.stack([np.array(decode(b, v.n), dtype=np.int64) for b in v.basis])
-    prods = (coords @ bmat.T) % 3
-    radical = members[~prods.any(axis=1)]
-    return radical.tolist() == [0]
+    b = coord_matrix(v.n)[list(v.basis)]
+    return len(_rref(b @ b.T % 3)) == v.dim
+
+
+def perp_mask(v: Subspace) -> np.ndarray:
+    """Boolean mask over all 3^n points, true exactly on V-perp (int8 dot
+    products, at most 4n)."""
+    coords = coord_matrix(v.n)
+    return ~(coords @ coords[list(v.basis)].T % 3).any(axis=1)
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All points orthogonal to every basis vector of V."""
-    n = v.n
-    if not v.basis:
-        idx = np.arange(size(n))
-        return span(idx.tolist(), n)
-    coords = coord_matrix(n).astype(np.int64)
-    bmat = np.stack([np.array(decode(b, n), dtype=np.int64) for b in v.basis])
-    prods = (coords @ bmat.T) % 3
-    members = np.flatnonzero(~prods.any(axis=1))
-    return span(members.tolist(), n)
+    return span(np.flatnonzero(perp_mask(v)), v.n)

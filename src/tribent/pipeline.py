@@ -146,7 +146,7 @@ def run_pipeline(f: TernaryFunction,
     rep.notes.extend(rep.code.notes)
 
     classifier = WeightClassifier(ctx, f)
-    bad = classifier.check_all()
+    bad = classifier.check_all(code.message_weights)
     rep.stages.append(Stage("per-codeword-weights", bad is None,
                             "" if bad is None else f"message {bad} off prediction"))
     return rep

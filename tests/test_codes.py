@@ -217,6 +217,10 @@ def test_classifier_reports_first_mismatch(built_fixtures):
     first = next(u for u in range(size(f.n))
                  if clf.expected_weight(u) != weight_of(u, swapped.defining))
     assert clf.check_all() == first
+    # the weights build_code measured give the same verdict
+    code = build_code(swapped.defining)
+    assert np.array_equal(code.message_weights, message_weights(swapped.defining))
+    assert clf.check_all(code.message_weights) == first
 
 
 def test_classifier_kernel_is_complement(built_fixtures):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tribent.core import (
     DimensionCapError,
     Eisenstein,
+    add_points,
     check_dim,
     coord_matrix,
     decode,
@@ -191,3 +192,81 @@ def test_rank_matches_span_dim():
 def test_neg_point():
     assert neg_point(encode((1, 2, 0)), 3) == encode((2, 1, 0))
     assert neg_point(0, 4) == 0
+
+
+# ---------------------------------------------------------------------------
+# The numpy row reduction against pure-Python references
+# ---------------------------------------------------------------------------
+
+def _row_reduce_reference(rows: list[list[int]]) -> list[list[int]]:
+    """Row-reduce mod 3 one entry at a time, returning the nonzero rows in
+    reduced echelon form."""
+    rows = [[c % 3 for c in r] for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = 1 if rows[pivot_row][col] == 1 else 2  # inverse mod 3
+        rows[pivot_row] = [(inv * c) % 3 for c in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                m = rows[r][col]
+                rows[r] = [(a - m * b) % 3 for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [r for r in rows if any(r)]
+
+
+def _additive_closure(points, n: int) -> frozenset[int]:
+    """{0} closed under adding each point, one add_points at a time (a
+    point already inside adds nothing)."""
+    members = {0}
+    for p in points:
+        if p in members:
+            continue
+        p2 = add_points(p, p, n)
+        members = {add_points(m, q, n) for m in members for q in (0, p, p2)}
+    return frozenset(members)
+
+
+@st.composite
+def point_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    everything = list(range(size(n)))
+    pts = draw(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=size(n) - 1), max_size=12),
+        st.just(everything),
+    ))
+    return n, pts
+
+
+@given(point_lists())
+@example((0, []))
+@example((0, [0]))
+@example((3, []))
+@example((3, [0, 0]))
+@example((3, [5, 5, 10, 0]))
+@example((5, list(range(243))))
+def test_subspace_layer_against_references(case):
+    n, pts = case
+    v = span(pts, n)
+    closure = _additive_closure(pts, n)
+    assert v.points() == closure
+    assert rank(pts, n) == v.dim
+    assert is_subspace(pts, n) == (frozenset(pts) == closure)
+    reference = _row_reduce_reference([list(decode(p, n)) for p in pts])
+    assert v.basis == tuple(encode(r) for r in reference)
+
+    perp = frozenset(x for x in range(size(n)) if all(dot(x, b, n) == 0 for b in v.basis))
+    assert orthogonal_complement(v).points() == perp
+    assert is_nondegenerate(v) == (closure & perp == frozenset({0}))

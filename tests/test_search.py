@@ -77,11 +77,20 @@ def test_search_deterministic_under_seed():
     assert a != c
 
 
-def test_search_at_eleven_dimensions():
-    # n = 11: the whole pipeline, per-codeword check included, at the
-    # first dimension the previous dense code stage could not reach
-    summary = run_search(9, 1, 1, seed=0)
+@pytest.mark.slow
+@pytest.mark.parametrize("case, m, s, side", [
+    pytest.param("even-plus", 10, 1, BentType.PLUS, id="even-plus"),
+    pytest.param("even-minus", 8, 2, BentType.MINUS, id="even-minus"),
+    pytest.param("odd-plus", 9, 1, BentType.PLUS, id="odd-plus"),
+    pytest.param("odd-minus", 9, 1, BentType.MINUS, id="odd-minus"),
+])
+def test_search_at_the_dimension_cap(case, m, s, side):
+    # every case at the largest n of its parity the default cap accepts
+    # (n = 12 even, n = 11 odd): the whole pipeline, per-codeword check
+    # included
+    summary = run_search(m, s, 1, seed=0, side=side)
     report = summary.outcomes[0].report
+    assert report.case == case
     assert report.passed
     assert report.code.match
     assert report.stage("per-codeword-weights").ok

@@ -10,24 +10,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    EXACT_DIM,
     Eisenstein,
     Subspace,
     check_dim,
-    coord_matrix,
     decode,
     dots_with,
     legendre,
     neg_table,
     omega_pow,
+    orthogonal_complement,
     perp_mask,
     root_sum,
     size,
     span,
+    translation_table,
 )
 
 
@@ -134,7 +137,9 @@ class WalshSpectrum:
         return Eisenstein(int(self.coeff_1[a]), int(self.coeff_w[a]))
 
     def squared_norms(self) -> np.ndarray:
-        a, b = self.coeff_1, self.coeff_w
+        """a^2 - a b + b^2 at every point, in int64: off a bent spectrum a
+        single coefficient reaches 3^n, whose square int32 cannot hold."""
+        a, b = self.coeff_1.astype(np.int64), self.coeff_w.astype(np.int64)
         return a * a - a * b + b * b
 
     def parseval_total(self) -> int:
@@ -143,38 +148,41 @@ class WalshSpectrum:
 
 
 # w^j as (1, w)-coefficient pairs, for vectorised table lookups
-_W_RE = np.array([1, 0, -1], dtype=np.int64)
-_W_IM = np.array([0, 1, -1], dtype=np.int64)
-
-
-def _radix3_pass(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """One stratum of 3-point butterflies along the given axis.
-
-    out[k] = u0 + w^(-k) u1 + w^(-2k) u2, applied in the (1, w) basis via
-    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).
-    """
-    u0a, u1a, u2a = (np.take(a, t, axis=axis) for t in range(3))
-    u0b, u1b, u2b = (np.take(b, t, axis=axis) for t in range(3))
-    o0a = u0a + u1a + u2a
-    o0b = u0b + u1b + u2b
-    o1a = u0a + (u1b - u1a) - u2b
-    o1b = u0b - u1a + (u2a - u2b)
-    o2a = u0a - u1b + (u2b - u2a)
-    o2b = u0b + (u1a - u1b) - u2a
-    return (np.stack([o0a, o1a, o2a], axis=axis),
-            np.stack([o0b, o1b, o2b], axis=axis))
+_W_RE = np.array([1, 0, -1], dtype=np.int32)
+_W_IM = np.array([0, 1, -1], dtype=np.int32)
 
 
 def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
 
-    a and b are flat coefficient arrays over the 3^n point indices; the
-    result is indexed the same way.
+    a and b are flat int32 coefficient arrays over the 3^n point indices,
+    each value a + b w of norm at most 1; the result is indexed the same
+    way.  A pass reads the three contiguous thirds of the arrays (the top
+    digit t) and writes the 3-point butterflies
+    out[k] = u0 + w^(-k) u1 + w^(-2k) u2 interleaved into (3^(n-1), 3)
+    buffers, so the processed digit becomes the lowest one and after n
+    passes every digit is back in place.  The butterflies use
+    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).  Every partial sum
+    is at most 2 * 3^n in absolute value, which int32 holds for
+    n <= EXACT_DIM (check_dim refuses larger n up front).
     """
-    a, b = a.reshape((3,) * n), b.reshape((3,) * n)
-    for axis in range(n):
-        a, b = _radix3_pass(a, b, axis)
-    return a.reshape(-1), b.reshape(-1)
+    assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
+    third = size(n) // 3
+    for _ in range(n):
+        u0a, u1a, u2a = a.reshape(3, third)
+        u0b, u1b, u2b = b.reshape(3, third)
+        a = np.empty((third, 3), dtype=np.int32)
+        b = np.empty((third, 3), dtype=np.int32)
+        d1 = u1b - u1a
+        d2 = u2b - u2a
+        a[:, 0] = u0a + u1a + u2a
+        b[:, 0] = u0b + u1b + u2b
+        a[:, 1] = u0a + d1 - u2b
+        b[:, 1] = u0b - u1a - d2
+        a[:, 2] = u0a - u1b + d2
+        b[:, 2] = u0b - d1 - u2a
+        a, b = a.reshape(-1), b.reshape(-1)
+    return a, b
 
 
 def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
@@ -257,16 +265,27 @@ class BentProfile:
 
     sign[a] is +-1; for even n it is the literal unit in front of
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
-    point sets partition F_3^n accordingly.
+    point sets partition F_3^n accordingly; side_mask gives them as masks,
+    b_plus / b_minus as frozensets built on first access.
     """
 
     n: int
     dual: TernaryFunction
     sign: np.ndarray
-    b_plus: frozenset[int]
-    b_minus: frozenset[int]
     type: BentType
     regularity: Regularity
+
+    def side_mask(self, t: BentType) -> np.ndarray:
+        """Boolean mask over all 3^n points, true on the side t."""
+        return self.sign == (1 if t is BentType.PLUS else -1)
+
+    @cached_property
+    def b_plus(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.sign == 1).tolist())
+
+    @cached_property
+    def b_minus(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.sign == -1).tolist())
 
     def side(self, t: BentType) -> frozenset[int]:
         return self.b_plus if t is BentType.PLUS else self.b_minus
@@ -276,11 +295,28 @@ class BentProfile:
         return self.side(self.type)
 
 
+def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and dual value of every unit spectral value, keyed by
+    5 * (a + 2) + (b + 2) for the value (a + b w) * 3^floor(n/2); both
+    coefficients then lie in [-2, 2].  Keys of no unit value hold sign 0."""
+    scale = 3 ** (n // 2)
+    sign = np.zeros(25, dtype=np.int8)
+    dual = np.zeros(25, dtype=np.int8)
+    for j, base in enumerate(_unit_values(n)):
+        for s, v in ((1, base), (-1, -base)):
+            key = 5 * (v.a // scale + 2) + v.b // scale + 2
+            sign[key] = s
+            dual[key] = j
+    return sign, dual
+
+
 def bent_profile(f: TernaryFunction) -> BentProfile:
     """Dual, sign map, plus/minus partition, type and regularity of f.
 
     Raises NotBentError (with a witness point) when some spectral value
-    has the wrong magnitude.
+    has the wrong magnitude.  A value of squared norm 3^n is a unit times
+    (1 - w)^n, so both its coefficients divide by 3^floor(n/2) (asserted);
+    the quotients pick sign and dual value from one 25-entry lookup.
     """
     n = f.n
     spectrum = walsh_spectrum(f)
@@ -290,31 +326,28 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
         witness = int(bad[0])
         raise NotBentError(witness, int(norms[witness]), size(n))
 
-    sign = np.zeros(size(n), dtype=np.int8)
-    dual = np.zeros(size(n), dtype=np.int8)
-    a, b = spectrum.coeff_1, spectrum.coeff_w
-    for j, base in enumerate(_unit_values(n)):
-        for s, v in ((1, base), (-1, -base)):
-            mask = (a == v.a) & (b == v.b)
-            sign[mask] = s
-            dual[mask] = j
+    scale = 3 ** (n // 2)
+    qa, ra = np.divmod(spectrum.coeff_1, scale)
+    qb, rb = np.divmod(spectrum.coeff_w, scale)
+    assert not ra.any() and not rb.any(), "bent coefficients divide by 3^floor(n/2)"
+    key = 5 * (qa + 2) + qb + 2
+    sign_of, dual_of = _sign_dual_lookup(n)
+    sign = sign_of[key]
     assert (sign != 0).all(), "every bent value must match a sign/phase candidate"
 
-    b_plus = frozenset(np.flatnonzero(sign == 1).tolist())
-    b_minus = frozenset(np.flatnonzero(sign == -1).tolist())
-    btype = BentType.PLUS if 0 in b_plus else BentType.MINUS
-    if b_plus and b_minus:
+    has_plus = bool((sign == 1).any())
+    has_minus = bool((sign == -1).any())
+    btype = BentType.PLUS if sign[0] == 1 else BentType.MINUS
+    if has_plus and has_minus:
         reg = Regularity.NON_WEAKLY_REGULAR
-    elif b_minus:
+    elif has_minus:
         reg = Regularity.WEAKLY_REGULAR
     else:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
     return BentProfile(
         n=n,
-        dual=TernaryFunction(n, dual),
+        dual=TernaryFunction(n, dual_of[key]),
         sign=sign,
-        b_plus=b_plus,
-        b_minus=b_minus,
         type=btype,
         regularity=reg,
     )
@@ -354,12 +387,8 @@ def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein,
     n = f.n
     exps = (profile.dual.table.astype(np.int64) + dots_with(y, n)) % 3
     sums = []
-    for points in (profile.b_plus, profile.b_minus):
-        if points:
-            idx = np.fromiter(points, dtype=np.int64)
-            counts = np.bincount(exps[idx], minlength=3)
-        else:
-            counts = np.zeros(3, dtype=np.int64)
+    for t in (BentType.PLUS, BentType.MINUS):
+        counts = np.bincount(exps[profile.side_mask(t)], minlength=3)
         sums.append(root_sum([int(c) for c in counts]))
     return sums[0], sums[1]
 
@@ -379,12 +408,13 @@ class PreimageSets:
 
 def preimage_sets(profile: BentProfile) -> PreimageSets:
     dual = profile.dual.table
+    on_plus, on_minus = profile.side_mask(BentType.PLUS), profile.side_mask(BentType.MINUS)
     plus = {}
     minus = {}
     for i in range(3):
-        level = np.flatnonzero(dual == i).tolist()
-        plus[i] = frozenset(level) & profile.b_plus
-        minus[i] = frozenset(level) & profile.b_minus
+        level = dual == i
+        plus[i] = frozenset(np.flatnonzero(level & on_plus).tolist())
+        minus[i] = frozenset(np.flatnonzero(level & on_minus).tolist())
     return PreimageSets(profile.n, plus, minus)
 
 
@@ -495,15 +525,14 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     dual_ok, dual_profile = is_dual_bent(f, profile)
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
-    side = profile.type_side()
+    side = np.flatnonzero(profile.side_mask(profile.type))
     v = span(side, n)
     in_kernel = perp_mask(v)
     subspace = len(side) == size(v.dim)
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
                         f"|side| = {len(side)} is not a subspace"))
     if subspace:
-        side_idx = np.fromiter(side, dtype=np.int64, count=len(side))
-        nondeg = int(np.count_nonzero(in_kernel[side_idx])) == 1
+        nondeg = int(np.count_nonzero(in_kernel[side])) == 1
         stages.append(Stage("non-degenerate", nondeg, "" if nondeg else
                             "type side meets its complement beyond 0"))
         bound = v.dim >= n // 2 + 1
@@ -543,38 +572,46 @@ def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
 
 
 def coset_tiling(hyp: Hypotheses) -> CosetStructure:
-    """coset_structure on hypotheses already established."""
+    """coset_structure on hypotheses already established.
+
+    The union of the cosets u + V-perp over an index set is that set
+    closed under x -> x + q and x -> x + 2q for every basis vector q of
+    V-perp, and f is constant on each of those cosets exactly when
+    f(x + q) = f(x) for every such q and every x in the union; both are
+    tested as masks over F_3^n, one translation table per q.
+    """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
     n = f.n
-    side_set = profile.type_side()
-    i_plus = side_set & dual_profile.b_plus
-    i_minus = side_set & dual_profile.b_minus
-    coords = coord_matrix(n)
-    perp = coords[np.flatnonzero(hyp.in_kernel)]  # first row is the point 0
-    weights = 3 ** np.arange(n, dtype=np.int64)
+    side = profile.side_mask(profile.type)
+    dual_plus = dual_profile.side_mask(BentType.PLUS)
+    dual_minus = dual_profile.side_mask(BentType.MINUS)
+    steps = [translation_table(q, n) for q in orthogonal_complement(hyp.v).basis]
 
-    def cosets(reps: frozenset[int]) -> np.ndarray:
-        """Row k holds the points of u_k + V-perp, u_k first."""
-        idx = np.fromiter(reps, dtype=np.int64, count=len(reps))
-        return ((coords[idx][:, None, :] + perp[None, :, :]) % 3) @ weights
+    def coset_union(mask: np.ndarray) -> np.ndarray:
+        for t in steps:
+            shifted = mask[t]
+            mask = mask | shifted | shifted[t]
+        return mask
 
-    union_ok = (frozenset(cosets(i_plus).ravel().tolist()) == dual_profile.b_plus
-                and frozenset(cosets(i_minus).ravel().tolist()) == dual_profile.b_minus)
+    i_plus, i_minus = side & dual_plus, side & dual_minus
+    union_plus, union_minus = coset_union(i_plus), coset_union(i_minus)
+    union_ok = (bool(np.array_equal(union_plus, dual_plus))
+                and bool(np.array_equal(union_minus, dual_minus)))
 
     # n even pairs the constant restriction with the plus intersection on
     # the plus side (and the minus intersection on the minus side); odd n
     # swaps the pairing.
     on_plus = (n % 2 == 0) == (profile.type is BentType.PLUS)
     branch_name = "i_plus" if on_plus else "i_minus"
-    values = f.table[cosets(i_plus if on_plus else i_minus)]
-    constant_ok = bool((values == values[:, :1]).all())
+    branch = union_plus if on_plus else union_minus
+    constant_ok = not any(((f.table[t] != f.table) & branch).any() for t in steps)
 
     return CosetStructure(
         side=profile.type,
         subspace=hyp.v,
-        i_plus=i_plus,
-        i_minus=i_minus,
+        i_plus=frozenset(np.flatnonzero(i_plus).tolist()),
+        i_minus=frozenset(np.flatnonzero(i_minus).tolist()),
         coset_union_ok=union_ok,
         constant_branch=branch_name,
         constant_ok=constant_ok,

@@ -44,11 +44,12 @@ class DefiningSet:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.points:
+        pts = np.fromiter(self.points, dtype=np.int64, count=len(self.points))
+        if not pts.size:
             raise ValueError("defining set must be nonempty")
-        if 0 in self.points:
+        if not pts.all():
             raise ValueError("defining set must not contain 0")
-        if list(self.points) != sorted(set(self.points)):
+        if (np.diff(pts) <= 0).any():
             raise ValueError("defining set must be sorted and duplicate-free")
 
     @classmethod
@@ -123,10 +124,10 @@ def message_weights(s: DefiningSet) -> np.ndarray:
     within |S| in absolute value.
     """
     n = s.n
-    indicator = np.zeros(size(n), dtype=np.int64)
+    indicator = np.zeros(size(n), dtype=np.int32)
     indicator[list(s.points)] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), n)
-    num = 2 * len(s) - (2 * a - b)
+    num = 2 * len(s) - (2 * a.astype(np.int64) - b)
     assert not (num % 3).any(), "character-sum weight must be an integer"
     return num // 3
 
@@ -237,10 +238,10 @@ def defining_set_for(hyp: Hypotheses, minus_shift: int = 2) -> SelectionContext:
         value = (j0 + 1) % 3
     else:
         value = selected_dual_value(case, j0)
-    pre = preimage_sets(profile)
-    points = (pre.plus if case.side is BentType.PLUS else pre.minus)[value]
-    return SelectionContext(case, j0, hyp.r, DefiningSet.from_points(points, f.n),
-                            profile, hyp.dual_profile, pre, hyp, value)
+    points = np.flatnonzero((profile.dual.table == value) & profile.side_mask(case.side))
+    defining = DefiningSet(f.n, tuple(points[points != 0].tolist()))
+    return SelectionContext(case, j0, hyp.r, defining, profile, hyp.dual_profile,
+                            preimage_sets(profile), hyp, value)
 
 
 @dataclass(frozen=True)
@@ -409,10 +410,10 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     if {ctx_f.case, ctx_g.case} != {CodeCase.ODD_PLUS, CodeCase.ODD_MINUS}:
         raise HypothesisError("negation pairing",
                               f"cases {ctx_f.case.value}/{ctx_g.case.value}")
-    neg = neg_table(f.n)
-    f_side = ctx_f.profile.type_side()
-    g_side = ctx_g.profile.type_side()
-    sides_swap = frozenset(int(neg[p]) for p in f_side) == g_side
+    # x is on g's type side exactly when -x is on f's
+    f_side = ctx_f.profile.side_mask(ctx_f.profile.type)
+    g_side = ctx_g.profile.side_mask(ctx_g.profile.type)
+    sides_swap = bool(np.array_equal(f_side[neg_table(f.n)], g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
     same_points = ctx_f.defining.points == ctx_g.defining.points
     code_f = build_code(ctx_f.defining)

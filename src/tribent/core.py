@@ -20,6 +20,12 @@ import numpy as np
 DIM_CAP = 12
 
 
+# The radix-3 transform accumulates in int32 and every partial sum is at
+# most 2 * 3^n in absolute value, which stays below 2^31 up to n = 18; no
+# cap admits a larger dimension.
+EXACT_DIM = 18
+
+
 class DimensionCapError(ValueError):
     """Raised when an operation would enumerate more than 3^cap points."""
 
@@ -32,6 +38,11 @@ def check_dim(n: int, cap: int | None = None) -> None:
         raise DimensionCapError(
             f"n={n} exceeds the dimension cap {limit} (3^{n} points); "
             "raise the cap explicitly to proceed"
+        )
+    if n > EXACT_DIM:
+        raise DimensionCapError(
+            f"n={n} exceeds {EXACT_DIM}, the largest dimension whose transform "
+            "is exact in int32 (2 * 3^n < 2^31)"
         )
 
 
@@ -62,14 +73,18 @@ def coord_matrix(n: int) -> np.ndarray:
     """All 3^n points as rows of coordinates, shape (3^n, n), dtype int8.
 
     Row x holds decode(x, n); cached since every vectorised operation
-    (dot products, code building) starts from it.  The dimension cap is
-    enforced at the input surfaces, not here.
+    (dot products, code building) starts from it.  Built one top digit at
+    a time: the rows with top digit d are the previous table with d
+    appended.  The dimension cap is enforced at the input surfaces, not
+    here.
     """
-    idx = np.arange(size(n))
-    cols = [(idx // 3 ** i) % 3 for i in range(n)]
-    if not cols:
-        return np.zeros((1, 0), dtype=np.int8)
-    return np.stack(cols, axis=1).astype(np.int8)
+    m = np.zeros((1, 0), dtype=np.int8)
+    for i in range(n):
+        grown = np.empty((3, len(m), i + 1), dtype=np.int8)
+        grown[:, :, :i] = m
+        grown[:, :, i] = np.arange(3, dtype=np.int8)[:, None]
+        m = grown.reshape(-1, i + 1)
+    return m
 
 
 def neg_point(x: int, n: int) -> int:
@@ -77,12 +92,28 @@ def neg_point(x: int, n: int) -> int:
     return encode(tuple((-c) % 3 for c in decode(x, n)))
 
 
+def _digit_table(maps: Sequence[Sequence[int]]) -> np.ndarray:
+    """t[x] = the index whose digit i is maps[i][digit i of x], for all x
+    in F_3^len(maps) (int64).
+
+    Built one digit at a time: step i lays the table of the lower digits
+    out three times, offset by maps[i][d] * 3^i for d = 0, 1, 2.
+    """
+    t = np.zeros(1, dtype=np.int64)
+    for i, m in enumerate(maps):
+        t = (np.array(m, dtype=np.int64)[:, None] * 3 ** i + t[None, :]).ravel()
+    return t
+
+
 @lru_cache(maxsize=None)
 def neg_table(n: int) -> np.ndarray:
-    """negation_table[x] = index of -x, for all x."""
-    coords = coord_matrix(n).astype(np.int64)
-    weights = 3 ** np.arange(n, dtype=np.int64)
-    return ((-coords) % 3) @ weights
+    """negation_table[x] = index of -x, for all x (int64)."""
+    return _digit_table([(0, 2, 1)] * n)
+
+
+def translation_table(p: int, n: int) -> np.ndarray:
+    """t[x] = index of x + p, for all x (int64)."""
+    return _digit_table([[(d + k) % 3 for k in range(3)] for d in decode(p, n)])
 
 
 def add_points(x: int, y: int, n: int) -> int:
@@ -215,6 +246,19 @@ def _rref(m: np.ndarray) -> np.ndarray:
     return m[:rows]
 
 
+def _null_basis(r: np.ndarray) -> np.ndarray:
+    """Basis of {x : r x = 0 mod 3} for a reduced echelon r (as _rref
+    returns it), one vector per free column: 1 in that column, 0 in the
+    other free columns, and minus that column of r at the pivots."""
+    n = r.shape[1]
+    pivots = (np.cumsum(r != 0, axis=1) == 0).sum(axis=1)  # leading zeros
+    free = np.setdiff1d(np.arange(n), pivots)
+    null = np.zeros((len(free), n), dtype=np.int8)
+    null[np.arange(len(free)), free] = 1
+    null[:, pivots] = -r[:, free].T % 3
+    return null
+
+
 def rank(points: Iterable[int], n: int) -> int:
     """Rank over F_3 of the coordinate vectors of the given points."""
     return span(points, n).dim
@@ -238,11 +282,31 @@ class Subspace:
         return frozenset((members @ 3 ** np.arange(self.n)).tolist())
 
 
-def span(points: Iterable[int], n: int) -> Subspace:
-    """The F_3-span of a set of points ({0} for empty input)."""
-    idx = np.fromiter(points, dtype=np.int64)
-    rows = _rref(coord_matrix(n)[idx])
-    return Subspace(n, tuple((rows @ 3 ** np.arange(n)).tolist()))
+# rows reduced up front by span; the rest are only checked against them
+_SPAN_SAMPLE = 64
+
+
+def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
+    """The F_3-span of a set of points ({0} for empty input).
+
+    A strided sample of at most _SPAN_SAMPLE rows is reduced first, and
+    every row is then checked against the sample's null space: a row lies
+    in the span exactly when it is orthogonal to that null space.  While
+    some row fails, the first failing row is folded into the reduced
+    sample and only the failing rows are checked again; each fold raises
+    the rank, so there are at most n rounds.  The reduced echelon form of
+    a row space is unique, so the basis does not depend on the sample.
+    Checks are int8 sums of n products, at most 4n.
+    """
+    idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
+    rows = coord_matrix(n)[idx]
+    basis = _rref(rows[::max(1, -(-len(rows) // _SPAN_SAMPLE))].copy())
+    failing = rows
+    while True:
+        failing = failing[(failing @ _null_basis(basis).T % 3).any(axis=1)]
+        if not len(failing):
+            return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
+        basis = _rref(np.vstack([basis, failing[:1]]))
 
 
 def is_subspace(points: Iterable[int], n: int) -> bool:
@@ -268,13 +332,26 @@ def is_nondegenerate(v: Subspace) -> bool:
     return len(_rref(b @ b.T % 3)) == v.dim
 
 
+def _perp_basis(v: Subspace) -> np.ndarray:
+    """Null-space basis of V's basis matrix: a basis of V-perp."""
+    return _null_basis(_rref(coord_matrix(v.n)[list(v.basis)]))
+
+
 def perp_mask(v: Subspace) -> np.ndarray:
-    """Boolean mask over all 3^n points, true exactly on V-perp (int8 dot
-    products, at most 4n)."""
-    coords = coord_matrix(v.n)
-    return ~(coords @ coords[list(v.basis)].T % 3).any(axis=1)
+    """Boolean mask over all 3^n points, true exactly on V-perp.
+
+    The 3^(n - dim V) members of V-perp are enumerated from its null-space
+    basis (int8 sums of n - dim V products, at most 4n) and scattered
+    into the mask; no other point is visited.
+    """
+    null = _perp_basis(v)
+    members = coord_matrix(len(null)) @ null % 3
+    mask = np.zeros(size(v.n), dtype=bool)
+    mask[members @ 3 ** np.arange(v.n)] = True
+    return mask
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    """All points orthogonal to every basis vector of V."""
-    return span(np.flatnonzero(perp_mask(v)), v.n)
+    """All points orthogonal to every basis vector of V, as the reduced
+    echelon form of V's null-space basis."""
+    return Subspace(v.n, tuple((_rref(_perp_basis(v)) @ 3 ** np.arange(v.n)).tolist()))

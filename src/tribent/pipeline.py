@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import (
     BentProfile,
     BentType,
@@ -129,8 +131,8 @@ def run_pipeline(f: TernaryFunction,
     rep.defining_label = ("C" if plus_side else "D") + str(ctx.value)
 
     sizes = expected_preimage_sizes(f.n, ctx.r, ctx.j0, ctx.case.side)
-    side_sets = ctx.preimages.plus if plus_side else ctx.preimages.minus
-    measured = {i: len(side_sets[i]) for i in range(3)}
+    counts = np.bincount(profile.dual.table[profile.side_mask(ctx.case.side)], minlength=3)
+    measured = {i: int(counts[i]) for i in range(3)}
     rep.stages.append(Stage("preimage-sizes", measured == sizes,
                             f"measured {measured}, closed form {sizes}"))
 

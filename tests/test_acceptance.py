@@ -195,3 +195,26 @@ def test_criterion_6_transform_correctness():
             total += 1
     _announce(6, True, f"fast transform equals the pointwise sum on {total} "
                        f"random functions across n=1..5")
+
+
+# (case, m, s, dim U, side) at n = m + 2s: every case at both dimensions of
+# its parity in 9..12; lines U only in F_3^2, where no vector is isotropic
+CEILING_PLANS = [
+    ("even-plus", 8, 1, 0, BentType.PLUS), ("even-plus", 8, 2, 1, BentType.PLUS),
+    ("even-minus", 6, 2, 1, BentType.MINUS), ("even-minus", 10, 1, 0, BentType.MINUS),
+    ("odd-plus", 7, 1, 0, BentType.PLUS), ("odd-plus", 7, 2, 1, BentType.PLUS),
+    ("odd-minus", 5, 2, 1, BentType.MINUS), ("odd-minus", 9, 1, 0, BentType.MINUS),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case, m, s, u_dim, side", CEILING_PLANS,
+                         ids=[f"{c}-n{m + 2 * s}" for c, m, s, _, _ in CEILING_PLANS])
+def test_acceptance_sweep_at_the_ceiling(case, m, s, u_dim, side, seed):
+    report = run_search(m, s, 1, seed=seed, side=side, u_dim=u_dim).outcomes[0].report
+    assert report.case == case
+    assert report.r == m + s + u_dim
+    assert report.passed
+    assert report.code.match
+    assert report.stage("per-codeword-weights").ok

@@ -22,7 +22,7 @@ from tribent.analysis import (
     walsh_spectrum,
 )
 from tribent.constructions import QuadraticForm, quadratic_function
-from tribent.core import Eisenstein, encode, neg_point, size, span
+from tribent.core import Eisenstein, dots_with, encode, neg_point, size, span
 from tribent.fixtures import get_fixture
 
 from conftest import naive_spectrum_pair, random_function
@@ -63,6 +63,11 @@ def test_fast_equals_pointwise_random():
             sp = walsh_spectrum(f)
             for a in range(size(n)):
                 assert sp.value(a) == walsh_point(f, a)
+    # past the exhaustive range, at sampled points and both ends
+    f = random_function(rng, 7)
+    sp = walsh_spectrum(f)
+    for a in rng.integers(0, size(7), 40).tolist() + [0, size(7) - 1]:
+        assert sp.value(a) == walsh_point(f, a)
 
 
 def test_fast_equals_matrix_oracle():
@@ -73,6 +78,21 @@ def test_fast_equals_matrix_oracle():
         oa, ob = naive_spectrum_pair(f)
         assert np.array_equal(sp.coeff_1, oa)
         assert np.array_equal(sp.coeff_w, ob)
+
+
+# The transform accumulates in int32; squared norms off a bent spectrum
+# exceed int32 from n = 10 on (3^20 > 2^31).
+
+def test_constant_function_not_bent_without_overflow():
+    with pytest.raises(NotBentError) as exc:
+        bent_profile(TernaryFunction.constant(10, 0))
+    assert exc.value.witness == 0
+    assert exc.value.norm_sq == 3 ** 20
+
+
+def test_affine_function_plateau_order_without_overflow():
+    f = TernaryFunction(10, (dots_with(encode((1, 2, 0, 0, 1, 0, 0, 2, 1, 1)), 10) + 1) % 3)
+    assert is_plateaued(f) == 10
 
 
 @given(st.lists(st.integers(0, 2), min_size=27, max_size=27))

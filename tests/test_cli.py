@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -228,3 +229,16 @@ def test_verify_gmmf_file_above_default_cap(tmp_path, capsys):
     assert code == 2
     assert err.strip() == (f"error: {f}: bad glue spec: n=13 exceeds the dimension "
                            "cap 12 (3^13 points); raise the cap explicitly to proceed")
+
+
+def test_verify_refuses_an_inexact_transform_up_front(capsys):
+    # 2 * 3^19 >= 2^31: refused before any table is built, whatever the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--poly", "x1^2", "--n", "19",
+                             "--max-n", "19")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("error: n=19 exceeds 18, the largest dimension whose "
+                           "transform is exact in int32 (2 * 3^n < 2^31)")
+    assert len(err.strip().splitlines()) == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tribent.core import (
+    EXACT_DIM,
     DimensionCapError,
     Eisenstein,
     add_points,
@@ -15,12 +16,15 @@ from tribent.core import (
     is_subspace,
     legendre,
     neg_point,
+    neg_table,
     omega_pow,
     orthogonal_complement,
+    perp_mask,
     rank,
     root_sum,
     size,
     span,
+    translation_table,
 )
 
 
@@ -72,6 +76,29 @@ def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         check_dim(13)
     check_dim(13, cap=14)  # explicit override
+
+
+def test_no_cap_admits_an_inexact_transform():
+    # the int32 transform is exact while 2 * 3^n < 2^31
+    assert 2 * 3 ** EXACT_DIM < 2 ** 31 <= 2 * 3 ** (EXACT_DIM + 1)
+    check_dim(EXACT_DIM, cap=EXACT_DIM)
+    with pytest.raises(DimensionCapError, match="exact in int32"):
+        check_dim(EXACT_DIM + 1, cap=EXACT_DIM + 5)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_per_n_tables_against_definitions(n):
+    idx = np.arange(size(n))
+    coords = coord_matrix(n)
+    assert coords.shape == (size(n), n) and coords.dtype == np.int8
+    for i in range(n):
+        assert np.array_equal(coords[:, i], (idx // 3 ** i) % 3)
+    neg = neg_table(n)
+    assert neg.dtype == np.int64
+    assert neg.tolist() == [neg_point(x, n) for x in range(size(n))]
+    for p in range(0, size(n), max(1, size(n) // 7)):
+        shift = translation_table(p, n)
+        assert shift.tolist() == [add_points(x, p, n) for x in range(size(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +297,41 @@ def test_subspace_layer_against_references(case):
     perp = frozenset(x for x in range(size(n)) if all(dot(x, b, n) == 0 for b in v.basis))
     assert orthogonal_complement(v).points() == perp
     assert is_nondegenerate(v) == (closure & perp == frozenset({0}))
+
+
+@st.composite
+def subspace_with_extras(draw):
+    """All members of a random subspace of F_3^n (at least 100 points), in
+    random order, with 0-3 arbitrary points inserted at random positions."""
+    n = draw(st.integers(min_value=6, max_value=8))
+    d = draw(st.integers(min_value=5, max_value=6))
+    gens = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                                  min_size=d, max_size=d)), dtype=np.int64)
+    members = np.unique((coord_matrix(d) @ gens % 3) @ 3 ** np.arange(n)).tolist()
+    assume(len(members) >= 100)
+    pts = draw(st.permutations(members))
+    for _ in range(draw(st.integers(0, 3))):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.integers(0, size(n) - 1)))
+    return n, pts
+
+
+# every member of the hyperplane x_5 = 0 of F_3^6, then e_5 last, where a
+# strided sample of the list does not reach it
+_HYPERPLANE_AND_ONE = (6, sorted((coord_matrix(5) @ 3 ** np.arange(5)).tolist()) + [3 ** 5])
+
+
+@settings(max_examples=30, deadline=None)
+@given(subspace_with_extras())
+@example(_HYPERPLANE_AND_ONE)
+def test_span_and_perp_against_references_at_larger_n(case):
+    n, pts = case
+    v = span(pts, n)
+    reference = _row_reduce_reference([list(decode(p, n)) for p in pts])
+    assert v.basis == tuple(encode(r) for r in reference)
+    assert span(np.array(pts), n) == v
+
+    basis = np.array([decode(b, n) for b in v.basis], dtype=np.int64).reshape(-1, n)
+    all_points = np.array([decode(x, n) for x in range(size(n))], dtype=np.int64)
+    brute = ~(all_points @ basis.T % 3).any(axis=1)
+    assert np.array_equal(perp_mask(v), brute)
+    assert orthogonal_complement(v).points() == frozenset(np.flatnonzero(brute).tolist())

@@ -7,6 +7,7 @@ the slow, direct references it is checked against here.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from tribent.analysis import (
     HypothesisError,
     TernaryFunction,
     coset_structure,
+    coset_tiling,
     establish,
 )
 from tribent.codes import select_defining_set
@@ -103,14 +105,8 @@ def test_cases_cover_every_verdict():
                         "non-degenerate"}
 
 
-@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
-def test_coset_tiling_against_pointwise_sums(name, f):
-    hyp = establish(f)
-    if not hyp.ok:
-        return
-    cs = coset_structure(f, hyp.profile)
-    perp = orthogonal_complement(hyp.v).points()
-
+def _pointwise_tiling(f: TernaryFunction, cs, perp: frozenset[int]) -> tuple[bool, bool]:
+    """(union, constant) of a coset structure, one add_points at a time."""
     def cosets(reps):
         return {u: {add_points(u, w, f.n) for w in perp} for u in reps}
 
@@ -121,4 +117,44 @@ def test_coset_tiling_against_pointwise_sums(name, f):
     branch = cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus
     constant_ok = all(len({f(x) for x in points}) == 1
                       for points in cosets(branch).values())
-    assert (cs.coset_union_ok, cs.constant_ok) == (union_ok, constant_ok)
+    return union_ok, constant_ok
+
+
+@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
+def test_coset_tiling_against_pointwise_sums(name, f):
+    hyp = establish(f)
+    if not hyp.ok:
+        return
+    cs = coset_structure(f, hyp.profile)
+    perp = orthogonal_complement(hyp.v).points()
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+
+
+ELIGIBLE = [(name, f) for name, f in CASES if establish(f).ok]
+
+
+@pytest.mark.parametrize("name,f", ELIGIBLE[::3], ids=[name for name, _ in ELIGIBLE[::3]])
+def test_coset_tiling_detects_broken_tilings(name, f):
+    # the theorem makes every eligible tiling hold, so break one by hand:
+    # move one point of the dual across sides, or change f at one point of
+    # the constant branch's cosets
+    hyp = establish(f)
+    perp = orthogonal_complement(hyp.v).points()
+    rng = np.random.default_rng(len(name))
+    x = int(rng.integers(1, size(f.n)))
+    sign = hyp.dual_profile.sign.copy()
+    sign[x] = -sign[x]
+    moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
+    cs = coset_tiling(moved)
+    assert not cs.coset_union_ok
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+
+    cs = coset_tiling(hyp)
+    branch = sorted(cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus)
+    y = add_points(branch[len(branch) // 2], max(perp), f.n)
+    table = f.table.copy()
+    table[y] = (table[y] + 1) % 3
+    g = TernaryFunction(f.n, table)
+    cs = coset_tiling(dataclasses.replace(hyp, f=g))
+    assert cs.coset_union_ok and not cs.constant_ok
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, cs, perp)

@@ -266,7 +266,10 @@ class BentProfile:
     sign[a] is +-1; for even n it is the literal unit in front of
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks,
-    b_plus / b_minus as frozensets built on first access.
+    b_plus / b_minus as frozensets built on first access.  dual_profile
+    is the dual's own profile (None when the dual is not bent), also
+    built on first access, so every reader of one profile shares one
+    transform of the dual.
     """
 
     n: int
@@ -286,6 +289,13 @@ class BentProfile:
     @cached_property
     def b_minus(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.sign == -1).tolist())
+
+    @cached_property
+    def dual_profile(self) -> "BentProfile | None":
+        try:
+            return bent_profile(self.dual)
+        except NotBentError:
+            return None
 
     def side(self, t: BentType) -> frozenset[int]:
         return self.b_plus if t is BentType.PLUS else self.b_minus
@@ -310,30 +320,46 @@ def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sign, dual
 
 
+def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign (+-1, or 0 where the value is no unit) and dual value of every
+    spectral value coeff_1 + coeff_w w.
+
+    A value has squared norm 3^n exactly when it is a unit times
+    (1 - w)^n: both coefficients divide by 3^floor(n/2) and the quotient
+    pair is one of the six unit keys of _sign_dual_lookup.  Inexact
+    values and quotients outside [-2, 2] are sent to key 0, which is no
+    unit: unchecked, an out-of-range pair can land on a unit's key (at
+    odd n, (-2, 3) has the key of the unit (-1, -2)).
+    """
+    scale = 3 ** (n // 2)
+    qa, qb = coeff_1 // scale, coeff_w // scale
+    exact = (qa * scale == coeff_1) & (qb * scale == coeff_w)
+    qa += 2
+    qb += 2
+    exact &= (qa >= 0) & (qa <= 4) & (qb >= 0) & (qb <= 4)
+    key = (5 * qa + qb) * exact
+    sign_of, dual_of = _sign_dual_lookup(n)
+    return sign_of.take(key), dual_of.take(key)
+
+
 def bent_profile(f: TernaryFunction) -> BentProfile:
     """Dual, sign map, plus/minus partition, type and regularity of f.
 
-    Raises NotBentError (with a witness point) when some spectral value
-    has the wrong magnitude.  A value of squared norm 3^n is a unit times
-    (1 - w)^n, so both its coefficients divide by 3^floor(n/2) (asserted);
-    the quotients pick sign and dual value from one 25-entry lookup.
+    Sign and dual value come from the exact unit lookup (_unit_lookup);
+    a value it misses is exactly a value whose squared norm is not 3^n,
+    so the first miss is the NotBentError witness, its norm computed
+    exactly at that one point.
     """
     n = f.n
     spectrum = walsh_spectrum(f)
-    norms = spectrum.squared_norms()
-    bad = np.flatnonzero(norms != size(n))
-    if bad.size:
-        witness = int(bad[0])
-        raise NotBentError(witness, int(norms[witness]), size(n))
-
-    scale = 3 ** (n // 2)
-    qa, ra = np.divmod(spectrum.coeff_1, scale)
-    qb, rb = np.divmod(spectrum.coeff_w, scale)
-    assert not ra.any() and not rb.any(), "bent coefficients divide by 3^floor(n/2)"
-    key = 5 * (qa + 2) + qb + 2
-    sign_of, dual_of = _sign_dual_lookup(n)
-    sign = sign_of[key]
-    assert (sign != 0).all(), "every bent value must match a sign/phase candidate"
+    sign, dual = _unit_lookup(spectrum.coeff_1, spectrum.coeff_w, n)
+    miss = np.flatnonzero(sign == 0)
+    if miss.size:
+        witness = int(miss[0])
+        norm_sq = spectrum.value(witness).squared_norm()
+        assert norm_sq != size(n), "the unit lookup missed a value of bent magnitude"
+        raise NotBentError(witness, norm_sq, size(n))
 
     has_plus = bool((sign == 1).any())
     has_minus = bool((sign == -1).any())
@@ -346,7 +372,7 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
     return BentProfile(
         n=n,
-        dual=TernaryFunction(n, dual_of[key]),
+        dual=TernaryFunction(n, dual),
         sign=sign,
         type=btype,
         regularity=reg,
@@ -357,14 +383,14 @@ def is_dual_bent(f: TernaryFunction,
                  profile: BentProfile | None = None) -> tuple[bool, BentProfile | None]:
     """Whether the dual of f is itself bent; the dual's profile if so.
 
-    For even f the involution dual(dual(f)) = f is also verified, since
-    the code downstream relies on it.
+    The dual's profile is profile.dual_profile, transformed at most once
+    per profile.  For even f the involution dual(dual(f)) = f is also
+    verified, since the code downstream relies on it.
     """
     if profile is None:
         profile = bent_profile(f)
-    try:
-        dual_profile = bent_profile(profile.dual)
-    except NotBentError:
+    dual_profile = profile.dual_profile
+    if dual_profile is None:
         return False, None
     if f.is_even() and dual_profile.dual != f:
         raise AssertionError("dual involution failed on an even dual-bent function")
@@ -397,24 +423,22 @@ def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein,
 class PreimageSets:
     """Pre-images of the dual value, split by spectral sign.
 
-    plus[i] collects the plus-side points with dual value i, minus[i]
-    the minus-side ones; together they partition F_3^n.
+    plus[i] holds the plus-side points with dual value i, minus[i] the
+    minus-side ones, each as a sorted int64 index array; together the six
+    arrays partition F_3^n.
     """
 
     n: int
-    plus: dict[int, frozenset[int]]
-    minus: dict[int, frozenset[int]]
+    plus: dict[int, np.ndarray]
+    minus: dict[int, np.ndarray]
 
 
 def preimage_sets(profile: BentProfile) -> PreimageSets:
     dual = profile.dual.table
     on_plus, on_minus = profile.side_mask(BentType.PLUS), profile.side_mask(BentType.MINUS)
-    plus = {}
-    minus = {}
-    for i in range(3):
-        level = dual == i
-        plus[i] = frozenset(np.flatnonzero(level & on_plus).tolist())
-        minus[i] = frozenset(np.flatnonzero(level & on_minus).tolist())
+    levels = [dual == i for i in range(3)]
+    plus = {i: np.flatnonzero(level & on_plus) for i, level in enumerate(levels)}
+    minus = {i: np.flatnonzero(level & on_minus) for i, level in enumerate(levels)}
     return PreimageSets(profile.n, plus, minus)
 
 
@@ -546,15 +570,16 @@ class CosetStructure:
     """Result of the coset decomposition check of the dual's point sets.
 
     The type side V of f, when it is a non-degenerate subspace, splits
-    into index sets i_plus / i_minus whose cosets of V-perp tile the
+    into index sets i_plus / i_minus (V meeting the dual's plus / minus
+    set, as sorted int64 index arrays) whose cosets of V-perp tile the
     dual's plus / minus sets; f is constant on the cosets over one of the
     two index sets (which one depends on the parity of n and the side).
     """
 
     side: BentType
     subspace: Subspace
-    i_plus: frozenset[int]
-    i_minus: frozenset[int]
+    i_plus: np.ndarray
+    i_minus: np.ndarray
     coset_union_ok: bool
     constant_branch: str
     constant_ok: bool
@@ -610,8 +635,8 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     return CosetStructure(
         side=profile.type,
         subspace=hyp.v,
-        i_plus=frozenset(np.flatnonzero(i_plus).tolist()),
-        i_minus=frozenset(np.flatnonzero(i_minus).tolist()),
+        i_plus=np.flatnonzero(i_plus),
+        i_minus=np.flatnonzero(i_minus),
         coset_union_ok=union_ok,
         constant_branch=branch_name,
         constant_ok=constant_ok,

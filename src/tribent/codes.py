@@ -228,6 +228,13 @@ def select_defining_set(f: TernaryFunction,
     return defining_set_for(establish(f, profile), minus_shift)
 
 
+def preimage_points(profile: BentProfile, side: BentType, value: int) -> np.ndarray:
+    """The nonzero points on `side` where the dual takes `value`, as a
+    sorted int64 index array: a candidate defining set."""
+    points = np.flatnonzero((profile.dual.table == value) & profile.side_mask(side))
+    return points[points != 0]
+
+
 def defining_set_for(hyp: Hypotheses, minus_shift: int = 2) -> SelectionContext:
     """select_defining_set on hypotheses already established."""
     hyp.require()
@@ -238,8 +245,7 @@ def defining_set_for(hyp: Hypotheses, minus_shift: int = 2) -> SelectionContext:
         value = (j0 + 1) % 3
     else:
         value = selected_dual_value(case, j0)
-    points = np.flatnonzero((profile.dual.table == value) & profile.side_mask(case.side))
-    defining = DefiningSet(f.n, tuple(points[points != 0].tolist()))
+    defining = DefiningSet(f.n, tuple(preimage_points(profile, case.side, value).tolist()))
     return SelectionContext(case, j0, hyp.r, defining, profile, hyp.dual_profile,
                             preimage_sets(profile), hyp, value)
 

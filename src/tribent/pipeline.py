@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
-    BentProfile,
     BentType,
     Stage,
     TernaryFunction,
     coset_tiling,
     establish,
     expected_preimage_sizes,
-    preimage_sets,
 )
 from .codes import (
     CodeReport,
@@ -30,6 +28,7 @@ from .codes import (
     code_report,
     defining_set_for,
     predict_distribution,
+    preimage_points,
 )
 
 
@@ -80,14 +79,12 @@ class PipelineReport:
         }
 
 
-def _forced_points(label: str, profile: BentProfile):
-    pre = preimage_sets(profile)
-    side, value = label[0].upper(), int(label[1])
-    if side == "C":
-        return pre.plus[value]
-    if side == "D":
-        return pre.minus[value]
-    raise ValueError(f"defining-set label must be C0..C2 or D0..D2, got {label!r}")
+def _forced_side(label: str) -> tuple[BentType, int]:
+    """The side and dual value a defining-set label ("C0".."D2", either
+    case) names: C is the plus side, D the minus side."""
+    if len(label) != 2 or label[0].upper() not in "CD" or label[1] not in "012":
+        raise ValueError(f"defining-set label must be C0..C2 or D0..D2, got {label!r}")
+    return (BentType.PLUS if label[0].upper() == "C" else BentType.MINUS), int(label[1])
 
 
 def run_pipeline(f: TernaryFunction,
@@ -97,10 +94,14 @@ def run_pipeline(f: TernaryFunction,
 
     The hypothesis stages are the record of analysis.establish, every one
     evaluated even after one fails; selection and prediction run only
-    when all hold.  A force_set label ("C0".."D2") builds and measures
-    that pre-image code without a closed-form prediction whenever the
-    function is at least bent.
+    when all hold.  A force_set label ("C0".."D2", either case; anything
+    else raises ValueError before any transform) is used only when the
+    function is bent and some hypothesis fails: that pre-image code is
+    then built and measured without a closed-form prediction.  When every
+    hypothesis holds the selected set is measured and force_set is
+    ignored.
     """
+    forced = None if force_set is None else _forced_side(force_set)
     hyp = establish(f)
     rep = PipelineReport(stages=list(hyp.stages))
     profile = hyp.profile
@@ -112,10 +113,10 @@ def run_pipeline(f: TernaryFunction,
     rep.r = hyp.r
 
     if not hyp.ok:
-        if force_set is not None:
-            points = set(_forced_points(force_set, profile)) - {0}
-            if points:
-                code = build_code(DefiningSet.from_points(points, f.n))
+        if forced is not None:
+            points = preimage_points(profile, *forced)
+            if points.size:
+                code = build_code(DefiningSet(f.n, tuple(points.tolist())))
                 rep.code = code_report(code, None, None, code.dimension)
                 rep.defining_label = force_set.upper()
                 first_bad = next(s.name for s in rep.stages if not s.ok)

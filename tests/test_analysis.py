@@ -8,6 +8,7 @@ from tribent.analysis import (
     NotBentError,
     Regularity,
     TernaryFunction,
+    _unit_lookup,
     bent_profile,
     coset_structure,
     decode_coefficient,
@@ -171,6 +172,67 @@ def test_minus_type_fixture(built_fixtures):
     assert p.b_minus == expected
 
 
+def _profile_against_norms(f: TernaryFunction) -> None:
+    """bent_profile against the int64 squared norms and decode_coefficient."""
+    spectrum = walsh_spectrum(f)
+    norms = spectrum.squared_norms()
+    bad = np.flatnonzero(norms != size(f.n))
+    assert is_bent(f) == (bad.size == 0)
+    if bad.size:
+        with pytest.raises(NotBentError) as exc:
+            bent_profile(f)
+        assert exc.value.witness == bad[0]
+        assert exc.value.norm_sq == norms[bad[0]]
+        assert exc.value.expected == size(f.n)
+        return
+    p = bent_profile(f)
+    for a in range(size(f.n)):
+        assert (int(p.sign[a]), p.dual(a)) == decode_coefficient(spectrum.value(a), f.n)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 2), min_size=3 ** n, max_size=3 ** n)))
+@settings(max_examples=150, deadline=None)
+def test_profile_matches_squared_norms_on_random_tables(table):
+    n = {3 ** k: k for k in range(7)}[len(table)]
+    _profile_against_norms(TernaryFunction(n, table))
+
+
+def test_profile_matches_squared_norms_on_fixtures_and_duals(built_fixtures):
+    for f in built_fixtures.values():
+        _profile_against_norms(f)
+        _profile_against_norms(bent_profile(f).dual)
+
+
+def _lookup_against_norms(a: np.ndarray, b: np.ndarray, n: int) -> int:
+    """_unit_lookup on the values a + b w against their exact norms; the
+    number of values of bent magnitude."""
+    sign, dual = _unit_lookup(a.astype(np.int32), b.astype(np.int32), n)
+    units = 0
+    for k in range(a.size):
+        value = Eisenstein(int(a[k]), int(b[k]))
+        if value.squared_norm() == size(n):
+            assert (int(sign[k]), int(dual[k])) == decode_coefficient(value, n)
+            units += 1
+        else:
+            assert sign[k] == 0, f"{value} classified as a unit at n={n}"
+    return units
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_unit_lookup_on_synthetic_coefficients(n):
+    # every quotient pair in [-7, 7]^2 at the exact scale, so out-of-range
+    # pairs that would alias a unit key are fed in; exactly the six units
+    # times (1 - w)^n classify.  The same grid off the scale by one must
+    # classify nowhere once the scale exceeds 1.
+    scale = 3 ** (n // 2)
+    q = np.arange(-7, 8)
+    qa, qb = (g.ravel() * scale for g in np.meshgrid(q, q))
+    assert _lookup_against_norms(qa, qb, n) == 6
+    shifted = _lookup_against_norms(qa + 1, qb, n)
+    assert scale == 1 or shifted == 0
+
+
 def test_is_bent_quick():
     assert is_bent(TernaryFunction(1, [0, 1, 1]))
     assert not is_bent(TernaryFunction(1, [0, 0, 0]))
@@ -237,15 +299,26 @@ def test_s0_s1_identity_odd_dimension(built_fixtures):
     assert s0 - s1 == expected_s0_minus_s1(f, 0)
 
 
-def test_preimage_sets_partition(flagship):
-    p = bent_profile(flagship)
-    pre = preimage_sets(p)
-    union = frozenset()
-    for i in range(3):
-        union |= pre.plus[i] | pre.minus[i]
-    assert union == frozenset(range(729))
-    assert frozenset().union(*pre.plus.values()) == p.b_plus
-    assert frozenset().union(*pre.minus.values()) == p.b_minus
+def test_preimage_sets_partition(built_fixtures):
+    for name in ("code98-a", "code36", "code756"):
+        f = built_fixtures[name]
+        p = bent_profile(f)
+        pre = preimage_sets(p)
+        arrays = list(pre.plus.values()) + list(pre.minus.values())
+        for arr in arrays:
+            assert arr.dtype == np.int64
+            assert (np.diff(arr) > 0).all()
+        # disjoint and covering: the concatenation sorts to every point once
+        assert np.array_equal(np.sort(np.concatenate(arrays)), np.arange(size(f.n)))
+        assert frozenset(np.concatenate(list(pre.plus.values())).tolist()) == p.b_plus
+        assert frozenset(np.concatenate(list(pre.minus.values())).tolist()) == p.b_minus
+
+        # the coset index sets: the type side meeting each side of the dual
+        cs = coset_structure(f, p)
+        side = p.side_mask(p.type)
+        for got, dual_side in ((cs.i_plus, BentType.PLUS), (cs.i_minus, BentType.MINUS)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(side & cs.dual_profile.side_mask(dual_side)))
 
 
 @pytest.mark.parametrize("name,side,value,expect", [

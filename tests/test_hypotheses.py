@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from tribent import analysis
 from tribent.analysis import (
     HYPOTHESES,
     BentType,
@@ -158,3 +159,45 @@ def test_coset_tiling_detects_broken_tilings(name, f):
     cs = coset_tiling(dataclasses.replace(hyp, f=g))
     assert cs.coset_union_ok and not cs.constant_ok
     assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, cs, perp)
+
+
+# ---------------------------------------------------------------------------
+# One transform of f and one of its dual per verdict
+# ---------------------------------------------------------------------------
+
+def _count_profiles(monkeypatch) -> list[TernaryFunction]:
+    """Record every function analysis.bent_profile is entered with."""
+    calls = []
+    original = analysis.bent_profile
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(analysis, "bent_profile", counted)
+    return calls
+
+
+def _eligible_glue() -> TernaryFunction:
+    rng = random.Random(5)
+    f = gmmf_build(random_instance(rng, 4, 1, BentType.PLUS, random_subspace(rng, 1, 0), 1))
+    assert establish(f).ok
+    return f
+
+
+def test_public_hypothesis_path_profiles_f_and_its_dual_once(monkeypatch):
+    f = _eligible_glue()
+    calls = _count_profiles(monkeypatch)
+    p = analysis.bent_profile(f)
+    analysis.is_dual_bent(f, p)
+    select_defining_set(f, p)
+    coset_structure(f, p)
+    assert calls == [f, p.dual]
+    assert establish(f, p).dual_profile is p.dual_profile
+
+
+def test_pipeline_profiles_f_and_its_dual_once(monkeypatch):
+    f = _eligible_glue()
+    calls = _count_profiles(monkeypatch)
+    assert run_pipeline(f).passed
+    assert len(calls) == 2 and calls[0] == f

@@ -1,5 +1,6 @@
 import pytest
 
+from tribent import analysis
 from tribent.analysis import TernaryFunction
 from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
@@ -73,3 +74,20 @@ def test_fixture_order_independence():
 def test_unknown_fixture():
     with pytest.raises(KeyError):
         get_fixture("nope")
+
+
+@pytest.mark.parametrize("label", ["C3", "C", "X0", ""])
+def test_malformed_forced_set_is_refused_before_any_transform(built_fixtures, monkeypatch, label):
+    def no_transform(f):
+        raise AssertionError("transformed before the label was checked")
+
+    monkeypatch.setattr(analysis, "walsh_spectrum", no_transform)
+    with pytest.raises(ValueError, match="C0..C2 or D0..D2"):
+        run_pipeline(built_fixtures["trace14"], force_set=label)
+
+
+def test_forced_set_label_in_either_case(built_fixtures):
+    f = built_fixtures["trace14"]
+    upper, lower = run_pipeline(f, force_set="D1"), run_pipeline(f, force_set="d1")
+    assert lower.defining_label == upper.defining_label == "D1"
+    assert lower.to_dict() == upper.to_dict()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,9 +70,13 @@ class Regularity(enum.Enum):
 
 
 class TernaryFunction:
-    """A function F_3^n -> F_3 stored as a dense table over point indices."""
+    """A function F_3^n -> F_3 stored as a dense table over point indices.
 
-    __slots__ = ("n", "table")
+    The table is read-only, so is_even is decided once per function and
+    kept in a slot.
+    """
+
+    __slots__ = ("n", "table", "_even")
 
     def __init__(self, n: int, table: Sequence[int] | np.ndarray):
         arr = np.asarray(table, dtype=np.int8) % 3
@@ -81,6 +85,7 @@ class TernaryFunction:
         self.n = n
         self.table = arr
         self.table.flags.writeable = False
+        self._even: bool | None = None
 
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int],
@@ -108,7 +113,9 @@ class TernaryFunction:
 
     def is_even(self) -> bool:
         """True iff f(x) = f(-x) for all x."""
-        return bool(np.array_equal(self.table, self.table[neg_table(self.n)]))
+        if self._even is None:
+            self._even = bool(np.array_equal(self.table, self.table[neg_table(self.n)]))
+        return self._even
 
     def negated(self) -> "TernaryFunction":
         """The function -f (values negated mod 3)."""
@@ -148,31 +155,68 @@ class WalshSpectrum:
 
 
 # w^j as (1, w)-coefficient pairs, for vectorised table lookups
-_W_RE = np.array([1, 0, -1], dtype=np.int32)
-_W_IM = np.array([0, 1, -1], dtype=np.int32)
+_W_RE = np.array([1, 0, -1], dtype=np.int8)
+_W_IM = np.array([0, 1, -1], dtype=np.int8)
+
+
+# The narrow types of the radix-3 passes, each with the last pass whose
+# bound it holds (see _radix3); later passes run in int32.
+_NARROW_PASSES = ((np.int8, 4), (np.int16, 9))
+
+
+@cache
+def _holds(dtype: type, p: int) -> bool:
+    """Whether dtype holds every coefficient met in radix-3 pass p.
+
+    A value after p passes has magnitude at most 3^p, and
+    a^2 - a b + b^2 >= (3/4) a^2 bounds its coefficients, their
+    difference and every butterfly partial sum by (2/sqrt 3) 3^p.
+    """
+    return 4 * 9 ** p <= 3 * int(np.iinfo(dtype).max) ** 2
+
+
+def _pass_dtype(p: int) -> type:
+    """The narrowest integer type of radix-3 pass p (counted from 1)."""
+    for dtype, last in _NARROW_PASSES:
+        if p <= last:
+            return dtype
+    return np.int32
 
 
 def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
 
-    a and b are flat int32 coefficient arrays over the 3^n point indices,
+    a and b are flat int8 coefficient arrays over the 3^n point indices,
     each value a + b w of norm at most 1; the result is indexed the same
-    way.  A pass reads the three contiguous thirds of the arrays (the top
-    digit t) and writes the 3-point butterflies
+    way, as int32 arrays.  A pass reads the three contiguous thirds of the
+    arrays (the top digit t) and writes the 3-point butterflies
     out[k] = u0 + w^(-k) u1 + w^(-2k) u2 interleaved into (3^(n-1), 3)
     buffers, so the processed digit becomes the lowest one and after n
     passes every digit is back in place.  The butterflies use
-    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).  Every partial sum
-    is at most 2 * 3^n in absolute value, which int32 holds for
-    n <= EXACT_DIM (check_dim refuses larger n up front).
+    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).
+
+    After pass p every value has magnitude at most 3^p, so every partial
+    sum of that pass is at most (2/sqrt 3) 3^p in absolute value: at most
+    93 through pass 4, 22 730 through pass 9.  Each pass runs in the
+    narrowest type that holds its bound (_pass_dtype: int8 through pass 4,
+    int16 through pass 9, int32 after), and the arrays are widened with
+    astype before the first pass of a wider type, never inside a pass,
+    where a mixed-type sum would wrap first.  int32 holds every partial
+    sum, below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n
+    up front).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
+    assert all(_holds(t, last) for t, last in _NARROW_PASSES), "pass type schedule exceeds its bound"
+    assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
     third = size(n) // 3
-    for _ in range(n):
+    for p in range(1, n + 1):
+        dtype = _pass_dtype(p)
+        if a.dtype != dtype:
+            a, b = a.astype(dtype), b.astype(dtype)
         u0a, u1a, u2a = a.reshape(3, third)
         u0b, u1b, u2b = b.reshape(3, third)
-        a = np.empty((third, 3), dtype=np.int32)
-        b = np.empty((third, 3), dtype=np.int32)
+        a = np.empty((third, 3), dtype=dtype)
+        b = np.empty((third, 3), dtype=dtype)
         d1 = u1b - u1a
         d2 = u2b - u2a
         a[:, 0] = u0a + u1a + u2a
@@ -182,12 +226,13 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         a[:, 2] = u0a - u1b + d2
         b[:, 2] = u0b - d1 - u2a
         a, b = a.reshape(-1), b.reshape(-1)
-    return a, b
+    return a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
 
 
 def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
     """All transform values via n rounds of radix-3 butterflies in Z[w]."""
-    return WalshSpectrum(f.n, *_radix3(_W_RE[f.table], _W_IM[f.table], f.n))
+    index = f.table.astype(np.intp)
+    return WalshSpectrum(f.n, *_radix3(_W_RE.take(index), _W_IM.take(index), f.n))
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
@@ -267,9 +312,10 @@ class BentProfile:
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks,
     b_plus / b_minus as frozensets built on first access.  dual_profile
-    is the dual's own profile (None when the dual is not bent), also
+    is the dual's own profile (None when the dual is not bent), and
+    type_span the span of the type side with its V-perp mask, each also
     built on first access, so every reader of one profile shares one
-    transform of the dual.
+    transform of the dual and one span.
     """
 
     n: int
@@ -296,6 +342,15 @@ class BentProfile:
             return bent_profile(self.dual)
         except NotBentError:
             return None
+
+    @cached_property
+    def type_span(self) -> tuple[Subspace, np.ndarray]:
+        """The span V of the type side and the read-only mask over all
+        3^n points that is true exactly on V-perp."""
+        v = span(np.flatnonzero(self.side_mask(self.type)), self.n)
+        in_kernel = perp_mask(v)
+        in_kernel.flags.writeable = False
+        return v, in_kernel
 
     def side(self, t: BentType) -> frozenset[int]:
         return self.b_plus if t is BentType.PLUS else self.b_minus
@@ -530,7 +585,8 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
     non-degenerate, dimension-bound.  The type side lies in its span V,
     so it is a subspace exactly when |side| = 3^dim V; V is non-degenerate
-    exactly when the kernel mask (V-perp) meets the side only at 0.
+    exactly when the kernel mask (V-perp) meets the side only at 0.  V and
+    the kernel mask come from profile.type_span, decided once per profile.
     """
     n = f.n
     if profile is None:
@@ -549,14 +605,14 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     dual_ok, dual_profile = is_dual_bent(f, profile)
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
-    side = np.flatnonzero(profile.side_mask(profile.type))
-    v = span(side, n)
-    in_kernel = perp_mask(v)
-    subspace = len(side) == size(v.dim)
+    side = profile.side_mask(profile.type)
+    side_size = int(np.count_nonzero(side))
+    v, in_kernel = profile.type_span
+    subspace = side_size == size(v.dim)
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
-                        f"|side| = {len(side)} is not a subspace"))
+                        f"|side| = {side_size} is not a subspace"))
     if subspace:
-        nondeg = int(np.count_nonzero(in_kernel[side])) == 1
+        nondeg = int(np.count_nonzero(in_kernel & side)) == 1
         stages.append(Stage("non-degenerate", nondeg, "" if nondeg else
                             "type side meets its complement beyond 0"))
         bound = v.dim >= n // 2 + 1

@@ -124,7 +124,7 @@ def message_weights(s: DefiningSet) -> np.ndarray:
     within |S| in absolute value.
     """
     n = s.n
-    indicator = np.zeros(size(n), dtype=np.int32)
+    indicator = np.zeros(size(n), dtype=np.int8)
     indicator[list(s.points)] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), n)
     num = 2 * len(s) - (2 * a.astype(np.int64) - b)

@@ -40,3 +40,31 @@ def naive_spectrum_pair(f: TernaryFunction) -> tuple[np.ndarray, np.ndarray]:
     c1 = (exps == 1).sum(axis=1)
     c2 = (exps == 2).sum(axis=1)
     return c0 - c2, c1 - c2
+
+
+def radix3_oracle(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radix-3 transform with every pass in int64: the same contiguous
+    butterflies as analysis._radix3, wide enough for any accepted n."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    third = 3 ** n // 3
+    for _ in range(n):
+        u0a, u1a, u2a = a.reshape(3, third)
+        u0b, u1b, u2b = b.reshape(3, third)
+        a = np.empty((third, 3), dtype=np.int64)
+        b = np.empty((third, 3), dtype=np.int64)
+        d1 = u1b - u1a
+        d2 = u2b - u2a
+        a[:, 0] = u0a + u1a + u2a
+        b[:, 0] = u0b + u1b + u2b
+        a[:, 1] = u0a + d1 - u2b
+        b[:, 1] = u0b - u1a - d2
+        a[:, 2] = u0a - u1b + d2
+        b[:, 2] = u0b - d1 - u2a
+        a, b = a.reshape(-1), b.reshape(-1)
+    return a, b
+
+
+def oracle_spectrum(f: TernaryFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(coeff_1, coeff_w) of f's transform by radix3_oracle."""
+    w_re, w_im = np.array([1, 0, -1]), np.array([0, 1, -1])
+    return radix3_oracle(w_re[f.table], w_im[f.table], f.n)

@@ -8,6 +8,9 @@ from tribent.analysis import (
     NotBentError,
     Regularity,
     TernaryFunction,
+    _holds,
+    _pass_dtype,
+    _radix3,
     _unit_lookup,
     bent_profile,
     coset_structure,
@@ -26,7 +29,7 @@ from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.core import Eisenstein, dots_with, encode, neg_point, size, span
 from tribent.fixtures import get_fixture
 
-from conftest import naive_spectrum_pair, random_function
+from conftest import naive_spectrum_pair, oracle_spectrum, radix3_oracle, random_function
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +84,58 @@ def test_fast_equals_matrix_oracle():
         assert np.array_equal(sp.coeff_w, ob)
 
 
-# The transform accumulates in int32; squared norms off a bent spectrum
+# Narrow-integer passes.  Constant tables reach the largest partial sums
+# (3^p after pass p at u = 0), so they are compared at every n up to the
+# cap against the int64 oracle.
+
+def _assert_spectrum_exact(f: TernaryFunction) -> None:
+    sp = walsh_spectrum(f)
+    oa, ob = oracle_spectrum(f)
+    assert sp.coeff_1.dtype == sp.coeff_w.dtype == np.int32
+    assert np.array_equal(sp.coeff_1, oa) and np.array_equal(sp.coeff_w, ob)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_narrow_passes_exact_on_constant_tables(n):
+    for value in range(3):
+        _assert_spectrum_exact(TernaryFunction.constant(n, value))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_narrow_passes_exact_on_indicators(n):
+    rng = np.random.default_rng(n)
+    for indicator in (np.ones(size(n), dtype=np.int8),
+                      rng.integers(0, 2, size(n)).astype(np.int8)):
+        a, b = _radix3(indicator, np.zeros_like(indicator), n)
+        oa, ob = radix3_oracle(indicator, np.zeros_like(indicator), n)
+        assert a.dtype == b.dtype == np.int32
+        assert np.array_equal(a, oa) and np.array_equal(b, ob)
+
+
+@given(st.integers(1, 8), st.integers(0, 2), st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_narrow_passes_exact_on_drawn_tables(n, value, noise, seed):
+    # a constant table with a drawn share of points redrawn: near-constant
+    # tables keep the partial sums near their bound
+    rng = np.random.default_rng(seed)
+    table = np.full(size(n), value)
+    redrawn = rng.random(size(n)) < noise
+    table[redrawn] = rng.integers(0, 3, int(redrawn.sum()))
+    _assert_spectrum_exact(TernaryFunction(n, table))
+
+
+def test_pass_types_are_the_narrowest_the_bound_allows():
+    assert [_pass_dtype(p) for p in (1, 4, 5, 9, 10, 18)] == [
+        np.int8, np.int8, np.int16, np.int16, np.int32, np.int32]
+    narrower = {np.int16: np.int8, np.int32: np.int16}
+    for p in range(1, 19):
+        dtype = _pass_dtype(p)
+        assert _holds(dtype, p)
+        assert dtype not in narrower or not _holds(narrower[dtype], p)
+
+
+# The transform returns int32 coefficients; squared norms off a bent spectrum
 # exceed int32 from n = 10 on (3^20 > 2^31).
 
 def test_constant_function_not_bent_without_overflow():

@@ -26,6 +26,8 @@ from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.core import encode, size, span
 from tribent.fixtures import get_fixture
 
+from conftest import radix3_oracle
+
 
 # ---------------------------------------------------------------------------
 # Defining sets and measurement
@@ -78,6 +80,19 @@ def test_message_weights_equal_direct_count(n_points):
     s = DefiningSet.from_points(points, n)
     weights = message_weights(s)
     assert [int(w) for w in weights] == [weight_of(u, s) for u in range(size(n))]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_message_weights_equal_int64_oracle(n):
+    # every nonzero point (the largest |S|) and a random half of them
+    rng = np.random.default_rng(n)
+    for points in (range(1, size(n)), np.flatnonzero(rng.integers(0, 2, size(n)))):
+        s = DefiningSet.from_points(points, n)
+        indicator = np.zeros(size(n), dtype=np.int64)
+        indicator[list(s.points)] = 1
+        a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
+        weights = message_weights(s)
+        assert np.array_equal(weights, (2 * len(s) - (2 * a - b)) // 3)
 
 
 def test_build_code_dimension_is_rank():

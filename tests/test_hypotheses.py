@@ -8,12 +8,14 @@ the slow, direct references it is checked against here.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
-from tribent import analysis
+from tribent import analysis, core
 from tribent.analysis import (
     HYPOTHESES,
     BentType,
@@ -185,13 +187,18 @@ def _eligible_glue() -> TernaryFunction:
     return f
 
 
-def test_public_hypothesis_path_profiles_f_and_its_dual_once(monkeypatch):
-    f = _eligible_glue()
-    calls = _count_profiles(monkeypatch)
+def _run_public_path(f: TernaryFunction) -> analysis.BentProfile:
     p = analysis.bent_profile(f)
     analysis.is_dual_bent(f, p)
     select_defining_set(f, p)
     coset_structure(f, p)
+    return p
+
+
+def test_public_hypothesis_path_profiles_f_and_its_dual_once(monkeypatch):
+    f = _eligible_glue()
+    calls = _count_profiles(monkeypatch)
+    p = _run_public_path(f)
     assert calls == [f, p.dual]
     assert establish(f, p).dual_profile is p.dual_profile
 
@@ -201,3 +208,40 @@ def test_pipeline_profiles_f_and_its_dual_once(monkeypatch):
     calls = _count_profiles(monkeypatch)
     assert run_pipeline(f).passed
     assert len(calls) == 2 and calls[0] == f
+
+
+def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
+    g = _eligible_glue()
+    f = TernaryFunction(g.n, g.table)  # evenness not yet decided
+    spans, negs = [], []
+    original_span, original_neg = core.span, analysis.neg_table
+
+    def counted_span(points, n):
+        spans.append(n)
+        return original_span(points, n)
+
+    def counted_neg(n):
+        negs.append(n)
+        return original_neg(n)
+
+    for module in (core, analysis):
+        monkeypatch.setattr(module, "span", counted_span)
+    monkeypatch.setattr(analysis, "neg_table", counted_neg)
+    _run_public_path(f)
+    assert spans == [f.n]
+    assert negs == [f.n]  # the even check, decided once per function
+
+
+def test_profile_is_freed_without_the_cyclic_collector():
+    # the profile caches its dual's profile and its type-side span, but
+    # nothing cached on it points back to it: dropping the caller's
+    # references frees it by reference counting alone
+    f = _eligible_glue()
+    gc.disable()
+    try:
+        p = _run_public_path(f)
+        refs = [weakref.ref(p), weakref.ref(p.dual_profile)]
+        del p
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -30,7 +30,7 @@ from .core import (
     root_sum,
     size,
     span,
-    translation_table,
+    translation,
 )
 
 
@@ -79,9 +79,15 @@ class TernaryFunction:
     __slots__ = ("n", "table", "_even")
 
     def __init__(self, n: int, table: Sequence[int] | np.ndarray):
-        arr = np.asarray(table, dtype=np.int8) % 3
+        arr = np.asarray(table)
         if arr.shape != (size(n),):
             raise ValueError(f"table must have 3^{n} = {size(n)} entries, got {arr.shape}")
+        # an int8 table already in {0, 1, 2} is only copied; any other is
+        # reduced mod 3 in its own type first, so no entry wraps in the cast
+        if arr.dtype == np.int8 and arr.view(np.uint8).max() <= 2:
+            arr = arr.copy()
+        else:
+            arr = (arr % 3).astype(np.int8)
         self.n = n
         self.table = arr
         self.table.flags.writeable = False
@@ -119,14 +125,14 @@ class TernaryFunction:
 
     def negated(self) -> "TernaryFunction":
         """The function -f (values negated mod 3)."""
-        return TernaryFunction(self.n, (-self.table) % 3)
+        return TernaryFunction(self.n, -self.table)
 
     def reflected(self) -> "TernaryFunction":
         """The function x -> f(-x)."""
         return TernaryFunction(self.n, self.table[neg_table(self.n)])
 
     def plus_constant(self, c: int) -> "TernaryFunction":
-        return TernaryFunction(self.n, (self.table + c) % 3)
+        return TernaryFunction(self.n, self.table + c % 3)
 
 
 @dataclass(frozen=True)
@@ -152,11 +158,6 @@ class WalshSpectrum:
     def parseval_total(self) -> int:
         """Sum of squared norms; always 3^(2n)."""
         return int(self.squared_norms().sum())
-
-
-# w^j as (1, w)-coefficient pairs, for vectorised table lookups
-_W_RE = np.array([1, 0, -1], dtype=np.int8)
-_W_IM = np.array([0, 1, -1], dtype=np.int8)
 
 
 # The narrow types of the radix-3 passes, each with the last pass whose
@@ -230,9 +231,13 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
-    """All transform values via n rounds of radix-3 butterflies in Z[w]."""
-    index = f.table.astype(np.intp)
-    return WalshSpectrum(f.n, *_radix3(_W_RE.take(index), _W_IM.take(index), f.n))
+    """All transform values via n rounds of radix-3 butterflies in Z[w].
+
+    The inputs w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 are the
+    int8 coefficients 1 - t and t - 3 * (t >> 1).
+    """
+    t = f.table
+    return WalshSpectrum(f.n, *_radix3(1 - t, t - 3 * (t >> 1), f.n))
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
@@ -378,24 +383,39 @@ def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign (+-1, or 0 where the value is no unit) and dual value of every
-    spectral value coeff_1 + coeff_w w.
+    spectral value coeff_1 + coeff_w w, given as int32 arrays.
 
     A value has squared norm 3^n exactly when it is a unit times
-    (1 - w)^n: both coefficients divide by 3^floor(n/2) and the quotient
-    pair is one of the six unit keys of _sign_dual_lookup.  Inexact
-    values and quotients outside [-2, 2] are sent to key 0, which is no
-    unit: unchecked, an out-of-range pair can land on a unit's key (at
-    odd n, (-2, 3) has the key of the unit (-1, -2)).
+    (1 - w)^n: both coefficients divide by scale = 3^floor(n/2) and the
+    quotient pair is one of the six unit keys of _sign_dual_lookup.
+
+    The quotients come without division, as products with the inverse of
+    the odd scale mod 2^32 (the exact-division test of Granlund and
+    Montgomery, PLDI 1994, section 9).  int32 products wrap mod 2^32, so
+    q = x * inverse is x / scale whenever scale divides x.  Conversely, if
+    q lies in [-2, 2] then q * scale = x mod 2^32, and for n <= EXACT_DIM
+    |x - q * scale| <= 2^31 + 2 * 3^9 < 2^32 forces x = q * scale.  So a
+    value is looked up exactly when both q + 2, read as uint32, are at
+    most 4, for every int32 input; all others are sent to key 0, which is
+    no unit: unchecked, an out-of-range pair can land on a unit's key (at
+    odd n, (-2, 3) has the key of the unit (-1, -2)).  The inverse is
+    taken in [-2^31, 2^31) and passed as an np.int32 scalar, so the
+    product stays int32 under numpy 1.24's value-based casting as under
+    NEP 50; the unsigned inverse as a Python int would promote it to int64
+    under 1.24 and lose the wrap.
     """
-    scale = 3 ** (n // 2)
-    qa, qb = coeff_1 // scale, coeff_w // scale
-    exact = (qa * scale == coeff_1) & (qb * scale == coeff_w)
+    assert coeff_1.dtype == coeff_w.dtype == np.int32, "the lookup wraps int32 products"
+    assert n <= EXACT_DIM, f"the lookup is exact only for n <= {EXACT_DIM}"
+    inverse = pow(3 ** (n // 2), -1, 2 ** 32)
+    inverse = np.int32(inverse - 2 ** 32 if inverse >= 2 ** 31 else inverse)
+    qa, qb = coeff_1 * inverse, coeff_w * inverse
     qa += 2
     qb += 2
-    exact &= (qa >= 0) & (qa <= 4) & (qb >= 0) & (qb <= 4)
-    key = (5 * qa + qb) * exact
+    qa, qb = qa.view(np.uint32), qb.view(np.uint32)
+    exact = (qa <= 4) & (qb <= 4)
+    key = (5 * qa.astype(np.uint8) + qb.astype(np.uint8)) * exact
     sign_of, dual_of = _sign_dual_lookup(n)
-    return sign_of.take(key), dual_of.take(key)
+    return sign_of[key], dual_of[key]
 
 
 def bent_profile(f: TernaryFunction) -> BentProfile:
@@ -659,7 +679,8 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     closed under x -> x + q and x -> x + 2q for every basis vector q of
     V-perp, and f is constant on each of those cosets exactly when
     f(x + q) = f(x) for every such q and every x in the union; both are
-    tested as masks over F_3^n, one translation table per q.
+    tested as masks over F_3^n, translated by core.translation (two
+    half-width tables per q).
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
@@ -667,12 +688,12 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     side = profile.side_mask(profile.type)
     dual_plus = dual_profile.side_mask(BentType.PLUS)
     dual_minus = dual_profile.side_mask(BentType.MINUS)
-    steps = [translation_table(q, n) for q in orthogonal_complement(hyp.v).basis]
+    steps = [translation(q, n) for q in orthogonal_complement(hyp.v).basis]
 
     def coset_union(mask: np.ndarray) -> np.ndarray:
-        for t in steps:
-            shifted = mask[t]
-            mask = mask | shifted | shifted[t]
+        for step in steps:
+            shifted = step(mask)
+            mask = mask | shifted | step(shifted)
         return mask
 
     i_plus, i_minus = side & dual_plus, side & dual_minus
@@ -686,7 +707,7 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     on_plus = (n % 2 == 0) == (profile.type is BentType.PLUS)
     branch_name = "i_plus" if on_plus else "i_minus"
     branch = union_plus if on_plus else union_minus
-    constant_ok = not any(((f.table[t] != f.table) & branch).any() for t in steps)
+    constant_ok = not any(((step(f.table) != f.table) & branch).any() for step in steps)
 
     return CosetStructure(
         side=profile.type,

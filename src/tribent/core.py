@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,6 +114,23 @@ def neg_table(n: int) -> np.ndarray:
 def translation_table(p: int, n: int) -> np.ndarray:
     """t[x] = index of x + p, for all x (int64)."""
     return _digit_table([[(d + k) % 3 for k in range(3)] for d in decode(p, n)])
+
+
+def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map taking a flat array a over F_3^n to x -> a[x + p].
+
+    x + p is added digit by digit, so on the (3^(n-k), 3^k) view of a,
+    with k = n // 2, the top n - k digits of x and its low k digits move
+    independently: one take along each axis, by a half-width translation
+    table each, replaces a gather by one 3^n-entry table.
+    """
+    k = n // 2
+    high, low = translation_table(p // 3 ** k, n - k), translation_table(p % 3 ** k, k)
+
+    def translate(a: np.ndarray) -> np.ndarray:
+        return a.reshape(len(high), len(low)).take(high, axis=0).take(low, axis=1).reshape(-1)
+
+    return translate
 
 
 def add_points(x: int, y: int, n: int) -> int:
@@ -290,23 +307,36 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for empty input).
 
     A strided sample of at most _SPAN_SAMPLE rows is reduced first, and
-    every row is then checked against the sample's null space: a row lies
-    in the span exactly when it is orthogonal to that null space.  While
-    some row fails, the first failing row is folded into the reduced
-    sample and only the failing rows are checked again; each fold raises
-    the rank, so there are at most n rounds.  The reduced echelon form of
-    a row space is unique, so the basis does not depend on the sample.
-    Checks are int8 sums of n products, at most 4n.
+    every point is then checked against the sample's null space: a point
+    lies in the span exactly when it is orthogonal to that null space.
+    While some point fails, the first failing point is folded into the
+    reduced sample and only the failing points are checked again; each
+    fold raises the rank, so there are at most n rounds.  The reduced
+    echelon form of a row space is unique, so the basis does not depend on
+    the sample.
+
+    A point's dots with the null basis are the sums of those of its top
+    n - k and its low k = n // 2 digits, so each round builds one dot
+    table per half (int8 sums of at most n - k products, at most 4n), and
+    a point passes when its high half's dots equal minus its low half's
+    mod 3.  The halves come from one divmod of the indices by 3^k, and no
+    3^n-row table is gathered: the cost grows with the number of points.
     """
     idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
-    rows = coord_matrix(n)[idx]
-    basis = _rref(rows[::max(1, -(-len(rows) // _SPAN_SAMPLE))].copy())
-    failing = rows
+    k = n // 2
+    high, low = np.divmod(idx, 3 ** k)
+    basis = _rref(coord_matrix(n)[idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))]])
     while True:
-        failing = failing[(failing @ _null_basis(basis).T % 3).any(axis=1)]
-        if not len(failing):
+        null_t = _null_basis(basis).T
+        high_dots = coord_matrix(n - k) @ null_t[k:] % 3
+        minus_low_dots = -(coord_matrix(k) @ null_t[:k]) % 3
+        failing = (high_dots[high] != minus_low_dots[low]).any(axis=1)
+        high, low = high[failing], low[failing]
+        if not len(high):
             return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
-        basis = _rref(np.vstack([basis, failing[:1]]))
+        grown = _rref(np.vstack([basis, coord_matrix(n)[high[:1] * 3 ** k + low[:1]]]))
+        assert len(grown) > len(basis), "a point failed the check but lies in the span"
+        basis = grown
 
 
 def is_subspace(points: Iterable[int], n: int) -> bool:

@@ -26,7 +26,7 @@ from tribent.analysis import (
     walsh_spectrum,
 )
 from tribent.constructions import QuadraticForm, quadratic_function
-from tribent.core import Eisenstein, dots_with, encode, neg_point, size, span
+from tribent.core import EXACT_DIM, Eisenstein, dots_with, encode, neg_point, size, span
 from tribent.fixtures import get_fixture
 
 from conftest import naive_spectrum_pair, oracle_spectrum, radix3_oracle, random_function
@@ -273,18 +273,19 @@ def _lookup_against_norms(a: np.ndarray, b: np.ndarray, n: int) -> int:
     return units
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, EXACT_DIM + 1))
 def test_unit_lookup_on_synthetic_coefficients(n):
-    # every quotient pair in [-7, 7]^2 at the exact scale, so out-of-range
-    # pairs that would alias a unit key are fed in; exactly the six units
-    # times (1 - w)^n classify.  The same grid off the scale by one must
-    # classify nowhere once the scale exceeds 1.
+    # every quotient q in [-7, 7] at the exact scale, so out-of-range pairs
+    # that would alias a unit key are fed in, with each q * scale off by one
+    # (never divisible once the scale exceeds 1) and the int32 extremes,
+    # where the wrapped product must not pass for a quotient; exactly the
+    # six units times (1 - w)^n classify.
     scale = 3 ** (n // 2)
-    q = np.arange(-7, 8)
-    qa, qb = (g.ravel() * scale for g in np.meshgrid(q, q))
+    near = np.arange(-7, 8)[:, None] * scale + np.arange(-1, 2)
+    extremes = [2 ** 31 - 1, -(2 ** 31 - 1), -2 ** 31]
+    values = np.unique(np.concatenate([near.ravel(), extremes]))
+    qa, qb = (g.ravel() for g in np.meshgrid(values, values))
     assert _lookup_against_norms(qa, qb, n) == 6
-    shifted = _lookup_against_norms(qa + 1, qb, n)
-    assert scale == 1 or shifted == 0
 
 
 def test_is_bent_quick():
@@ -320,6 +321,33 @@ def test_evenness_helpers():
     assert not g.is_even()
     assert g.negated().table.tolist() == [0, 2, 1]
     assert g.reflected().table.tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize("table, expected", [
+    (np.array([0, 1, 300]), [0, 1, 0]),
+    (np.array([128, -129, 2], dtype=np.int64), [2, 0, 2]),
+    ([0, 1, 300], [0, 1, 0]),
+    (np.array([0, -1, 5], dtype=np.int8), [0, 2, 2]),
+])
+def test_table_reduced_before_the_int8_cast(table, expected):
+    # int8 would wrap 300 to 44 and 128 to -128 before reducing mod 3
+    f = TernaryFunction(1, table)
+    assert f.table.dtype == np.int8 and f.table.tolist() == expected
+
+
+def test_plus_constant_reduces_the_constant():
+    g = TernaryFunction(1, [0, 1, 2])
+    assert g.plus_constant(1000).table.tolist() == [1, 2, 0]
+    assert g.plus_constant(-1).table.tolist() == [2, 0, 1]
+
+
+def test_reduced_int8_table_is_copied():
+    # the mod-3 pass is skipped for an int8 table in {0, 1, 2}; the caller's
+    # array must still neither alias the table nor be frozen
+    table = np.array([0, 1, 1], dtype=np.int8)
+    f = TernaryFunction(1, table)
+    table[1] = 2
+    assert f.table.tolist() == [0, 1, 1] and f.is_even()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from tribent.core import (
     root_sum,
     size,
     span,
+    translation,
     translation_table,
 )
 
@@ -99,6 +100,18 @@ def test_per_n_tables_against_definitions(n):
     for p in range(0, size(n), max(1, size(n) // 7)):
         shift = translation_table(p, n)
         assert shift.tolist() == [add_points(x, p, n) for x in range(size(n))]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_half_width_translation_against_the_full_table(n):
+    # at n = 1 the low half is empty; digit-wise addition carries nothing
+    # across the halves, which p = 3^k - 1 (every low digit 2) and p = 3^k
+    # (lowest high digit 1) probe
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 3, size(n)).astype(np.int8)
+    k = n // 2
+    for p in {0, size(n) - 1, 3 ** k - 1, 3 ** k % size(n), int(rng.integers(size(n)))}:
+        assert np.array_equal(translation(p, n)(a), a[translation_table(p, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +348,33 @@ def test_span_and_perp_against_references_at_larger_n(case):
     brute = ~(all_points @ basis.T % 3).any(axis=1)
     assert np.array_equal(perp_mask(v), brute)
     assert orthogonal_complement(v).points() == frozenset(np.flatnonzero(brute).tolist())
+
+
+def _subspace_and_stray(position: int, digit: int) -> list[int]:
+    """All 3^4 members of a subspace of F_3^11 in random order, then one
+    stray point: the member at index 1 with the given digit set, outside
+    the subspace by construction.  The stray comes last, at an odd index,
+    so span's strided sample skips it and only the membership check can
+    find it."""
+    n = 11
+    gens = np.zeros((4, n), dtype=np.int64)
+    gens[0, [0, 6]] = 1
+    gens[1, [1, 7]] = 1
+    gens[2, [2, 8, 9]] = (1, 2, 1)
+    gens[3, [3, 10]] = 1
+    members = (coord_matrix(4) @ gens % 3) @ 3 ** np.arange(n)
+    members = np.random.default_rng(11).permutation(members).tolist()
+    coords = list(decode(members[1], n))
+    coords[position] = digit
+    return members + [encode(coords)]
+
+
+# k = n // 2 = 5: digits 0..4 are the low half, 5..10 the high half; digit
+# 4 (low) and digit 5 (high) are zero on every member
+@pytest.mark.parametrize("position, digit", [(4, 1), (5, 2)], ids=["low-half", "high-half"])
+def test_span_finds_a_stray_in_either_half_at_n11(position, digit):
+    pts = _subspace_and_stray(position, digit)
+    assert len(pts) == 82 and frozenset(pts[:-1]) == span(pts[:-1], 11).points()
+    v = span(pts, 11)
+    reference = _row_reduce_reference([list(decode(p, 11)) for p in pts])
+    assert v.dim == 5 and v.basis == tuple(encode(r) for r in reference)

@@ -7,7 +7,10 @@ partition has closed form: (all x) x W x (all z), where W collects the
 parameter values whose component has that type.
 """
 
+import numpy as np
+
 from tribent import (
+    BentType,
     GmmfSpec,
     QuadraticForm,
     bent_profile,
@@ -35,16 +38,16 @@ print("glued function on F_3^%d, even: %s" % (F.n, F.is_even()))
 # The prediction is assembled purely from the component profiles ...
 pred = gmmf_predict(spec)
 print("predicted regularity:", pred.regularity.value)
-print("predicted plus side size:", len(pred.b_plus))
+print("predicted plus side size:", int((pred.sign == 1).sum()))
 
 # ... and matches the measured profile exactly, dual table included.
 prof = bent_profile(F)
-assert pred.b_plus == prof.b_plus
+assert np.array_equal(pred.sign, prof.sign)
 assert pred.dual == prof.dual
 assert pred.regularity is prof.regularity
 print("measured profile matches the prediction")
 
 # The plus side here is a 5-dimensional subspace of F_3^6: the stage on
 # which the defining-set codes are built.
-side = span(prof.b_plus, F.n)
+side = span(np.flatnonzero(prof.side_mask(BentType.PLUS)), F.n)
 print("plus side: dimension", side.dim, "of", F.n)

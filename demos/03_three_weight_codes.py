@@ -37,11 +37,11 @@ assert pred.distribution == code.distribution
 
 # Each individual codeword's weight is itself predictable from where the
 # message sits relative to the dual's partition.
-clf = WeightClassifier(ctx, f)
+clf = WeightClassifier(ctx)
 u = 5
 print("message %d: predicted weight %d, actual %d"
-      % (u, clf.expected_weight(u), weight_of(u, ctx.defining)))
-assert clf.check_all() is None
+      % (u, clf.expected_weights()[u], weight_of(u, ctx.defining)))
+assert clf.check_all(code.message_weights) is None
 print("all %d codewords classified correctly" % 3 ** f.n)
 
 # The staged pipeline bundles all of the above into one report; note the

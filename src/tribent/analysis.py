@@ -315,11 +315,10 @@ class BentProfile:
 
     sign[a] is +-1; for even n it is the literal unit in front of
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
-    point sets partition F_3^n accordingly; side_mask gives them as masks,
-    b_plus / b_minus as frozensets built on first access.  dual_profile
-    is the dual's own profile (None when the dual is not bent), and
-    type_span the span of the type side with its V-perp mask, each also
-    built on first access, so every reader of one profile shares one
+    point sets partition F_3^n accordingly; side_mask gives them as masks.
+    dual_profile is the dual's own profile (None when the dual is not
+    bent), and type_span the span of the type side with its V-perp mask,
+    each built on first access, so every reader of one profile shares one
     transform of the dual and one span.
     """
 
@@ -332,14 +331,6 @@ class BentProfile:
     def side_mask(self, t: BentType) -> np.ndarray:
         """Boolean mask over all 3^n points, true on the side t."""
         return self.sign == (1 if t is BentType.PLUS else -1)
-
-    @cached_property
-    def b_plus(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.sign == 1).tolist())
-
-    @cached_property
-    def b_minus(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.sign == -1).tolist())
 
     @cached_property
     def dual_profile(self) -> "BentProfile | None":
@@ -356,13 +347,6 @@ class BentProfile:
         in_kernel = perp_mask(v)
         in_kernel.flags.writeable = False
         return v, in_kernel
-
-    def side(self, t: BentType) -> frozenset[int]:
-        return self.b_plus if t is BentType.PLUS else self.b_minus
-
-    def type_side(self) -> frozenset[int]:
-        """The point set containing 0 (the side naming the type)."""
-        return self.side(self.type)
 
 
 def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,45 +37,51 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Ordered distinct nonzero points of F_3^n."""
+    """Distinct nonzero points of F_3^n, as a sorted read-only int64 index
+    array (a copy of the given points).  Equality is identity."""
 
     n: int
-    points: tuple[int, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = np.fromiter(self.points, dtype=np.int64, count=len(self.points))
+        pts = np.array(self.points, dtype=np.int64)
         if not pts.size:
             raise ValueError("defining set must be nonempty")
         if not pts.all():
             raise ValueError("defining set must not contain 0")
         if (np.diff(pts) <= 0).any():
             raise ValueError("defining set must be sorted and duplicate-free")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_points(cls, points, n: int) -> "DefiningSet":
-        return cls(n, tuple(sorted(set(int(p) for p in points) - {0})))
+    def from_points(cls, points: np.ndarray | Sequence[int], n: int) -> "DefiningSet":
+        """The distinct nonzero points of an index array, sorted."""
+        pts = np.unique(np.asarray(points, dtype=np.int64))
+        return cls(n, pts[pts != 0])
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """Measured parameters of a defining-set code.
 
     distribution maps Hamming weight to codeword count and includes the
     zero codeword at weight 0; counts sum to 3^dimension.
     message_weights is the weight of every message's codeword, indexed by
-    message, as measured by build_code; it is left out of eq and repr.
+    message, as measured by build_code; it is left out of repr.  Equality
+    is identity.
     """
 
     defining: DefiningSet
     length: int
     dimension: int
     distribution: dict[int, int]
-    message_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+    message_weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def min_distance(self) -> int:
@@ -88,14 +95,12 @@ def weight_of(u: int, s: DefiningSet) -> int:
     """Hamming weight of the codeword of message u: |{x in S : u.x != 0}|."""
     if u == 0:
         return 0
-    prods = dots_with(u, s.n)[np.fromiter(s.points, dtype=np.int64)]
-    return int(np.count_nonzero(prods))
+    return int(np.count_nonzero(dots_with(u, s.n)[s.points]))
 
 
 def character_sum(u: int, s: DefiningSet) -> Eisenstein:
     """chi_u(S) = sum over S of w^(u.x)."""
-    prods = dots_with(u, s.n)[np.fromiter(s.points, dtype=np.int64)]
-    counts = np.bincount(prods, minlength=3)
+    counts = np.bincount(dots_with(u, s.n)[s.points], minlength=3)
     return root_sum([int(c) for c in counts])
 
 
@@ -125,7 +130,7 @@ def message_weights(s: DefiningSet) -> np.ndarray:
     """
     n = s.n
     indicator = np.zeros(size(n), dtype=np.int8)
-    indicator[list(s.points)] = 1
+    indicator[s.points] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), n)
     num = 2 * len(s) - (2 * a.astype(np.int64) - b)
     assert not (num % 3).any(), "character-sum weight must be an integer"
@@ -208,24 +213,25 @@ class SelectionContext:
     defining: DefiningSet
     profile: BentProfile
     dual_profile: BentProfile
-    preimages: PreimageSets
     hypotheses: Hypotheses
     value: int
 
+    @property
+    def preimages(self) -> PreimageSets:
+        """All six pre-image sets of the dual, computed on each access."""
+        return preimage_sets(self.profile)
+
 
 def select_defining_set(f: TernaryFunction,
-                        profile: BentProfile | None = None,
-                        minus_shift: int = 2) -> SelectionContext:
+                        profile: BentProfile | None = None) -> SelectionContext:
     """Pick the theorem-grade pre-image defining set for f.
 
     The hypotheses are decided by analysis.establish; a failure raises
     HypothesisError naming the first failing stage in pipeline order
     (bent, non-weakly-regular, even function, dual bent, type side is a
-    subspace, type side non-degenerate, dimension bound).  For the
-    even/minus case minus_shift may be 1 instead of 2 (both dual values
-    give full-rank sets); the default matches the tabulated case.
+    subspace, type side non-degenerate, dimension bound).
     """
-    return defining_set_for(establish(f, profile), minus_shift)
+    return defining_set_for(establish(f, profile))
 
 
 def preimage_points(profile: BentProfile, side: BentType, value: int) -> np.ndarray:
@@ -235,19 +241,15 @@ def preimage_points(profile: BentProfile, side: BentType, value: int) -> np.ndar
     return points[points != 0]
 
 
-def defining_set_for(hyp: Hypotheses, minus_shift: int = 2) -> SelectionContext:
+def defining_set_for(hyp: Hypotheses) -> SelectionContext:
     """select_defining_set on hypotheses already established."""
     hyp.require()
     f, profile = hyp.f, hyp.profile
     j0 = f(0)
     case = case_for(f.n, profile.type)
-    if case is CodeCase.EVEN_MINUS and minus_shift == 1:
-        value = (j0 + 1) % 3
-    else:
-        value = selected_dual_value(case, j0)
-    defining = DefiningSet(f.n, tuple(preimage_points(profile, case.side, value).tolist()))
-    return SelectionContext(case, j0, hyp.r, defining, profile, hyp.dual_profile,
-                            preimage_sets(profile), hyp, value)
+    value = selected_dual_value(case, j0)
+    defining = DefiningSet(f.n, preimage_points(profile, case.side, value))
+    return SelectionContext(case, j0, hyp.r, defining, profile, hyp.dual_profile, hyp, value)
 
 
 @dataclass(frozen=True)
@@ -342,13 +344,13 @@ _WEIGHT_CLASS = {
 class WeightClassifier:
     """Per-message weight prediction for a selected defining set.
 
-    Reads the kernel membership mask (V-perp) from the established
+    Reads f and the kernel membership mask (V-perp) from the established
     hypotheses, so classifying all 3^n messages is a table walk.
     """
 
-    def __init__(self, ctx: SelectionContext, f: TernaryFunction):
+    def __init__(self, ctx: SelectionContext):
         self.ctx = ctx
-        self.f = f
+        self.f = ctx.hypotheses.f
         self.in_kernel = ctx.hypotheses.in_kernel
         self.in_dual_plus = ctx.dual_profile.sign == 1
 
@@ -361,21 +363,10 @@ class WeightClassifier:
         picked = weights[_WEIGHT_CLASS[case][self.in_dual_plus.astype(np.int64), delta]]
         return np.where(self.in_kernel, 0, picked)
 
-    def expected_weight(self, u: int) -> int:
-        """The case table's weight for one message (builds the whole
-        table; use expected_weights for many messages)."""
-        return int(self.expected_weights()[u])
-
-    def check_all(self, measured: np.ndarray | None = None) -> int | None:
-        """First message whose actual weight differs from the prediction,
-        or None when every codeword agrees.
-
-        measured is message_weights of the defining set when the caller
-        already has it (LinearCode.message_weights); otherwise it is
-        computed here.
-        """
-        if measured is None:
-            measured = message_weights(self.ctx.defining)
+    def check_all(self, measured: np.ndarray) -> int | None:
+        """First message whose measured weight (message_weights of the
+        defining set, as LinearCode.message_weights holds it) differs from
+        the prediction, or None when every codeword agrees."""
         bad = np.flatnonzero(self.expected_weights() != measured)
         return int(bad[0]) if bad.size else None
 
@@ -421,7 +412,7 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     g_side = ctx_g.profile.side_mask(ctx_g.profile.type)
     sides_swap = bool(np.array_equal(f_side[neg_table(f.n)], g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
-    same_points = ctx_f.defining.points == ctx_g.defining.points
+    same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
     code_f = build_code(ctx_f.defining)
     code_g = build_code(ctx_g.defining)
     return NegationReport(

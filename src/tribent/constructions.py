@@ -120,20 +120,21 @@ def _block_dot(u: np.ndarray, v: np.ndarray, s: int) -> np.ndarray:
 class GmmfPrediction:
     """Closed-form profile of a glued function with weakly regular parts.
 
-    w_plus / w_minus list the z values whose component is of plus/minus
-    type; the glued plus set is (all x) x w_plus x (all z), the dual is
-    components_dual[y](x) - y.z, and the function is non-weakly regular
-    exactly when both type classes occur.
+    w_plus / w_minus are the z values whose component is of plus/minus
+    type, as sorted int64 index arrays; the glued plus set is
+    (all x) x w_plus x (all z), sign is +1 on it and -1 elsewhere (the
+    format of BentProfile.sign), the dual is components_dual[y](x) - y.z,
+    and the function is non-weakly regular exactly when both type classes
+    occur.
     """
 
     n: int
     dual: TernaryFunction
-    b_plus: frozenset[int]
-    b_minus: frozenset[int]
+    sign: np.ndarray
     regularity: Regularity
     type: BentType
-    w_plus: frozenset[int]
-    w_minus: frozenset[int]
+    w_plus: np.ndarray
+    w_minus: np.ndarray
     component_profiles: tuple[BentProfile, ...]
 
 
@@ -151,8 +152,8 @@ def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
             raise ValueError(f"component at z={z} is not weakly regular; prediction refused")
         profiles.append(prof)
 
-    w_plus = frozenset(z for z, p in enumerate(profiles) if p.type is BentType.PLUS)
-    w_minus = frozenset(z for z, p in enumerate(profiles) if p.type is BentType.MINUS)
+    plus_type = np.array([p.type is BentType.PLUS for p in profiles])
+    w_plus, w_minus = np.flatnonzero(plus_type), np.flatnonzero(~plus_type)
 
     sm, ss = size(m), size(s)
     idx = np.arange(size(n))
@@ -160,26 +161,23 @@ def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
     y = (idx // sm) % ss
     z = idx // (sm * ss)
 
-    in_plus = np.isin(y, np.fromiter(w_plus, dtype=np.int64, count=len(w_plus)))
-    b_plus = frozenset(np.flatnonzero(in_plus).tolist())
-    b_minus = frozenset(np.flatnonzero(~in_plus).tolist())
+    sign = np.where(plus_type[y], 1, -1).astype(np.int8)
 
     duals = np.stack([p.dual.table for p in profiles])  # (3^s, 3^m)
     dual_table = (duals[y, x] - _block_dot(y, z, s)) % 3
     dual = TernaryFunction(n, dual_table)
 
-    if w_plus and w_minus:
+    if w_plus.size and w_minus.size:
         reg = Regularity.NON_WEAKLY_REGULAR
-    elif w_minus:
+    elif w_minus.size:
         reg = profiles[0].regularity
     else:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
-    btype = BentType.PLUS if 0 in w_plus else BentType.MINUS
+    btype = BentType.PLUS if plus_type[0] else BentType.MINUS
     return GmmfPrediction(
         n=n,
         dual=dual,
-        b_plus=b_plus,
-        b_minus=b_minus,
+        sign=sign,
         regularity=reg,
         type=btype,
         w_plus=w_plus,

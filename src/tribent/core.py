@@ -68,6 +68,13 @@ def encode(coords: Sequence[int]) -> int:
     return index
 
 
+def coord_rows(points: np.ndarray | Sequence[int], n: int) -> np.ndarray:
+    """decode(x, n) of each given point index, as the rows of an int8
+    matrix of shape (len(points), n); nothing 3^n-wide is built."""
+    idx = np.asarray(points, dtype=np.int64).reshape(-1, 1)
+    return (idx // 3 ** np.arange(n) % 3).astype(np.int8)
+
+
 @lru_cache(maxsize=None)
 def coord_matrix(n: int) -> np.ndarray:
     """All 3^n points as rows of coordinates, shape (3^n, n), dtype int8.
@@ -292,11 +299,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def points(self) -> frozenset[int]:
-        """All 3^dim members: every coefficient vector times the basis
-        (int8 sums of dim products, at most 4 * dim)."""
-        members = coord_matrix(self.dim) @ coord_matrix(self.n)[list(self.basis)] % 3
-        return frozenset((members @ 3 ** np.arange(self.n)).tolist())
+    def points(self) -> np.ndarray:
+        """All 3^dim members as a sorted int64 index array: every
+        coefficient vector times the basis (int8 sums of dim products, at
+        most 4 * dim)."""
+        members = coord_matrix(self.dim) @ coord_rows(self.basis, self.n) % 3
+        return np.sort(members @ 3 ** np.arange(self.n))
 
 
 # rows reduced up front by span; the rest are only checked against them
@@ -325,7 +333,7 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
     k = n // 2
     high, low = np.divmod(idx, 3 ** k)
-    basis = _rref(coord_matrix(n)[idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))]])
+    basis = _rref(coord_rows(idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))], n))
     while True:
         null_t = _null_basis(basis).T
         high_dots = coord_matrix(n - k) @ null_t[k:] % 3
@@ -334,21 +342,19 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
         high, low = high[failing], low[failing]
         if not len(high):
             return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
-        grown = _rref(np.vstack([basis, coord_matrix(n)[high[:1] * 3 ** k + low[:1]]]))
+        grown = _rref(np.vstack([basis, coord_rows(high[:1] * 3 ** k + low[:1], n)]))
         assert len(grown) > len(basis), "a point failed the check but lies in the span"
         basis = grown
 
 
-def is_subspace(points: Iterable[int], n: int) -> bool:
-    """True iff the set equals its own span.
+def is_subspace(points: np.ndarray, n: int) -> bool:
+    """True iff the distinct points of an index array equal their span.
 
     A set lies inside its span, so the two are equal exactly when their
     sizes are; the span's members are never enumerated.
     """
-    pts = frozenset(points)
-    if not pts:
-        return False
-    return len(pts) == size(span(pts, n).dim)
+    pts = np.unique(points)
+    return bool(pts.size) and pts.size == size(span(pts, n).dim)
 
 
 def is_nondegenerate(v: Subspace) -> bool:
@@ -358,13 +364,13 @@ def is_nondegenerate(v: Subspace) -> bool:
     exactly when c.(B B^T) = 0, so V is non-degenerate iff its Gram
     matrix B B^T has full rank mod 3; no member is enumerated.
     """
-    b = coord_matrix(v.n)[list(v.basis)]
+    b = coord_rows(v.basis, v.n)
     return len(_rref(b @ b.T % 3)) == v.dim
 
 
 def _perp_basis(v: Subspace) -> np.ndarray:
     """Null-space basis of V's basis matrix: a basis of V-perp."""
-    return _null_basis(_rref(coord_matrix(v.n)[list(v.basis)]))
+    return _null_basis(_rref(coord_rows(v.basis, v.n)))
 
 
 def perp_mask(v: Subspace) -> np.ndarray:

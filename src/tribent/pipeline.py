@@ -116,7 +116,7 @@ def run_pipeline(f: TernaryFunction,
         if forced is not None:
             points = preimage_points(profile, *forced)
             if points.size:
-                code = build_code(DefiningSet(f.n, tuple(points.tolist())))
+                code = build_code(DefiningSet(f.n, points))
                 rep.code = code_report(code, None, None, code.dimension)
                 rep.defining_label = force_set.upper()
                 first_bad = next(s.name for s in rep.stages if not s.ok)
@@ -148,8 +148,7 @@ def run_pipeline(f: TernaryFunction,
     rep.code = code_report(code, prediction, ctx.case, ctx.r)
     rep.notes.extend(rep.code.notes)
 
-    classifier = WeightClassifier(ctx, f)
-    bad = classifier.check_all(code.message_weights)
+    bad = WeightClassifier(ctx).check_all(code.message_weights)
     rep.stages.append(Stage("per-codeword-weights", bad is None,
                             "" if bad is None else f"message {bad} off prediction"))
     return rep

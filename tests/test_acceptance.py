@@ -97,8 +97,7 @@ def test_criterion_3_cardinality_formulas(built_fixtures):
     for fx in FIXTURES:
         f = built_fixtures[fx.name]
         prof = bent_profile(f)
-        side_set = prof.type_side()
-        r = span(side_set, f.n).dim
+        r = span(np.flatnonzero(prof.side_mask(prof.type)), f.n).dim
         pre = preimage_sets(prof)
         sets = pre.plus if prof.type is BentType.PLUS else pre.minus
         want = expected_preimage_sizes(f.n, r, f(0), prof.type)
@@ -124,8 +123,9 @@ def test_criterion_4_structural_properties(built_fixtures):
         assert prof.dual.is_even()
 
         # symmetric point sets under negation
-        for sset in (prof.b_plus, prof.b_minus):
-            assert sset == frozenset(neg_point(x, f.n) for x in sset)
+        for t in BentType:
+            points = np.flatnonzero(prof.side_mask(t))
+            assert np.array_equal(np.sort([neg_point(x, f.n) for x in points.tolist()]), points)
 
         # dual sums reproduce the inverse-transform identity at every y
         if f.n <= 6:
@@ -154,12 +154,10 @@ def test_criterion_4_structural_properties(built_fixtures):
         cs = coset_structure(f, prof)
         r = cs.subspace.dim
         assert cs.coset_union_ok and cs.constant_ok
-        side_of_dual = (cs.dual_profile.b_plus
-                        if (f.n % 2 == 0) == (prof.type is BentType.PLUS)
-                        else cs.dual_profile.b_minus)
-        assert len(side_of_dual) == 3 ** r
-        assert len(cs.i_plus if side_of_dual is cs.dual_profile.b_plus
-                   else cs.i_minus) == 3 ** (2 * r - f.n)
+        on_plus = (f.n % 2 == 0) == (prof.type is BentType.PLUS)
+        side_of_dual = cs.dual_profile.side_mask(BentType.PLUS if on_plus else BentType.MINUS)
+        assert np.count_nonzero(side_of_dual) == 3 ** r
+        assert len(cs.i_plus if on_plus else cs.i_minus) == 3 ** (2 * r - f.n)
 
     # Parseval also holds for non-bent input
     rng = np.random.default_rng(0)

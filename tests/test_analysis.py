@@ -196,7 +196,7 @@ def test_square_is_weakly_regular_plus():
     p = bent_profile(f)
     assert p.type is BentType.PLUS
     assert p.regularity is Regularity.WEAKLY_REGULAR
-    assert p.b_minus == frozenset()
+    assert not p.side_mask(BentType.MINUS).any()
 
 
 def test_not_bent_carries_witness():
@@ -211,19 +211,21 @@ def test_flagship_profile(flagship):
     p = bent_profile(flagship)
     assert p.type is BentType.PLUS
     assert p.regularity is Regularity.NON_WEAKLY_REGULAR
-    expected = frozenset(x + 81 * 0 + 243 * z for x in range(81) for z in range(3))
-    assert p.b_plus == expected
-    assert p.b_plus | p.b_minus == frozenset(range(729))
-    assert not (p.b_plus & p.b_minus)
+    expected = sorted(x + 81 * 0 + 243 * z for x in range(81) for z in range(3))
+    plus, minus = p.side_mask(BentType.PLUS), p.side_mask(BentType.MINUS)
+    assert np.array_equal(np.flatnonzero(plus), expected)
+    assert (plus | minus).all()
+    assert not (plus & minus).any()
 
 
 def test_minus_type_fixture(built_fixtures):
     p = bent_profile(built_fixtures["code756"])
     assert p.type is BentType.MINUS
-    assert 0 in p.b_minus
+    minus = p.side_mask(BentType.MINUS)
+    assert minus[0]
     # minus side is (all of F_3^6) x {0} x F_3
-    expected = frozenset(x + 729 * 0 + 2187 * z for x in range(729) for z in range(3))
-    assert p.b_minus == expected
+    expected = sorted(x + 729 * 0 + 2187 * z for x in range(729) for z in range(3))
+    assert np.array_equal(np.flatnonzero(minus), expected)
 
 
 def _profile_against_norms(f: TernaryFunction) -> None:
@@ -357,10 +359,11 @@ def test_reduced_int8_table_is_copied():
 def test_s0_s1_weakly_regular_side_vanishes():
     f = quadratic_function(QuadraticForm((1, 2)))
     p = bent_profile(f)
-    assert p.b_minus == frozenset() or p.b_plus == frozenset()
+    minus_empty = not p.side_mask(BentType.MINUS).any()
+    assert minus_empty or not p.side_mask(BentType.PLUS).any()
     for y in range(9):
         s0, s1 = s0_s1(f, y, p)
-        vanished = s1 if p.b_minus == frozenset() else s0
+        vanished = s1 if minus_empty else s0
         assert vanished.is_zero()
 
 
@@ -392,8 +395,9 @@ def test_preimage_sets_partition(built_fixtures):
             assert (np.diff(arr) > 0).all()
         # disjoint and covering: the concatenation sorts to every point once
         assert np.array_equal(np.sort(np.concatenate(arrays)), np.arange(size(f.n)))
-        assert frozenset(np.concatenate(list(pre.plus.values())).tolist()) == p.b_plus
-        assert frozenset(np.concatenate(list(pre.minus.values())).tolist()) == p.b_minus
+        for sets, t in ((pre.plus, BentType.PLUS), (pre.minus, BentType.MINUS)):
+            assert np.array_equal(np.sort(np.concatenate(list(sets.values()))),
+                                  np.flatnonzero(p.side_mask(t)))
 
         # the coset index sets: the type side meeting each side of the dual
         cs = coset_structure(f, p)
@@ -415,7 +419,7 @@ def test_preimage_sizes_match_closed_forms(built_fixtures, name, side, value, ex
     pre = preimage_sets(p)
     sets = pre.plus if side == "plus" else pre.minus
     assert len(sets[value]) == expect
-    r = span(p.type_side(), f.n).dim
+    r = span(np.flatnonzero(p.side_mask(p.type)), f.n).dim
     want = expected_preimage_sizes(f.n, r, f(0), p.type)
     for i in range(3):
         assert len(sets[i]) == want[i]
@@ -425,8 +429,9 @@ def test_even_functions_have_symmetric_sides(built_fixtures):
     for name in ("code98-a", "code36", "trace36"):
         f = built_fixtures[name]
         p = bent_profile(f)
-        for sset in (p.b_plus, p.b_minus):
-            assert sset == frozenset(neg_point(x, f.n) for x in sset)
+        for t in BentType:
+            points = np.flatnonzero(p.side_mask(t))
+            assert np.array_equal(np.sort([neg_point(x, f.n) for x in points.tolist()]), points)
 
 
 def test_dual_value_and_parity_of_dual(flagship):
@@ -451,7 +456,7 @@ def test_coset_structure_flagship(flagship):
     assert cs.coset_union_ok and cs.constant_ok
     r = cs.subspace.dim
     assert len(cs.i_plus) == 3 ** (2 * r - flagship.n)
-    assert len(cs.dual_profile.b_plus) == 3 ** r
+    assert np.count_nonzero(cs.dual_profile.side_mask(BentType.PLUS)) == 3 ** r
 
 
 def test_coset_structure_minus_side(built_fixtures):
@@ -459,7 +464,7 @@ def test_coset_structure_minus_side(built_fixtures):
     p = bent_profile(f)
     cs = coset_structure(f, p)
     assert cs.coset_union_ok and cs.constant_ok
-    assert len(cs.dual_profile.b_minus) == 3 ** cs.subspace.dim
+    assert np.count_nonzero(cs.dual_profile.side_mask(BentType.MINUS)) == 3 ** cs.subspace.dim
 
 
 def test_coset_structure_rejects_weakly_regular():

@@ -16,6 +16,7 @@ from tribent.codes import (
     message_weights,
     negation_check,
     predict_distribution,
+    preimage_points,
     select_defining_set,
     selected_dual_value,
     weight_of,
@@ -34,14 +35,26 @@ from conftest import radix3_oracle
 # ---------------------------------------------------------------------------
 
 def test_defining_set_validation():
-    with pytest.raises(ValueError):
-        DefiningSet(2, ())
-    with pytest.raises(ValueError):
-        DefiningSet(2, (0, 1))
-    with pytest.raises(ValueError):
-        DefiningSet(2, (2, 1))
-    s = DefiningSet.from_points([3, 1, 3, 0], 2)
-    assert s.points == (1, 3)
+    with pytest.raises(ValueError, match="nonempty"):
+        DefiningSet(2, np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="0"):
+        DefiningSet(2, np.array([0, 1]))
+    with pytest.raises(ValueError, match="sorted"):
+        DefiningSet(2, np.array([2, 1]))
+    with pytest.raises(ValueError, match="sorted"):
+        DefiningSet(2, np.array([1, 1]))
+    s = DefiningSet.from_points(np.array([3, 1, 3, 0]), 2)
+    assert s.points.dtype == np.int64 and np.array_equal(s.points, [1, 3])
+    assert not s.points.flags.writeable
+    with pytest.raises(ValueError, match="nonempty"):
+        DefiningSet.from_points(np.array([0, 0]), 2)
+
+
+def test_defining_set_copies_its_points():
+    points = np.array([1, 3])
+    s = DefiningSet(2, points)
+    points[0] = 0
+    assert np.array_equal(s.points, [1, 3]) and points.flags.writeable
 
 
 def test_toy_code():
@@ -59,7 +72,7 @@ def test_weight_of_zero_message():
 def test_weight_balanced_on_full_subspace():
     # S = a 2-dim subspace of F_3^3 minus 0; u outside S-perp sees 2*3^(r-1)
     v = span([encode((1, 0, 0)), encode((0, 1, 0))], 3)
-    s = DefiningSet.from_points(v.points() - {0}, 3)
+    s = DefiningSet.from_points(v.points(), 3)
     u = encode((1, 2, 0))
     assert weight_of(u, s) == 2 * 3 ** (v.dim - 1)
 
@@ -77,7 +90,7 @@ def test_weight_of_agrees_with_character_sum_exhaustively(built_fixtures):
     lambda n: st.tuples(st.just(n), st.sets(st.integers(1, size(n) - 1), min_size=1))))
 def test_message_weights_equal_direct_count(n_points):
     n, points = n_points
-    s = DefiningSet.from_points(points, n)
+    s = DefiningSet.from_points(sorted(points), n)
     weights = message_weights(s)
     assert [int(w) for w in weights] == [weight_of(u, s) for u in range(size(n))]
 
@@ -89,7 +102,7 @@ def test_message_weights_equal_int64_oracle(n):
     for points in (range(1, size(n)), np.flatnonzero(rng.integers(0, 2, size(n)))):
         s = DefiningSet.from_points(points, n)
         indicator = np.zeros(size(n), dtype=np.int64)
-        indicator[list(s.points)] = 1
+        indicator[s.points] = 1
         a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
         weights = message_weights(s)
         assert np.array_equal(weights, (2 * len(s) - (2 * a - b)) // 3)
@@ -145,9 +158,10 @@ def test_selection_hypothesis_failures(built_fixtures):
 def test_even_minus_alternative_shift(built_fixtures):
     f = built_fixtures["code756"]
     ctx2 = select_defining_set(f)
-    ctx1 = select_defining_set(f, minus_shift=1)
-    assert ctx1.defining.points != ctx2.defining.points
-    c1, c2 = build_code(ctx1.defining), build_code(ctx2.defining)
+    assert ctx2.case is CodeCase.EVEN_MINUS
+    other = DefiningSet(f.n, preimage_points(ctx2.profile, ctx2.case.side, (ctx2.j0 + 1) % 3))
+    assert not np.array_equal(other.points, ctx2.defining.points)
+    c1, c2 = build_code(other), build_code(ctx2.defining)
     assert c1.dimension == c2.dimension == ctx2.r
     # both dual values give the same three-weight distribution
     assert c1.distribution == c2.distribution
@@ -214,11 +228,13 @@ def test_alt_reading_only_above_the_bound():
 def test_classifier_matches_actual_weights(built_fixtures):
     f = built_fixtures["code36"]
     ctx = select_defining_set(f)
-    clf = WeightClassifier(ctx, f)
-    assert clf.check_all() is None
+    clf = WeightClassifier(ctx)
+    assert clf.f is f
     code = build_code(ctx.defining)
+    assert clf.check_all(code.message_weights) is None
+    expected = clf.expected_weights()
     for u in (0, 1, 17, 100, 242):
-        assert clf.expected_weight(u) == weight_of(u, ctx.defining)
+        assert expected[u] == weight_of(u, ctx.defining)
 
 
 def test_classifier_reports_first_mismatch(built_fixtures):
@@ -228,11 +244,11 @@ def test_classifier_reports_first_mismatch(built_fixtures):
     other = ctx.preimages.minus[(ctx.value + 1) % 3]
     swapped = dataclasses.replace(
         ctx, defining=DefiningSet.from_points(other, f.n))
-    clf = WeightClassifier(swapped, f)
+    clf = WeightClassifier(swapped)
+    expected = clf.expected_weights()
     first = next(u for u in range(size(f.n))
-                 if clf.expected_weight(u) != weight_of(u, swapped.defining))
-    assert clf.check_all() == first
-    # the weights build_code measured give the same verdict
+                 if expected[u] != weight_of(u, swapped.defining))
+    # the weights build_code measured give that verdict
     code = build_code(swapped.defining)
     assert np.array_equal(code.message_weights, message_weights(swapped.defining))
     assert clf.check_all(code.message_weights) == first
@@ -241,9 +257,9 @@ def test_classifier_reports_first_mismatch(built_fixtures):
 def test_classifier_kernel_is_complement(built_fixtures):
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
-    clf = WeightClassifier(ctx, f)
+    clf = WeightClassifier(ctx)
     assert int(clf.in_kernel.sum()) == 3 ** (f.n - ctx.r)
-    assert clf.expected_weight(0) == 0
+    assert clf.expected_weights()[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,12 @@ def test_gmmf_prediction_matches_measurement(built_fixtures):
          QuadraticForm((1, 1, 2, 1))], 1)
     pred = gmmf_predict(spec)
     prof = bent_profile(built_fixtures["code98-a"])
-    assert pred.b_plus == prof.b_plus
-    assert pred.b_minus == prof.b_minus
+    assert pred.sign.dtype == prof.sign.dtype
+    assert np.array_equal(pred.sign, prof.sign)
     assert pred.dual == prof.dual
     assert pred.regularity is prof.regularity
     assert pred.type is prof.type
-    assert pred.w_plus == frozenset({0})
+    assert np.array_equal(pred.w_plus, [0]) and np.array_equal(pred.w_minus, [1, 2])
 
 
 def test_gmmf_prediction_single_type_sides():
@@ -100,11 +100,11 @@ def test_gmmf_prediction_single_type_sides():
         [QuadraticForm((1, 2)), QuadraticForm((2, 1)), QuadraticForm((2, 1))], 1)
     # all three components are plus type
     pred = gmmf_predict(spec)
-    assert pred.b_minus == frozenset()
+    assert (pred.sign == 1).all() and not pred.w_minus.size
     assert pred.regularity is not Regularity.NON_WEAKLY_REGULAR
     prof = bent_profile(gmmf_build(spec))
     assert pred.regularity is prof.regularity
-    assert pred.b_plus == prof.b_plus
+    assert np.array_equal(pred.sign, prof.sign)
 
 
 def test_gmmf_prediction_refuses_non_weakly_regular_component(built_fixtures):
@@ -133,10 +133,10 @@ def test_gmmf_random_specs_predict_exactly():
         spec = quadratic_family([forms[z] for z in range(3)], 1)
         pred = gmmf_predict(spec)
         prof = bent_profile(gmmf_build(spec))
-        assert pred.b_plus == prof.b_plus
+        assert np.array_equal(pred.sign, prof.sign)
         assert pred.dual == prof.dual
         assert pred.regularity is prof.regularity
-        both = pred.w_plus and pred.w_minus
+        both = pred.w_plus.size and pred.w_minus.size
         assert (prof.regularity is Regularity.NON_WEAKLY_REGULAR) == bool(both)
 
 
@@ -230,8 +230,9 @@ def test_trace14_classification(built_fixtures):
     assert p.type is BentType.PLUS
     assert p.regularity is Regularity.NON_WEAKLY_REGULAR
     from tribent.core import is_subspace, span
-    assert is_subspace(p.b_plus, 4)
-    assert span(p.b_plus, 4).dim == 3
+    plus = np.flatnonzero(p.side_mask(BentType.PLUS))
+    assert is_subspace(plus, 4)
+    assert span(plus, 4).dim == 3
 
 
 def test_trace36_classification(built_fixtures):
@@ -239,5 +240,6 @@ def test_trace36_classification(built_fixtures):
     p = bent_profile(f)
     assert p.type is BentType.MINUS
     from tribent.core import is_subspace, span
-    assert is_subspace(p.b_minus, 6)
-    assert span(p.b_minus, 6).dim == 4
+    minus = np.flatnonzero(p.side_mask(BentType.MINUS))
+    assert is_subspace(minus, 6)
+    assert span(minus, 6).dim == 4

@@ -175,9 +175,9 @@ def test_root_sum():
 # ---------------------------------------------------------------------------
 
 def test_span_of_zero():
-    v = span({0}, 2)
+    v = span([0], 2)
     assert v.dim == 0
-    assert v.points() == frozenset({0})
+    assert np.array_equal(v.points(), [0])
 
 
 def test_span_empty_is_zero():
@@ -185,28 +185,30 @@ def test_span_empty_is_zero():
 
 
 def test_span_full_plane():
-    pts = {encode((1, 0)), encode((0, 1)), encode((1, 1))}
+    pts = [encode((1, 0)), encode((0, 1)), encode((1, 1))]
     v = span(pts, 2)
     assert v.dim == 2
-    assert v.points() == frozenset(range(9))
-    assert is_subspace(set(range(9)), 2)
+    assert v.points().dtype == np.int64 and np.array_equal(v.points(), np.arange(9))
+    assert is_subspace(np.arange(9), 2)
 
 
 def test_is_subspace_rejects_non_closed():
-    assert not is_subspace({0, 1}, 2)  # missing 2 = 2*e1
-    assert is_subspace({0, 1, 2}, 2)
+    assert not is_subspace(np.array([0, 1]), 2)  # missing 2 = 2*e1
+    assert is_subspace(np.array([0, 1, 2]), 2)
+    assert is_subspace(np.array([2, 0, 1, 2]), 2)  # repeats count once
+    assert not is_subspace(np.array([], dtype=np.int64), 2)
 
 
 def test_nondegenerate_examples():
     full = span(range(27), 3)
     assert is_nondegenerate(full)
-    assert not is_nondegenerate(span({encode((1, 1, 1))}, 3))  # self-dot 0
-    assert is_nondegenerate(span({encode((1, 2, 0))}, 3))
+    assert not is_nondegenerate(span([encode((1, 1, 1))], 3))  # self-dot 0
+    assert is_nondegenerate(span([encode((1, 2, 0))], 3))
 
 
 def test_orthogonal_complement_extremes():
     full = span(range(27), 3)
-    assert orthogonal_complement(full).points() == frozenset({0})
+    assert np.array_equal(orthogonal_complement(full).points(), [0])
     zero = span([], 3)
     assert orthogonal_complement(zero).dim == 3
 
@@ -221,7 +223,7 @@ def test_span_size_and_complement_properties():
             w = orthogonal_complement(v)
             if is_nondegenerate(v):
                 assert v.dim + w.dim == n
-                assert v.points() & w.points() == frozenset({0})
+                assert np.array_equal(np.intersect1d(v.points(), w.points()), [0])
 
 
 def test_rank_matches_span_dim():
@@ -267,16 +269,16 @@ def _row_reduce_reference(rows: list[list[int]]) -> list[list[int]]:
     return [r for r in rows if any(r)]
 
 
-def _additive_closure(points, n: int) -> frozenset[int]:
+def _additive_closure(points, n: int) -> np.ndarray:
     """{0} closed under adding each point, one add_points at a time (a
-    point already inside adds nothing)."""
+    point already inside adds nothing), as a sorted index array."""
     members = {0}
     for p in points:
         if p in members:
             continue
         p2 = add_points(p, p, n)
         members = {add_points(m, q, n) for m in members for q in (0, p, p2)}
-    return frozenset(members)
+    return np.array(sorted(members), dtype=np.int64)
 
 
 @st.composite
@@ -301,15 +303,15 @@ def test_subspace_layer_against_references(case):
     n, pts = case
     v = span(pts, n)
     closure = _additive_closure(pts, n)
-    assert v.points() == closure
+    assert np.array_equal(v.points(), closure)
     assert rank(pts, n) == v.dim
-    assert is_subspace(pts, n) == (frozenset(pts) == closure)
+    assert is_subspace(np.array(pts, dtype=np.int64), n) == np.array_equal(np.unique(pts), closure)
     reference = _row_reduce_reference([list(decode(p, n)) for p in pts])
     assert v.basis == tuple(encode(r) for r in reference)
 
-    perp = frozenset(x for x in range(size(n)) if all(dot(x, b, n) == 0 for b in v.basis))
-    assert orthogonal_complement(v).points() == perp
-    assert is_nondegenerate(v) == (closure & perp == frozenset({0}))
+    perp = [x for x in range(size(n)) if all(dot(x, b, n) == 0 for b in v.basis)]
+    assert np.array_equal(orthogonal_complement(v).points(), perp)
+    assert is_nondegenerate(v) == np.array_equal(np.intersect1d(closure, perp), [0])
 
 
 @st.composite
@@ -347,7 +349,7 @@ def test_span_and_perp_against_references_at_larger_n(case):
     all_points = np.array([decode(x, n) for x in range(size(n))], dtype=np.int64)
     brute = ~(all_points @ basis.T % 3).any(axis=1)
     assert np.array_equal(perp_mask(v), brute)
-    assert orthogonal_complement(v).points() == frozenset(np.flatnonzero(brute).tolist())
+    assert np.array_equal(orthogonal_complement(v).points(), np.flatnonzero(brute))
 
 
 def _subspace_and_stray(position: int, digit: int) -> list[int]:
@@ -374,7 +376,7 @@ def _subspace_and_stray(position: int, digit: int) -> list[int]:
 @pytest.mark.parametrize("position, digit", [(4, 1), (5, 2)], ids=["low-half", "high-half"])
 def test_span_finds_a_stray_in_either_half_at_n11(position, digit):
     pts = _subspace_and_stray(position, digit)
-    assert len(pts) == 82 and frozenset(pts[:-1]) == span(pts[:-1], 11).points()
+    assert len(pts) == 82 and np.array_equal(np.sort(pts[:-1]), span(pts[:-1], 11).points())
     v = span(pts, 11)
     reference = _row_reduce_reference([list(decode(p, 11)) for p in pts])
     assert v.dim == 5 and v.basis == tuple(encode(r) for r in reference)

@@ -84,8 +84,7 @@ def test_record_against_references(name, f):
     if hyp.profile is None:
         assert [s.name for s in hyp.stages] == ["bent"]
         return
-    perp = frozenset(np.flatnonzero(hyp.in_kernel).tolist())
-    assert perp == orthogonal_complement(hyp.v).points()
+    assert np.array_equal(np.flatnonzero(hyp.in_kernel), orthogonal_complement(hyp.v).points())
     nondeg = next((s for s in hyp.stages if s.name == "non-degenerate"), None)
     if nondeg is not None:
         assert nondeg.ok == is_nondegenerate(hyp.v)
@@ -108,15 +107,20 @@ def test_cases_cover_every_verdict():
                         "non-degenerate"}
 
 
-def _pointwise_tiling(f: TernaryFunction, cs, perp: frozenset[int]) -> tuple[bool, bool]:
+def _pointwise_tiling(f: TernaryFunction, cs, perp: np.ndarray) -> tuple[bool, bool]:
     """(union, constant) of a coset structure, one add_points at a time."""
     def cosets(reps):
-        return {u: {add_points(u, w, f.n) for w in perp} for u in reps}
+        return {u: [add_points(u, w, f.n) for w in perp.tolist()] for u in reps.tolist()}
+
+    def union(reps):
+        mask = np.zeros(size(f.n), dtype=bool)
+        for points in cosets(reps).values():
+            mask[points] = True
+        return mask
 
     union_ok = all(
-        set().union(*cosets(reps).values()) == side
-        for reps, side in ((cs.i_plus, cs.dual_profile.b_plus),
-                           (cs.i_minus, cs.dual_profile.b_minus)))
+        np.array_equal(union(reps), cs.dual_profile.side_mask(side))
+        for reps, side in ((cs.i_plus, BentType.PLUS), (cs.i_minus, BentType.MINUS)))
     branch = cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus
     constant_ok = all(len({f(x) for x in points}) == 1
                       for points in cosets(branch).values())
@@ -153,8 +157,8 @@ def test_coset_tiling_detects_broken_tilings(name, f):
     assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
 
     cs = coset_tiling(hyp)
-    branch = sorted(cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus)
-    y = add_points(branch[len(branch) // 2], max(perp), f.n)
+    branch = cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus
+    y = add_points(int(branch[len(branch) // 2]), int(perp[-1]), f.n)
     table = f.table.copy()
     table[y] = (table[y] + 1) % 3
     g = TernaryFunction(f.n, table)

@@ -1,0 +1,109 @@
+"""Point sets are masks or sorted int64 index arrays end to end.
+
+A verdict never builds the six pre-image sets of the dual, and never
+tabulates the coordinates of all 3^n points: the subspace layer decodes
+the few rows it reads from their indices.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+
+import numpy as np
+import pytest
+
+from tribent import analysis, core
+from tribent.analysis import BentType, coset_structure
+from tribent.codes import CodeCase, DefiningSet, SelectionContext, select_defining_set
+from tribent.constructions import gmmf_build
+from tribent.core import coord_matrix, coord_rows, size
+from tribent.pipeline import run_pipeline
+from tribent.search import random_instance, random_subspace
+
+
+def _glue(m: int, s: int, side: BentType, seed: int):
+    rng = random.Random(seed)
+    u = random_subspace(rng, s, 0)
+    return gmmf_build(random_instance(rng, m, s, side, u, rng.randrange(3)))
+
+
+def _patch_every_binding(monkeypatch, original, replacement) -> None:
+    """Replace `original` wherever a loaded tribent module binds it."""
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "tribent" or name.startswith("tribent."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+                    bound += 1
+    assert bound, "nothing binds the patched function"
+
+
+# (m, s, side) -> case, n = m + 2
+CASES = {
+    CodeCase.EVEN_PLUS: (4, 1, BentType.PLUS),
+    CodeCase.ODD_PLUS: (5, 1, BentType.PLUS),
+    CodeCase.EVEN_MINUS: (4, 1, BentType.MINUS),
+    CodeCase.ODD_MINUS: (5, 1, BentType.MINUS),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=[c.value for c in CASES])
+def test_pipeline_never_builds_preimage_sets(monkeypatch, case):
+    f = _glue(*CASES[case], seed=3)
+
+    def refuse(profile):
+        raise AssertionError("preimage_sets called on the verdict path")
+
+    _patch_every_binding(monkeypatch, analysis.preimage_sets, refuse)
+    rep = run_pipeline(f)
+    assert rep.passed and rep.case == case.value
+
+
+def test_selection_context_builds_preimages_on_access():
+    f = _glue(4, 1, BentType.PLUS, seed=3)
+    ctx = select_defining_set(f)
+    assert "preimages" not in {fld.name for fld in dataclasses.fields(SelectionContext)}
+    sets = ctx.preimages.plus if ctx.case.side is BentType.PLUS else ctx.preimages.minus
+    chosen = sets[ctx.value]
+    assert np.array_equal(chosen[chosen != 0], ctx.defining.points)
+
+
+def test_defining_set_is_a_read_only_index_array():
+    ctx = select_defining_set(_glue(5, 1, BentType.MINUS, seed=4))
+    points = ctx.defining.points
+    assert isinstance(points, np.ndarray) and points.dtype == np.int64
+    assert not points.flags.writeable
+    assert (np.diff(points) > 0).all() and points[0] > 0
+    assert len(ctx.defining) == points.size
+    # equality is identity: no elementwise comparison of two arrays
+    twin = DefiningSet(ctx.defining.n, points)
+    assert twin != ctx.defining and twin == twin
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+def test_coord_rows_match_the_coordinate_table(n):
+    rng = np.random.default_rng(n)
+    idx = rng.integers(0, size(n), 20)
+    rows = coord_rows(idx, n)
+    assert rows.dtype == np.int8
+    assert np.array_equal(rows, coord_matrix(n)[idx])
+    assert coord_rows([], n).shape == (0, n)
+
+
+def test_verdict_at_n11_never_tabulates_all_coordinates(monkeypatch):
+    f = _glue(9, 1, BentType.PLUS, seed=1)
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return coord_matrix(n)
+
+    _patch_every_binding(monkeypatch, core.coord_matrix, recorded)
+    assert run_pipeline(f).passed
+    p = analysis.bent_profile(f)
+    select_defining_set(f, p)
+    assert coset_structure(f, p).coset_union_ok
+    assert asked and f.n not in asked

@@ -68,7 +68,6 @@ from .core import (
     Eisenstein,
     Subspace,
     decode,
-    dot,
     encode,
     is_nondegenerate,
     is_subspace,

@@ -135,7 +135,7 @@ class TernaryFunction:
         return TernaryFunction(self.n, self.table + c % 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalshSpectrum:
     """All 3^n transform values, as parallel integer coefficient arrays.
 
@@ -309,7 +309,7 @@ def decode_coefficient(w: Eisenstein, n: int) -> tuple[int, int]:
     raise AssertionError(f"value {w} has bent magnitude but no sign/phase split")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BentProfile:
     """Classification of a bent function's spectrum.
 
@@ -478,7 +478,7 @@ def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein,
     return sums[0], sums[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageSets:
     """Pre-images of the dual value, split by spectral sign.
 
@@ -547,7 +547,7 @@ class Stage:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypotheses:
     """Every hypothesis of the theorem about f, each decided once.
 
@@ -625,7 +625,7 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     return Hypotheses(f, tuple(stages), profile, dual_profile, v, in_kernel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetStructure:
     """Result of the coset decomposition check of the dual's point sets.
 

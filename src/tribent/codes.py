@@ -200,7 +200,7 @@ def selected_dual_value(case: CodeCase, j0: int) -> int:
     return (j0 + shift) % 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionContext:
     """Everything the selector established on the way to a defining set.
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_profile
-from .core import check_dim, coord_matrix, legendre, size
+from .core import check_dim, coord_matrix, digit_sum_table, legendre, size
 from .fields import ExtField
 
 
@@ -45,10 +45,9 @@ class QuadraticForm:
 
 
 def quadratic_function(q: QuadraticForm) -> TernaryFunction:
-    coords = coord_matrix(q.m).astype(np.int64)
-    d = np.array([c % 3 for c in q.coeffs], dtype=np.int64)
-    table = ((coords * coords) @ d + q.constant) % 3
-    return TernaryFunction(q.m, table)
+    """A diagonal form is digit-additive: d x^2 is d at x = 1 and 2."""
+    table = digit_sum_table([(0, d % 3, d % 3) for d in q.coeffs]) + q.constant
+    return TernaryFunction(q.m, table % 3)
 
 
 def quadratic_type(q: QuadraticForm) -> BentType:
@@ -91,32 +90,28 @@ class GmmfSpec:
         return self.m + 2 * self.s
 
 
-def gmmf_build(spec: GmmfSpec) -> TernaryFunction:
-    """Evaluate the glued table by block lookup; no interpolation.
-
-    The dimension cap is checked at the input surfaces (the glue-file
-    loader and run_search), which know the caller's cap.
-    """
-    m, s, n = spec.m, spec.s, spec.n
-    sm, ss = size(m), size(s)
-    comp = np.stack([c.table for c in spec.components])  # (3^s, 3^m)
-    # index = x + 3^m y + 3^(m+s) z
-    idx = np.arange(size(n))
-    x = idx % sm
-    y = (idx // sm) % ss
-    z = idx // (sm * ss)
-    zy = _block_dot(z, y, s)
-    table = (comp[z, x] + zy) % 3
-    return TernaryFunction(n, table)
-
-
-def _block_dot(u: np.ndarray, v: np.ndarray, s: int) -> np.ndarray:
-    """Dot product of two arrays of F_3^s point indices, elementwise."""
+def _gram(s: int) -> np.ndarray:
+    """g[z, y] = z.y over F_3^s, shape (3^s, 3^s), int8 (sums of s
+    products, at most 4s)."""
     coords = coord_matrix(s)
-    return (coords[u] * coords[v]).sum(axis=1) % 3
+    return coords @ coords.T % 3
 
 
-@dataclass(frozen=True)
+def gmmf_build(spec: GmmfSpec) -> TernaryFunction:
+    """Evaluate the glued table by broadcasting; no interpolation.
+
+    The index x + 3^m y + 3^(m+s) z is the C-order (z, y, x) view of the
+    table, so F = f_z(x) + z.y is the component tables along (z, x) plus
+    the Gram table along (z, y).  The dimension cap is checked at the
+    input surfaces (the glue-file loader and run_search), which know the
+    caller's cap.
+    """
+    comp = np.stack([c.table for c in spec.components])  # (3^s, 3^m)
+    table = (comp[:, None, :] + _gram(spec.s)[:, :, None]) % 3
+    return TernaryFunction(spec.n, table.reshape(-1))
+
+
+@dataclass(frozen=True, eq=False)
 class GmmfPrediction:
     """Closed-form profile of a glued function with weakly regular parts.
 
@@ -155,17 +150,11 @@ def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
     plus_type = np.array([p.type is BentType.PLUS for p in profiles])
     w_plus, w_minus = np.flatnonzero(plus_type), np.flatnonzero(~plus_type)
 
-    sm, ss = size(m), size(s)
-    idx = np.arange(size(n))
-    x = idx % sm
-    y = (idx // sm) % ss
-    z = idx // (sm * ss)
-
-    sign = np.where(plus_type[y], 1, -1).astype(np.int8)
-
+    # on the C-order (z, y, x) view the sign follows y alone, and the
+    # dual is the component duals along (y, x) minus the Gram table
+    sign = np.tile(np.repeat(np.where(plus_type, 1, -1).astype(np.int8), size(m)), size(s))
     duals = np.stack([p.dual.table for p in profiles])  # (3^s, 3^m)
-    dual_table = (duals[y, x] - _block_dot(y, z, s)) % 3
-    dual = TernaryFunction(n, dual_table)
+    dual = TernaryFunction(n, ((duals[None, :, :] - _gram(s)[:, :, None]) % 3).reshape(-1))
 
     if w_plus.size and w_minus.size:
         reg = Regularity.NON_WEAKLY_REGULAR
@@ -304,20 +293,16 @@ def eval_poly(expr: PolyExpr, cap: int | None = None) -> TernaryFunction:
     """Tabulate the expression; exponents act on F_3 values pointwise."""
     n = expr.n
     check_dim(n, cap)
-    coords = coord_matrix(n).astype(np.int64)
-    total = np.zeros(size(n), dtype=np.int64)
+    total = np.zeros(size(n), dtype=np.int8)
     for coeff, powers in expr.terms:
-        term = np.full(size(n), coeff % 3, dtype=np.int64)
+        term = np.full(size(n), coeff % 3, dtype=np.int8)
         for v, e in powers:
-            col = coords[:, v - 1]
             # 0^0 = 1; otherwise x^e mod 3 cycles with period 2 on {1, 2}
             if e == 0:
                 continue
-            powed = col.copy()
-            if e > 1:
-                two_mask = col == 2
-                powed = np.where(two_mask, 2 if e % 2 else 1, col)
-            term = (term * powed) % 3
+            # digit v - 1 is the middle axis of the (high, digit, low) view
+            powed = np.array([[0], [1], [1 + e % 2]], dtype=np.int8)
+            term = (term.reshape(size(n - v), 3, size(v - 1)) * powed % 3).reshape(-1)
         total = (total + term) % 3
     return TernaryFunction(n, total)
 

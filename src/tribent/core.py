@@ -79,8 +79,8 @@ def coord_rows(points: np.ndarray | Sequence[int], n: int) -> np.ndarray:
 def coord_matrix(n: int) -> np.ndarray:
     """All 3^n points as rows of coordinates, shape (3^n, n), dtype int8.
 
-    Row x holds decode(x, n); cached since every vectorised operation
-    (dot products, code building) starts from it.  Built one top digit at
+    Row x holds decode(x, n); cached since the subspace layer enumerates
+    coefficient vectors from it at small dimension.  Built one top digit at
     a time: the rows with top digit d are the previous table with d
     appended.  The dimension cap is enforced at the input surfaces, not
     here.
@@ -94,33 +94,30 @@ def coord_matrix(n: int) -> np.ndarray:
     return m
 
 
-def neg_point(x: int, n: int) -> int:
-    """Index of -x (each coordinate negated mod 3)."""
-    return encode(tuple((-c) % 3 for c in decode(x, n)))
-
-
-def _digit_table(maps: Sequence[Sequence[int]]) -> np.ndarray:
-    """t[x] = the index whose digit i is maps[i][digit i of x], for all x
-    in F_3^len(maps) (int64).
+def digit_sum_table(values: Sequence[Sequence[int]]) -> np.ndarray:
+    """t[x] = sum_i values[i][digit i of x], for all x in F_3^len(values)
+    (int64): the table of a digit-additive function, given the three
+    values each digit contributes.
 
     Built one digit at a time: step i lays the table of the lower digits
-    out three times, offset by maps[i][d] * 3^i for d = 0, 1, 2.
+    out three times, plus values[i][d] for d = 0, 1, 2.
     """
     t = np.zeros(1, dtype=np.int64)
-    for i, m in enumerate(maps):
-        t = (np.array(m, dtype=np.int64)[:, None] * 3 ** i + t[None, :]).ravel()
+    for v in values:
+        t = (np.array(v, dtype=np.int64)[:, None] + t[None, :]).ravel()
     return t
 
 
 @lru_cache(maxsize=None)
 def neg_table(n: int) -> np.ndarray:
     """negation_table[x] = index of -x, for all x (int64)."""
-    return _digit_table([(0, 2, 1)] * n)
+    return digit_sum_table([(0, 2 * 3 ** i, 3 ** i) for i in range(n)])
 
 
 def translation_table(p: int, n: int) -> np.ndarray:
     """t[x] = index of x + p, for all x (int64)."""
-    return _digit_table([[(d + k) % 3 for k in range(3)] for d in decode(p, n)])
+    return digit_sum_table([[(d + k) % 3 * 3 ** i for k in range(3)]
+                            for i, d in enumerate(decode(p, n))])
 
 
 def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -140,25 +137,9 @@ def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
     return translate
 
 
-def add_points(x: int, y: int, n: int) -> int:
-    """Index of x + y in F_3^n."""
-    xs, ys = decode(x, n), decode(y, n)
-    return encode(tuple(a + b for a, b in zip(xs, ys)))
-
-
-def dot(u: int, v: int, n: int) -> int:
-    """Standard dot product of two points, as an element of F_3."""
-    us, vs = decode(u, n), decode(v, n)
-    return sum(a * b for a, b in zip(us, vs)) % 3
-
-
 def dots_with(v: int, n: int) -> np.ndarray:
     """Vector of x . v over all x in F_3^n (int8)."""
-    coords = coord_matrix(n)
-    vvec = np.array(decode(v, n), dtype=np.int64)
-    if n == 0:
-        return np.zeros(1, dtype=np.int8)
-    return ((coords.astype(np.int64) @ vvec) % 3).astype(np.int8)
+    return (digit_sum_table([(0, d, 2 * d) for d in decode(v, n)]) % 3).astype(np.int8)
 
 
 def legendre(a: int) -> int:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .core import add_points, decode, encode, neg_point, size
+import numpy as np
+
+from .core import coord_rows, decode, digit_sum_table, encode, size
 
 
 def _poly_trim(p: list[int]) -> list[int]:
@@ -122,27 +124,20 @@ class ExtField:
         for e, val in enumerate(exp):
             log[val] = e
 
-        # Tr(x) = x + x^3 + ... + x^(3^(k-1)); frobenius via log arithmetic
-        trace = [0] * q
-        for x in range(1, q):
-            acc = 0
-            for i in range(k):
-                fr = exp[(log[x] * pow(3, i, q - 1)) % (q - 1)]
-                acc = add_points(acc, fr, k)
-            digits = decode(acc, k)
-            assert all(d == 0 for d in digits[1:]), "trace must land in the prime field"
-            trace[x] = digits[0]
-        return cls(k, mod, generator, tuple(exp), tuple(log), tuple(trace))
+        # Tr(x) = x + x^3 + ... + x^(3^(k-1)) is F_3-linear, so it is
+        # digit-additive: Tr(x) = sum_j x_j Tr(t^j).  Row j of images holds
+        # the Frobenius images of t^j (log arithmetic), and Tr(t^j) is
+        # their coordinatewise digit sum.
+        logs = np.outer([log[3 ** j] for j in range(k)], 3 ** np.arange(k)) % (q - 1)
+        images = np.array(exp)[logs]
+        sums = coord_rows(images.ravel(), k).reshape(k, k, k).sum(axis=1) % 3
+        assert not sums[:, 1:].any(), "trace must land in the prime field"
+        trace = digit_sum_table([(0, t, 2 * t) for t in sums[:, 0].tolist()]) % 3
+        return cls(k, mod, generator, tuple(exp), tuple(log), tuple(trace.tolist()))
 
     @property
     def q(self) -> int:
         return size(self.k)
-
-    def add(self, a: int, b: int) -> int:
-        return add_points(a, b, self.k)
-
-    def neg(self, a: int) -> int:
-        return neg_point(a, self.k)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -22,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import Subspace, check_dim, legendre, neg_point, size, span
+from .core import Subspace, check_dim, legendre, neg_table, size, span
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -72,7 +72,7 @@ def random_instance(rng: random.Random, m: int, s: int, side: BentType,
         q = random_quadratic(rng, m, target, constant=j0 if z == 0 else 0)
         table = quadratic_function(q)
         components[z] = table
-        components[neg_point(z, s)] = table
+        components[neg_table(s)[z]] = table
     return GmmfSpec(m, s, tuple(components))
 
 

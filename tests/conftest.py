@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tribent.analysis import TernaryFunction
+from tribent.core import decode, encode
 from tribent.fixtures import FIXTURES, get_fixture
 
 
@@ -19,6 +20,24 @@ def built_fixtures() -> dict[str, TernaryFunction]:
 def flagship(built_fixtures) -> TernaryFunction:
     """The n=6 even/plus worked example."""
     return built_fixtures["code98-a"]
+
+
+# Digit-by-digit point arithmetic: slow, independent references for the
+# vectorised tables in the package.
+
+def add_points(x: int, y: int, n: int) -> int:
+    """Index of x + y in F_3^n."""
+    return encode(tuple(a + b for a, b in zip(decode(x, n), decode(y, n))))
+
+
+def neg_point(x: int, n: int) -> int:
+    """Index of -x (each coordinate negated mod 3)."""
+    return encode(tuple(-c for c in decode(x, n)))
+
+
+def dot(u: int, v: int, n: int) -> int:
+    """Standard dot product of two points, as an element of F_3."""
+    return sum(a * b for a, b in zip(decode(u, n), decode(v, n))) % 3
 
 
 def random_function(rng: np.random.Generator, n: int) -> TernaryFunction:

@@ -23,12 +23,12 @@ from tribent.analysis import (
     walsh_spectrum,
 )
 from tribent.codes import CodeCase, predict_distribution
-from tribent.core import neg_point, size, span
+from tribent.core import size, span
 from tribent.fixtures import FIXTURES, run_fixture
 from tribent.pipeline import run_pipeline
 from tribent.search import run_search
 
-from conftest import naive_spectrum_pair, random_function
+from conftest import naive_spectrum_pair, neg_point, random_function
 
 EXPECTED_CODES = {
     "code98-a": ((98, 5, 54), "1+32y^54+162y^66+48y^72"),

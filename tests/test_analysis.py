@@ -26,10 +26,10 @@ from tribent.analysis import (
     walsh_spectrum,
 )
 from tribent.constructions import QuadraticForm, quadratic_function
-from tribent.core import EXACT_DIM, Eisenstein, dots_with, encode, neg_point, size, span
+from tribent.core import EXACT_DIM, Eisenstein, dots_with, encode, size, span
 from tribent.fixtures import get_fixture
 
-from conftest import naive_spectrum_pair, oracle_spectrum, radix3_oracle, random_function
+from conftest import naive_spectrum_pair, neg_point, oracle_spectrum, radix3_oracle, random_function
 
 
 # ---------------------------------------------------------------------------

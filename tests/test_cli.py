@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("examples.json", ["examples", "--format", "json"]),
+    ("search-m4-s1-count50-seed7.json",
+     ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7", "--format", "json"]),
+])
+def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_examples_single_fixture(capsys):

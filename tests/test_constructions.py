@@ -23,9 +23,11 @@ from tribent.constructions import (
     quadratic_type,
     trace_function,
 )
-from tribent.core import decode, encode, neg_point, size
+from tribent.core import decode, encode, size
 from tribent.fields import ExtField
 from tribent.fixtures import FIXTURES
+
+from conftest import dot, random_function
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,24 @@ def test_gmmf_constant_family_matches_direct_formula():
     assert built == direct
     prof = bent_profile(built)
     assert prof.regularity is not Regularity.NON_WEAKLY_REGULAR
+
+
+@pytest.mark.parametrize("m, s", [(2, 2), (2, 3)])
+def test_gmmf_distinct_components_match_direct_formula(m, s):
+    # distinct components tell the x, y and z blocks apart: F(x, y, z) =
+    # f_z(x) + z.y with x the low digits and z the high ones
+    rng = np.random.default_rng(10 * m + s)
+    while True:
+        comps = tuple(random_function(rng, m) for _ in range(size(s)))
+        if len({c.table.tobytes() for c in comps}) == len(comps):
+            break
+    built = gmmf_build(GmmfSpec(m, s, comps))
+
+    def direct(c):
+        x, y, z = encode(c[:m]), encode(c[m:m + s]), encode(c[m + s:])
+        return int(comps[z].table[x]) + dot(z, y, s)
+
+    assert built == TernaryFunction.from_callable(m + 2 * s, direct)
 
 
 def test_gmmf_component_count_enforced():

@@ -6,16 +6,15 @@ from tribent.core import (
     EXACT_DIM,
     DimensionCapError,
     Eisenstein,
-    add_points,
     check_dim,
     coord_matrix,
     decode,
-    dot,
+    digit_sum_table,
+    dots_with,
     encode,
     is_nondegenerate,
     is_subspace,
     legendre,
-    neg_point,
     neg_table,
     omega_pow,
     orthogonal_complement,
@@ -27,6 +26,8 @@ from tribent.core import (
     translation,
     translation_table,
 )
+
+from conftest import add_points, dot, neg_point
 
 
 def test_encode_decode_roundtrip_exhaustive():
@@ -100,6 +101,18 @@ def test_per_n_tables_against_definitions(n):
     for p in range(0, size(n), max(1, size(n) // 7)):
         shift = translation_table(p, n)
         assert shift.tolist() == [add_points(x, p, n) for x in range(size(n))]
+        dots = dots_with(p, n)
+        assert dots.dtype == np.int8
+        assert dots.tolist() == [dot(x, p, n) for x in range(size(n))]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_digit_sum_table_against_decode(n):
+    rng = np.random.default_rng(n)
+    values = rng.integers(-50, 50, (n, 3)).tolist()
+    t = digit_sum_table(values)
+    assert t.dtype == np.int64
+    assert t.tolist() == [sum(v[d] for v, d in zip(values, decode(x, n))) for x in range(size(n))]
 
 
 @pytest.mark.parametrize("n", range(13))

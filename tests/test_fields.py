@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from tribent.core import decode, encode
 from tribent.fields import ExtField, find_irreducible, is_irreducible
+
+from conftest import add_points
 
 
 def test_irreducibility_small_cases():
@@ -57,24 +58,26 @@ def _slow_pow(fld, a, e):
     return out
 
 
-def test_addition_is_coordinatewise():
-    fld = ExtField.create(2, [2, 2, 1], 3)
-    for a in range(9):
-        for b in range(9):
-            want = encode(tuple((x + y) % 3 for x, y in zip(decode(a, 2), decode(b, 2))))
-            assert fld.add(a, b) == want
-            assert fld.add(a, fld.neg(a)) == 0
-
-
 def test_trace_is_additive_and_onto():
     fld = ExtField.create(4, find_irreducible(4), 3)
     rng = random.Random(3)
     seen = set()
     for _ in range(200):
         a, b = rng.randrange(81), rng.randrange(81)
-        assert fld.trace(fld.add(a, b)) == (fld.trace(a) + fld.trace(b)) % 3
+        assert fld.trace(add_points(a, b, 4)) == (fld.trace(a) + fld.trace(b)) % 3
         seen.add(fld.trace(a))
     assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_trace_is_the_sum_of_the_frobenius_images(k):
+    # Tr(x) = x + x^3 + ... + x^(3^(k-1)), summed point by point
+    fld = ExtField.create(k, find_irreducible(k), 3 if k >= 2 else 2)
+    for x in range(fld.q):
+        acc = 0
+        for i in range(k):
+            acc = add_points(acc, fld.pow(x, 3 ** i), k)
+        assert acc == fld.trace(x)
 
 
 def test_frobenius_fixes_trace():

@@ -28,7 +28,6 @@ from tribent.analysis import (
 from tribent.codes import select_defining_set
 from tribent.constructions import gmmf_build
 from tribent.core import (
-    add_points,
     dots_with,
     encode,
     is_nondegenerate,
@@ -39,6 +38,8 @@ from tribent.core import (
 from tribent.fixtures import FIXTURES
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
+
+from conftest import add_points
 
 # (m, s, dim U, side): eligible cases of both parities, U = F_3^s (weakly
 # regular), and random lines in F_3^3, some spanned by an isotropic vector

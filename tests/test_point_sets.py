@@ -16,11 +16,20 @@ import pytest
 
 from tribent import analysis, core
 from tribent.analysis import BentType, coset_structure
-from tribent.codes import CodeCase, DefiningSet, SelectionContext, select_defining_set
-from tribent.constructions import gmmf_build
+from tribent.codes import (
+    CodeCase,
+    DefiningSet,
+    SelectionContext,
+    message_weights,
+    select_defining_set,
+    weight_of,
+)
+from tribent.constructions import gmmf_build, gmmf_predict
 from tribent.core import coord_matrix, coord_rows, size
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
+
+from conftest import dot
 
 
 def _glue(m: int, s: int, side: BentType, seed: int):
@@ -83,6 +92,29 @@ def test_defining_set_is_a_read_only_index_array():
     assert twin != ctx.defining and twin == twin
 
 
+@pytest.mark.parametrize("record", [
+    "WalshSpectrum", "BentProfile", "PreimageSets", "Hypotheses",
+    "CosetStructure", "SelectionContext", "GmmfPrediction",
+])
+def test_records_holding_arrays_compare_by_identity(built_fixtures, record):
+    f = built_fixtures["code98-a"]
+    rng = random.Random(5)
+    spec = random_instance(rng, 4, 1, BentType.PLUS, random_subspace(rng, 1, 0), 0)
+    build = {
+        "WalshSpectrum": lambda: analysis.walsh_spectrum(f),
+        "BentProfile": lambda: analysis.bent_profile(f),
+        "PreimageSets": lambda: analysis.preimage_sets(analysis.bent_profile(f)),
+        "Hypotheses": lambda: analysis.establish(f),
+        "CosetStructure": lambda: coset_structure(f, analysis.bent_profile(f)),
+        "SelectionContext": lambda: select_defining_set(f),
+        "GmmfPrediction": lambda: gmmf_predict(spec),
+    }[record]
+    a, b = build(), build()
+    assert type(a).__name__ == record
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
 def test_coord_rows_match_the_coordinate_table(n):
     rng = np.random.default_rng(n)
@@ -104,6 +136,13 @@ def test_verdict_at_n11_never_tabulates_all_coordinates(monkeypatch):
     _patch_every_binding(monkeypatch, core.coord_matrix, recorded)
     assert run_pipeline(f).passed
     p = analysis.bent_profile(f)
-    select_defining_set(f, p)
+    ctx = select_defining_set(f, p)
     assert coset_structure(f, p).coset_union_ok
+    # the single-point readers tabulate x.u by digits, not by coordinates
+    u = size(f.n) - 5
+    dots = core.dots_with(u, f.n)
+    for x in (0, 1, u, size(f.n) - 1):
+        assert dots[x] == dot(x, u, f.n)
+    assert weight_of(u, ctx.defining) == message_weights(ctx.defining)[u]
+    assert analysis.walsh_point(f, u) == analysis.walsh_spectrum(f).value(u)
     assert asked and f.n not in asked

@@ -25,7 +25,6 @@ from .core import (
     legendre,
     neg_table,
     omega_pow,
-    orthogonal_complement,
     perp_mask,
     root_sum,
     size,
@@ -349,10 +348,12 @@ class BentProfile:
         return v, in_kernel
 
 
+@cache
 def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and dual value of every unit spectral value, keyed by
     5 * (a + 2) + (b + 2) for the value (a + b w) * 3^floor(n/2); both
-    coefficients then lie in [-2, 2].  Keys of no unit value hold sign 0."""
+    coefficients then lie in [-2, 2].  Keys of no unit value hold sign 0.
+    Built once per n; both tables are read-only."""
     scale = 3 ** (n // 2)
     sign = np.zeros(25, dtype=np.int8)
     dual = np.zeros(25, dtype=np.int8)
@@ -361,6 +362,7 @@ def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
             key = 5 * (v.a // scale + 2) + v.b // scale + 2
             sign[key] = s
             dual[key] = j
+    sign.flags.writeable = dual.flags.writeable = False
     return sign, dual
 
 
@@ -664,7 +666,8 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     V-perp, and f is constant on each of those cosets exactly when
     f(x + q) = f(x) for every such q and every x in the union; both are
     tested as masks over F_3^n, translated by core.translation (two
-    half-width tables per q).
+    half-width tables per q).  Any basis of V-perp spans the same cosets,
+    so the q are the rows of v.perp as span left them, not reduced again.
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
@@ -672,7 +675,7 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     side = profile.side_mask(profile.type)
     dual_plus = dual_profile.side_mask(BentType.PLUS)
     dual_minus = dual_profile.side_mask(BentType.MINUS)
-    steps = [translation(q, n) for q in orthogonal_complement(hyp.v).basis]
+    steps = [translation(q, n) for q in (hyp.v.perp @ 3 ** np.arange(n)).tolist()]
 
     def coset_union(mask: np.ndarray) -> np.ndarray:
         for step in steps:

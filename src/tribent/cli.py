@@ -52,19 +52,27 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 def load_table_file(path: str, cap: int | None) -> TernaryFunction:
-    """Plain-text table: first value is n, then 3^n trits, '#' comments."""
-    values: list[int] = []
+    """Plain-text table: first value is n, then 3^n trits, '#' comments.
+
+    The file is read up to its first value and n is checked against the
+    cap before the rest is read or tokenized.
+    """
+
+    def tokens(line: str) -> list[str]:
+        return line.split("#", 1)[0].split()
+
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            head = next((toks for toks in map(tokens, fh) if toks), None)
+            if head is None:
+                raise InputError(f"{path}: empty table file")
+            n = int(head[0])
+            check_dim(n, cap)
+            trits = [int(tok) for tok in head[1:]]
+            for line in fh:
+                trits.extend(int(tok) for tok in tokens(line))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        values.extend(int(tok) for tok in line.split())
-    if not values:
-        raise InputError(f"{path}: empty table file")
-    n, trits = values[0], values[1:]
-    check_dim(n, cap)
     if len(trits) != size(n):
         raise InputError(f"{path}: expected 3^{n} = {size(n)} values, found {len(trits)}")
     _check_trits(path, trits)

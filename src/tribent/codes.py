@@ -28,6 +28,7 @@ from .analysis import (
     preimage_sets,
 )
 from .core import (
+    EXACT_DIM,
     Eisenstein,
     dots_with,
     neg_table,
@@ -120,21 +121,23 @@ def weight_of_character_sum(u: int, s: DefiningSet) -> int:
 
 
 def message_weights(s: DefiningSet) -> np.ndarray:
-    """The weight of every message's codeword, indexed by message u.
+    """The weight of every message's codeword, indexed by message u (int32).
 
     One radix-3 transform of the indicator 1_S gives sum over S of
     w^(-u.x) for every u, the conjugate of chi_u(S); conjugation keeps the
     orbit sum 2a - b, so the identity of weight_of_character_sum holds for
     all u at once, each division by 3 asserted exact.  Coefficients stay
-    within |S| in absolute value.
+    within |S| <= 3^n in absolute value, so 2|S| - 2a + b is at most
+    5 * 3^n < 2^31 for n <= EXACT_DIM and the division runs in int32.
     """
     n = s.n
     indicator = np.zeros(size(n), dtype=np.int8)
     indicator[s.points] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), n)
-    num = 2 * len(s) - (2 * a.astype(np.int64) - b)
-    assert not (num % 3).any(), "character-sum weight must be an integer"
-    return num // 3
+    assert 5 * size(n) < 2 ** 31, f"int32 weights are exact only for n <= {EXACT_DIM}"
+    q, rem = np.divmod(2 * len(s) - (2 * a - b), 3)
+    assert not rem.any(), "character-sum weight must be an integer"
+    return q
 
 
 def build_code(s: DefiningSet) -> LinearCode:
@@ -145,18 +148,19 @@ def build_code(s: DefiningSet) -> LinearCode:
     over all 3^n messages divide exactly by that factor; the division is
     asserted rather than trusted.  So is the first Pless power moment:
     no coordinate of the code is identically zero (0 is not in S), so
-    the weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.
+    the weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.  r is
+    the rank of S by elimination, independent of the measured weights.
     """
     n = s.n
     r = rank(s.points, n)
     weights = message_weights(s)
     counts = np.bincount(weights, minlength=len(s) + 1)
+    present = np.flatnonzero(counts)
+    per_weight = counts[present]
     kernel = size(n - r)
-    distribution = {}
-    for w, c in enumerate(counts):
-        if c:
-            assert c % kernel == 0, "message count per weight must divide by the kernel size"
-            distribution[int(w)] = int(c // kernel)
+    assert not (per_weight % kernel).any(), \
+        "message count per weight must divide by the kernel size"
+    distribution = dict(zip(present.tolist(), (per_weight // kernel).tolist()))
     assert distribution.get(0) == 1
     assert sum(w * e for w, e in distribution.items()) == 2 * 3 ** (r - 1) * len(s), \
         "first Pless power moment"
@@ -356,12 +360,15 @@ class WeightClassifier:
 
     def expected_weights(self) -> np.ndarray:
         """The case table over all messages: 0 on the kernel, elsewhere the
-        weight picked by dual-side membership and f(u) - j0."""
+        weight picked by dual-side membership and f(u) - j0, as entry
+        3 * [u in dual plus] + (f(u) - j0) % 3 of the flat six-entry table
+        (the key computed in int8)."""
         case = self.ctx.case
         weights = np.array(_case_weights(case, self.f.n, self.ctx.r), dtype=np.int64)
-        delta = (self.f.table.astype(np.int64) - self.ctx.j0) % 3
-        picked = weights[_WEIGHT_CLASS[case][self.in_dual_plus.astype(np.int64), delta]]
-        return np.where(self.in_kernel, 0, picked)
+        table = weights[_WEIGHT_CLASS[case]].ravel()
+        delta = (self.f.table - np.int8(self.ctx.j0)) % np.int8(3)
+        key = self.in_dual_plus.view(np.int8) * np.int8(3) + delta
+        return np.where(self.in_kernel, 0, table[key])
 
     def check_all(self, measured: np.ndarray) -> int | None:
         """First message whose measured weight (message_weights of the

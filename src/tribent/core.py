@@ -9,7 +9,7 @@ root of unity w (w^2 = -1 - w); no floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -255,11 +255,12 @@ def _null_basis(r: np.ndarray) -> np.ndarray:
     """Basis of {x : r x = 0 mod 3} for a reduced echelon r (as _rref
     returns it), one vector per free column: 1 in that column, 0 in the
     other free columns, and minus that column of r at the pivots."""
-    n = r.shape[1]
-    pivots = (np.cumsum(r != 0, axis=1) == 0).sum(axis=1)  # leading zeros
-    free = np.setdiff1d(np.arange(n), pivots)
-    null = np.zeros((len(free), n), dtype=np.int8)
-    null[np.arange(len(free)), free] = 1
+    # each row's first nonzero column (every row of r is nonzero); argmax
+    # refuses the 0 x 0 matrix of n = 0
+    pivots = (r != 0).argmax(axis=1) if r.size else np.zeros(0, dtype=np.intp)
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    null = np.eye(r.shape[1], dtype=np.int8)[free]
     null[:, pivots] = -r[:, free].T % 3
     return null
 
@@ -271,7 +272,14 @@ def rank(points: Iterable[int], n: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """An F_3-linear subspace of F_3^n given by an echelon basis of points."""
+    """An F_3-linear subspace V of F_3^n given by an echelon basis of points.
+
+    perp is a basis of V-perp, the null-space basis of V's reduced basis
+    matrix, as the rows of a read-only int8 matrix of shape
+    (n - dim, n).  span fills it from its last round; a Subspace built
+    directly reduces its basis once, on first access.  _rref overwrites
+    its input, so a caller that reduces perp passes a copy.
+    """
 
     n: int
     basis: tuple[int, ...]
@@ -279,6 +287,12 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def perp(self) -> np.ndarray:
+        null = _null_basis(_rref(coord_rows(self.basis, self.n)))
+        null.flags.writeable = False
+        return null
 
     def points(self) -> np.ndarray:
         """All 3^dim members as a sorted int64 index array: every
@@ -302,7 +316,8 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     reduced sample and only the failing points are checked again; each
     fold raises the rank, so there are at most n rounds.  The reduced
     echelon form of a row space is unique, so the basis does not depend on
-    the sample.
+    the sample.  The last round's null basis is kept as the result's perp,
+    so V-perp is not reduced again downstream.
 
     A point's dots with the null basis are the sums of those of its top
     n - k and its low k = n // 2 digits, so each round builds one dot
@@ -316,13 +331,16 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     high, low = np.divmod(idx, 3 ** k)
     basis = _rref(coord_rows(idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))], n))
     while True:
-        null_t = _null_basis(basis).T
-        high_dots = coord_matrix(n - k) @ null_t[k:] % 3
-        minus_low_dots = -(coord_matrix(k) @ null_t[:k]) % 3
+        null = _null_basis(basis)
+        high_dots = coord_matrix(n - k) @ null.T[k:] % 3
+        minus_low_dots = -(coord_matrix(k) @ null.T[:k]) % 3
         failing = (high_dots[high] != minus_low_dots[low]).any(axis=1)
         high, low = high[failing], low[failing]
         if not len(high):
-            return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
+            v = Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
+            null.flags.writeable = False
+            object.__setattr__(v, "perp", null)  # fills the cached_property
+            return v
         grown = _rref(np.vstack([basis, coord_rows(high[:1] * 3 ** k + low[:1], n)]))
         assert len(grown) > len(basis), "a point failed the check but lies in the span"
         basis = grown
@@ -349,20 +367,14 @@ def is_nondegenerate(v: Subspace) -> bool:
     return len(_rref(b @ b.T % 3)) == v.dim
 
 
-def _perp_basis(v: Subspace) -> np.ndarray:
-    """Null-space basis of V's basis matrix: a basis of V-perp."""
-    return _null_basis(_rref(coord_rows(v.basis, v.n)))
-
-
 def perp_mask(v: Subspace) -> np.ndarray:
     """Boolean mask over all 3^n points, true exactly on V-perp.
 
-    The 3^(n - dim V) members of V-perp are enumerated from its null-space
-    basis (int8 sums of n - dim V products, at most 4n) and scattered
-    into the mask; no other point is visited.
+    The 3^(n - dim V) members of V-perp are enumerated from v.perp (int8
+    sums of n - dim V products, at most 4n) and scattered into the mask;
+    no other point is visited and nothing is reduced.
     """
-    null = _perp_basis(v)
-    members = coord_matrix(len(null)) @ null % 3
+    members = coord_matrix(len(v.perp)) @ v.perp % 3
     mask = np.zeros(size(v.n), dtype=bool)
     mask[members @ 3 ** np.arange(v.n)] = True
     return mask
@@ -370,5 +382,6 @@ def perp_mask(v: Subspace) -> np.ndarray:
 
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All points orthogonal to every basis vector of V, as the reduced
-    echelon form of V's null-space basis."""
-    return Subspace(v.n, tuple((_rref(_perp_basis(v)) @ 3 ** np.arange(v.n)).tolist()))
+    echelon form of v.perp (reduced on a copy: _rref overwrites its
+    input)."""
+    return Subspace(v.n, tuple((_rref(v.perp.copy()) @ 3 ** np.arange(v.n)).tolist()))

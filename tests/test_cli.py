@@ -257,3 +257,21 @@ def test_verify_refuses_an_inexact_transform_up_front(capsys):
     assert err.strip() == ("error: n=19 exceeds 18, the largest dimension whose "
                            "transform is exact in int32 (2 * 3^n < 2^31)")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_table_file_over_the_cap_is_refused_before_its_body_is_read(tmp_path, capsys):
+    f = tmp_path / "big.txt"
+    f.write_text("# header first\n13 0 1\n2 x 1\n")
+    code, _, err = run_cli(capsys, "verify", "--table-file", str(f))
+    assert code == 2
+    assert "exceeds the dimension cap 12" in err
+    assert "invalid literal" not in err
+    assert err.count("\n") == 1
+
+
+def test_table_file_header_may_share_its_line_with_trits(tmp_path, capsys):
+    f = tmp_path / "square.txt"
+    f.write_text("\n# comment\n1 0 1 # inline\n1\n")
+    code, out, _ = run_cli(capsys, "verify", "--table-file", str(f), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["type"] == "plus"

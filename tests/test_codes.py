@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from tribent.analysis import HypothesisError, TernaryFunction, bent_profile
 from tribent.codes import (
+    _WEIGHT_CLASS,
     CodeCase,
     DefiningSet,
     WeightClassifier,
+    _case_weights,
     build_code,
     case_for,
     code_report,
@@ -105,6 +107,7 @@ def test_message_weights_equal_int64_oracle(n):
         indicator[s.points] = 1
         a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
         weights = message_weights(s)
+        assert weights.dtype == np.int32
         assert np.array_equal(weights, (2 * len(s) - (2 * a - b)) // 3)
 
 
@@ -260,6 +263,20 @@ def test_classifier_kernel_is_complement(built_fixtures):
     clf = WeightClassifier(ctx)
     assert int(clf.in_kernel.sum()) == 3 ** (f.n - ctx.r)
     assert clf.expected_weights()[0] == 0
+
+
+@pytest.mark.parametrize("name", ["code98-a", "code270-a", "code756", "code36"])
+def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
+    # the weight at each message, read row by row off the case table
+    f = built_fixtures[name]
+    ctx = select_defining_set(f)
+    clf = WeightClassifier(ctx)
+    weights = _case_weights(ctx.case, f.n, ctx.r)
+    rows = _WEIGHT_CLASS[ctx.case]
+    expected = [0 if clf.in_kernel[u] else
+                weights[rows[int(clf.in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
+                for u in range(size(f.n))]
+    assert clf.expected_weights().tolist() == expected
 
 
 # ---------------------------------------------------------------------------

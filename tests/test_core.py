@@ -6,8 +6,10 @@ from tribent.core import (
     EXACT_DIM,
     DimensionCapError,
     Eisenstein,
+    Subspace,
     check_dim,
     coord_matrix,
+    coord_rows,
     decode,
     digit_sum_table,
     dots_with,
@@ -393,3 +395,44 @@ def test_span_finds_a_stray_in_either_half_at_n11(position, digit):
     v = span(pts, 11)
     reference = _row_reduce_reference([list(decode(p, 11)) for p in pts])
     assert v.dim == 5 and v.basis == tuple(encode(r) for r in reference)
+
+
+def _perp_cases():
+    """Random point lists at n = 1..8 (empty, a few points, many points)
+    and the n = 11 span cases with and without their stray point."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for count in (0, 1, 3, 2 * n, 40):
+            yield n, rng.integers(0, size(n), count).tolist()
+    for position, digit in ((4, 1), (5, 2)):
+        pts = _subspace_and_stray(position, digit)
+        yield 11, pts[:-1]
+        yield 11, pts
+
+
+def test_span_keeps_the_perp_basis_a_direct_subspace_computes():
+    for n, pts in _perp_cases():
+        v = span(pts, n)
+        direct = Subspace(n, v.basis)
+        assert "perp" in vars(v) and "perp" not in vars(direct)
+        assert v.perp.dtype == direct.perp.dtype == np.int8
+        assert np.array_equal(v.perp, direct.perp)
+        assert v.perp.shape == (n - v.dim, n)
+        # every row is orthogonal to V and the rows are independent
+        assert not (coord_rows(v.basis, n).astype(np.int64) @ v.perp.T % 3).any()
+        assert rank((v.perp @ 3 ** np.arange(n)).tolist(), n) == n - v.dim
+
+
+def test_perp_is_read_only_and_survives_its_readers():
+    pts = _subspace_and_stray(4, 1)
+    for v in (span(pts, 11), Subspace(11, span(pts, 11).basis)):
+        perp = v.perp
+        before = perp.copy()
+        assert not perp.flags.writeable
+        with pytest.raises(ValueError):
+            perp[0, 0] = 2
+        w = orthogonal_complement(v)
+        mask = perp_mask(v)
+        assert v.perp is perp and np.array_equal(perp, before)
+        assert np.array_equal(np.flatnonzero(mask), w.points())
+        assert orthogonal_complement(v) == w

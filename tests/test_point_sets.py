@@ -146,3 +146,44 @@ def test_verdict_at_n11_never_tabulates_all_coordinates(monkeypatch):
     assert weight_of(u, ctx.defining) == message_weights(ctx.defining)[u]
     assert analysis.walsh_point(f, u) == analysis.walsh_spectrum(f).value(u)
     assert asked and f.n not in asked
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=[c.value for c in CASES])
+def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
+    f = _glue(*CASES[case], seed=3)
+    depth, rounds, spans = [0], [0], [0]
+    span, null_basis = core.span, core._null_basis
+
+    def counted_span(points, n):
+        depth[0] += 1
+        spans[0] += 1
+        try:
+            return span(points, n)
+        finally:
+            depth[0] -= 1
+
+    def inside_span_only(r):
+        assert depth[0], "_null_basis entered outside span"
+        rounds[0] += 1
+        return null_basis(r)
+
+    def refuse(v):
+        raise AssertionError("orthogonal_complement called on the verdict path")
+
+    _patch_every_binding(monkeypatch, core.span, counted_span)
+    monkeypatch.setattr(core, "_null_basis", inside_span_only)
+    _patch_every_binding(monkeypatch, core.orthogonal_complement, refuse)
+    rep = run_pipeline(f)
+    assert rep.passed and rep.case == case.value
+    # the type side's span and the code's rank, at most n rounds each
+    assert spans[0] == 2 and 2 <= rounds[0] <= 2 * f.n
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_sign_dual_lookup_is_built_once_per_n(n):
+    sign, dual = analysis._sign_dual_lookup(n)
+    again = analysis._sign_dual_lookup(n)
+    assert again[0] is sign and again[1] is dual
+    assert not sign.flags.writeable and not dual.flags.writeable
+    with pytest.raises(ValueError):
+        sign[0] = 1

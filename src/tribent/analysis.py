@@ -175,24 +175,26 @@ def _holds(dtype: type, p: int) -> bool:
     return 4 * 9 ** p <= 3 * int(np.iinfo(dtype).max) ** 2
 
 
-def _pass_dtype(p: int) -> type:
-    """The narrowest integer type of radix-3 pass p (counted from 1)."""
+def _pass_dtype(p: int, width: type = np.int32) -> type:
+    """The narrowest integer type of radix-3 pass p (counted from 1) that
+    holds the pass's bound, or width where that is narrower."""
     for dtype, last in _NARROW_PASSES:
-        if p <= last:
+        if p <= last or dtype is width:
             return dtype
     return np.int32
 
 
-def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _radix3(a: np.ndarray, b: np.ndarray, n: int,
+            width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
 
     a and b are flat int8 coefficient arrays over the 3^n point indices,
     each value a + b w of norm at most 1; the result is indexed the same
-    way, as int32 arrays.  A pass reads the three contiguous thirds of the
-    arrays (the top digit t) and writes the 3-point butterflies
-    out[k] = u0 + w^(-k) u1 + w^(-2k) u2 interleaved into (3^(n-1), 3)
-    buffers, so the processed digit becomes the lowest one and after n
-    passes every digit is back in place.  The butterflies use
+    way, as arrays of type width.  A pass reads the three contiguous
+    thirds of the arrays (the top digit t) and writes the 3-point
+    butterflies out[k] = u0 + w^(-k) u1 + w^(-2k) u2 interleaved into
+    (3^(n-1), 3) buffers, so the processed digit becomes the lowest one
+    and after n passes every digit is back in place.  The butterflies use
     w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).
 
     After pass p every value has magnitude at most 3^p, so every partial
@@ -203,14 +205,19 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     astype before the first pass of a wider type, never inside a pass,
     where a mixed-type sum would wrap first.  int32 holds every partial
     sum, below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n
-    up front).
+    up front), so with the default width the result is exact.
+
+    A narrower width of B bits caps the pass types there: the passes past
+    its bound wrap mod 2^B, and since the butterflies only add and
+    subtract, the result is then the exact transform mod 2^B in both
+    coefficients (the residues bent_profile reads).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
     assert all(_holds(t, last) for t, last in _NARROW_PASSES), "pass type schedule exceeds its bound"
     assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
     third = size(n) // 3
     for p in range(1, n + 1):
-        dtype = _pass_dtype(p)
+        dtype = _pass_dtype(p, width)
         if a.dtype != dtype:
             a, b = a.astype(dtype), b.astype(dtype)
         u0a, u1a, u2a = a.reshape(3, third)
@@ -226,17 +233,23 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         a[:, 2] = u0a - u1b + d2
         b[:, 2] = u0b - d1 - u2a
         a, b = a.reshape(-1), b.reshape(-1)
-    return a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
+    return a.astype(width, copy=False), b.astype(width, copy=False)
 
 
-def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
-    """All transform values via n rounds of radix-3 butterflies in Z[w].
+def _transform(f: TernaryFunction, width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
+    """_radix3 of f's values w^f(x), in the given width.
 
     The inputs w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 are the
     int8 coefficients 1 - t and t - 3 * (t >> 1).
     """
     t = f.table
-    return WalshSpectrum(f.n, *_radix3(1 - t, t - 3 * (t >> 1), f.n))
+    return _radix3(1 - t, t - 3 * (t >> 1), f.n, width)
+
+
+def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
+    """All transform values, exact in int32, via n rounds of radix-3
+    butterflies in Z[w]."""
+    return WalshSpectrum(f.n, *_transform(f))
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
@@ -369,54 +382,89 @@ def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign (+-1, or 0 where the value is no unit) and dual value of every
-    spectral value coeff_1 + coeff_w w, given as int32 arrays.
+    spectral value coeff_1 + coeff_w w, given as int8, int16 or int32
+    arrays of one type, of B bits.
 
     A value has squared norm 3^n exactly when it is a unit times
     (1 - w)^n: both coefficients divide by scale = 3^floor(n/2) and the
     quotient pair is one of the six unit keys of _sign_dual_lookup.
 
     The quotients come without division, as products with the inverse of
-    the odd scale mod 2^32 (the exact-division test of Granlund and
-    Montgomery, PLDI 1994, section 9).  int32 products wrap mod 2^32, so
+    the odd scale mod 2^B (the exact-division test of Granlund and
+    Montgomery, PLDI 1994, section 9).  The products wrap mod 2^B, so
     q = x * inverse is x / scale whenever scale divides x.  Conversely, if
-    q lies in [-2, 2] then q * scale = x mod 2^32, and for n <= EXACT_DIM
-    |x - q * scale| <= 2^31 + 2 * 3^9 < 2^32 forces x = q * scale.  So a
-    value is looked up exactly when both q + 2, read as uint32, are at
-    most 4, for every int32 input; all others are sent to key 0, which is
-    no unit: unchecked, an out-of-range pair can land on a unit's key (at
-    odd n, (-2, 3) has the key of the unit (-1, -2)).  The inverse is
-    taken in [-2^31, 2^31) and passed as an np.int32 scalar, so the
-    product stays int32 under numpy 1.24's value-based casting as under
-    NEP 50; the unsigned inverse as a Python int would promote it to int64
-    under 1.24 and lose the wrap.
+    q lies in [-2, 2] then q * scale = x mod 2^B.  A value is looked up
+    when both q + 2, read as unsigned, are at most 4; all others are sent
+    to key 0, which is no unit: unchecked, an out-of-range pair can land
+    on a unit's key (at odd n, (-2, 3) has the key of the unit (-1, -2)).
+
+    On exact int32 values the lookup is exact: for n <= EXACT_DIM,
+    |x - q * scale| <= 2^31 + 2 * 3^9 < 2^32 forces x = q * scale.  On
+    residues mod 2^B a hit says only that the value is a unit's up to a
+    multiple of 2^B (at n = 10 the int16 lookup reads 3^5 + 2^16 as the
+    unit 3^5); bent_profile turns hits at every point into a proof.  The
+    inverse is taken in [-2^(B-1), 2^(B-1)) and passed as a numpy scalar
+    of the input's type, so the product keeps that type under numpy
+    1.24's value-based casting as under NEP 50; the unsigned inverse as a
+    Python int would promote it under 1.24 and lose the wrap.  The tables
+    are read with np.take: plain indexing by the uint8 keys took about
+    twice as long at n = 11.
     """
-    assert coeff_1.dtype == coeff_w.dtype == np.int32, "the lookup wraps int32 products"
+    dtype = coeff_1.dtype
+    assert coeff_w.dtype == dtype and dtype in (np.int8, np.int16, np.int32), \
+        "the lookup wraps int8, int16 or int32 products"
     assert n <= EXACT_DIM, f"the lookup is exact only for n <= {EXACT_DIM}"
-    inverse = pow(3 ** (n // 2), -1, 2 ** 32)
-    inverse = np.int32(inverse - 2 ** 32 if inverse >= 2 ** 31 else inverse)
+    bits = 8 * dtype.itemsize
+    inverse = pow(3 ** (n // 2), -1, 2 ** bits)
+    inverse = dtype.type(inverse - 2 ** bits if inverse >= 2 ** (bits - 1) else inverse)
     qa, qb = coeff_1 * inverse, coeff_w * inverse
     qa += 2
     qb += 2
-    qa, qb = qa.view(np.uint32), qb.view(np.uint32)
+    unsigned = f"u{dtype.itemsize}"
+    qa, qb = qa.view(unsigned), qb.view(unsigned)
     exact = (qa <= 4) & (qb <= 4)
     key = (5 * qa.astype(np.uint8) + qb.astype(np.uint8)) * exact
     sign_of, dual_of = _sign_dual_lookup(n)
-    return sign_of[key], dual_of[key]
+    return np.take(sign_of, key), np.take(dual_of, key)
+
+
+def _residue_dtype(n: int) -> type:
+    """The integer type whose residues bent_profile reads at n: the
+    narrowest of B bits with 2^(B-1) > 3^(n/2) (see bent_profile)."""
+    return np.int8 if n <= 8 else np.int16
 
 
 def bent_profile(f: TernaryFunction) -> BentProfile:
     """Dual, sign map, plus/minus partition, type and regularity of f.
 
-    Sign and dual value come from the exact unit lookup (_unit_lookup);
-    a value it misses is exactly a value whose squared norm is not 3^n,
-    so the first miss is the NotBentError witness, its norm computed
-    exactly at that one point.
+    The transform runs in B-bit wrapping integers (_residue_dtype: int8
+    through n = 8, int16 from n = 9), so it gives the spectrum W only mod
+    2^B, and sign and dual value come from the unit lookup of those
+    residues (_unit_lookup).  This is exact: say every point's residue
+    hits one of the six unit keys, and let W' be the spectrum the keys
+    give, so |W'(u)|^2 = 3^n at every u and W = W' + 2^B E with E over
+    Z[w].  Parseval gives sum |W|^2 = 3^(2n) = sum |W'|^2, and expanding
+    the left side gives
+
+        2^B sum |E|^2 = -2 Re sum W' conj(E) <= 2 * 3^(n/2) sum |E|^2,
+
+    since |E| <= |E|^2 for a nonzero Eisenstein integer.  So E = 0 when
+    2^(B-1) > 3^(n/2), asserted below, and f is bent with exactly the
+    sign and dual the residues give.  Conversely a bent f hits at every
+    point, so a miss proves f is not bent.  The first miss need not be
+    the first non-bent point (an earlier one may alias to a unit key), so
+    on a miss only the exact int32 spectrum (walsh_spectrum) is computed
+    and its first lookup miss is the NotBentError witness, its norm
+    computed exactly at that one point.
     """
     n = f.n
-    spectrum = walsh_spectrum(f)
-    sign, dual = _unit_lookup(spectrum.coeff_1, spectrum.coeff_w, n)
-    miss = np.flatnonzero(sign == 0)
-    if miss.size:
+    width = _residue_dtype(n)
+    assert 4 ** (np.iinfo(width).bits - 1) > 3 ** n, "residues too narrow to certify bentness"
+    sign, dual = _unit_lookup(*_transform(f, width), n)
+    if not sign.all():
+        spectrum = walsh_spectrum(f)
+        miss = np.flatnonzero(_unit_lookup(spectrum.coeff_1, spectrum.coeff_w, n)[0] == 0)
+        assert miss.size, "the residue lookup missed a point of a bent spectrum"
         witness = int(miss[0])
         norm_sq = spectrum.value(witness).squared_norm()
         assert norm_sq != size(n), "the unit lookup missed a value of bent magnitude"

@@ -299,13 +299,18 @@ def _case_weights(case: CodeCase, n: int, r: int) -> tuple[int, int, int]:
 def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     """Exact predicted [length, r] parameters and weight multiplicities.
 
-    Validates parity and the dimension bound; every multiplicity below is
-    an integer and they sum (with the zero codeword) to 3^r.
+    Validates parity, the dimension bound, r <= n and n >= 3 (below that
+    the exponents go negative); every multiplicity below is an integer
+    and they sum (with the zero codeword) to 3^r.
     """
     if n % 2 != case.parity:
         raise ValueError(f"case {case.value} needs n parity {case.parity}, got n={n}")
+    if n < 3:
+        raise ValueError(f"n={n} below 3, where the closed forms do not apply")
     if r < n // 2 + 1:
         raise ValueError(f"r={r} below the bound floor(n/2)+1={n // 2 + 1}")
+    if r > n:
+        raise ValueError(f"r={r} exceeds n={n}, the dimension of F_3^n")
 
     alt = None
     w1, w2, w3 = _case_weights(case, n, r)

@@ -229,7 +229,9 @@ def _rref(m: np.ndarray) -> np.ndarray:
     """Reduced row echelon form mod 3 of an int8 matrix with entries in
     {0, 1, 2}, nonzero rows only.
 
-    One whole-array elimination per pivot column, at most n of them.
+    One whole-array elimination per pivot column, at most n of them.  The
+    pivot row is the argmax of the column below the reduced rows, nonzero
+    unless the whole tail is zero; any nonzero pivot gives the same form.
     Every entry stays in {0, 1, 2} after each step and m - f * p lies in
     [-4, 2], so int8 never overflows.  The reduced echelon form of a row
     space is unique, so the result depends only on the span of the rows.
@@ -239,10 +241,11 @@ def _rref(m: np.ndarray) -> np.ndarray:
     for col in range(m.shape[1]):
         if rows == len(m):
             break
-        nonzero = np.flatnonzero(m[rows:, col])
-        if not nonzero.size:
+        tail = m[rows:, col]
+        k = int(tail.argmax())
+        if not tail[k]:
             continue
-        p = rows + nonzero[0]
+        p = rows + k
         pivot = m[p] * m[p, col] % 3  # a * a = 1 mod 3: a is its own inverse
         m[p] = m[rows]
         m = (m - m[:, col, None] * pivot) % 3

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tribent import analysis
 from tribent.analysis import (
     BentType,
     HypothesisError,
@@ -11,7 +14,9 @@ from tribent.analysis import (
     _holds,
     _pass_dtype,
     _radix3,
+    _residue_dtype,
     _unit_lookup,
+    _unit_values,
     bent_profile,
     coset_structure,
     decode_coefficient,
@@ -25,9 +30,11 @@ from tribent.analysis import (
     walsh_point,
     walsh_spectrum,
 )
-from tribent.constructions import QuadraticForm, quadratic_function
+from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
 from tribent.core import EXACT_DIM, Eisenstein, dots_with, encode, size, span
 from tribent.fixtures import get_fixture
+from tribent.pipeline import run_pipeline
+from tribent.search import random_instance, random_subspace
 
 from conftest import naive_spectrum_pair, neg_point, oracle_spectrum, radix3_oracle, random_function
 
@@ -288,6 +295,126 @@ def test_unit_lookup_on_synthetic_coefficients(n):
     values = np.unique(np.concatenate([near.ravel(), extremes]))
     qa, qb = (g.ravel() for g in np.meshgrid(values, values))
     assert _lookup_against_norms(qa, qb, n) == 6
+
+
+# Residue profiles.  bent_profile reads the transform mod 2^B and certifies
+# the whole spectrum by Parseval; these tests hold it to the exact int32
+# spectrum and the int32 lookup.
+
+def test_residue_width_is_the_narrowest_that_certifies():
+    # 2^(B-1) > 3^(n/2), squared: 4^(B-1) > 3^n; the next narrower type,
+    # of B/2 bits, must fail it
+    for n in range(EXACT_DIM + 1):
+        bits = np.iinfo(_residue_dtype(n)).bits
+        assert 4 ** (bits - 1) > 3 ** n, f"{bits} bits cannot certify n={n}"
+        assert bits == 8 or 4 ** (bits // 2 - 1) <= 3 ** n, f"{bits} bits not narrowest at n={n}"
+
+
+def _exact_profile(f: TernaryFunction):
+    """(sign, dual, type, regularity) from the exact int32 spectrum and the
+    int32 lookup, or the exact (witness, norm) when f is not bent."""
+    spectrum = walsh_spectrum(f)
+    norms = spectrum.squared_norms()
+    sign, dual = _unit_lookup(spectrum.coeff_1, spectrum.coeff_w, f.n)
+    bad = np.flatnonzero(norms != size(f.n))
+    assert np.array_equal(np.flatnonzero(sign == 0), bad)
+    if bad.size:
+        return int(bad[0]), int(norms[bad[0]])
+    both = (sign == 1).any() and (sign == -1).any()
+    reg = (Regularity.NON_WEAKLY_REGULAR if both
+           else Regularity.REGULAR if sign[0] == 1 and f.n % 2 == 0
+           else Regularity.WEAKLY_REGULAR)
+    return sign, dual, BentType.PLUS if sign[0] == 1 else BentType.MINUS, reg
+
+
+def _assert_profile_exact(f: TernaryFunction) -> bool:
+    """bent_profile of f against _exact_profile, witness and norm included
+    when f is not bent; whether f is bent."""
+    exact = _exact_profile(f)
+    if len(exact) == 2:
+        with pytest.raises(NotBentError) as exc:
+            bent_profile(f)
+        assert (exc.value.witness, exc.value.norm_sq, exc.value.expected) == (
+            *exact, size(f.n))
+        return False
+    sign, dual, btype, reg = exact
+    p = bent_profile(f)
+    assert p.sign.dtype == np.int8 and np.array_equal(p.sign, sign)
+    assert np.array_equal(p.dual.table, dual)
+    assert (p.type, p.regularity) == (btype, reg)
+    return True
+
+
+def _glue(rng: random.Random, n: int) -> TernaryFunction:
+    """A seeded glued bent function on F_3^n, n >= 1, with s <= 2."""
+    s = min(2, (n - 1) // 2)
+    side = rng.choice(list(BentType))
+    u = random_subspace(rng, s, rng.randrange(s + 1))
+    return gmmf_build(random_instance(rng, n - 2 * s, s, side, u, rng.randrange(3)))
+
+
+def test_residue_profile_matches_exact_on_fixtures_and_duals(built_fixtures):
+    assert len(built_fixtures) == 9
+    for f in built_fixtures.values():
+        assert _assert_profile_exact(f)
+        _assert_profile_exact(bent_profile(f).dual)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_residue_profile_matches_exact_on_glue_instances(n):
+    rng = random.Random(100 + n)
+    for _ in range(3 if n <= 10 else 1):
+        f = _glue(rng, n)
+        assert _assert_profile_exact(f)
+        _assert_profile_exact(bent_profile(f).dual)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_residue_profile_witness_is_exact(n):
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        assert not _assert_profile_exact(random_function(rng, n))
+    table = _glue(random.Random(n), n).table.copy()
+    x = int(rng.integers(size(n)))
+    table[x] = (table[x] + 1) % 3
+    assert not _assert_profile_exact(TernaryFunction(n, table))
+
+
+def test_witness_is_exact_where_a_residue_aliases():
+    # value counts N0, N1, N2 with W(0) = (N0 - N2) + (N1 - N2) w =
+    # (3^6 + 2^16, -2^16): no unit, yet its int16 residue is the unit 3^6,
+    # so the residue lookup hits at 0 and the witness 0 comes only from
+    # the exact spectrum
+    n, k = 12, 3 ** 11 - 3 ** 5
+    f = TernaryFunction(n, np.repeat([0, 1, 2], [k + 3 ** 6 + 2 ** 16, k - 2 ** 16, k]))
+    assert _unit_lookup(*analysis._transform(f, np.int16), n)[0][0] == 1
+    with pytest.raises(NotBentError) as exc:
+        bent_profile(f)
+    a, b = 3 ** 6 + 2 ** 16, -2 ** 16
+    assert (exc.value.witness, exc.value.norm_sq) == (0, a * a - a * b + b * b)
+
+
+def test_residue_lookup_aliases_where_exact_lookup_misses():
+    # a unit of n = 10 off by 2^16 is no unit, yet its int16 residue is one:
+    # a hit at one point proves nothing, only hits at every point do
+    n = 10
+    for j, base in enumerate(_unit_values(n)):
+        for sgn in (1, -1):
+            unit = base * sgn
+            a = np.array([unit.a + 2 ** 16], dtype=np.int64)
+            b = np.array([unit.b], dtype=np.int64)
+            sign, dual = _unit_lookup(a.astype(np.int16), b.astype(np.int16), n)
+            assert (int(sign[0]), int(dual[0])) == (sgn, j)
+            assert _unit_lookup(a.astype(np.int32), b.astype(np.int32), n)[0][0] == 0
+
+
+def test_bent_verdict_computes_no_exact_spectrum(flagship, monkeypatch):
+    def no_exact(f):
+        raise AssertionError("exact spectrum computed for a bent input")
+
+    monkeypatch.setattr(analysis, "walsh_spectrum", no_exact)
+    rep = run_pipeline(flagship)
+    assert rep.passed
 
 
 def test_is_bent_quick():

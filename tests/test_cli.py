@@ -194,6 +194,15 @@ def test_predict_bad_parity_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--case", "even-minus", "--n", "4", "--r", "9"], "error: r=9 exceeds n=4, the dimension of F_3^n"),
+    (["--case", "even-plus", "--n", "2", "--r", "2"], "error: n=2 below 3, where the closed forms do not apply"),
+])
+def test_predict_out_of_range_exits_two_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, "predict", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["examples", "--name", "no-such-fixture"])

@@ -26,7 +26,7 @@ from tribent.codes import (
 )
 from tribent.analysis import BentType
 from tribent.constructions import QuadraticForm, quadratic_function
-from tribent.core import encode, size, span
+from tribent.core import EXACT_DIM, encode, size, span
 from tribent.fixtures import get_fixture
 
 from conftest import radix3_oracle
@@ -217,6 +217,23 @@ def test_prediction_validates_inputs():
         predict_distribution(CodeCase.EVEN_PLUS, 5, 4)
     with pytest.raises(ValueError, match="bound"):
         predict_distribution(CodeCase.ODD_PLUS, 7, 3)
+    with pytest.raises(ValueError, match="exceeds n=4"):
+        predict_distribution(CodeCase.EVEN_MINUS, 4, 9)
+    for case, n in ((CodeCase.EVEN_PLUS, 2), (CodeCase.EVEN_MINUS, 2),
+                    (CodeCase.ODD_PLUS, 1), (CodeCase.ODD_MINUS, 1)):
+        with pytest.raises(ValueError, match="below 3"):
+            predict_distribution(case, n, n)
+
+
+def test_prediction_is_integral_at_every_accepted_n():
+    for case in CodeCase:
+        for n in range(3 + (case.parity == 0), EXACT_DIM + 1, 2):
+            for r in range(n // 2 + 1, n + 1):
+                pred = predict_distribution(case, n, r)
+                assert all(type(w) is int and type(e) is int
+                           for w, e in pred.distribution.items())
+                assert sum(pred.distribution.values()) == 3 ** r
+                assert min(pred.distribution.values()) >= 0
 
 
 def test_alt_reading_only_above_the_bound():

@@ -78,10 +78,10 @@ def test_unknown_fixture():
 
 @pytest.mark.parametrize("label", ["C3", "C", "X0", ""])
 def test_malformed_forced_set_is_refused_before_any_transform(built_fixtures, monkeypatch, label):
-    def no_transform(f):
+    def no_transform(*args):
         raise AssertionError("transformed before the label was checked")
 
-    monkeypatch.setattr(analysis, "walsh_spectrum", no_transform)
+    monkeypatch.setattr(analysis, "_radix3", no_transform)
     with pytest.raises(ValueError, match="C0..C2 or D0..D2"):
         run_pipeline(built_fixtures["trace14"], force_set=label)
 

@@ -709,13 +709,24 @@ def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
 def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     """coset_structure on hypotheses already established.
 
-    The union of the cosets u + V-perp over an index set is that set
-    closed under x -> x + q and x -> x + 2q for every basis vector q of
-    V-perp, and f is constant on each of those cosets exactly when
-    f(x + q) = f(x) for every such q and every x in the union; both are
-    tested as masks over F_3^n, translated by core.translation (two
-    half-width tables per q).  Any basis of V-perp spans the same cosets,
-    so the q are the rows of v.perp as span left them, not reduced again.
+    The hypotheses hold through non-degenerate, so the type side is V and
+    F_3^n is the direct sum of V and V-perp.  The cosets u + V-perp over i_plus then
+    tile the dual's plus set D+ exactly when D+ is invariant under every
+    basis vector q of V-perp: an invariant D+ holds x = v + w (v in V,
+    w in V-perp) exactly when it holds v, and a union of cosets is
+    invariant.  D- is the complement of D+, so the same test tiles it by
+    the cosets over i_minus.  When the tiling holds, the constant
+    branch's coset union is its dual side, and f is constant on those
+    cosets exactly when f(x + q) = f(x) on that side for every q.
+
+    So each q translates one int8 code, 3 [x in D+] + f(x) [x on the
+    branch's side], once (core.translation, two half-width tables): the
+    code is unchanged exactly when the high part (D+) and the low part
+    (f on the branch's side) both are.  Any basis of V-perp spans the
+    same cosets, so the q are the rows of v.perp as span left them, not
+    reduced again.  Only when some q moves D+, a broken tiling that the
+    theorem excludes, is the branch's index set closed under x -> x + q
+    and x -> x + 2q, and constant_ok read on that closure.
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
@@ -725,30 +736,35 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     dual_minus = dual_profile.side_mask(BentType.MINUS)
     steps = [translation(q, n) for q in (hyp.v.perp @ 3 ** np.arange(n)).tolist()]
 
-    def coset_union(mask: np.ndarray) -> np.ndarray:
-        for step in steps:
-            shifted = step(mask)
-            mask = mask | shifted | step(shifted)
-        return mask
-
-    i_plus, i_minus = side & dual_plus, side & dual_minus
-    union_plus, union_minus = coset_union(i_plus), coset_union(i_minus)
-    union_ok = (bool(np.array_equal(union_plus, dual_plus))
-                and bool(np.array_equal(union_minus, dual_minus)))
-
     # n even pairs the constant restriction with the plus intersection on
     # the plus side (and the minus intersection on the minus side); odd n
     # swaps the pairing.
     on_plus = (n % 2 == 0) == (profile.type is BentType.PLUS)
     branch_name = "i_plus" if on_plus else "i_minus"
-    branch = union_plus if on_plus else union_minus
-    constant_ok = not any(((step(f.table) != f.table) & branch).any() for step in steps)
+    branch_side = dual_plus if on_plus else dual_minus
+    code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
+    union_ok, constant_ok = True, True
+    for step in steps:
+        shifted = step(code)
+        if np.array_equal(shifted, code):
+            continue
+        if not np.array_equal(shifted >= 3, dual_plus):
+            union_ok = False
+            break
+        constant_ok = False
+
+    if not union_ok:
+        branch = side & branch_side
+        for step in steps:
+            shifted = step(branch)
+            branch = branch | shifted | step(shifted)
+        constant_ok = not any(((step(f.table) != f.table) & branch).any() for step in steps)
 
     return CosetStructure(
         side=profile.type,
         subspace=hyp.v,
-        i_plus=np.flatnonzero(i_plus),
-        i_minus=np.flatnonzero(i_minus),
+        i_plus=np.flatnonzero(side & dual_plus),
+        i_minus=np.flatnonzero(side & dual_minus),
         coset_union_ok=union_ok,
         constant_branch=branch_name,
         constant_ok=constant_ok,

@@ -126,18 +126,27 @@ def message_weights(s: DefiningSet) -> np.ndarray:
     One radix-3 transform of the indicator 1_S gives sum over S of
     w^(-u.x) for every u, the conjugate of chi_u(S); conjugation keeps the
     orbit sum 2a - b, so the identity of weight_of_character_sum holds for
-    all u at once, each division by 3 asserted exact.  Coefficients stay
-    within |S| <= 3^n in absolute value, so 2|S| - 2a + b is at most
-    5 * 3^n < 2^31 for n <= EXACT_DIM and the division runs in int32.
+    all u at once, with num = 2|S| - (2a - b) divisible by 3 at every u.
+
+    The division is a product with the inverse of 3 mod 2^32 (as in
+    analysis._unit_lookup): q = num * 0xAAAAAAAB wraps in uint32, and
+    q <= |S| is asserted at every u.  That holds exactly when num = 3w
+    with 0 <= w <= |S|, and then q = w.  For the converse: both
+    coefficients count points of S with sign, so |a|, |b| <= |S| <= 3^n
+    and num lies in [-|S|, 5|S|], within int32 since 5 * 3^n < 2^31 for
+    n <= EXACT_DIM.  If q <= |S| then 3q = num mod 2^32 with
+    |3q - num| <= 5 * 3^n < 2^32, so 3q = num.  The test is stronger than
+    a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     n = s.n
     indicator = np.zeros(size(n), dtype=np.int8)
     indicator[s.points] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), n)
     assert 5 * size(n) < 2 ** 31, f"int32 weights are exact only for n <= {EXACT_DIM}"
-    q, rem = np.divmod(2 * len(s) - (2 * a - b), 3)
-    assert not rem.any(), "character-sum weight must be an integer"
-    return q
+    num = 2 * len(s) - (2 * a - b)
+    q = num.view(np.uint32) * np.uint32(pow(3, -1, 2 ** 32))
+    assert (q <= len(s)).all(), "character-sum weight must be an integer in [0, |S|]"
+    return q.view(np.int32)
 
 
 def build_code(s: DefiningSet) -> LinearCode:
@@ -364,23 +373,26 @@ class WeightClassifier:
         self.in_dual_plus = ctx.dual_profile.sign == 1
 
     def expected_weights(self) -> np.ndarray:
-        """The case table over all messages: 0 on the kernel, elsewhere the
-        weight picked by dual-side membership and f(u) - j0, as entry
-        3 * [u in dual plus] + (f(u) - j0) % 3 of the flat six-entry table
-        (the key computed in int8)."""
+        """The case table over all messages (int32): entry
+        3 * [u in dual plus] + f(u) of a flat seven-entry table, which
+        holds the weight picked by dual-side membership and
+        (f(u) - j0) % 3, and entry 6, weight 0, on the kernel.  Each row
+        of the case's classes is rolled by j0, so the key is computed in
+        int8 with no reduction mod 3."""
         case = self.ctx.case
-        weights = np.array(_case_weights(case, self.f.n, self.ctx.r), dtype=np.int64)
-        table = weights[_WEIGHT_CLASS[case]].ravel()
-        delta = (self.f.table - np.int8(self.ctx.j0)) % np.int8(3)
-        key = self.in_dual_plus.view(np.int8) * np.int8(3) + delta
-        return np.where(self.in_kernel, 0, table[key])
+        classes = np.roll(_WEIGHT_CLASS[case], self.ctx.j0, axis=1)
+        table = np.zeros(7, dtype=np.int32)
+        table[:6] = np.array(_case_weights(case, self.f.n, self.ctx.r))[classes].ravel()
+        key = self.in_dual_plus.view(np.int8) * np.int8(3) + self.f.table
+        key[self.in_kernel] = 6
+        return np.take(table, key)
 
     def check_all(self, measured: np.ndarray) -> int | None:
         """First message whose measured weight (message_weights of the
         defining set, as LinearCode.message_weights holds it) differs from
         the prediction, or None when every codeword agrees."""
-        bad = np.flatnonzero(self.expected_weights() != measured)
-        return int(bad[0]) if bad.size else None
+        mismatch = self.expected_weights() != measured
+        return int(np.flatnonzero(mismatch)[0]) if mismatch.any() else None
 
 
 # ---------------------------------------------------------------------------

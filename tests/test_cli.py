@@ -23,6 +23,9 @@ DATA = Path(__file__).resolve().parent / "data"
     ("examples.json", ["examples", "--format", "json"]),
     ("search-m4-s1-count50-seed7.json",
      ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7", "--format", "json"]),
+    # n = 8, r = 5: V-perp has three basis vectors
+    ("search-m2-s3-count20-seed7.json",
+     ["search", "--m", "2", "--s", "3", "--count", "20", "--seed", "7", "--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,10 +1,12 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tribent.analysis import HypothesisError, TernaryFunction, bent_profile
+from tribent import codes
+from tribent.analysis import HypothesisError, TernaryFunction, bent_profile, establish
 from tribent.codes import (
     _WEIGHT_CLASS,
     CodeCase,
@@ -25,9 +27,10 @@ from tribent.codes import (
     weight_of_character_sum,
 )
 from tribent.analysis import BentType
-from tribent.constructions import QuadraticForm, quadratic_function
+from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
 from tribent.core import EXACT_DIM, encode, size, span
 from tribent.fixtures import get_fixture
+from tribent.search import random_instance, random_subspace
 
 from conftest import radix3_oracle
 
@@ -294,6 +297,69 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
                 weights[rows[int(clf.in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
                 for u in range(size(f.n))]
     assert clf.expected_weights().tolist() == expected
+
+
+def _parent_expected_weights(clf: WeightClassifier) -> np.ndarray:
+    """The classifier's table by its earlier formula: an int64 six-entry
+    table indexed by a key reduced mod 3, and np.where for the kernel."""
+    case, j0 = clf.ctx.case, clf.ctx.j0
+    weights = np.array(_case_weights(case, clf.f.n, clf.ctx.r), dtype=np.int64)
+    table = weights[_WEIGHT_CLASS[case]].ravel()
+    delta = (clf.f.table - np.int8(j0)) % np.int8(3)
+    key = clf.in_dual_plus.view(np.int8) * np.int8(3) + delta
+    return np.where(clf.in_kernel, 0, table[key])
+
+
+def _seeded_glue(n: int, side: BentType) -> TernaryFunction:
+    """An eligible glue instance at n = m + 2s, s = 1, from a fixed seed."""
+    rng = random.Random(n)
+    for _ in range(20):
+        f = gmmf_build(random_instance(rng, n - 2, 1, side, random_subspace(rng, 1, 0),
+                                       rng.randrange(3)))
+        if establish(f).ok:
+            return f
+    raise AssertionError(f"no eligible glue instance at n={n}")
+
+
+CLASSIFIED = ([(name, None) for name in ("code98-a", "code98-b", "code270-a", "code270-b",
+                                         "code756", "code36", "code270-c", "trace36")]
+              + [(f"glue-n{n}-{side.value}", (n, side))
+                 for n in range(3, 11) for side in (BentType.PLUS, BentType.MINUS)])
+
+
+@pytest.mark.parametrize("name,glue", CLASSIFIED, ids=[name for name, _ in CLASSIFIED])
+def test_expected_weights_are_int32_and_match_the_int64_formula(built_fixtures, name, glue):
+    f = built_fixtures[name] if glue is None else _seeded_glue(*glue)
+    clf = WeightClassifier(select_defining_set(f))
+    expected = clf.expected_weights()
+    assert expected.dtype == np.int32
+    assert np.array_equal(expected, _parent_expected_weights(clf))
+
+
+def _perturbed_radix3(monkeypatch, shift):
+    """Patch codes._radix3 so the unit coefficient at message 1 becomes
+    shift(a[1], |S|) for the defining set S of the call."""
+    original = codes._radix3
+
+    def perturbed(a, b, n):
+        k = int(a.sum())  # a is the indicator of S
+        a, b = original(a, b, n)
+        a[1] = shift(int(a[1]), k)
+        return a, b
+
+    monkeypatch.setattr(codes, "_radix3", perturbed)
+
+
+@pytest.mark.parametrize("shift", [
+    lambda a, k: a + 1,          # 2|S| - (2a - b) no longer divisible by 3
+    lambda a, k: a - 3 * k,      # a multiple of 3 above 3|S|: weight above |S|
+], ids=["not-divisible", "above-3S"])
+def test_message_weights_asserts_every_weight_in_range(built_fixtures, monkeypatch, shift):
+    s = select_defining_set(built_fixtures["code36"]).defining
+    assert message_weights(s).dtype == np.int32
+    _perturbed_radix3(monkeypatch, shift)
+    with pytest.raises(AssertionError, match="character-sum weight"):
+        message_weights(s)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,16 @@ def test_coset_tiling_against_pointwise_sums(name, f):
 
 
 ELIGIBLE = [(name, f) for name, f in CASES if establish(f).ok]
+# every eligible case whose V-perp has two or more basis vectors
+MULTI_PERP = [(name, f) for name, f in ELIGIBLE if len(establish(f).v.perp) >= 2]
+BROKEN = ELIGIBLE[::3] + [case for case in MULTI_PERP if case not in ELIGIBLE[::3]]
 
 
-@pytest.mark.parametrize("name,f", ELIGIBLE[::3], ids=[name for name, _ in ELIGIBLE[::3]])
+def test_multi_perp_cases_are_the_expected_ones():
+    assert [name for name, _ in MULTI_PERP] == ["trace36", "glue-6", "glue-20"]
+
+
+@pytest.mark.parametrize("name,f", BROKEN, ids=[name for name, _ in BROKEN])
 def test_coset_tiling_detects_broken_tilings(name, f):
     # the theorem makes every eligible tiling hold, so break one by hand:
     # move one point of the dual across sides, or change f at one point of
@@ -166,6 +173,55 @@ def test_coset_tiling_detects_broken_tilings(name, f):
     cs = coset_tiling(dataclasses.replace(hyp, f=g))
     assert cs.coset_union_ok and not cs.constant_ok
     assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, cs, perp)
+
+
+@pytest.mark.parametrize("name,f", MULTI_PERP, ids=[name for name, _ in MULTI_PERP])
+def test_coset_tiling_detects_a_break_the_first_basis_vector_keeps(name, f):
+    # flip the dual's sign on one whole coset of the line spanned by the
+    # first row q1 of v.perp: D+ stays invariant under q1 but not under
+    # q2, since the theorem made sign(x + q2) = sign(x) before the flip
+    hyp = establish(f)
+    q1, q2 = (hyp.v.perp[:2] @ 3 ** np.arange(f.n)).tolist()
+    x = 1 + len(name)
+    line = [x]
+    for _ in range(2):
+        line.append(add_points(line[-1], q1, f.n))
+    sign = hyp.dual_profile.sign.copy()
+    sign[line] = -sign[line]
+    assert sign[add_points(x, q2, f.n)] != sign[x]
+    moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
+    cs = coset_tiling(moved)
+    assert not cs.coset_union_ok
+    perp = orthogonal_complement(hyp.v).points()
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+
+
+def _count_translations(monkeypatch) -> list[int]:
+    """Record the translation vector of every call to a map that
+    analysis.translation returns."""
+    calls = []
+    original = analysis.translation
+
+    def counted(p, n):
+        step = original(p, n)
+
+        def translate(a):
+            calls.append(p)
+            return step(a)
+
+        return translate
+
+    monkeypatch.setattr(analysis, "translation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,f", ELIGIBLE, ids=[name for name, _ in ELIGIBLE])
+def test_a_holding_tiling_translates_once_per_basis_vector(monkeypatch, name, f):
+    hyp = establish(f)
+    calls = _count_translations(monkeypatch)
+    cs = coset_tiling(hyp)
+    assert cs.coset_union_ok and cs.constant_ok
+    assert calls == (hyp.v.perp @ 3 ** np.arange(f.n)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from tribent import (
     predict_distribution,
     run_pipeline,
     select_defining_set,
-    weight_of,
 )
 
 f = get_fixture("code98-a").build()
@@ -40,7 +39,7 @@ assert pred.distribution == code.distribution
 clf = WeightClassifier(ctx)
 u = 5
 print("message %d: predicted weight %d, actual %d"
-      % (u, clf.expected_weights()[u], weight_of(u, ctx.defining)))
+      % (u, clf.expected_weights()[u], code.message_weights[u]))
 assert clf.check_all(code.message_weights) is None
 print("all %d codewords classified correctly" % 3 ** f.n)
 

@@ -44,8 +44,6 @@ from .codes import (
     negation_check,
     predict_distribution,
     select_defining_set,
-    weight_of,
-    weight_of_character_sum,
 )
 from .constructions import (
     GmmfPrediction,

@@ -136,10 +136,10 @@ def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
         if isinstance(gen, list):
             gen = sum((int(d) % 3) * 3 ** i for i, d in enumerate(gen))
         terms = tuple((int(c), int(e)) for c, e in data["terms"])
-        field = ExtField.create(k, modulus, int(gen))
+        spec = TraceSpec(ExtField.create(k, modulus, int(gen)), terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad trace spec: {exc}") from exc
-    return trace_function(TraceSpec(field, terms))
+    return trace_function(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,8 @@ from .analysis import (
 )
 from .core import (
     EXACT_DIM,
-    Eisenstein,
-    dots_with,
     neg_table,
     rank,
-    root_sum,
     size,
 )
 
@@ -92,41 +89,15 @@ class LinearCode:
         return (self.length, self.dimension, self.min_distance)
 
 
-def weight_of(u: int, s: DefiningSet) -> int:
-    """Hamming weight of the codeword of message u: |{x in S : u.x != 0}|."""
-    if u == 0:
-        return 0
-    return int(np.count_nonzero(dots_with(u, s.n)[s.points]))
-
-
-def character_sum(u: int, s: DefiningSet) -> Eisenstein:
-    """chi_u(S) = sum over S of w^(u.x)."""
-    counts = np.bincount(dots_with(u, s.n)[s.points], minlength=3)
-    return root_sum([int(c) for c in counts])
-
-
-def weight_of_character_sum(u: int, s: DefiningSet) -> int:
-    """The same weight through the exact character-sum identity.
-
-    wt = (2/3)k - (1/3) * sum over the two nontrivial field automorphisms
-    of chi_u(S); the automorphism orbit sum of a + b*w is 2a - b, so the
-    weight is (2k - (2a - b)) / 3, which must divide exactly.
-    """
-    k = len(s)
-    chi = character_sum(u, s)
-    orbit = 2 * chi.a - chi.b
-    num = 2 * k - orbit
-    assert num % 3 == 0, "character-sum weight must be an integer"
-    return num // 3
-
-
 def message_weights(s: DefiningSet) -> np.ndarray:
     """The weight of every message's codeword, indexed by message u (int32).
 
     One radix-3 transform of the indicator 1_S gives sum over S of
-    w^(-u.x) for every u, the conjugate of chi_u(S); conjugation keeps the
-    orbit sum 2a - b, so the identity of weight_of_character_sum holds for
-    all u at once, with num = 2|S| - (2a - b) divisible by 3 at every u.
+    w^(-u.x) for every u, the conjugate of chi_u(S) = sum over S of
+    w^(u.x) = a + b*w.  The weight of u's codeword is (2|S| - (2a - b)) / 3,
+    since 2a - b is the sum of chi_u(S) over the two nontrivial field
+    automorphisms; conjugation keeps that orbit sum, so the identity holds
+    for all u at once, with num = 2|S| - (2a - b) divisible by 3 at every u.
 
     The division is a product with the inverse of 3 mod 2^32 (as in
     analysis._unit_lookup): q = num * 0xAAAAAAAB wraps in uint32, and
@@ -380,7 +351,7 @@ class WeightClassifier:
         of the case's classes is rolled by j0, so the key is computed in
         int8 with no reduction mod 3."""
         case = self.ctx.case
-        classes = np.roll(_WEIGHT_CLASS[case], self.ctx.j0, axis=1)
+        classes = _WEIGHT_CLASS[case][:, (np.arange(3) - self.ctx.j0) % 3]
         table = np.zeros(7, dtype=np.int32)
         table[:6] = np.array(_case_weights(case, self.f.n, self.ctx.r))[classes].ravel()
         key = self.in_dual_plus.view(np.int8) * np.int8(3) + self.f.table

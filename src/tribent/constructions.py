@@ -315,7 +315,7 @@ def eval_poly(expr: PolyExpr, cap: int | None = None) -> TernaryFunction:
 class TraceSpec:
     """f(x) = Tr(sum_t generator^cpow * x^e) over a fixed GF(3^k).
 
-    terms is a list of (cpow, e) pairs; the resulting table is indexed by
+    terms is a list of (cpow, e) pairs with e >= 0; the table is indexed by
     the polynomial-basis encoding of the field elements, so it is
     directly a TernaryFunction on F_3^k.
     """
@@ -323,15 +323,17 @@ class TraceSpec:
     field: ExtField
     terms: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        if any(e < 0 for _, e in self.terms):
+            raise ValueError("trace exponents must be non-negative")
+
 
 def trace_function(spec: TraceSpec) -> TernaryFunction:
     fld = spec.field
-    k = fld.k
-    table = np.zeros(fld.q, dtype=np.int8)
-    for x in range(fld.q):
-        acc = 0
-        for cpow, e in spec.terms:
-            term = fld.mul(fld.gen_pow(cpow), fld.pow(x, e))
-            acc = (acc + fld.trace(term)) % 3
-        table[x] = acc
-    return TernaryFunction(k, table)
+    n = fld.q - 1
+    table = np.zeros(fld.q, dtype=np.int64)
+    for cpow, e in spec.terms:
+        table[1:] += fld._trace[fld._exp[(cpow % n + e % n * fld._log[1:]) % n]]
+        if e == 0:  # 0^0 = 1, and 0^e = 0 for e > 0
+            table[0] += fld.trace(fld.gen_pow(cpow))
+    return TernaryFunction(fld.k, table)

@@ -116,8 +116,7 @@ def neg_table(n: int) -> np.ndarray:
 
 def translation_table(p: int, n: int) -> np.ndarray:
     """t[x] = index of x + p, for all x (int64)."""
-    return digit_sum_table([[(d + k) % 3 * 3 ** i for k in range(3)]
-                            for i, d in enumerate(decode(p, n))])
+    return (coord_matrix(n) + coord_rows([p], n)) % 3 @ 3 ** np.arange(n)
 
 
 def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:

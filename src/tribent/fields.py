@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import coord_rows, decode, digit_sum_table, encode, size
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+from .core import coord_rows, decode, digit_sum_table, size
 
 
 def _poly_mod(p: list[int], m: list[int]) -> list[int]:
@@ -36,32 +30,15 @@ def _poly_mod(p: list[int], m: list[int]) -> list[int]:
     return p
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % 3
-    return out
-
-
-def _all_monic(degree: int):
-    for idx in range(size(degree)):
-        yield list(decode(idx, degree)) + [1]
-
-
 def is_irreducible(modulus: Sequence[int]) -> bool:
     """Brute-force irreducibility over F_3: no monic factor of degree
     between 1 and deg/2 divides the polynomial."""
     m = [c % 3 for c in modulus]
-    if len(_poly_trim(list(m))) - 1 < 1:
-        return False
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _all_monic(d):
-            if not _poly_trim(_poly_mod(list(m), cand)):
-                return False
-    return True
+    while m and m[-1] == 0:
+        m.pop()
+    return len(m) > 1 and all(any(_poly_mod(m, list(decode(idx, d)) + [1]))
+                              for d in range(1, (len(m) - 1) // 2 + 1)
+                              for idx in range(size(d)))
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -78,62 +55,93 @@ def _prime_factors(x: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def _mul_matrix(modulus: Sequence[int], a: int) -> np.ndarray:
+    """Matrix of x -> a x on coordinate columns: sum_i a_i C^i, where the
+    companion matrix C of the modulus multiplies by t."""
+    k = len(modulus) - 1
+    c = np.eye(k, k, -1, dtype=np.int64)
+    c[:, -1] = np.negative(modulus[:-1]) % 3
+    out, power = np.zeros((k, k), dtype=np.int64), np.eye(k, dtype=np.int64)
+    for digit in decode(a, k):
+        out, power = out + digit * power, c @ power % 3
+    return out % 3
+
+
+def _mat_pow(m: np.ndarray, e: int) -> np.ndarray:
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % 3
+        m, e = m @ m % 3, e >> 1
+    return out
+
+
+def _has_full_order(m_a: np.ndarray, q: int) -> bool:
+    """Whether a has multiplicative order q - 1, read off its matrix:
+    M_a^(q-1) = I and M_a^((q-1)/p) != I for every prime p | q - 1.
+
+    Then the q - 1 powers of a are distinct units, so every nonzero
+    element of F_3[t]/(m) is a unit: the ring is a field and the modulus
+    m is irreducible (Lidl-Niederreiter, Finite Fields, ch. 3)."""
+    eye = np.eye(len(m_a), dtype=np.int64)
+    return (np.array_equal(_mat_pow(m_a, q - 1), eye)
+            and not any(np.array_equal(_mat_pow(m_a, (q - 1) // p), eye)
+                        for p in _prime_factors(q - 1)))
+
+
+@dataclass(frozen=True, eq=False)
 class ExtField:
     """GF(3^k) with a fixed monic irreducible modulus and primitive generator.
 
-    Construction validates the modulus (brute-force factor scan) and the
-    generator (multiplicative order 3^k - 1), then builds discrete
-    log/exp tables so products and powers are table lookups.
+    Construction checks that the generator's multiplication matrix has
+    order 3^k - 1, which also proves the modulus irreducible, then builds
+    discrete exp/log tables (read-only int64 arrays) so products and
+    powers are table lookups.
     """
 
     k: int
     modulus: tuple[int, ...]
     generator: int
-    _exp: tuple[int, ...]
-    _log: tuple[int, ...]
-    _trace: tuple[int, ...]
+    _exp: np.ndarray
+    _log: np.ndarray
+    _trace: np.ndarray
 
     @classmethod
     def create(cls, k: int, modulus: Sequence[int], generator: int) -> "ExtField":
         mod = tuple(c % 3 for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}, lowest coefficient first")
-        if not is_irreducible(mod):
-            raise ValueError(f"modulus {list(mod)} is reducible over F_3")
         q = size(k)
         if not 0 < generator < q:
             raise ValueError(f"generator {generator} out of range")
-
-        mlist = list(mod)
-
-        def raw_mul(a: int, b: int) -> int:
-            prod = _poly_mul(list(decode(a, k)), list(decode(b, k)))
-            return encode(_poly_mod(prod, mlist) + [0] * k)
-
-        exp = [1]
-        cur = 1
-        for _ in range(q - 2):
-            cur = raw_mul(cur, generator)
-            if cur == 1:
-                raise ValueError(f"generator {generator} is not primitive (order too small)")
-            exp.append(cur)
-        if raw_mul(cur, generator) != 1:
+        m_g = _mul_matrix(mod, generator)
+        if not _has_full_order(m_g, q):
+            if not is_irreducible(mod):
+                raise ValueError(f"modulus {list(mod)} is reducible over F_3")
             raise ValueError(f"generator {generator} is not primitive")
-        log = [0] * q
-        for e, val in enumerate(exp):
-            log[val] = e
+
+        # Row i of rows holds the coordinates of g^i.  Each round doubles
+        # them: rows i + 2^j are rows i times M_g^(2^j).  Each dot product
+        # is at most 4k, so the rows stay int8.
+        rows, step = np.eye(1, k, dtype=np.int8), m_g.astype(np.int8)
+        while len(rows) < q - 1:
+            rows = np.concatenate([rows, rows[: q - 1 - len(rows)] @ step.T % 3])
+            step = step @ step % 3
+        exp = sum(digit.astype(np.int64) * 3 ** i for i, digit in enumerate(rows.T))
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
 
         # Tr(x) = x + x^3 + ... + x^(3^(k-1)) is F_3-linear, so it is
-        # digit-additive: Tr(x) = sum_j x_j Tr(t^j).  Row j of images holds
-        # the Frobenius images of t^j (log arithmetic), and Tr(t^j) is
-        # their coordinatewise digit sum.
-        logs = np.outer([log[3 ** j] for j in range(k)], 3 ** np.arange(k)) % (q - 1)
-        images = np.array(exp)[logs]
-        sums = coord_rows(images.ravel(), k).reshape(k, k, k).sum(axis=1) % 3
+        # digit-additive: Tr(x) = sum_j x_j Tr(t^j).  Row j of exp[logs]
+        # holds the Frobenius images of t^j (log arithmetic), and Tr(t^j)
+        # is their coordinatewise digit sum.
+        logs = np.outer(log[3 ** np.arange(k)], 3 ** np.arange(k)) % (q - 1)
+        sums = coord_rows(exp[logs].ravel(), k).reshape(k, k, k).sum(axis=1) % 3
         assert not sums[:, 1:].any(), "trace must land in the prime field"
         trace = digit_sum_table([(0, t, 2 * t) for t in sums[:, 0].tolist()]) % 3
-        return cls(k, mod, generator, tuple(exp), tuple(log), tuple(trace.tolist()))
+        for table in (exp, log, trace):
+            table.flags.writeable = False
+        return cls(k, mod, generator, exp, log, trace)
 
     @property
     def q(self) -> int:
@@ -142,33 +150,31 @@ class ExtField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
-            if e == 0:
-                return 1
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+            return int(e == 0)
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def gen_pow(self, e: int) -> int:
         """generator^e."""
-        return self._exp[e % (self.q - 1)]
+        return int(self._exp[e % (self.q - 1)])
 
     def trace(self, a: int) -> int:
         """Trace down to F_3, as a value in {0, 1, 2}."""
-        return self._trace[a]
+        return int(self._trace[a])
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        return (self.q - 1) // gcd(self._log[a], self.q - 1)
+        return (self.q - 1) // gcd(int(self._log[a]), self.q - 1)
 
     def primitive_elements(self) -> list[int]:
         """All elements of multiplicative order 3^k - 1, in log order."""
-        return [self._exp[e] for e in range(self.q - 1) if gcd(e, self.q - 1) == 1]
+        return self._exp[np.gcd(np.arange(self.q - 1), self.q - 1) == 1].tolist()
 
 
 def find_irreducible(k: int) -> tuple[int, ...]:
@@ -176,12 +182,7 @@ def find_irreducible(k: int) -> tuple[int, ...]:
     residue class t is primitive; used as a default modulus."""
     t = 3 if k >= 2 else 2  # encode((0, 1, 0, ...)) for k >= 2
     for idx in range(size(k)):
-        cand = list(decode(idx, k)) + [1]
-        if not is_irreducible(cand):
-            continue
-        try:
-            ExtField.create(k, cand, generator=t)
-        except ValueError:
-            continue
-        return tuple(cand)
+        cand = decode(idx, k) + (1,)
+        if _has_full_order(_mul_matrix(cand, t), size(k)):
+            return cand
     raise RuntimeError(f"no degree-{k} primitive polynomial found")

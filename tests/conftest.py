@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tribent.analysis import TernaryFunction
-from tribent.core import decode, encode
+from tribent.codes import DefiningSet
+from tribent.core import Eisenstein, decode, dots_with, encode, root_sum
 from tribent.fixtures import FIXTURES, get_fixture
 
 
@@ -38,6 +39,37 @@ def neg_point(x: int, n: int) -> int:
 def dot(u: int, v: int, n: int) -> int:
     """Standard dot product of two points, as an element of F_3."""
     return sum(a * b for a, b in zip(decode(u, n), decode(v, n))) % 3
+
+
+# Direct per-message sums: references for codes.message_weights, which
+# measures every codeword from one transform.
+
+def weight_of(u: int, s: DefiningSet) -> int:
+    """Hamming weight of the codeword of message u: |{x in S : u.x != 0}|."""
+    if u == 0:
+        return 0
+    return int(np.count_nonzero(dots_with(u, s.n)[s.points]))
+
+
+def character_sum(u: int, s: DefiningSet) -> Eisenstein:
+    """chi_u(S) = sum over S of w^(u.x)."""
+    counts = np.bincount(dots_with(u, s.n)[s.points], minlength=3)
+    return root_sum([int(c) for c in counts])
+
+
+def weight_of_character_sum(u: int, s: DefiningSet) -> int:
+    """The same weight through the exact character-sum identity.
+
+    wt = (2/3)k - (1/3) * sum over the two nontrivial field automorphisms
+    of chi_u(S); the automorphism orbit sum of a + b*w is 2a - b, so the
+    weight is (2k - (2a - b)) / 3, which must divide exactly.
+    """
+    k = len(s)
+    chi = character_sum(u, s)
+    orbit = 2 * chi.a - chi.b
+    num = 2 * k - orbit
+    assert num % 3 == 0, "character-sum weight must be an integer"
+    return num // 3
 
 
 def random_function(rng: np.random.Generator, n: int) -> TernaryFunction:

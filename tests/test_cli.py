@@ -159,6 +159,28 @@ def test_verify_trace_file_with_forced_set(tmp_path, capsys):
     assert doc["code"]["enumerator"] == "1+4y^6+18y^10+4y^12"
 
 
+@pytest.mark.slow
+def test_verify_trace_file_at_the_cap_matches_the_golden_output(capsys):
+    # Tr(x^2) over GF(3^12): bent but weakly regular, so the run stops at
+    # the second stage; the field tables come from linear algebra
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--trace-file",
+                           str(DATA / "trace-k12-square-spec.json"), "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == (DATA / "verify-trace-k12-square.json").read_text()
+
+
+def test_verify_trace_file_refuses_negative_exponents(tmp_path, capsys):
+    spec = {"k": 2, "modulus": [2, 2, 1], "generator": 3, "terms": [[0, -2]]}
+    f = tmp_path / "trace.json"
+    f.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", "--trace-file", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {f}: bad trace spec: trace exponents must be non-negative"
+
+
 def test_search_cli(capsys):
     code, out, _ = run_cli(capsys, "search", "--m", "3", "--s", "1",
                            "--count", "5", "--seed", "4", "--side", "minus")

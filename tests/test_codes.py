@@ -23,8 +23,6 @@ from tribent.codes import (
     preimage_points,
     select_defining_set,
     selected_dual_value,
-    weight_of,
-    weight_of_character_sum,
 )
 from tribent.analysis import BentType
 from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
@@ -32,7 +30,7 @@ from tribent.core import EXACT_DIM, encode, size, span
 from tribent.fixtures import get_fixture
 from tribent.search import random_instance, random_subspace
 
-from conftest import radix3_oracle
+from conftest import radix3_oracle, weight_of, weight_of_character_sum
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,73 @@ import random
 
 import pytest
 
+from tribent.constructions import TraceSpec, trace_function
+from tribent.core import decode, encode, size
 from tribent.fields import ExtField, find_irreducible, is_irreducible
 
 from conftest import add_points
+
+
+# The digit-list construction: polynomial products reduced modulo the
+# modulus, one power of the generator at a time.  A slow, independent
+# reference for the tables ExtField reads off the generator's
+# multiplication matrix.
+
+def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...]) -> list[int]:
+    """(a * b) mod the monic modulus, coefficients mod 3, lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % 3
+    deg = len(modulus) - 1
+    for i in range(len(out) - 1, deg - 1, -1):
+        c = out[i]
+        for j, mc in enumerate(modulus):
+            out[i - deg + j] = (out[i - deg + j] - c * mc) % 3
+    return out[:deg]
+
+
+def oracle_tables(k: int, modulus, generator: int):
+    """(exp, log, trace) lists, or None when the generator's powers
+    repeat before 3^k - 1 steps."""
+    q = size(k)
+    g = list(decode(generator, k))
+    exp, cur = [1], [1] + [0] * (k - 1)
+    for _ in range(q - 2):
+        cur = _poly_mul_mod(cur, g, tuple(modulus))
+        if encode(cur) == 1:
+            return None
+        exp.append(encode(cur))
+    if encode(_poly_mul_mod(cur, g, tuple(modulus))) != 1:
+        return None
+    log = [0] * q
+    for e, val in enumerate(exp):
+        log[val] = e
+    trace = [0] * q
+    for e, x in enumerate(exp):
+        # Tr(x) = x + x^3 + ... + x^(3^(k-1)), added coordinatewise
+        total = 0
+        for i in range(k):
+            total = add_points(total, exp[e * 3 ** i % (q - 1)], k)
+        assert total < 3, "trace must land in the prime field"
+        trace[x] = total
+    return exp, log, trace
+
+
+def oracle_find_irreducible(k: int) -> tuple[int, ...]:
+    t = 3 if k >= 2 else 2
+    for idx in range(size(k)):
+        cand = decode(idx, k) + (1,)
+        if is_irreducible(cand) and oracle_tables(k, cand, t) is not None:
+            return cand
+    raise AssertionError(f"no degree-{k} primitive polynomial")
+
+
+def assert_tables_match(fld: ExtField, tables) -> None:
+    exp, log, trace = tables
+    assert fld._exp.tolist() == exp
+    assert fld._log.tolist() == log
+    assert fld._trace.tolist() == trace
 
 
 def test_irreducibility_small_cases():
@@ -17,7 +81,7 @@ def test_irreducibility_small_cases():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^modulus \[2, 0, 1\] is reducible over F_3$"):
         ExtField.create(2, [2, 0, 1], 3)
 
 
@@ -30,7 +94,7 @@ def test_non_primitive_generator_rejected():
     fld = ExtField.create(2, [2, 2, 1], 3)
     # squares generate the index-2 subgroup
     sq = fld.mul(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^generator {sq} is not primitive$"):
         ExtField.create(2, [2, 2, 1], sq)
 
 
@@ -98,3 +162,61 @@ def test_default_moduli_degrees():
         mod = find_irreducible(k)
         assert len(mod) == k + 1 and mod[-1] == 1
         assert is_irreducible(mod)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_tables_match_the_digit_list_construction(k):
+    mod = find_irreducible(k)
+    gen = 3 if k >= 2 else 2
+    assert_tables_match(ExtField.create(k, mod, gen), oracle_tables(k, mod, gen))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_modulus_and_generator_against_the_digit_list_construction(k):
+    # the order test alone decides primitivity and, with it, irreducibility
+    for idx in range(size(k)):
+        mod = decode(idx, k) + (1,)
+        for gen in range(1, size(k)):
+            tables = oracle_tables(k, mod, gen) if is_irreducible(mod) else None
+            if tables is not None:
+                assert_tables_match(ExtField.create(k, mod, gen), tables)
+                continue
+            reason = "is reducible" if not is_irreducible(mod) else "is not primitive"
+            with pytest.raises(ValueError, match=reason):
+                ExtField.create(k, mod, gen)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_default_modulus_matches_the_digit_list_search(k):
+    assert find_irreducible(k) == oracle_find_irreducible(k)
+
+
+def test_default_moduli_at_the_cap():
+    assert find_irreducible(10) == (2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert find_irreducible(12) == (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def test_tables_are_read_only_and_lookups_return_ints():
+    fld = ExtField.create(3, find_irreducible(3), 3)
+    for table in (fld._exp, fld._log, fld._trace):
+        assert not table.flags.writeable
+    values = [fld.mul(5, 7), fld.pow(5, 4), fld.gen_pow(30), fld.trace(5),
+              fld.element_order(5), *fld.primitive_elements()]
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("terms", [
+    ((0, 2),), ((10, 22), (0, 4)), ((3, 0), (1, 1)), ((100, 81), (2, 200), (0, 0)),
+])
+def test_trace_function_matches_the_point_by_point_sum(terms):
+    fld = ExtField.create(4, find_irreducible(4), 3)
+    table = trace_function(TraceSpec(fld, terms)).table
+    for x in range(fld.q):
+        acc = sum(fld.trace(fld.mul(fld.gen_pow(c), fld.pow(x, e))) for c, e in terms)
+        assert table[x] == acc % 3
+
+
+def test_trace_spec_refuses_negative_exponents():
+    fld = ExtField.create(2, (2, 2, 1), 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        TraceSpec(fld, ((0, 2), (1, -1)))

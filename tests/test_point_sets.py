@@ -22,14 +22,14 @@ from tribent.codes import (
     SelectionContext,
     message_weights,
     select_defining_set,
-    weight_of,
 )
 from tribent.constructions import gmmf_build, gmmf_predict
+from tribent.fields import ExtField
 from tribent.core import coord_matrix, coord_rows, size
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
 
-from conftest import dot
+from conftest import dot, weight_of
 
 
 def _glue(m: int, s: int, side: BentType, seed: int):
@@ -94,7 +94,7 @@ def test_defining_set_is_a_read_only_index_array():
 
 @pytest.mark.parametrize("record", [
     "WalshSpectrum", "BentProfile", "PreimageSets", "Hypotheses",
-    "CosetStructure", "SelectionContext", "GmmfPrediction",
+    "CosetStructure", "SelectionContext", "GmmfPrediction", "ExtField",
 ])
 def test_records_holding_arrays_compare_by_identity(built_fixtures, record):
     f = built_fixtures["code98-a"]
@@ -108,6 +108,7 @@ def test_records_holding_arrays_compare_by_identity(built_fixtures, record):
         "CosetStructure": lambda: coset_structure(f, analysis.bent_profile(f)),
         "SelectionContext": lambda: select_defining_set(f),
         "GmmfPrediction": lambda: gmmf_predict(spec),
+        "ExtField": lambda: ExtField.create(2, (2, 2, 1), 3),
     }[record]
     a, b = build(), build()
     assert type(a).__name__ == record

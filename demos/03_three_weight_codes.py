@@ -11,18 +11,19 @@ from tribent import (
     WeightClassifier,
     build_code,
     enumerator_string,
+    establish,
     get_fixture,
     predict_distribution,
     run_pipeline,
-    select_defining_set,
 )
+from tribent.codes import defining_set_for
 
 f = get_fixture("code98-a").build()
 
-# The selector checks every hypothesis (even, non-weakly regular, dual
-# bent, type side a non-degenerate subspace, dimension bound) and picks
-# the pre-image with full rank.
-ctx = select_defining_set(f)
+# establish decides every hypothesis once (even, non-weakly regular, dual
+# bent, type side a non-degenerate subspace, dimension bound); the
+# selector requires them all and picks the pre-image with full rank.
+ctx = defining_set_for(establish(f))
 print("case:", ctx.case.value, " j0:", ctx.j0, " r:", ctx.r,
       " |defining set|:", len(ctx.defining))
 

@@ -12,7 +12,7 @@ from tribent import (
     ExtField,
     TraceSpec,
     bent_profile,
-    is_dual_bent,
+    establish,
     run_pipeline,
     trace_function,
 )
@@ -26,8 +26,8 @@ print("field order:", field.q, " Tr(t) =", field.trace(3))
 g = trace_function(TraceSpec(field, ((10, 22), (0, 4))))
 profile = bent_profile(g)
 print("bent, type", profile.type.value + ",", profile.regularity.value)
-ok, _ = is_dual_bent(g, profile)
-print("dual bent:", ok)
+# establish records the dual's profile only when the dual is bent
+print("dual bent:", establish(g, profile).dual_profile is not None)
 
 # The pipeline still measures the requested pre-image code when the
 # dual-bent hypothesis fails.
@@ -51,5 +51,5 @@ for w in field.primitive_elements()[:8]:
     fld = ExtField.create(4, find_irreducible(4), w)
     cand = trace_function(TraceSpec(fld, ((10, 22), (0, 4))))
     p = bent_profile(cand)
-    hits += p.type is BentType.PLUS and not is_dual_bent(cand, p)[0]
+    hits += p.type is BentType.PLUS and establish(cand, p).dual_profile is None
 print("\n%d/8 sampled primitive elements reproduce the classification" % hits)

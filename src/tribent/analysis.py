@@ -25,10 +25,10 @@ from .core import (
     legendre,
     neg_table,
     omega_pow,
-    perp_mask,
     root_sum,
     size,
     span,
+    span_points,
     translation,
 )
 
@@ -329,9 +329,9 @@ class BentProfile:
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks.
     dual_profile is the dual's own profile (None when the dual is not
-    bent), and type_span the span of the type side with its V-perp mask,
-    each built on first access, so every reader of one profile shares one
-    transform of the dual and one span.
+    bent), and type_span the span of the type side with the indices of
+    its V-perp, each built on first access, so every reader of one
+    profile shares one transform of the dual and one span.
     """
 
     n: int
@@ -353,12 +353,13 @@ class BentProfile:
 
     @cached_property
     def type_span(self) -> tuple[Subspace, np.ndarray]:
-        """The span V of the type side and the read-only mask over all
-        3^n points that is true exactly on V-perp."""
+        """The span V of the type side and the kernel: the sorted,
+        read-only int64 indices of the 3^(n - dim V) points of V-perp,
+        enumerated from v.perp."""
         v = span(np.flatnonzero(self.side_mask(self.type)), self.n)
-        in_kernel = perp_mask(v)
-        in_kernel.flags.writeable = False
-        return v, in_kernel
+        kernel = span_points(v.perp)
+        kernel.flags.writeable = False
+        return v, kernel
 
 
 @cache
@@ -604,8 +605,7 @@ class Hypotheses:
     stages follow HYPOTHESES order.  After a failed bent stage nothing
     else is defined, and the non-degenerate and dimension-bound stages
     exist only when the type side is a subspace.  v is the span of the
-    type side, r its dimension, and in_kernel is true exactly on the
-    points of V-perp.
+    type side, r its dimension, and kernel the sorted indices of V-perp.
     """
 
     f: TernaryFunction
@@ -613,7 +613,7 @@ class Hypotheses:
     profile: BentProfile | None = None
     dual_profile: BentProfile | None = None
     v: Subspace | None = None
-    in_kernel: np.ndarray | None = None
+    kernel: np.ndarray | None = None
 
     @property
     def r(self) -> int | None:
@@ -639,8 +639,8 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
     non-degenerate, dimension-bound.  The type side lies in its span V,
     so it is a subspace exactly when |side| = 3^dim V; V is non-degenerate
-    exactly when the kernel mask (V-perp) meets the side only at 0.  V and
-    the kernel mask come from profile.type_span, decided once per profile.
+    exactly when the kernel (V-perp) meets the side only at 0.  V and the
+    kernel come from profile.type_span, decided once per profile.
     """
     n = f.n
     if profile is None:
@@ -661,18 +661,18 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
 
     side = profile.side_mask(profile.type)
     side_size = int(np.count_nonzero(side))
-    v, in_kernel = profile.type_span
+    v, kernel = profile.type_span
     subspace = side_size == size(v.dim)
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
                         f"|side| = {side_size} is not a subspace"))
     if subspace:
-        nondeg = int(np.count_nonzero(in_kernel & side)) == 1
+        nondeg = int(np.count_nonzero(side[kernel])) == 1
         stages.append(Stage("non-degenerate", nondeg, "" if nondeg else
                             "type side meets its complement beyond 0"))
         bound = v.dim >= n // 2 + 1
         stages.append(Stage("dimension-bound", bound, f"r = {v.dim}" if bound else
                             f"r = {v.dim} < floor(n/2)+1 = {n // 2 + 1}"))
-    return Hypotheses(f, tuple(stages), profile, dual_profile, v, in_kernel)
+    return Hypotheses(f, tuple(stages), profile, dual_profile, v, kernel)
 
 
 @dataclass(frozen=True, eq=False)

@@ -251,6 +251,7 @@ def cmd_verify(args) -> int:
     if args.poly:
         if args.n is None:
             raise InputError("--poly needs --n")
+        check_dim(args.n, cap)
         f = eval_poly(parse_poly(args.poly, args.n), cap)
     elif args.table_file:
         f = load_table_file(args.table_file, cap)

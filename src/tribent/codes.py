@@ -333,14 +333,14 @@ _WEIGHT_CLASS = {
 class WeightClassifier:
     """Per-message weight prediction for a selected defining set.
 
-    Reads f and the kernel membership mask (V-perp) from the established
+    Reads f and the kernel (the indices of V-perp) from the established
     hypotheses, so classifying all 3^n messages is a table walk.
     """
 
     def __init__(self, ctx: SelectionContext):
         self.ctx = ctx
         self.f = ctx.hypotheses.f
-        self.in_kernel = ctx.hypotheses.in_kernel
+        self.kernel = ctx.hypotheses.kernel
         self.in_dual_plus = ctx.dual_profile.sign == 1
 
     def expected_weights(self) -> np.ndarray:
@@ -355,7 +355,7 @@ class WeightClassifier:
         table = np.zeros(7, dtype=np.int32)
         table[:6] = np.array(_case_weights(case, self.f.n, self.ctx.r))[classes].ravel()
         key = self.in_dual_plus.view(np.int8) * np.int8(3) + self.f.table
-        key[self.in_kernel] = 6
+        key[self.kernel] = 6
         return np.take(table, key)
 
     def check_all(self, measured: np.ndarray) -> int | None:
@@ -396,9 +396,8 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     """Run both odd-n pipelines on f and -f and compare them."""
     if f.n % 2 == 0:
         raise HypothesisError("odd dimension")
-    ctx_f = select_defining_set(f)
-    g = f.negated()
-    ctx_g = select_defining_set(g)
+    ctx_f = defining_set_for(establish(f))
+    ctx_g = defining_set_for(establish(f.negated()))
     if {ctx_f.case, ctx_g.case} != {CodeCase.ODD_PLUS, CodeCase.ODD_MINUS}:
         raise HypothesisError("negation pairing",
                               f"cases {ctx_f.case.value}/{ctx_g.case.value}")

@@ -209,8 +209,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(\^)|(\*)|(\+)|(-)|(.))")
 def parse_poly(text: str, n: int) -> PolyExpr:
     """Parse 'c*xi^e*xj + ...' into a PolyExpr on n variables.
 
-    Whitespace-insensitive; '*' between factors is optional after a
-    coefficient is read by the grammar but required between variables.
+    Whitespace-insensitive.  Juxtaposed factors multiply, as in '2x1' or
+    'x1x2'; a '*' must stand between two factors.
     """
     tokens: list[tuple[str, str, int]] = []
     pos = 0
@@ -266,25 +266,19 @@ def parse_poly(text: str, n: int) -> PolyExpr:
                 raise PolyParseError("dangling operator", tokens[-1][2])
         coeff = sign
         powers: dict[int, int] = {}
-        expect_factor = True
-        while i < len(tokens):
-            kind = tokens[i][0]
-            if kind in ("+", "-"):
-                break
-            if kind == "*":
+        first = i
+        while i < len(tokens) and tokens[i][0] not in ("+", "-"):
+            if tokens[i][0] == "*":
+                after = tokens[i + 1][0] if i + 1 < len(tokens) else None
+                if i == first or after not in ("num", "var"):
+                    raise PolyParseError("'*' must stand between two factors", tokens[i][2])
                 i += 1
-                expect_factor = True
-                continue
-            if not expect_factor and kind == "var":
-                # juxtaposition like '2x1' is accepted
-                pass
             const, varexp, i = parse_factor(i)
             if const is not None:
                 coeff *= const
             else:
                 v, e = varexp
                 powers[v] = powers.get(v, 0) + e
-            expect_factor = False
         terms.append((coeff, tuple(sorted(powers.items()))))
     return PolyExpr(n, tuple(terms))
 

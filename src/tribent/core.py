@@ -8,8 +8,8 @@ root of unity w (w^2 = -1 - w); no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -272,36 +272,40 @@ def rank(points: Iterable[int], n: int) -> int:
     return span(points, n).dim
 
 
+def span_points(rows: np.ndarray) -> np.ndarray:
+    """The sorted indices (int64) of all 3^len(rows) F_3-combinations of
+    the rows of an int8 matrix with entries in {0, 1, 2}: every
+    coefficient vector times the rows (int8 sums of len(rows) products,
+    at most 4 * len(rows))."""
+    members = coord_matrix(len(rows)) @ rows % 3
+    return np.sort(members @ 3 ** np.arange(rows.shape[1]))
+
+
 @dataclass(frozen=True)
 class Subspace:
     """An F_3-linear subspace V of F_3^n given by an echelon basis of points.
 
-    perp is a basis of V-perp, the null-space basis of V's reduced basis
-    matrix, as the rows of a read-only int8 matrix of shape
-    (n - dim, n).  span fills it from its last round; a Subspace built
-    directly reduces its basis once, on first access.  _rref overwrites
-    its input, so a caller that reduces perp passes a copy.
+    perp is a basis of V-perp as the rows of an int8 matrix of shape
+    (n - dim, n), made read-only here; equality and hash ignore it.  span
+    passes the null basis of its last round, orthogonal_complement the
+    basis of V.  _rref overwrites its input, so a caller that reduces
+    perp passes a copy.
     """
 
     n: int
     basis: tuple[int, ...]
+    perp: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        self.perp.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def perp(self) -> np.ndarray:
-        null = _null_basis(_rref(coord_rows(self.basis, self.n)))
-        null.flags.writeable = False
-        return null
-
     def points(self) -> np.ndarray:
-        """All 3^dim members as a sorted int64 index array: every
-        coefficient vector times the basis (int8 sums of dim products, at
-        most 4 * dim)."""
-        members = coord_matrix(self.dim) @ coord_rows(self.basis, self.n) % 3
-        return np.sort(members @ 3 ** np.arange(self.n))
+        """All 3^dim members as a sorted int64 index array."""
+        return span_points(coord_rows(self.basis, self.n))
 
 
 # rows reduced up front by span; the rest are only checked against them
@@ -339,10 +343,7 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
         failing = (high_dots[high] != minus_low_dots[low]).any(axis=1)
         high, low = high[failing], low[failing]
         if not len(high):
-            v = Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()))
-            null.flags.writeable = False
-            object.__setattr__(v, "perp", null)  # fills the cached_property
-            return v
+            return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), null)
         grown = _rref(np.vstack([basis, coord_rows(high[:1] * 3 ** k + low[:1], n)]))
         assert len(grown) > len(basis), "a point failed the check but lies in the span"
         basis = grown
@@ -369,21 +370,9 @@ def is_nondegenerate(v: Subspace) -> bool:
     return len(_rref(b @ b.T % 3)) == v.dim
 
 
-def perp_mask(v: Subspace) -> np.ndarray:
-    """Boolean mask over all 3^n points, true exactly on V-perp.
-
-    The 3^(n - dim V) members of V-perp are enumerated from v.perp (int8
-    sums of n - dim V products, at most 4n) and scattered into the mask;
-    no other point is visited and nothing is reduced.
-    """
-    members = coord_matrix(len(v.perp)) @ v.perp % 3
-    mask = np.zeros(size(v.n), dtype=bool)
-    mask[members @ 3 ** np.arange(v.n)] = True
-    return mask
-
-
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All points orthogonal to every basis vector of V, as the reduced
     echelon form of v.perp (reduced on a copy: _rref overwrites its
-    input)."""
-    return Subspace(v.n, tuple((_rref(v.perp.copy()) @ 3 ** np.arange(v.n)).tolist()))
+    input); any basis of V is a basis of the complement's perp."""
+    basis = _rref(v.perp.copy()) @ 3 ** np.arange(v.n)
+    return Subspace(v.n, tuple(basis.tolist()), coord_rows(v.basis, v.n))

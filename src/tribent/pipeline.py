@@ -87,9 +87,7 @@ def _forced_side(label: str) -> tuple[BentType, int]:
     return (BentType.PLUS if label[0].upper() == "C" else BentType.MINUS), int(label[1])
 
 
-def run_pipeline(f: TernaryFunction,
-                 force_set: str | None = None,
-                 check_cosets: bool = True) -> PipelineReport:
+def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineReport:
     """Full run: spectrum, hypotheses, selection, code, prediction.
 
     The hypothesis stages are the record of analysis.establish, every one
@@ -137,11 +135,9 @@ def run_pipeline(f: TernaryFunction,
     rep.stages.append(Stage("preimage-sizes", measured == sizes,
                             f"measured {measured}, closed form {sizes}"))
 
-    if check_cosets:
-        cs = coset_tiling(hyp)
-        rep.stages.append(Stage("coset-structure",
-                                cs.coset_union_ok and cs.constant_ok,
-                                f"constant branch {cs.constant_branch}"))
+    cs = coset_tiling(hyp)
+    rep.stages.append(Stage("coset-structure", cs.coset_union_ok and cs.constant_ok,
+                            f"constant branch {cs.constant_branch}"))
 
     code = build_code(ctx.defining)
     prediction = predict_distribution(ctx.case, f.n, ctx.r)

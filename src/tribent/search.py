@@ -147,6 +147,8 @@ def run_search(m: int, s: int, count: int, seed: int,
     """Generate count instances and pipeline each; deterministic in seed."""
     if m < 1 or s < 1:
         raise ValueError("m and s must be at least 1")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     n = m + 2 * s
     check_dim(n, cap)
     if not 0 <= u_dim <= s:

@@ -101,6 +101,25 @@ def test_verify_parse_error_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("poly, position", [("*", 0), ("x1*", 2), ("x1 + *x2", 5)])
+def test_verify_refuses_a_dangling_star(capsys, poly, position):
+    code, out, err = run_cli(capsys, "verify", "--poly", poly, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: '*' must stand between two factors (at position {position})\n"
+
+
+def test_verify_checks_the_variable_count_before_parsing(capsys):
+    code, out, err = run_cli(capsys, "verify", "--poly", "x1", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: dimension must be non-negative, got -1\n"
+
+
+def test_search_refuses_a_negative_count(capsys):
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--s", "1", "--count", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: count must be non-negative, got -1\n"
+
+
 def test_verify_requires_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2

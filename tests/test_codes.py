@@ -26,7 +26,7 @@ from tribent.codes import (
 )
 from tribent.analysis import BentType
 from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
-from tribent.core import EXACT_DIM, encode, size, span
+from tribent.core import EXACT_DIM, encode, orthogonal_complement, size, span
 from tribent.fixtures import get_fixture
 from tribent.search import random_instance, random_subspace
 
@@ -279,7 +279,8 @@ def test_classifier_kernel_is_complement(built_fixtures):
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
-    assert int(clf.in_kernel.sum()) == 3 ** (f.n - ctx.r)
+    assert len(clf.kernel) == 3 ** (f.n - ctx.r)
+    assert np.array_equal(clf.kernel, orthogonal_complement(ctx.hypotheses.v).points())
     assert clf.expected_weights()[0] == 0
 
 
@@ -291,7 +292,8 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
     clf = WeightClassifier(ctx)
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _WEIGHT_CLASS[ctx.case]
-    expected = [0 if clf.in_kernel[u] else
+    kernel = set(clf.kernel.tolist())
+    expected = [0 if u in kernel else
                 weights[rows[int(clf.in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
                 for u in range(size(f.n))]
     assert clf.expected_weights().tolist() == expected
@@ -305,7 +307,9 @@ def _parent_expected_weights(clf: WeightClassifier) -> np.ndarray:
     table = weights[_WEIGHT_CLASS[case]].ravel()
     delta = (clf.f.table - np.int8(j0)) % np.int8(3)
     key = clf.in_dual_plus.view(np.int8) * np.int8(3) + delta
-    return np.where(clf.in_kernel, 0, table[key])
+    in_kernel = np.zeros(size(clf.f.n), dtype=bool)
+    in_kernel[clf.kernel] = True
+    return np.where(in_kernel, 0, table[key])
 
 
 def _seeded_glue(n: int, side: BentType) -> TernaryFunction:

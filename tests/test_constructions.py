@@ -189,6 +189,19 @@ def test_parse_minus_sign():
     assert f == g
 
 
+def test_parse_juxtaposed_factors_multiply():
+    assert parse_poly("2x1x2", 2) == parse_poly("2*x1*x2", 2)
+    assert eval_poly(parse_poly("x1x2^2", 2)) == eval_poly(parse_poly("x1 * x2^2", 2))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("*", 0), ("x1*", 2), ("x1 + *x2", 5), ("x1* + x2", 2), ("x1 * * x2", 3), ("x1 *^2", 3)])
+def test_parse_refuses_a_star_outside_two_factors(text, position):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, 2)
+    assert exc.value.position == position
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(PolyParseError):
         parse_poly("", 2)

@@ -20,11 +20,11 @@ from tribent.core import (
     neg_table,
     omega_pow,
     orthogonal_complement,
-    perp_mask,
     rank,
     root_sum,
     size,
     span,
+    span_points,
     translation,
     translation_table,
 )
@@ -363,7 +363,7 @@ def test_span_and_perp_against_references_at_larger_n(case):
     basis = np.array([decode(b, n) for b in v.basis], dtype=np.int64).reshape(-1, n)
     all_points = np.array([decode(x, n) for x in range(size(n))], dtype=np.int64)
     brute = ~(all_points @ basis.T % 3).any(axis=1)
-    assert np.array_equal(perp_mask(v), brute)
+    assert np.array_equal(span_points(v.perp), np.flatnonzero(brute))
     assert np.array_equal(orthogonal_complement(v).points(), np.flatnonzero(brute))
 
 
@@ -410,13 +410,10 @@ def _perp_cases():
         yield 11, pts
 
 
-def test_span_keeps_the_perp_basis_a_direct_subspace_computes():
+def test_span_keeps_the_perp_basis():
     for n, pts in _perp_cases():
         v = span(pts, n)
-        direct = Subspace(n, v.basis)
-        assert "perp" in vars(v) and "perp" not in vars(direct)
-        assert v.perp.dtype == direct.perp.dtype == np.int8
-        assert np.array_equal(v.perp, direct.perp)
+        assert v.perp.dtype == np.int8
         assert v.perp.shape == (n - v.dim, n)
         # every row is orthogonal to V and the rows are independent
         assert not (coord_rows(v.basis, n).astype(np.int64) @ v.perp.T % 3).any()
@@ -425,14 +422,45 @@ def test_span_keeps_the_perp_basis_a_direct_subspace_computes():
 
 def test_perp_is_read_only_and_survives_its_readers():
     pts = _subspace_and_stray(4, 1)
-    for v in (span(pts, 11), Subspace(11, span(pts, 11).basis)):
+    for v in (span(pts, 11), orthogonal_complement(span(pts, 11))):
         perp = v.perp
         before = perp.copy()
         assert not perp.flags.writeable
         with pytest.raises(ValueError):
             perp[0, 0] = 2
         w = orthogonal_complement(v)
-        mask = perp_mask(v)
+        kernel = span_points(v.perp)
         assert v.perp is perp and np.array_equal(perp, before)
-        assert np.array_equal(np.flatnonzero(mask), w.points())
+        assert np.array_equal(kernel, w.points())
         assert orthogonal_complement(v) == w
+
+
+def test_equality_and_hash_ignore_perp():
+    for n, pts in _perp_cases():
+        v = span(pts, n)
+        other = Subspace(n, v.basis, np.zeros((0, n), dtype=np.int8))
+        assert v == other and hash(v) == hash(other)
+        assert "perp" not in repr(v)
+        assert len({v, other}) == 1
+
+
+def test_the_complements_perp_spans_v():
+    for n, pts in _perp_cases():
+        v = span(pts, n)
+        w = orthogonal_complement(v)
+        assert w.perp.shape == (v.dim, n)
+        assert span(span_points(w.perp), n) == v
+        assert np.array_equal(span_points(w.perp), v.points())
+        assert orthogonal_complement(w) == v
+
+
+def test_span_points_enumerates_every_combination_of_the_rows():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        for d in range(n + 1):
+            rows = rng.integers(0, 3, (d, n)).astype(np.int8)
+            combos = {encode(np.array(c, dtype=np.int64) @ rows.astype(np.int64))
+                      for c in (decode(x, d) for x in range(size(d)))}
+            points = span_points(rows)
+            assert points.dtype == np.int64 and len(points) == size(d)
+            assert np.unique(points).tolist() == sorted(combos)

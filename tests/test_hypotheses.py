@@ -1,8 +1,9 @@
 """The once-established hypothesis record against reference implementations.
 
-establish() decides non-degeneracy and builds the kernel mask without
-enumerating subspaces; orthogonal_complement and is_nondegenerate stay
-the slow, direct references it is checked against here.
+establish() decides non-degeneracy on the kernel, the 3^(n - r) indices
+of V-perp, without enumerating V; orthogonal_complement,
+is_nondegenerate and a scan of all 3^n points are the references it is
+checked against here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from tribent.analysis import (
 from tribent.codes import select_defining_set
 from tribent.constructions import gmmf_build
 from tribent.core import (
+    coord_rows,
+    decode,
     dots_with,
     encode,
     is_nondegenerate,
@@ -70,6 +73,20 @@ def _glue_instances() -> list[tuple[str, TernaryFunction]]:
     return out
 
 
+def _brute_perp(v) -> np.ndarray:
+    """V-perp by a scan of all 3^n points against V's basis."""
+    points = np.array([decode(x, v.n) for x in range(size(v.n))], dtype=np.int64)
+    basis = coord_rows(v.basis, v.n).astype(np.int64)
+    return np.flatnonzero(~(points.reshape(-1, v.n) @ basis.T % 3).any(axis=1))
+
+
+def _assert_kernel_is_perp(v, kernel: np.ndarray) -> None:
+    assert kernel.dtype == np.int64 and not kernel.flags.writeable
+    assert len(kernel) == size(v.n - v.dim)
+    assert np.array_equal(kernel, _brute_perp(v))
+    assert np.array_equal(kernel, orthogonal_complement(v).points())
+
+
 CASES = [(fx.name, fx.build()) for fx in FIXTURES] + _glue_instances()
 
 
@@ -85,7 +102,7 @@ def test_record_against_references(name, f):
     if hyp.profile is None:
         assert [s.name for s in hyp.stages] == ["bent"]
         return
-    assert np.array_equal(np.flatnonzero(hyp.in_kernel), orthogonal_complement(hyp.v).points())
+    _assert_kernel_is_perp(hyp.v, hyp.kernel)
     nondeg = next((s for s in hyp.stages if s.name == "non-degenerate"), None)
     if nondeg is not None:
         assert nondeg.ok == is_nondegenerate(hyp.v)
@@ -291,6 +308,38 @@ def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
     _run_public_path(f)
     assert spans == [f.n]
     assert negs == [f.n]  # the even check, decided once per function
+
+
+def test_public_hypothesis_path_enumerates_the_kernel_once(monkeypatch):
+    f = _eligible_glue()
+    kernels = []
+    original = analysis.span_points
+
+    def counted(rows):
+        kernels.append(original(rows))
+        return kernels[-1]
+
+    monkeypatch.setattr(analysis, "span_points", counted)
+    p = _run_public_path(f)
+    hyp = establish(f, p)
+    assert len(kernels) == 1
+    assert np.array_equal(kernels[0], hyp.kernel) and len(hyp.kernel) == size(f.n - hyp.r)
+
+
+def test_type_span_kernel_of_random_subspaces():
+    # a profile whose type side is a random subspace V (sign +1 exactly on
+    # V) gives V back with V-perp as its kernel
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for dim in range(n + 1):
+            v = random_subspace(rng, n, dim)
+            sign = np.full(size(n), -1, dtype=np.int8)
+            sign[v.points()] = 1
+            profile = analysis.BentProfile(n, TernaryFunction.constant(n, 0), sign,
+                                           BentType.PLUS, analysis.Regularity.NON_WEAKLY_REGULAR)
+            w, kernel = profile.type_span
+            assert w == v
+            _assert_kernel_is_perp(v, kernel)
 
 
 def test_profile_is_freed_without_the_cyclic_collector():

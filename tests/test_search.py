@@ -101,6 +101,8 @@ def test_search_validates_parameters():
         run_search(0, 1, 1, seed=0)
     with pytest.raises(ValueError):
         run_search(2, 1, 1, seed=0, u_dim=2)
+    with pytest.raises(ValueError, match="count"):
+        run_search(2, 1, -1, seed=0)
     from tribent.core import DimensionCapError
     with pytest.raises(DimensionCapError):
         run_search(10, 2, 1, seed=0)

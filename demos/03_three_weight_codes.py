@@ -35,14 +35,17 @@ pred = predict_distribution(ctx.case, f.n, ctx.r)
 print("predicted enumerator:", enumerator_string(pred.distribution))
 assert pred.distribution == code.distribution
 
-# Each individual codeword's weight is itself predictable from where the
-# message sits relative to the dual's partition.
+# Each individual codeword's weight is itself predictable from where a
+# message sits relative to the dual's partition.  The code measures every
+# codeword once, at one message u_c per coset of its kernel V-perp.
 clf = WeightClassifier(ctx)
-u = 5
+messages = code.messages()
+expected = clf.expected_weights(messages)
+c = 5
 print("message %d: predicted weight %d, actual %d"
-      % (u, clf.expected_weights()[u], code.message_weights[u]))
-assert clf.check_all(code.message_weights) is None
-print("all %d codewords classified correctly" % 3 ** f.n)
+      % (messages[c], expected[c], code.message_weights[c]))
+assert clf.check_all(code) is None
+print("all %d codewords classified correctly" % 3 ** code.dimension)
 
 # The staged pipeline bundles all of the above into one report; note the
 # low-weight multiplicity remark (an alternative tabulated reading gives

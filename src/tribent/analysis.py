@@ -22,13 +22,13 @@ from .core import (
     check_dim,
     decode,
     dots_with,
+    is_nondegenerate,
     legendre,
     neg_table,
     omega_pow,
     root_sum,
     size,
     span,
-    span_points,
     translation,
 )
 
@@ -125,13 +125,6 @@ class TernaryFunction:
     def negated(self) -> "TernaryFunction":
         """The function -f (values negated mod 3)."""
         return TernaryFunction(self.n, -self.table)
-
-    def reflected(self) -> "TernaryFunction":
-        """The function x -> f(-x)."""
-        return TernaryFunction(self.n, self.table[neg_table(self.n)])
-
-    def plus_constant(self, c: int) -> "TernaryFunction":
-        return TernaryFunction(self.n, self.table + c % 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +322,9 @@ class BentProfile:
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks.
     dual_profile is the dual's own profile (None when the dual is not
-    bent), and type_span the span of the type side with the indices of
-    its V-perp, each built on first access, so every reader of one
-    profile shares one transform of the dual and one span.
+    bent), and type_span the span V of the type side, each built on first
+    access, so every reader of one profile shares one transform of the
+    dual and one span.
     """
 
     n: int
@@ -352,14 +345,9 @@ class BentProfile:
             return None
 
     @cached_property
-    def type_span(self) -> tuple[Subspace, np.ndarray]:
-        """The span V of the type side and the kernel: the sorted,
-        read-only int64 indices of the 3^(n - dim V) points of V-perp,
-        enumerated from v.perp."""
-        v = span(np.flatnonzero(self.side_mask(self.type)), self.n)
-        kernel = span_points(v.perp)
-        kernel.flags.writeable = False
-        return v, kernel
+    def type_span(self) -> Subspace:
+        """The span V of the type side, with a basis of V-perp as v.perp."""
+        return span(np.flatnonzero(self.side_mask(self.type)), self.n)
 
 
 @cache
@@ -605,7 +593,7 @@ class Hypotheses:
     stages follow HYPOTHESES order.  After a failed bent stage nothing
     else is defined, and the non-degenerate and dimension-bound stages
     exist only when the type side is a subspace.  v is the span of the
-    type side, r its dimension, and kernel the sorted indices of V-perp.
+    type side and r its dimension.
     """
 
     f: TernaryFunction
@@ -613,7 +601,6 @@ class Hypotheses:
     profile: BentProfile | None = None
     dual_profile: BentProfile | None = None
     v: Subspace | None = None
-    kernel: np.ndarray | None = None
 
     @property
     def r(self) -> int | None:
@@ -638,9 +625,9 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
 
     Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
     non-degenerate, dimension-bound.  The type side lies in its span V,
-    so it is a subspace exactly when |side| = 3^dim V; V is non-degenerate
-    exactly when the kernel (V-perp) meets the side only at 0.  V and the
-    kernel come from profile.type_span, decided once per profile.
+    so it is a subspace exactly when |side| = 3^dim V, and is_nondegenerate
+    decides V from a Gram rank.  V comes from profile.type_span, decided
+    once per profile.
     """
     n = f.n
     if profile is None:
@@ -659,20 +646,19 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     dual_ok, dual_profile = is_dual_bent(f, profile)
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
-    side = profile.side_mask(profile.type)
-    side_size = int(np.count_nonzero(side))
-    v, kernel = profile.type_span
+    side_size = int(np.count_nonzero(profile.side_mask(profile.type)))
+    v = profile.type_span
     subspace = side_size == size(v.dim)
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
                         f"|side| = {side_size} is not a subspace"))
     if subspace:
-        nondeg = int(np.count_nonzero(side[kernel])) == 1
+        nondeg = is_nondegenerate(v)
         stages.append(Stage("non-degenerate", nondeg, "" if nondeg else
                             "type side meets its complement beyond 0"))
         bound = v.dim >= n // 2 + 1
         stages.append(Stage("dimension-bound", bound, f"r = {v.dim}" if bound else
                             f"r = {v.dim} < floor(n/2)+1 = {n // 2 + 1}"))
-    return Hypotheses(f, tuple(stages), profile, dual_profile, v, kernel)
+    return Hypotheses(f, tuple(stages), profile, dual_profile, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,6 +692,12 @@ def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
     return coset_tiling(establish(f, profile))
 
 
+def constant_on_dual_plus(n: int, side: BentType) -> bool:
+    """Whether f is constant on the cosets over i_plus, not i_minus: n even
+    pairs the plus intersection with the plus side, odd n swaps that."""
+    return (n % 2 == 0) == (side is BentType.PLUS)
+
+
 def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     """coset_structure on hypotheses already established.
 
@@ -736,10 +728,7 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     dual_minus = dual_profile.side_mask(BentType.MINUS)
     steps = [translation(q, n) for q in (hyp.v.perp @ 3 ** np.arange(n)).tolist()]
 
-    # n even pairs the constant restriction with the plus intersection on
-    # the plus side (and the minus intersection on the minus side); odd n
-    # swaps the pairing.
-    on_plus = (n % 2 == 0) == (profile.type is BentType.PLUS)
+    on_plus = constant_on_dual_plus(n, profile.type)
     branch_name = "i_plus" if on_plus else "i_minus"
     branch_side = dual_plus if on_plus else dual_minus
     code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side

@@ -24,14 +24,17 @@ from .analysis import (
     PreimageSets,
     TernaryFunction,
     _radix3,
+    constant_on_dual_plus,
     establish,
     preimage_sets,
 )
 from .core import (
     EXACT_DIM,
+    coord_rows,
+    digit_sum_table,
     neg_table,
-    rank,
     size,
+    span,
 )
 
 
@@ -69,17 +72,18 @@ class LinearCode:
     """Measured parameters of a defining-set code.
 
     distribution maps Hamming weight to codeword count and includes the
-    zero codeword at weight 0; counts sum to 3^dimension.
-    message_weights is the weight of every message's codeword, indexed by
-    message, as measured by build_code; it is left out of repr.  Equality
-    is identity.
+    zero codeword at weight 0; counts sum to 3^dimension.  pivots and
+    message_weights (left out of repr) are what message_weights(defining)
+    returns: entry c holds the weight of the codeword of messages()[c].
+    Equality is identity.
     """
 
     defining: DefiningSet
     length: int
     dimension: int
     distribution: dict[int, int]
-    message_weights: np.ndarray | None = field(default=None, repr=False)
+    pivots: tuple[int, ...]
+    message_weights: np.ndarray = field(repr=False)
 
     @property
     def min_distance(self) -> int:
@@ -88,64 +92,72 @@ class LinearCode:
     def parameters(self) -> tuple[int, int, int]:
         return (self.length, self.dimension, self.min_distance)
 
+    def messages(self) -> np.ndarray:
+        """The message u_c of every entry c of message_weights (int64):
+        u_0 = 0 first, and one message per coset of the code's kernel."""
+        return digit_sum_table([(0, 3 ** p, 2 * 3 ** p) for p in self.pivots])
 
-def message_weights(s: DefiningSet) -> np.ndarray:
-    """The weight of every message's codeword, indexed by message u (int32).
 
-    One radix-3 transform of the indicator 1_S gives sum over S of
-    w^(-u.x) for every u, the conjugate of chi_u(S) = sum over S of
-    w^(u.x) = a + b*w.  The weight of u's codeword is (2|S| - (2a - b)) / 3,
-    since 2a - b is the sum of chi_u(S) over the two nontrivial field
-    automorphisms; conjugation keeps that orbit sum, so the identity holds
-    for all u at once, with num = 2|S| - (2a - b) divisible by 3 at every u.
+def message_weights(s: DefiningSet) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pivot columns P of span(S) and the weight of every codeword
+    once, indexed by c in F_3^r (int32, r = |P|).
+
+    B[:, P] is the identity for the reduced basis B of span(S), so the
+    message u_c = sum_i c_i e_{P_i} has u_c . x = c . x[P] on S: the u_c
+    are one message per coset of the kernel span(S)-perp.  The coordinate
+    index of x[P] is read off one digit-additive table per index half
+    (one divmod by 3^k, k = n // 2, as in span).  One radix-3 transform of
+    the coordinate indicator gives a + b*w at every c, the conjugate of
+    chi_c = sum over S of w^(c . x[P]); 2a - b is the sum of chi_c over the
+    two nontrivial field automorphisms, which conjugation keeps, so the
+    weight at c is num / 3 with num = 2|S| - (2a - b).
 
     The division is a product with the inverse of 3 mod 2^32 (as in
     analysis._unit_lookup): q = num * 0xAAAAAAAB wraps in uint32, and
-    q <= |S| is asserted at every u.  That holds exactly when num = 3w
+    q <= |S| is asserted at every c.  That holds exactly when num = 3w
     with 0 <= w <= |S|, and then q = w.  For the converse: both
-    coefficients count points of S with sign, so |a|, |b| <= |S| <= 3^n
-    and num lies in [-|S|, 5|S|], within int32 since 5 * 3^n < 2^31 for
-    n <= EXACT_DIM.  If q <= |S| then 3q = num mod 2^32 with
-    |3q - num| <= 5 * 3^n < 2^32, so 3q = num.  The test is stronger than
+    coefficients count points of S with sign, so |a|, |b| <= |S| <= 3^r
+    and num lies in [-|S|, 5|S|], within int32 since 5 * 3^r < 2^31 for
+    r <= EXACT_DIM.  If q <= |S| then 3q = num mod 2^32 with
+    |3q - num| <= 5 * 3^r < 2^32, so 3q = num.  The test is stronger than
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     n = s.n
-    indicator = np.zeros(size(n), dtype=np.int8)
-    indicator[s.points] = 1
-    a, b = _radix3(indicator, np.zeros_like(indicator), n)
-    assert 5 * size(n) < 2 ** 31, f"int32 weights are exact only for n <= {EXACT_DIM}"
+    pivots = (coord_rows(span(s.points, n).basis, n) != 0).argmax(axis=1).tolist()
+    r = len(pivots)
+    place = [(0, 0, 0)] * n
+    for i, p in enumerate(pivots):
+        place[p] = (0, 3 ** i, 2 * 3 ** i)
+    k = n // 2
+    high, low = np.divmod(s.points, 3 ** k)
+    indicator = np.zeros(size(r), dtype=np.int8)
+    indicator[digit_sum_table(place[k:])[high] + digit_sum_table(place[:k])[low]] = 1
+    a, b = _radix3(indicator, np.zeros_like(indicator), r)
+    assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"
     num = 2 * len(s) - (2 * a - b)
     q = num.view(np.uint32) * np.uint32(pow(3, -1, 2 ** 32))
     assert (q <= len(s)).all(), "character-sum weight must be an integer in [0, |S|]"
-    return q.view(np.int32)
+    return tuple(pivots), q.view(np.int32)
 
 
 def build_code(s: DefiningSet) -> LinearCode:
-    """Measure dimension and weight distribution over all 3^n messages.
+    """Measure dimension and weight distribution, each codeword once.
 
-    Every codeword arises from exactly 3^(n-r) messages (the kernel is
-    the orthogonal complement of the span of S), so the per-weight counts
-    over all 3^n messages divide exactly by that factor; the division is
-    asserted rather than trusted.  So is the first Pless power moment:
-    no coordinate of the code is identically zero (0 is not in S), so
-    the weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.  r is
-    the rank of S by elimination, independent of the measured weights.
+    The distribution is the bincount of message_weights; asserted are a
+    single codeword of weight 0, and the first Pless power moment: no
+    coordinate of the code is identically zero (0 is not in S), so the
+    weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.
     """
-    n = s.n
-    r = rank(s.points, n)
-    weights = message_weights(s)
+    pivots, weights = message_weights(s)
+    r = len(pivots)
     counts = np.bincount(weights, minlength=len(s) + 1)
     present = np.flatnonzero(counts)
-    per_weight = counts[present]
-    kernel = size(n - r)
-    assert not (per_weight % kernel).any(), \
-        "message count per weight must divide by the kernel size"
-    distribution = dict(zip(present.tolist(), (per_weight // kernel).tolist()))
+    distribution = dict(zip(present.tolist(), counts[present].tolist()))
     assert distribution.get(0) == 1
     assert sum(w * e for w, e in distribution.items()) == 2 * 3 ** (r - 1) * len(s), \
         "first Pless power moment"
     return LinearCode(defining=s, length=len(s), dimension=r, distribution=distribution,
-                      message_weights=weights)
+                      pivots=pivots, message_weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +291,10 @@ def _case_weights(case: CodeCase, n: int, r: int) -> tuple[int, int, int]:
 def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     """Exact predicted [length, r] parameters and weight multiplicities.
 
-    Validates parity, the dimension bound, r <= n and n >= 3 (below that
-    the exponents go negative); every multiplicity below is an integer
-    and they sum (with the zero codeword) to 3^r.
+    Validates parity, the dimension bound, r < n (r = n leaves the other
+    side empty: f would be weakly regular) and n >= 3 (below that the
+    exponents go negative); every multiplicity below is an integer and
+    they sum (with the zero codeword) to 3^r.
     """
     if n % 2 != case.parity:
         raise ValueError(f"case {case.value} needs n parity {case.parity}, got n={n}")
@@ -291,6 +304,9 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
         raise ValueError(f"r={r} below the bound floor(n/2)+1={n // 2 + 1}")
     if r > n:
         raise ValueError(f"r={r} exceeds n={n}, the dimension of F_3^n")
+    if r == n:
+        raise ValueError(f"r={r} equals n: the other side would be empty, "
+                         "so f would be weakly regular")
 
     alt = None
     w1, w2, w3 = _case_weights(case, n, r)
@@ -331,39 +347,50 @@ _WEIGHT_CLASS = {
 
 
 class WeightClassifier:
-    """Per-message weight prediction for a selected defining set.
+    """Per-codeword weight prediction for a selected defining set.
 
-    Reads f and the kernel (the indices of V-perp) from the established
-    hypotheses, so classifying all 3^n messages is a table walk.
+    Reads f and the dual's sign from the established hypotheses, so
+    classifying one message per codeword is a table walk.
     """
 
     def __init__(self, ctx: SelectionContext):
         self.ctx = ctx
         self.f = ctx.hypotheses.f
-        self.kernel = ctx.hypotheses.kernel
-        self.in_dual_plus = ctx.dual_profile.sign == 1
+        on_plus = constant_on_dual_plus(self.f.n, ctx.case.side)
+        off_branch = _WEIGHT_CLASS[ctx.case][int(not on_plus)]
+        assert (off_branch == off_branch[0]).all(), \
+            "the prediction off the constant branch must not read f"
 
-    def expected_weights(self) -> np.ndarray:
-        """The case table over all messages (int32): entry
-        3 * [u in dual plus] + f(u) of a flat seven-entry table, which
-        holds the weight picked by dual-side membership and
-        (f(u) - j0) % 3, and entry 6, weight 0, on the kernel.  Each row
-        of the case's classes is rolled by j0, so the key is computed in
-        int8 with no reduction mod 3."""
+    def expected_weights(self, messages: np.ndarray) -> np.ndarray:
+        """The case table at the representatives u_c (int32), given as
+        LinearCode.messages lists them: entry 3 * [u in dual plus] + f(u)
+        of a flat seven-entry table, which holds the weight picked by
+        dual-side membership and (f(u) - j0) % 3, and entry 6, weight 0,
+        at u_0 = 0, the only representative in the kernel.  Each row of
+        the case's classes is rolled by j0, so the key is computed in int8
+        with no reduction mod 3."""
         case = self.ctx.case
         classes = _WEIGHT_CLASS[case][:, (np.arange(3) - self.ctx.j0) % 3]
         table = np.zeros(7, dtype=np.int32)
         table[:6] = np.array(_case_weights(case, self.f.n, self.ctx.r))[classes].ravel()
-        key = self.in_dual_plus.view(np.int8) * np.int8(3) + self.f.table
-        key[self.kernel] = 6
+        in_dual_plus = self.ctx.dual_profile.sign[messages] == 1
+        key = in_dual_plus.view(np.int8) * np.int8(3) + self.f.table[messages]
+        key[0] = 6
         return np.take(table, key)
 
-    def check_all(self, measured: np.ndarray) -> int | None:
-        """First message whose measured weight (message_weights of the
-        defining set, as LinearCode.message_weights holds it) differs from
-        the prediction, or None when every codeword agrees."""
-        mismatch = self.expected_weights() != measured
-        return int(np.flatnonzero(mismatch)[0]) if mismatch.any() else None
+    def check_all(self, code: LinearCode) -> int | None:
+        """First representative u_c, in the order of c, whose measured
+        weight differs from the prediction, or None when all 3^r agree.
+
+        That decides all 3^n messages when code.dimension == r and
+        coset_tiling passed (run_pipeline checks both): then span(S) = V,
+        so the weights are constant on the cosets of V-perp, and so is the
+        prediction, which reads only the int8 code that coset_tiling
+        proved invariant, since the row off the branch's side is constant.
+        There is one u_c per coset."""
+        messages = code.messages()
+        mismatch = np.flatnonzero(self.expected_weights(messages) != code.message_weights)
+        return int(messages[mismatch[0]]) if mismatch.size else None
 
 
 # ---------------------------------------------------------------------------

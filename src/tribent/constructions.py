@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -173,13 +172,6 @@ def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
         w_minus=w_minus,
         component_profiles=tuple(profiles),
     )
-
-
-def quadratic_family(forms: Sequence[QuadraticForm], s: int) -> GmmfSpec:
-    """Glue spec from 3^s diagonal quadratic components."""
-    tables = tuple(quadratic_function(q) for q in forms)
-    m = forms[0].m
-    return GmmfSpec(m=m, s=s, components=tables)
 
 
 # ---------------------------------------------------------------------------

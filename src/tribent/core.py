@@ -267,11 +267,6 @@ def _null_basis(r: np.ndarray) -> np.ndarray:
     return null
 
 
-def rank(points: Iterable[int], n: int) -> int:
-    """Rank over F_3 of the coordinate vectors of the given points."""
-    return span(points, n).dim
-
-
 def span_points(rows: np.ndarray) -> np.ndarray:
     """The sorted indices (int64) of all 3^len(rows) F_3-combinations of
     the rows of an int8 matrix with entries in {0, 1, 2}: every
@@ -362,12 +357,11 @@ def is_subspace(points: np.ndarray, n: int) -> bool:
 def is_nondegenerate(v: Subspace) -> bool:
     """True iff only 0 in V is orthogonal to all of V.
 
-    With B the basis matrix, the member c.B of V is orthogonal to V
-    exactly when c.(B B^T) = 0, so V is non-degenerate iff its Gram
-    matrix B B^T has full rank mod 3; no member is enumerated.
+    V meets V-perp in the radical of both, so V is non-degenerate iff
+    V-perp is: iff the Gram matrix P P^T of the perp basis P has full
+    rank mod 3 (int8 entries, at most 4n); no member is enumerated.
     """
-    b = coord_rows(v.basis, v.n)
-    return len(_rref(b @ b.T % 3)) == v.dim
+    return len(_rref(v.perp @ v.perp.T % 3)) == len(v.perp)
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:

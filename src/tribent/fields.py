@@ -9,7 +9,6 @@ an element's integer value double as its point index in F_3^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -166,11 +165,6 @@ class ExtField:
     def trace(self, a: int) -> int:
         """Trace down to F_3, as a value in {0, 1, 2}."""
         return int(self._trace[a])
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        return (self.q - 1) // gcd(int(self._log[a]), self.q - 1)
 
     def primitive_elements(self) -> list[int]:
         """All elements of multiplicative order 3^k - 1, in log order."""

@@ -245,15 +245,11 @@ FIXTURES: tuple[Fixture, ...] = (
 )
 
 
-def fixture_names() -> list[str]:
-    return [f.name for f in FIXTURES]
-
-
 def get_fixture(name: str) -> Fixture:
     for f in FIXTURES:
         if f.name == name:
             return f
-    raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
+    raise KeyError(f"unknown fixture {name!r}; available: {', '.join(f.name for f in FIXTURES)}")
 
 
 def run_fixture(fixture: Fixture) -> FixtureResult:

@@ -136,7 +136,8 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
                             f"measured {measured}, closed form {sizes}"))
 
     cs = coset_tiling(hyp)
-    rep.stages.append(Stage("coset-structure", cs.coset_union_ok and cs.constant_ok,
+    cosets_ok = cs.coset_union_ok and cs.constant_ok
+    rep.stages.append(Stage("coset-structure", cosets_ok,
                             f"constant branch {cs.constant_branch}"))
 
     code = build_code(ctx.defining)
@@ -144,7 +145,11 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     rep.code = code_report(code, prediction, ctx.case, ctx.r)
     rep.notes.extend(rep.code.notes)
 
-    bad = WeightClassifier(ctx).check_all(code.message_weights)
-    rep.stages.append(Stage("per-codeword-weights", bad is None,
-                            "" if bad is None else f"message {bad} off prediction"))
+    # the representatives decide all 3^n messages under the premises of
+    # WeightClassifier.check_all: full dimension and the coset structure
+    bad = WeightClassifier(ctx).check_all(code)
+    detail = (f"message {bad} off prediction" if bad is not None else
+              f"code dimension {code.dimension} != r = {ctx.r}" if code.dimension != ctx.r else
+              "" if cosets_ok else "coset structure failed")
+    rep.stages.append(Stage("per-codeword-weights", not detail, detail))
     return rep

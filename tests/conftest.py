@@ -8,7 +8,7 @@ import pytest
 
 from tribent.analysis import TernaryFunction
 from tribent.codes import DefiningSet
-from tribent.core import Eisenstein, decode, dots_with, encode, root_sum
+from tribent.core import Eisenstein, Subspace, decode, dots_with, encode, root_sum, size
 from tribent.fixtures import FIXTURES, get_fixture
 
 
@@ -70,6 +70,37 @@ def weight_of_character_sum(u: int, s: DefiningSet) -> int:
     num = 2 * k - orbit
     assert num % 3 == 0, "character-sum weight must be an integer"
     return num // 3
+
+
+def direct_weights(s: DefiningSet) -> np.ndarray:
+    """|{x in S : u.x != 0}| for all 3^n messages u (int64), by counting,
+    with no transform.
+
+    u.x = 0 exactly when the dot of the low k = n // 2 digits of u and x
+    is minus that of their high digits, so the zero count at
+    u = h * 3^k + l is the sum over t in F_3 of
+    #{x : h.x_high = -t, l.x_low = t}: one product of 0/1 matrices per t,
+    in float64, exact since every sum is at most |S| < 2^53.
+    """
+    n, k = s.n, s.n // 2
+
+    def digits(m: int) -> np.ndarray:
+        return np.arange(3 ** m)[:, None] // 3 ** np.arange(m) % 3
+
+    high, low = np.divmod(s.points, 3 ** k)
+    low_dots = digits(k) @ digits(k)[low].T % 3
+    minus_high_dots = -(digits(n - k) @ digits(n - k)[high].T) % 3
+    zeros = sum((minus_high_dots == t).astype(float) @ (low_dots == t).astype(float).T
+                for t in range(3))
+    return len(s) - zeros.astype(np.int64).ravel()
+
+
+def brute_perp(v: Subspace) -> np.ndarray:
+    """The sorted indices of V-perp, by a scan of all 3^n points against
+    V's basis."""
+    points = np.arange(size(v.n))[:, None] // 3 ** np.arange(v.n) % 3
+    basis = np.array([decode(b, v.n) for b in v.basis], dtype=np.int64).reshape(-1, v.n)
+    return np.flatnonzero(~(points @ basis.T % 3).any(axis=1))
 
 
 def random_function(rng: np.random.Generator, n: int) -> TernaryFunction:

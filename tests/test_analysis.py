@@ -449,7 +449,6 @@ def test_evenness_helpers():
     g = TernaryFunction(1, [0, 1, 2])
     assert not g.is_even()
     assert g.negated().table.tolist() == [0, 2, 1]
-    assert g.reflected().table.tolist() == [0, 2, 1]
 
 
 @pytest.mark.parametrize("table, expected", [
@@ -462,12 +461,6 @@ def test_table_reduced_before_the_int8_cast(table, expected):
     # int8 would wrap 300 to 44 and 128 to -128 before reducing mod 3
     f = TernaryFunction(1, table)
     assert f.table.dtype == np.int8 and f.table.tolist() == expected
-
-
-def test_plus_constant_reduces_the_constant():
-    g = TernaryFunction(1, [0, 1, 2])
-    assert g.plus_constant(1000).table.tolist() == [1, 2, 0]
-    assert g.plus_constant(-1).table.tolist() == [2, 0, 1]
 
 
 def test_reduced_int8_table_is_copied():

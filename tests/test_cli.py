@@ -241,6 +241,8 @@ def test_predict_bad_parity_exits_two(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--case", "even-minus", "--n", "4", "--r", "9"], "error: r=9 exceeds n=4, the dimension of F_3^n"),
     (["--case", "even-plus", "--n", "2", "--r", "2"], "error: n=2 below 3, where the closed forms do not apply"),
+    (["--case", "even-plus", "--n", "4", "--r", "4"],
+     "error: r=4 equals n: the other side would be empty, so f would be weakly regular"),
 ])
 def test_predict_out_of_range_exits_two_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, "predict", *argv)

@@ -30,7 +30,14 @@ from tribent.core import EXACT_DIM, encode, orthogonal_complement, size, span
 from tribent.fixtures import get_fixture
 from tribent.search import random_instance, random_subspace
 
-from conftest import radix3_oracle, weight_of, weight_of_character_sum
+from conftest import (
+    add_points,
+    brute_perp,
+    direct_weights,
+    radix3_oracle,
+    weight_of,
+    weight_of_character_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +96,56 @@ def test_weight_of_agrees_with_character_sum_exhaustively(built_fixtures):
                 weight_of_character_sum(u, ctx.defining)
 
 
+def _representatives(pivots) -> np.ndarray:
+    """u_c = sum_i c_i e_{P_i} for every c in F_3^r: digit i of c placed
+    at digit P_i."""
+    r = len(pivots)
+    digits = np.arange(size(r))[:, None] // 3 ** np.arange(r) % 3
+    return digits @ 3 ** np.array(pivots, dtype=np.int64)
+
+
+def _assert_weights_cover_every_message(pivots, weights, every: np.ndarray, s) -> None:
+    """weights agree with the weights of all 3^n messages `every` at the
+    representatives, and each codeword weight arises 3^(n - r) times."""
+    n, r = s.n, len(pivots)
+    assert r == span(s.points, n).dim and weights.shape == (size(r),)
+    assert np.array_equal(weights, every[_representatives(pivots)])
+    assert np.array_equal(np.sort(every), np.sort(np.repeat(weights, size(n - r))))
+
+
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(1, size(n) - 1), min_size=1))))
 def test_message_weights_equal_direct_count(n_points):
     n, points = n_points
     s = DefiningSet.from_points(sorted(points), n)
-    weights = message_weights(s)
-    assert [int(w) for w in weights] == [weight_of(u, s) for u in range(size(n))]
+    pivots, weights = message_weights(s)
+    every = np.array([weight_of(u, s) for u in range(size(n))])
+    _assert_weights_cover_every_message(pivots, weights, every, s)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_message_weights_equal_int64_oracle(n):
-    # every nonzero point (the largest |S|) and a random half of them
+    # every nonzero point (the largest |S|), a random half of them, and
+    # the nonzero points of the hyperplane x_0 = 0 (r = n - 1, pivots from 1)
     rng = np.random.default_rng(n)
-    for points in (range(1, size(n)), np.flatnonzero(rng.integers(0, 2, size(n)))):
+    half = np.flatnonzero(rng.integers(0, 2, size(n)))
+    for points in (range(1, size(n)), half, range(3, size(n), 3) if n > 1 else half):
         s = DefiningSet.from_points(points, n)
         indicator = np.zeros(size(n), dtype=np.int64)
         indicator[s.points] = 1
         a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
-        weights = message_weights(s)
+        pivots, weights = message_weights(s)
         assert weights.dtype == np.int32
-        assert np.array_equal(weights, (2 * len(s) - (2 * a - b)) // 3)
+        _assert_weights_cover_every_message(pivots, weights, (2 * len(s) - (2 * a - b)) // 3, s)
 
 
 def test_build_code_dimension_is_rank():
     # rank-deficient defining set
     s = DefiningSet.from_points([1, 2], 2)  # both multiples of e1
     code = build_code(s)
-    assert code.dimension == 1
+    assert code.dimension == 1 and code.pivots == (0,)
     assert sum(code.distribution.values()) == 3
+    assert code.messages().tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +234,7 @@ def test_prediction_counts_sum_over_sweep():
         for n in range(4, 9):
             if n % 2 != case.parity:
                 continue
-            for r in range(n // 2 + 1, n + 1):
+            for r in range(n // 2 + 1, n):
                 pred = predict_distribution(case, n, r)
                 assert sum(pred.distribution.values()) == 3 ** r
                 assert all(e >= 0 for e in pred.distribution.values())
@@ -220,6 +248,10 @@ def test_prediction_validates_inputs():
         predict_distribution(CodeCase.ODD_PLUS, 7, 3)
     with pytest.raises(ValueError, match="exceeds n=4"):
         predict_distribution(CodeCase.EVEN_MINUS, 4, 9)
+    # r = n leaves the other side empty: a weakly regular f, no case
+    for case, n in ((CodeCase.EVEN_PLUS, 4), (CodeCase.ODD_MINUS, 5)):
+        with pytest.raises(ValueError, match="weakly regular"):
+            predict_distribution(case, n, n)
     for case, n in ((CodeCase.EVEN_PLUS, 2), (CodeCase.EVEN_MINUS, 2),
                     (CodeCase.ODD_PLUS, 1), (CodeCase.ODD_MINUS, 1)):
         with pytest.raises(ValueError, match="below 3"):
@@ -229,7 +261,7 @@ def test_prediction_validates_inputs():
 def test_prediction_is_integral_at_every_accepted_n():
     for case in CodeCase:
         for n in range(3 + (case.parity == 0), EXACT_DIM + 1, 2):
-            for r in range(n // 2 + 1, n + 1):
+            for r in range(n // 2 + 1, n):
                 pred = predict_distribution(case, n, r)
                 assert all(type(w) is int and type(e) is int
                            for w, e in pred.distribution.items())
@@ -252,10 +284,12 @@ def test_classifier_matches_actual_weights(built_fixtures):
     clf = WeightClassifier(ctx)
     assert clf.f is f
     code = build_code(ctx.defining)
-    assert clf.check_all(code.message_weights) is None
-    expected = clf.expected_weights()
-    for u in (0, 1, 17, 100, 242):
-        assert expected[u] == weight_of(u, ctx.defining)
+    assert clf.check_all(code) is None
+    messages = code.messages()
+    expected = clf.expected_weights(messages)
+    assert len(expected) == 3 ** ctx.r
+    for c in (0, 1, 17, 42, 80):
+        assert expected[c] == code.message_weights[c] == weight_of(int(messages[c]), ctx.defining)
 
 
 def test_classifier_reports_first_mismatch(built_fixtures):
@@ -266,50 +300,63 @@ def test_classifier_reports_first_mismatch(built_fixtures):
     swapped = dataclasses.replace(
         ctx, defining=DefiningSet.from_points(other, f.n))
     clf = WeightClassifier(swapped)
-    expected = clf.expected_weights()
-    first = next(u for u in range(size(f.n))
-                 if expected[u] != weight_of(u, swapped.defining))
-    # the weights build_code measured give that verdict
     code = build_code(swapped.defining)
-    assert np.array_equal(code.message_weights, message_weights(swapped.defining))
-    assert clf.check_all(code.message_weights) == first
+    messages = code.messages()
+    expected = clf.expected_weights(messages)
+    first = next(u for c, u in enumerate(messages.tolist())
+                 if expected[c] != weight_of(u, swapped.defining))
+    # the weights build_code measured give that verdict, as a message
+    assert np.array_equal(code.message_weights, message_weights(swapped.defining)[1])
+    assert clf.check_all(code) == first
+    # a mismatch at the last entry c is reported as u_c, not as c (the
+    # pivots of code36 skip digit 3)
+    code = build_code(ctx.defining)
+    weights = code.message_weights.copy()
+    weights[-1] += 1
+    u = int(code.messages()[-1])
+    assert u != len(weights) - 1
+    assert WeightClassifier(ctx).check_all(dataclasses.replace(code, message_weights=weights)) == u
 
 
 def test_classifier_kernel_is_complement(built_fixtures):
+    # the representatives meet the kernel V-perp only at 0, one per coset
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
-    clf = WeightClassifier(ctx)
-    assert len(clf.kernel) == 3 ** (f.n - ctx.r)
-    assert np.array_equal(clf.kernel, orthogonal_complement(ctx.hypotheses.v).points())
-    assert clf.expected_weights()[0] == 0
+    code = build_code(ctx.defining)
+    messages = code.messages()
+    perp = orthogonal_complement(ctx.hypotheses.v).points()
+    assert len(messages) == 3 ** ctx.r and messages[0] == 0
+    assert np.array_equal(np.intersect1d(messages, perp), [0])
+    cosets = {min(add_points(u, w, f.n) for w in perp.tolist()) for u in messages.tolist()}
+    assert len(cosets) == 3 ** ctx.r
+    assert WeightClassifier(ctx).expected_weights(messages)[0] == 0
 
 
 @pytest.mark.parametrize("name", ["code98-a", "code270-a", "code756", "code36"])
 def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
-    # the weight at each message, read row by row off the case table
+    # the weight at each representative, read row by row off the case table
     f = built_fixtures[name]
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _WEIGHT_CLASS[ctx.case]
-    kernel = set(clf.kernel.tolist())
-    expected = [0 if u in kernel else
-                weights[rows[int(clf.in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
-                for u in range(size(f.n))]
-    assert clf.expected_weights().tolist() == expected
+    messages = build_code(ctx.defining).messages()
+    in_dual_plus = ctx.dual_profile.sign == 1
+    expected = [0 if u == 0 else
+                weights[rows[int(in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
+                for u in messages.tolist()]
+    assert clf.expected_weights(messages).tolist() == expected
 
 
-def _parent_expected_weights(clf: WeightClassifier) -> np.ndarray:
+def _parent_expected_weights(clf: WeightClassifier, messages: np.ndarray) -> np.ndarray:
     """The classifier's table by its earlier formula: an int64 six-entry
-    table indexed by a key reduced mod 3, and np.where for the kernel."""
+    table indexed by a key reduced mod 3, and np.where for the message 0."""
     case, j0 = clf.ctx.case, clf.ctx.j0
     weights = np.array(_case_weights(case, clf.f.n, clf.ctx.r), dtype=np.int64)
     table = weights[_WEIGHT_CLASS[case]].ravel()
-    delta = (clf.f.table - np.int8(j0)) % np.int8(3)
-    key = clf.in_dual_plus.view(np.int8) * np.int8(3) + delta
-    in_kernel = np.zeros(size(clf.f.n), dtype=bool)
-    in_kernel[clf.kernel] = True
-    return np.where(in_kernel, 0, table[key])
+    delta = (clf.f.table[messages] - np.int8(j0)) % np.int8(3)
+    key = (clf.ctx.dual_profile.sign[messages] == 1).view(np.int8) * np.int8(3) + delta
+    return np.where(messages == 0, 0, table[key])
 
 
 def _seeded_glue(n: int, side: BentType) -> TernaryFunction:
@@ -332,10 +379,28 @@ CLASSIFIED = ([(name, None) for name in ("code98-a", "code98-b", "code270-a", "c
 @pytest.mark.parametrize("name,glue", CLASSIFIED, ids=[name for name, _ in CLASSIFIED])
 def test_expected_weights_are_int32_and_match_the_int64_formula(built_fixtures, name, glue):
     f = built_fixtures[name] if glue is None else _seeded_glue(*glue)
-    clf = WeightClassifier(select_defining_set(f))
-    expected = clf.expected_weights()
+    ctx = select_defining_set(f)
+    clf = WeightClassifier(ctx)
+    messages = build_code(ctx.defining).messages()
+    expected = clf.expected_weights(messages)
     assert expected.dtype == np.int32
-    assert np.array_equal(expected, _parent_expected_weights(clf))
+    assert np.array_equal(expected, _parent_expected_weights(clf, messages))
+
+
+@pytest.mark.parametrize("name,glue", CLASSIFIED, ids=[name for name, _ in CLASSIFIED])
+def test_theorem_classifier_agrees_with_a_direct_count_at_every_message(built_fixtures,
+                                                                       name, glue):
+    # the exhaustive oracle behind the quotient: at all 3^n messages, the
+    # case table with V-perp from a scan against a count over S
+    f = built_fixtures[name] if glue is None else _seeded_glue(*glue)
+    ctx = select_defining_set(f)
+    in_perp = np.zeros(size(f.n), dtype=bool)
+    in_perp[brute_perp(ctx.hypotheses.v)] = True
+    rows = _WEIGHT_CLASS[ctx.case][(ctx.dual_profile.sign == 1).astype(int), (f.table - ctx.j0) % 3]
+    predicted = np.where(in_perp, 0, np.array(_case_weights(ctx.case, f.n, ctx.r))[rows])
+    assert np.array_equal(predicted, direct_weights(ctx.defining))
+    code = build_code(ctx.defining)
+    assert code.dimension == ctx.r and WeightClassifier(ctx).check_all(code) is None
 
 
 def _perturbed_radix3(monkeypatch, shift):
@@ -358,7 +423,7 @@ def _perturbed_radix3(monkeypatch, shift):
 ], ids=["not-divisible", "above-3S"])
 def test_message_weights_asserts_every_weight_in_range(built_fixtures, monkeypatch, shift):
     s = select_defining_set(built_fixtures["code36"]).defining
-    assert message_weights(s).dtype == np.int32
+    assert message_weights(s)[1].dtype == np.int32
     _perturbed_radix3(monkeypatch, shift)
     with pytest.raises(AssertionError, match="character-sum weight"):
         message_weights(s)

@@ -18,7 +18,6 @@ from tribent.constructions import (
     gmmf_build,
     gmmf_predict,
     parse_poly,
-    quadratic_family,
     quadratic_function,
     quadratic_type,
     trace_function,
@@ -100,11 +99,16 @@ def test_gmmf_component_count_enforced():
         GmmfSpec(1, 1, (comp, comp))
 
 
+def _quadratic_glue(forms: list[QuadraticForm]) -> GmmfSpec:
+    """Glue spec (s = 1) from three diagonal quadratic components."""
+    return GmmfSpec(forms[0].m, 1, tuple(quadratic_function(q) for q in forms))
+
+
 def test_gmmf_prediction_matches_measurement(built_fixtures):
     # reconstruct the flagship spec and compare prediction to measurement
-    spec = quadratic_family(
+    spec = _quadratic_glue(
         [QuadraticForm((2, 2, 1, 1)), QuadraticForm((1, 1, 2, 1)),
-         QuadraticForm((1, 1, 2, 1))], 1)
+         QuadraticForm((1, 1, 2, 1))])
     pred = gmmf_predict(spec)
     prof = bent_profile(built_fixtures["code98-a"])
     assert pred.sign.dtype == prof.sign.dtype
@@ -116,8 +120,8 @@ def test_gmmf_prediction_matches_measurement(built_fixtures):
 
 
 def test_gmmf_prediction_single_type_sides():
-    spec = quadratic_family(
-        [QuadraticForm((1, 2)), QuadraticForm((2, 1)), QuadraticForm((2, 1))], 1)
+    spec = _quadratic_glue(
+        [QuadraticForm((1, 2)), QuadraticForm((2, 1)), QuadraticForm((2, 1))])
     # all three components are plus type
     pred = gmmf_predict(spec)
     assert (pred.sign == 1).all() and not pred.w_minus.size
@@ -150,7 +154,7 @@ def test_gmmf_random_specs_predict_exactly():
             if rep not in forms:
                 forms[rep] = QuadraticForm(coeff())
             forms[z] = forms[rep]
-        spec = quadratic_family([forms[z] for z in range(3)], 1)
+        spec = _quadratic_glue([forms[z] for z in range(3)])
         pred = gmmf_predict(spec)
         prof = bent_profile(gmmf_build(spec))
         assert np.array_equal(pred.sign, prof.sign)

@@ -20,7 +20,6 @@ from tribent.core import (
     neg_table,
     omega_pow,
     orthogonal_complement,
-    rank,
     root_sum,
     size,
     span,
@@ -241,11 +240,6 @@ def test_span_size_and_complement_properties():
                 assert np.array_equal(np.intersect1d(v.points(), w.points()), [0])
 
 
-def test_rank_matches_span_dim():
-    pts = [encode((1, 0, 2)), encode((2, 0, 1)), encode((0, 1, 0))]
-    assert rank(pts, 3) == span(pts, 3).dim == 2
-
-
 def test_neg_point():
     assert neg_point(encode((1, 2, 0)), 3) == encode((2, 1, 0))
     assert neg_point(0, 4) == 0
@@ -319,7 +313,6 @@ def test_subspace_layer_against_references(case):
     v = span(pts, n)
     closure = _additive_closure(pts, n)
     assert np.array_equal(v.points(), closure)
-    assert rank(pts, n) == v.dim
     assert is_subspace(np.array(pts, dtype=np.int64), n) == np.array_equal(np.unique(pts), closure)
     reference = _row_reduce_reference([list(decode(p, n)) for p in pts])
     assert v.basis == tuple(encode(r) for r in reference)
@@ -417,7 +410,7 @@ def test_span_keeps_the_perp_basis():
         assert v.perp.shape == (n - v.dim, n)
         # every row is orthogonal to V and the rows are independent
         assert not (coord_rows(v.basis, n).astype(np.int64) @ v.perp.T % 3).any()
-        assert rank((v.perp @ 3 ** np.arange(n)).tolist(), n) == n - v.dim
+        assert span(v.perp @ 3 ** np.arange(n), n).dim == n - v.dim
 
 
 def test_perp_is_read_only_and_survives_its_readers():

@@ -1,9 +1,8 @@
 """The once-established hypothesis record against reference implementations.
 
-establish() decides non-degeneracy on the kernel, the 3^(n - r) indices
-of V-perp, without enumerating V; orthogonal_complement,
-is_nondegenerate and a scan of all 3^n points are the references it is
-checked against here.
+establish() decides non-degeneracy from the Gram rank of V, enumerating
+neither V nor V-perp; a scan of all 3^n points and orthogonal_complement
+are the references it is checked against here.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from tribent.analysis import (
 from tribent.codes import select_defining_set
 from tribent.constructions import gmmf_build
 from tribent.core import (
-    coord_rows,
-    decode,
     dots_with,
     encode,
-    is_nondegenerate,
     orthogonal_complement,
     size,
     span,
@@ -42,7 +38,7 @@ from tribent.fixtures import FIXTURES
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
 
-from conftest import add_points
+from conftest import add_points, brute_perp
 
 # (m, s, dim U, side): eligible cases of both parities, U = F_3^s (weakly
 # regular), and random lines in F_3^3, some spanned by an isotropic vector
@@ -73,18 +69,12 @@ def _glue_instances() -> list[tuple[str, TernaryFunction]]:
     return out
 
 
-def _brute_perp(v) -> np.ndarray:
-    """V-perp by a scan of all 3^n points against V's basis."""
-    points = np.array([decode(x, v.n) for x in range(size(v.n))], dtype=np.int64)
-    basis = coord_rows(v.basis, v.n).astype(np.int64)
-    return np.flatnonzero(~(points.reshape(-1, v.n) @ basis.T % 3).any(axis=1))
-
-
-def _assert_kernel_is_perp(v, kernel: np.ndarray) -> None:
-    assert kernel.dtype == np.int64 and not kernel.flags.writeable
-    assert len(kernel) == size(v.n - v.dim)
-    assert np.array_equal(kernel, _brute_perp(v))
-    assert np.array_equal(kernel, orthogonal_complement(v).points())
+def _assert_perp_is_scanned_perp(v) -> np.ndarray:
+    """v.perp spans V-perp as a scan finds it; returns the scan."""
+    perp = brute_perp(v)
+    assert len(perp) == size(v.n - v.dim)
+    assert np.array_equal(orthogonal_complement(v).points(), perp)
+    return perp
 
 
 CASES = [(fx.name, fx.build()) for fx in FIXTURES] + _glue_instances()
@@ -102,10 +92,15 @@ def test_record_against_references(name, f):
     if hyp.profile is None:
         assert [s.name for s in hyp.stages] == ["bent"]
         return
-    _assert_kernel_is_perp(hyp.v, hyp.kernel)
+    perp = _assert_perp_is_scanned_perp(hyp.v)
     nondeg = next((s for s in hyp.stages if s.name == "non-degenerate"), None)
     if nondeg is not None:
-        assert nondeg.ok == is_nondegenerate(hyp.v)
+        # the type side is V here: it meets V-perp only at 0 exactly when
+        # non-degenerate
+        side = hyp.profile.side_mask(hyp.profile.type)
+        assert nondeg.ok == (np.count_nonzero(side[perp]) == 1)
+    if name == "glue-degenerate":
+        assert not nondeg.ok
 
 
 @pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
@@ -310,25 +305,21 @@ def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
     assert negs == [f.n]  # the even check, decided once per function
 
 
-def test_public_hypothesis_path_enumerates_the_kernel_once(monkeypatch):
+def test_verdict_enumerates_no_subspace(monkeypatch):
+    # neither V nor V-perp is listed point by point: non-degeneracy comes
+    # from the Gram rank, the code stage works on coordinates
+    def refuse(rows):
+        raise AssertionError("a subspace was enumerated on the verdict path")
+
     f = _eligible_glue()
-    kernels = []
-    original = analysis.span_points
-
-    def counted(rows):
-        kernels.append(original(rows))
-        return kernels[-1]
-
-    monkeypatch.setattr(analysis, "span_points", counted)
-    p = _run_public_path(f)
-    hyp = establish(f, p)
-    assert len(kernels) == 1
-    assert np.array_equal(kernels[0], hyp.kernel) and len(hyp.kernel) == size(f.n - hyp.r)
+    monkeypatch.setattr(core, "span_points", refuse)
+    _run_public_path(f)
+    assert run_pipeline(f).passed
 
 
 def test_type_span_kernel_of_random_subspaces():
     # a profile whose type side is a random subspace V (sign +1 exactly on
-    # V) gives V back with V-perp as its kernel
+    # V) gives V back, with a basis of V-perp, the code's kernel, as perp
     rng = random.Random(8)
     for n in range(1, 9):
         for dim in range(n + 1):
@@ -337,9 +328,9 @@ def test_type_span_kernel_of_random_subspaces():
             sign[v.points()] = 1
             profile = analysis.BentProfile(n, TernaryFunction.constant(n, 0), sign,
                                            BentType.PLUS, analysis.Regularity.NON_WEAKLY_REGULAR)
-            w, kernel = profile.type_span
+            w = profile.type_span
             assert w == v
-            _assert_kernel_is_perp(v, kernel)
+            _assert_perp_is_scanned_perp(w)
 
 
 def test_profile_is_freed_without_the_cyclic_collector():

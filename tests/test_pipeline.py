@@ -1,10 +1,16 @@
+import dataclasses
+
 import pytest
 
-from tribent import analysis
+from tribent import analysis, pipeline
 from tribent.analysis import TernaryFunction
+from tribent.codes import _WEIGHT_CLASS, DefiningSet, _case_weights, build_code
 from tribent.constructions import QuadraticForm, quadratic_function
+from tribent.core import dots_with
 from tribent.fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
 from tribent.pipeline import run_pipeline
+
+from conftest import weight_of
 
 
 def test_full_pass_on_flagship(flagship):
@@ -91,3 +97,70 @@ def test_forced_set_label_in_either_case(built_fixtures):
     upper, lower = run_pipeline(f, force_set="D1"), run_pipeline(f, force_set="d1")
     assert lower.defining_label == upper.defining_label == "D1"
     assert lower.to_dict() == upper.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The per-codeword stage fails with either premise of the quotient check
+# ---------------------------------------------------------------------------
+
+def _with_defining_points(monkeypatch, pick) -> None:
+    """Make run_pipeline measure pick(ctx) in place of the selected set."""
+    original = pipeline.defining_set_for
+
+    def replaced(hyp):
+        ctx = original(hyp)
+        return dataclasses.replace(ctx, defining=DefiningSet.from_points(pick(ctx), ctx.defining.n))
+
+    monkeypatch.setattr(pipeline, "defining_set_for", replaced)
+
+
+@pytest.mark.parametrize("name", ["code98-a", "code36", "code756"])
+def test_per_codeword_stage_needs_the_coset_tiling(built_fixtures, monkeypatch, name):
+    original = pipeline.coset_tiling
+    monkeypatch.setattr(pipeline, "coset_tiling",
+                        lambda hyp: dataclasses.replace(original(hyp), constant_ok=False))
+    rep = run_pipeline(built_fixtures[name])
+    assert not rep.stage("coset-structure").ok
+    stage = rep.stage("per-codeword-weights")
+    assert not stage.ok and stage.detail == "coset structure failed"
+
+
+@pytest.mark.parametrize("name", ["code98-a", "code36", "code756"])
+def test_per_codeword_stage_needs_the_full_dimension(built_fixtures, monkeypatch, name):
+    # keep the points of S orthogonal to one of them: span(S) drops to a
+    # hyperplane of V (V is non-degenerate, so no point of S is in V-perp)
+    def hyperplane(ctx):
+        points = ctx.defining.points
+        return points[dots_with(int(points[0]), ctx.defining.n)[points] == 0]
+
+    _with_defining_points(monkeypatch, hyperplane)
+    rep = run_pipeline(built_fixtures[name])
+    assert rep.code.dimension < rep.r
+    assert not rep.stage("per-codeword-weights").ok and not rep.passed
+    # the stage fails on the dimension alone, even where every
+    # representative agrees
+    monkeypatch.setattr(pipeline.WeightClassifier, "check_all", lambda self, code: None)
+    stage = run_pipeline(built_fixtures[name]).stage("per-codeword-weights")
+    assert not stage.ok
+    assert stage.detail == f"code dimension {rep.code.dimension} != r = {rep.r}"
+
+
+def test_per_codeword_stage_names_the_first_mismatching_representative(built_fixtures,
+                                                                       monkeypatch):
+    # the odd/minus rule measured on another pre-image of the dual
+    f = built_fixtures["code36"]
+    _with_defining_points(monkeypatch, lambda ctx: ctx.preimages.minus[(ctx.value + 1) % 3])
+    rep = run_pipeline(f)
+    ctx = pipeline.defining_set_for(analysis.establish(f))
+    code = build_code(ctx.defining)
+    assert code.dimension == rep.r
+    weights = _case_weights(ctx.case, f.n, ctx.r)
+    rows = _WEIGHT_CLASS[ctx.case]
+
+    def predicted(u):
+        in_dual_plus = int(ctx.dual_profile.sign[u] == 1)
+        return 0 if u == 0 else weights[rows[in_dual_plus][(f(u) - ctx.j0) % 3]]
+
+    first = next(u for u in code.messages().tolist()
+                 if predicted(u) != weight_of(u, ctx.defining))
+    assert rep.stage("per-codeword-weights").detail == f"message {first} off prediction"

@@ -20,7 +20,7 @@ from tribent.codes import (
     CodeCase,
     DefiningSet,
     SelectionContext,
-    message_weights,
+    build_code,
     select_defining_set,
 )
 from tribent.constructions import gmmf_build, gmmf_predict
@@ -144,9 +144,11 @@ def test_verdict_at_n11_never_tabulates_all_coordinates(monkeypatch):
     dots = core.dots_with(u, f.n)
     for x in (0, 1, u, size(f.n) - 1):
         assert dots[x] == dot(x, u, f.n)
-    assert weight_of(u, ctx.defining) == message_weights(ctx.defining)[u]
+    code = build_code(ctx.defining)
+    c = len(code.message_weights) - 5
+    assert weight_of(int(code.messages()[c]), ctx.defining) == code.message_weights[c]
     assert analysis.walsh_point(f, u) == analysis.walsh_spectrum(f).value(u)
-    assert asked and f.n not in asked
+    assert asked and f.n not in asked and ctx.r not in asked
 
 
 @pytest.mark.parametrize("case", list(CASES), ids=[c.value for c in CASES])
@@ -176,7 +178,7 @@ def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
     _patch_every_binding(monkeypatch, core.orthogonal_complement, refuse)
     rep = run_pipeline(f)
     assert rep.passed and rep.case == case.value
-    # the type side's span and the code's rank, at most n rounds each
+    # the type side's span and the code's, at most n rounds each
     assert spans[0] == 2 and 2 <= rounds[0] <= 2 * f.n
 
 

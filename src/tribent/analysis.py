@@ -20,11 +20,12 @@ from .core import (
     Eisenstein,
     Subspace,
     check_dim,
+    check_memory,
     decode,
     dots_with,
     is_nondegenerate,
     legendre,
-    neg_table,
+    negation,
     omega_pow,
     root_sum,
     size,
@@ -96,6 +97,7 @@ class TernaryFunction:
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int],
                       cap: int | None = None) -> "TernaryFunction":
         check_dim(n, cap)
+        check_memory(n)
         return cls(n, [fn(decode(x, n)) % 3 for x in range(size(n))])
 
     @classmethod
@@ -119,7 +121,7 @@ class TernaryFunction:
     def is_even(self) -> bool:
         """True iff f(x) = f(-x) for all x."""
         if self._even is None:
-            self._even = bool(np.array_equal(self.table, self.table[neg_table(self.n)]))
+            self._even = bool(np.array_equal(self.table, negation(self.n)(self.table)))
         return self._even
 
     def negated(self) -> "TernaryFunction":
@@ -347,74 +349,88 @@ class BentProfile:
     @cached_property
     def type_span(self) -> Subspace:
         """The span V of the type side, with a basis of V-perp as v.perp."""
-        return span(np.flatnonzero(self.side_mask(self.type)), self.n)
+        return span(self.side_mask(self.type), self.n)
 
 
 @cache
-def _sign_dual_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and dual value of every unit spectral value, keyed by
-    5 * (a + 2) + (b + 2) for the value (a + b w) * 3^floor(n/2); both
-    coefficients then lie in [-2, 2].  Keys of no unit value hold sign 0.
-    Built once per n; both tables are read-only."""
-    scale = 3 ** (n // 2)
-    sign = np.zeros(25, dtype=np.int8)
-    dual = np.zeros(25, dtype=np.int8)
-    for j, base in enumerate(_unit_values(n)):
-        for s, v in ((1, base), (-1, -base)):
-            key = 5 * (v.a // scale + 2) + v.b // scale + 2
-            sign[key] = s
-            dual[key] = j
-    sign.flags.writeable = dual.flags.writeable = False
-    return sign, dual
+def _signed_inverse(scale: int, bits: int) -> int:
+    """The inverse of the odd scale mod 2^bits, in [-2^(bits-1), 2^(bits-1))."""
+    inv = pow(scale, -1, 2 ** bits)
+    return inv - 2 ** bits if inv >= 2 ** (bits - 1) else inv
 
 
 def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign (+-1, or 0 where the value is no unit) and dual value of every
     spectral value coeff_1 + coeff_w w, given as int8, int16 or int32
-    arrays of one type, of B bits.
+    arrays of one type, of B bits, as two int8 arrays.  Both inputs are
+    overwritten, so a caller that reads them afterwards passes copies.
+    The dual value means something only where the sign is nonzero.
 
     A value has squared norm 3^n exactly when it is a unit times
-    (1 - w)^n: both coefficients divide by scale = 3^floor(n/2) and the
-    quotient pair is one of the six unit keys of _sign_dual_lookup.
+    (1 - w)^n: s w^j 3^(n/2) for even n, and for odd n
+    s w^j 3^((n-1)/2) (1 + 2w), where 1 + 2w = w (1 - w).  An odd value is
+    first divided by 1 + 2w: (a + b w)(2 + w) = (2a - b) + (a + b) w is
+    3 / (1 - w) times it, so (2a - b, a + b) / 3^((n+1)/2) is s w^(j+1).
+    At either parity the value becomes a quotient pair (qa, qb) times
+    scale = 3^ceil(n/2), and the value is a unit's exactly when the pair
+    is one of the six units +-(1, 0), +-(0, 1), +-(1, 1).
 
     The quotients come without division, as products with the inverse of
     the odd scale mod 2^B (the exact-division test of Granlund and
     Montgomery, PLDI 1994, section 9).  The products wrap mod 2^B, so
     q = x * inverse is x / scale whenever scale divides x.  Conversely, if
-    q lies in [-2, 2] then q * scale = x mod 2^B.  A value is looked up
-    when both q + 2, read as unsigned, are at most 4; all others are sent
-    to key 0, which is no unit: unchecked, an out-of-range pair can land
-    on a unit's key (at odd n, (-2, 3) has the key of the unit (-1, -2)).
+    q lies in [-1, 1] then q * scale = x mod 2^B.  Of the nine pairs with
+    both q + 1, read as unsigned, at most 2, the three with t = qa + qb = 0
+    (0 and +-(1 - w)) are no units, and on the six units s = t mod 3 and,
+    from w^j = s (qa + qb w), j = s qb mod 3 (minus 1 for odd n, whose pair
+    is s w^(j+1)).  So sign = (t + 4) % 3 - 1, which is 0 exactly at
+    t = 0.  Both are read off in uint8 with a few whole-array operations
+    and no gather (np.take by a 25-entry key cast the uint8 key to a 3^n
+    intp copy); the residues mod 3 come from a floor division by 3, which
+    numpy 2.4 ran about forty times faster than % on uint8 at n = 11.
 
-    On exact int32 values the lookup is exact: for n <= EXACT_DIM,
-    |x - q * scale| <= 2^31 + 2 * 3^9 < 2^32 forces x = q * scale.  On
-    residues mod 2^B a hit says only that the value is a unit's up to a
-    multiple of 2^B (at n = 10 the int16 lookup reads 3^5 + 2^16 as the
-    unit 3^5); bent_profile turns hits at every point into a proof.  The
-    inverse is taken in [-2^(B-1), 2^(B-1)) and passed as a numpy scalar
-    of the input's type, so the product keeps that type under numpy
-    1.24's value-based casting as under NEP 50; the unsigned inverse as a
-    Python int would promote it under 1.24 and lose the wrap.  The tables
-    are read with np.take: plain indexing by the uint8 keys took about
-    twice as long at n = 11.
+    A hit says the value is congruent to a unit's mod 2^B componentwise
+    (the map (a, b) -> (2a - b, a + b) has determinant 3, odd, so it is
+    one-to-one mod 2^B).  On exact int32 values the lookup is exact: for
+    n <= EXACT_DIM, |x - unit| <= 2^31 + 2 * 3^9 < 2^32 forces x to be the
+    unit.  On residues mod 2^B a hit says only that the value is a unit's
+    up to a multiple of 2^B (at n = 10 the int16 lookup reads 3^5 + 2^16
+    as the unit 3^5); bent_profile turns hits at every point into a
+    proof.  The inverses are taken in [-2^(B-1), 2^(B-1)) and passed as
+    numpy scalars of the input's type, so the products keep that type
+    under numpy 1.24's value-based casting as under NEP 50; the unsigned
+    inverse as a Python int would promote them under 1.24 and lose the
+    wrap.
     """
     dtype = coeff_1.dtype
     assert coeff_w.dtype == dtype and dtype in (np.int8, np.int16, np.int32), \
         "the lookup wraps int8, int16 or int32 products"
     assert n <= EXACT_DIM, f"the lookup is exact only for n <= {EXACT_DIM}"
     bits = 8 * dtype.itemsize
-    inverse = pow(3 ** (n // 2), -1, 2 ** bits)
-    inverse = dtype.type(inverse - 2 ** bits if inverse >= 2 ** (bits - 1) else inverse)
-    qa, qb = coeff_1 * inverse, coeff_w * inverse
-    qa += 2
-    qb += 2
+    qa, qb, odd = coeff_1, coeff_w, n % 2
+    if odd:
+        qb += qa
+    qb *= dtype.type(_signed_inverse(3 ** (n - n // 2), bits))
+    qa *= dtype.type(_signed_inverse(3 ** (n // 2), bits))
+    if odd:
+        qa -= qb  # (2a - b) / 3^((n+1)/2) = a / 3^((n-1)/2) - qb
+    qa += 1
+    qb += 1
     unsigned = f"u{dtype.itemsize}"
-    qa, qb = qa.view(unsigned), qb.view(unsigned)
-    exact = (qa <= 4) & (qb <= 4)
-    key = (5 * qa.astype(np.uint8) + qb.astype(np.uint8)) * exact
-    sign_of, dual_of = _sign_dual_lookup(n)
-    return np.take(sign_of, key), np.take(dual_of, key)
+    exact = np.maximum(qa.view(unsigned), qb.view(unsigned)) <= 2
+    # q + 1 lies in [0, 2] where exact; dual_of holds qb + 3 = qb mod 3
+    dual_of = qb.astype(np.uint8)
+    dual_of += 2
+    sign = qa.astype(np.uint8)
+    sign += dual_of  # t + 4
+    sign -= sign // 3 * 3
+    sign -= 1  # 255 for -1
+    sign *= exact
+    dual_of *= sign  # s qb mod 2^8, so 256 - (qb + 3) for s = -1
+    dual_of += 8 if odd else 6  # nonnegative and below 13, = s qb - odd mod 3
+    dual_of -= dual_of // 3 * 3
+    return sign.view(np.int8), dual_of.view(np.int8)
 
 
 def _residue_dtype(n: int) -> type:
@@ -452,7 +468,8 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     sign, dual = _unit_lookup(*_transform(f, width), n)
     if not sign.all():
         spectrum = walsh_spectrum(f)
-        miss = np.flatnonzero(_unit_lookup(spectrum.coeff_1, spectrum.coeff_w, n)[0] == 0)
+        exact_sign = _unit_lookup(spectrum.coeff_1.copy(), spectrum.coeff_w.copy(), n)[0]
+        miss = np.flatnonzero(exact_sign == 0)
         assert miss.size, "the residue lookup missed a point of a bent spectrum"
         witness = int(miss[0])
         norm_sq = spectrum.value(witness).squared_norm()

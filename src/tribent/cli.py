@@ -33,7 +33,7 @@ from .constructions import (
     quadratic_function,
     trace_function,
 )
-from .core import DimensionCapError, check_dim, size
+from .core import DimensionCapError, check_dim, check_memory, size
 from .fields import ExtField
 from .fixtures import FIXTURES, get_fixture, run_fixture
 from .pipeline import PipelineReport, run_pipeline
@@ -68,6 +68,7 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
                 raise InputError(f"{path}: empty table file")
             n = int(head[0])
             check_dim(n, cap)
+            check_memory(n)
             trits = [int(tok) for tok in head[1:]]
             for line in fh:
                 trits.extend(int(tok) for tok in tokens(line))
@@ -100,6 +101,7 @@ def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
     try:
         m, s = int(data["m"]), int(data["s"])
         check_dim(m + 2 * s, cap)
+        check_memory(m + 2 * s)
         comps = []
         for entry in data["components"]:
             if "table" in entry:
@@ -131,6 +133,7 @@ def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
     try:
         k = int(data["k"])
         check_dim(k, cap)
+        check_memory(k)
         modulus = tuple(int(c) for c in data["modulus"])
         gen = data["generator"]
         if isinstance(gen, list):

@@ -32,7 +32,7 @@ from .core import (
     EXACT_DIM,
     coord_rows,
     digit_sum_table,
-    neg_table,
+    negation,
     size,
     span,
 )
@@ -431,7 +431,7 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     # x is on g's type side exactly when -x is on f's
     f_side = ctx_f.profile.side_mask(ctx_f.profile.type)
     g_side = ctx_g.profile.side_mask(ctx_g.profile.type)
-    sides_swap = bool(np.array_equal(f_side[neg_table(f.n)], g_side))
+    sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
     same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
     code_f = build_code(ctx_f.defining)

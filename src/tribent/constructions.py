@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_profile
-from .core import check_dim, coord_matrix, digit_sum_table, legendre, size
+from .core import check_dim, check_memory, coord_matrix, digit_sum_table, legendre, size
 from .fields import ExtField
 
 
@@ -279,6 +279,7 @@ def eval_poly(expr: PolyExpr, cap: int | None = None) -> TernaryFunction:
     """Tabulate the expression; exponents act on F_3 values pointwise."""
     n = expr.n
     check_dim(n, cap)
+    check_memory(n)
     total = np.zeros(size(n), dtype=np.int8)
     for coeff, powers in expr.terms:
         term = np.full(size(n), coeff % 3, dtype=np.int8)

@@ -8,6 +8,7 @@ root of unity w (w^2 = -1 - w); no floating point is used anywhere.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -26,8 +27,33 @@ DIM_CAP = 12
 EXACT_DIM = 18
 
 
+# Peak resident bytes per point of one verdict past the cap, rounded up:
+# ru_maxrss of a fresh run_search(n - 2, 1, 1, 0, cap=n), less the 29 MB
+# of the interpreter with the package imported, over 3^n read 20.8-21.8
+# at n = 13..15 and 18.5 at n = 16.
+PEAK_BYTES_PER_POINT = 22
+
+
 class DimensionCapError(ValueError):
-    """Raised when an operation would enumerate more than 3^cap points."""
+    """Raised when an operation would enumerate more than 3^cap points, or
+    more than the process's memory holds."""
+
+
+def memory_limit() -> int | None:
+    """The bytes this process may take: the smaller of its RLIMIT_AS soft
+    limit and the MemAvailable line of /proc/meminfo (read where that
+    file exists), or None when neither bounds it."""
+    limits = []
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    try:
+        with open("/proc/meminfo") as fh:
+            limits += [int(line.split()[1]) * 1024
+                       for line in fh if line.startswith("MemAvailable:")]
+    except OSError:
+        pass
+    return min(limits, default=None)
 
 
 def check_dim(n: int, cap: int | None = None) -> None:
@@ -44,6 +70,21 @@ def check_dim(n: int, cap: int | None = None) -> None:
             f"n={n} exceeds {EXACT_DIM}, the largest dimension whose transform "
             "is exact in int32 (2 * 3^n < 2^31)"
         )
+
+
+def check_memory(n: int) -> None:
+    """Refuse n above DIM_CAP when 3^n * PEAK_BYTES_PER_POINT exceeds
+    memory_limit().  Every input surface calls it after check_dim and
+    before it tabulates anything, so a run past the cap that cannot fit
+    stops with one line instead of running out of memory part way."""
+    if n > DIM_CAP:
+        need, memory = size(n) * PEAK_BYTES_PER_POINT, memory_limit()
+        if memory is not None and need > memory:
+            raise DimensionCapError(
+                f"n={n} needs about {need >> 20} MB at its peak "
+                f"({PEAK_BYTES_PER_POINT} bytes for each of 3^{n} points), "
+                f"more than the {memory >> 20} MB this process may take"
+            )
 
 
 def size(n: int) -> int:
@@ -119,21 +160,35 @@ def translation_table(p: int, n: int) -> np.ndarray:
     return (coord_matrix(n) + coord_rows([p], n)) % 3 @ 3 ** np.arange(n)
 
 
-def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map taking a flat array a over F_3^n to x -> a[x + p].
+def _halfwise(high: np.ndarray, low: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map taking a flat array a over F_3^n to x -> a[t(x)], for a
+    point map t that acts on each digit alone, given as its table high on
+    the top n - k digits and low on the low k = n // 2 digits.
 
-    x + p is added digit by digit, so on the (3^(n-k), 3^k) view of a,
-    with k = n // 2, the top n - k digits of x and its low k digits move
-    independently: one take along each axis, by a half-width translation
-    table each, replaces a gather by one 3^n-entry table.
+    The two halves of x then move independently, so on the
+    (3^(n-k), 3^k) view of a one take along each axis replaces a gather
+    by one 3^n-entry table.
     """
-    k = n // 2
-    high, low = translation_table(p // 3 ** k, n - k), translation_table(p % 3 ** k, k)
 
-    def translate(a: np.ndarray) -> np.ndarray:
+    def apply(a: np.ndarray) -> np.ndarray:
         return a.reshape(len(high), len(low)).take(high, axis=0).take(low, axis=1).reshape(-1)
 
-    return translate
+    return apply
+
+
+def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map taking a flat array a over F_3^n to x -> a[x + p]; x + p is
+    added digit by digit, so the map is _halfwise of two half-width
+    translation tables."""
+    k = n // 2
+    return _halfwise(translation_table(p // 3 ** k, n - k), translation_table(p % 3 ** k, k))
+
+
+def negation(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map taking a flat array a over F_3^n to x -> a[-x], from
+    neg_table(n - k) and neg_table(k) (_halfwise): no table is 3^n wide."""
+    k = n // 2
+    return _halfwise(neg_table(n - k), neg_table(k))
 
 
 def dots_with(v: int, n: int) -> np.ndarray:
@@ -306,16 +361,46 @@ class Subspace:
 # rows reduced up front by span; the rest are only checked against them
 _SPAN_SAMPLE = 64
 
+# masks up to this size are sampled from their full index list, which is
+# faster there than counting per row and takes at most 8 * 3^10 bytes
+_SPAN_LISTED = 3 ** 10
+
+
+def _stride(idx: np.ndarray) -> np.ndarray:
+    """At most _SPAN_SAMPLE entries of idx, evenly strided."""
+    return idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))]
+
+
+def _strided_members(view: np.ndarray) -> np.ndarray:
+    """Indices of at most _SPAN_SAMPLE members of a boolean mask, given as
+    its 2-D view: those of rank 0, step, 2 step, ... in index order, with
+    step = ceil(members / _SPAN_SAMPLE), as _stride picks them from the
+    full list.  Past _SPAN_LISTED points the per-row counts place each
+    sampled rank in its row, and only the members of those rows are
+    listed: sampled row i's member of rank ranks[i] is entry
+    held[:i + 1].sum() - (ends[rows[i]] - ranks[i]) of that list."""
+    if view.size <= _SPAN_LISTED:
+        return _stride(np.flatnonzero(view))
+    counts = view.sum(axis=1)
+    ends = counts.cumsum()
+    ranks = np.arange(0, ends[-1], max(1, -(-int(ends[-1]) // _SPAN_SAMPLE)))
+    rows = ends.searchsorted(ranks, side="right")
+    held = counts[rows]
+    picked = np.flatnonzero(view[rows])[held.cumsum() - ends[rows] + ranks]
+    return picked + (rows - np.arange(len(rows))) * view.shape[1]
+
 
 def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
-    """The F_3-span of a set of points ({0} for empty input).
+    """The F_3-span of a set of points ({0} for the empty set), given as a
+    boolean mask over all 3^n points or as point indices, which are
+    scattered into one.
 
-    A strided sample of at most _SPAN_SAMPLE rows is reduced first, and
-    every point is then checked against the sample's null space: a point
-    lies in the span exactly when it is orthogonal to that null space.
-    While some point fails, the first failing point is folded into the
-    reduced sample and only the failing points are checked again; each
-    fold raises the rank, so there are at most n rounds.  The reduced
+    A strided sample of at most _SPAN_SAMPLE members is reduced first,
+    and every member is then checked against the sample's null space: a
+    point lies in the span exactly when it is orthogonal to that null
+    space.  While some member fails, the first failing one is folded into
+    the reduced sample and only the failing members are checked again;
+    each fold raises the rank, so there are at most n rounds.  The reduced
     echelon form of a row space is unique, so the basis does not depend on
     the sample.  The last round's null basis is kept as the result's perp,
     so V-perp is not reduced again downstream.
@@ -323,25 +408,37 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     A point's dots with the null basis are the sums of those of its top
     n - k and its low k = n // 2 digits, so each round builds one dot
     table per half (int8 sums of at most n - k products, at most 4n), and
-    a point passes when its high half's dots equal minus its low half's
-    mod 3.  The halves come from one divmod of the indices by 3^k, and no
-    3^n-row table is gathered: the cost grows with the number of points.
+    per null vector one broadcast compare of the two tables over the
+    (3^(n-k), 3^k) view of the mask marks the points whose high half's dot
+    differs from minus the low half's mod 3.  Given a mask of more than
+    _SPAN_LISTED points, only the sample (_strided_members) and the
+    folded points become indices; given indices, the sample is a stride
+    of them.
     """
-    idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
     k = n // 2
-    high, low = np.divmod(idx, 3 ** k)
-    basis = _rref(coord_rows(idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))], n))
+    if isinstance(points, np.ndarray) and points.dtype == bool:
+        members = points.reshape(size(n - k), size(k))
+        sample = _strided_members(members)
+    else:
+        idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
+        sample = _stride(idx)
+        members = np.zeros(size(n), dtype=bool)
+        members[idx] = True
+        members = members.reshape(size(n - k), size(k))
+    basis = _rref(coord_rows(sample, n))
     while True:
         null = _null_basis(basis)
         high_dots = coord_matrix(n - k) @ null.T[k:] % 3
         minus_low_dots = -(coord_matrix(k) @ null.T[:k]) % 3
-        failing = (high_dots[high] != minus_low_dots[low]).any(axis=1)
-        high, low = high[failing], low[failing]
-        if not len(high):
+        failing = np.zeros(members.shape, dtype=bool)
+        for high, minus_low in zip(high_dots.T, minus_low_dots.T):
+            failing |= high[:, None] != minus_low
+        failing &= members
+        if not failing.any():
             return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), null)
-        grown = _rref(np.vstack([basis, coord_rows(high[:1] * 3 ** k + low[:1], n)]))
+        grown = _rref(np.vstack([basis, coord_rows([failing.argmax()], n)]))
         assert len(grown) > len(basis), "a point failed the check but lies in the span"
-        basis = grown
+        basis, members = grown, failing
 
 
 def is_subspace(points: np.ndarray, n: int) -> bool:

@@ -22,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import Subspace, check_dim, legendre, neg_table, size, span
+from .core import Subspace, check_dim, check_memory, legendre, neg_table, size, span
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -151,6 +151,7 @@ def run_search(m: int, s: int, count: int, seed: int,
         raise ValueError(f"count must be non-negative, got {count}")
     n = m + 2 * s
     check_dim(n, cap)
+    check_memory(n)
     if not 0 <= u_dim <= s:
         raise ValueError(f"u_dim must lie in [0, {s}]")
     rng = random.Random(seed)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -330,3 +334,31 @@ def test_table_file_header_may_share_its_line_with_trits(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--table-file", str(f), "--format", "json")
     assert code == 1
     assert json.loads(out)["type"] == "plus"
+
+
+def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProcess:
+    """python argv in a child process whose RLIMIT_AS is lowered to limit
+    bytes before it starts; this process keeps its own limits."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_memory_guard_refuses_past_the_cap_in_one_line():
+    # under a 1 GB address space n = 17 (about 2.7 GB at the peak) is
+    # refused before anything is tabulated; n = 13 (about 33 MB) passes the
+    # guard, which reads the lowered limit
+    search = ["search", "--m", "15", "--s", "1", "--count", "1", "--max-n", "17"]
+    proc = _run_with_address_space(10 ** 9, "-m", "tribent.cli", *search)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: n=17 needs about ")
+    assert "MB this process may take" in proc.stderr
+    probe = ("from tribent.core import check_memory, memory_limit; "
+             "check_memory(13); print(memory_limit())")
+    proc = _run_with_address_space(10 ** 9, "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 10 ** 9

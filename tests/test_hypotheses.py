@@ -287,7 +287,7 @@ def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
     g = _eligible_glue()
     f = TernaryFunction(g.n, g.table)  # evenness not yet decided
     spans, negs = [], []
-    original_span, original_neg = core.span, analysis.neg_table
+    original_span, original_neg = core.span, core.neg_table
 
     def counted_span(points, n):
         spans.append(n)
@@ -299,10 +299,12 @@ def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
 
     for module in (core, analysis):
         monkeypatch.setattr(module, "span", counted_span)
-    monkeypatch.setattr(analysis, "neg_table", counted_neg)
+    monkeypatch.setattr(core, "neg_table", counted_neg)
     _run_public_path(f)
     assert spans == [f.n]
-    assert negs == [f.n]  # the even check, decided once per function
+    # the even check, decided once per function from the two half-width
+    # negation tables (core.negation), never the 3^n-wide one
+    assert negs == [f.n - f.n // 2, f.n // 2]
 
 
 def test_verdict_enumerates_no_subspace(monkeypatch):

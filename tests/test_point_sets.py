@@ -10,17 +10,20 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tribent import analysis, core
-from tribent.analysis import BentType, coset_structure
+from tribent.analysis import BentType, TernaryFunction, coset_structure, coset_tiling
 from tribent.codes import (
     CodeCase,
     DefiningSet,
     SelectionContext,
+    WeightClassifier,
     build_code,
+    defining_set_for,
     select_defining_set,
 )
 from tribent.constructions import gmmf_build, gmmf_predict
@@ -182,11 +185,45 @@ def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
     assert spans[0] == 2 and 2 <= rounds[0] <= 2 * f.n
 
 
-@pytest.mark.parametrize("n", [1, 4, 7])
-def test_sign_dual_lookup_is_built_once_per_n(n):
-    sign, dual = analysis._sign_dual_lookup(n)
-    again = analysis._sign_dual_lookup(n)
-    assert again[0] is sign and again[1] is dual
-    assert not sign.flags.writeable and not dual.flags.writeable
-    with pytest.raises(ValueError):
-        sign[0] = 1
+@pytest.mark.parametrize("side", list(BentType), ids=lambda side: side.value)
+def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side):
+    # tracemalloc's peak above each stage's start, over 3^n: no stage
+    # gathers through a 3^n-wide intp or int64 table, and the tables of
+    # coordinates and negations are asked for half widths only
+    g = _glue(10, 1, side, seed=1)
+    f = TernaryFunction(g.n, g.table)  # evenness not yet decided
+    asked = []
+
+    def recording(table):
+        def record(n):
+            asked.append(n)
+            return table(n)
+        return record
+
+    for table in (core.coord_matrix, core.neg_table):
+        _patch_every_binding(monkeypatch, table, recording(table))
+    peaks = {}
+
+    def stage(name, run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / size(f.n)
+        return out
+
+    tracemalloc.start()
+    try:
+        p = stage("bent_profile", lambda: analysis.bent_profile(f))
+        stage("dual_profile", lambda: p.dual_profile)
+        stage("is_even", f.is_even)
+        stage("type_span", lambda: p.type_span)
+        hyp = stage("establish", lambda: analysis.establish(f, p))
+        ctx = stage("defining_set_for", lambda: defining_set_for(hyp))
+        cs = stage("coset_tiling", lambda: coset_tiling(hyp))
+        code = stage("build_code", lambda: build_code(ctx.defining))
+        bad = stage("classifier", lambda: WeightClassifier(ctx).check_all(code))
+    finally:
+        tracemalloc.stop()
+    assert hyp.ok and cs.coset_union_ok and cs.constant_ok and bad is None
+    assert max(peaks.values()) <= 12, peaks
+    assert asked and max(asked) <= f.n - f.n // 2

@@ -98,7 +98,8 @@ class TernaryFunction:
                       cap: int | None = None) -> "TernaryFunction":
         check_dim(n, cap)
         check_memory(n)
-        return cls(n, [fn(decode(x, n)) % 3 for x in range(size(n))])
+        values = (fn(decode(x, n)) % 3 for x in range(size(n)))
+        return cls(n, np.fromiter(values, dtype=np.int8, count=size(n)))
 
     @classmethod
     def constant(cls, n: int, value: int) -> "TernaryFunction":

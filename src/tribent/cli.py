@@ -18,7 +18,10 @@ import csv
 import io
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import BentType, TernaryFunction
 from .codes import CodeCase, predict_distribution
@@ -55,12 +58,15 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
     """Plain-text table: first value is n, then 3^n trits, '#' comments.
 
     The file is read up to its first value and n is checked against the
-    cap before the rest is read or tokenized.
+    cap before the rest is read or tokenized.  The trits are then read a
+    line at a time straight into an int8 table, so no list of 3^n values
+    is built; a value outside int8 stops the read as a bad entry.
     """
 
     def tokens(line: str) -> list[str]:
         return line.split("#", 1)[0].split()
 
+    bad_entry = InputError(f"{path}: table entries must be 0, 1 or 2")
     try:
         with open(path) as fh:
             head = next((toks for toks in map(tokens, fh) if toks), None)
@@ -69,15 +75,17 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
             n = int(head[0])
             check_dim(n, cap)
             check_memory(n)
-            trits = [int(tok) for tok in head[1:]]
-            for line in fh:
-                trits.extend(int(tok) for tok in tokens(line))
+            values = chain(islice(head, 1, None), chain.from_iterable(map(tokens, fh)))
+            table = np.fromiter(map(int, values), dtype=np.int8)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if len(trits) != size(n):
-        raise InputError(f"{path}: expected 3^{n} = {size(n)} values, found {len(trits)}")
-    _check_trits(path, trits)
-    return TernaryFunction(n, trits)
+    except OverflowError as exc:
+        raise bad_entry from exc
+    if len(table) != size(n):
+        raise InputError(f"{path}: expected 3^{n} = {size(n)} values, found {len(table)}")
+    if table.view(np.uint8).max() > 2:
+        raise bad_entry
+    return TernaryFunction(n, table)
 
 
 def _check_trits(path: str, trits: list) -> None:

@@ -27,11 +27,13 @@ DIM_CAP = 12
 EXACT_DIM = 18
 
 
-# Peak resident bytes per point of one verdict past the cap, rounded up:
-# ru_maxrss of a fresh run_search(n - 2, 1, 1, 0, cap=n), less the 29 MB
-# of the interpreter with the package imported, over 3^n read 20.8-21.8
-# at n = 13..15 and 18.5 at n = 16.
-PEAK_BYTES_PER_POINT = 22
+# Peak bytes per point of one verdict past the cap, with a margin: the
+# growth of VmPeak and of ru_maxrss over a fresh interpreter with the
+# package imported, over 3^n, read 21.0-22.5 at n = 13..15 and 18.5 at
+# n = 16 for run_search(n - 2, 1, 1, 0, cap=n), and 18.8-22.5 at n = 13,
+# 14 for a table file read by the CLI (on one line or 81 values a line)
+# or a from_callable table, each followed by run_pipeline.
+PEAK_BYTES_PER_POINT = 24
 
 
 class DimensionCapError(ValueError):
@@ -40,13 +42,21 @@ class DimensionCapError(ValueError):
 
 
 def memory_limit() -> int | None:
-    """The bytes this process may take: the smaller of its RLIMIT_AS soft
-    limit and the MemAvailable line of /proc/meminfo (read where that
-    file exists), or None when neither bounds it."""
+    """The bytes this process may still take: the smaller of what its
+    RLIMIT_AS soft limit leaves above its present virtual size (the first
+    field of /proc/self/statm, in pages; an interpreter with numpy
+    imported maps about 140 MB) and the MemAvailable line of
+    /proc/meminfo, each file read where it exists; None when neither
+    bounds it.  Where statm is absent the whole soft limit counts."""
     limits = []
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
-        limits.append(soft)
+        try:
+            with open("/proc/self/statm") as fh:
+                soft -= int(fh.read().split()[0]) * resource.getpagesize()
+        except OSError:
+            pass
+        limits.append(max(soft, 0))
     try:
         with open("/proc/meminfo") as fh:
             limits += [int(line.split()[1]) * 1024
@@ -83,7 +93,7 @@ def check_memory(n: int) -> None:
             raise DimensionCapError(
                 f"n={n} needs about {need >> 20} MB at its peak "
                 f"({PEAK_BYTES_PER_POINT} bytes for each of 3^{n} points), "
-                f"more than the {memory >> 20} MB this process may take"
+                f"more than the {memory >> 20} MB this process may still take"
             )
 
 
@@ -361,10 +371,6 @@ class Subspace:
 # rows reduced up front by span; the rest are only checked against them
 _SPAN_SAMPLE = 64
 
-# masks up to this size are sampled from their full index list, which is
-# faster there than counting per row and takes at most 8 * 3^10 bytes
-_SPAN_LISTED = 3 ** 10
-
 
 def _stride(idx: np.ndarray) -> np.ndarray:
     """At most _SPAN_SAMPLE entries of idx, evenly strided."""
@@ -375,12 +381,10 @@ def _strided_members(view: np.ndarray) -> np.ndarray:
     """Indices of at most _SPAN_SAMPLE members of a boolean mask, given as
     its 2-D view: those of rank 0, step, 2 step, ... in index order, with
     step = ceil(members / _SPAN_SAMPLE), as _stride picks them from the
-    full list.  Past _SPAN_LISTED points the per-row counts place each
-    sampled rank in its row, and only the members of those rows are
-    listed: sampled row i's member of rank ranks[i] is entry
-    held[:i + 1].sum() - (ends[rows[i]] - ranks[i]) of that list."""
-    if view.size <= _SPAN_LISTED:
-        return _stride(np.flatnonzero(view))
+    full list.  The per-row counts place each sampled rank in its row,
+    and only the members of those rows are listed: sampled row i's member
+    of rank ranks[i] is entry held[:i + 1].sum() - (ends[rows[i]] -
+    ranks[i]) of that list."""
     counts = view.sum(axis=1)
     ends = counts.cumsum()
     ranks = np.arange(0, ends[-1], max(1, -(-int(ends[-1]) // _SPAN_SAMPLE)))
@@ -410,10 +414,9 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     table per half (int8 sums of at most n - k products, at most 4n), and
     per null vector one broadcast compare of the two tables over the
     (3^(n-k), 3^k) view of the mask marks the points whose high half's dot
-    differs from minus the low half's mod 3.  Given a mask of more than
-    _SPAN_LISTED points, only the sample (_strided_members) and the
-    folded points become indices; given indices, the sample is a stride
-    of them.
+    differs from minus the low half's mod 3.  Given a mask, only the
+    sample (_strided_members) and the folded points become indices; given
+    indices, the sample is a stride of them.
     """
     k = n // 2
     if isinstance(points, np.ndarray) and points.dtype == bool:

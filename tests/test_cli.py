@@ -6,11 +6,15 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tribent.cli import main
+from tribent.analysis import TernaryFunction
+from tribent.cli import load_table_file, main
+from tribent.core import PEAK_BYTES_PER_POINT, encode, size
 from tribent.fields import find_irreducible
 
 
@@ -336,6 +340,29 @@ def test_table_file_header_may_share_its_line_with_trits(tmp_path, capsys):
     assert json.loads(out)["type"] == "plus"
 
 
+@pytest.mark.parametrize("surface", ["table-on-one-line", "table-a-value-a-line", "from_callable"])
+def test_input_surfaces_tabulate_within_12_bytes_per_point(tmp_path, surface):
+    # the memory guard's bytes per point are those of the verdict, so no
+    # input surface may hold a 3^n-entry list of values while it reads
+    n = 10
+    trits = np.random.default_rng(n).integers(0, 3, size(n))
+    path = tmp_path / "table.txt"
+    sep = " " if surface == "table-on-one-line" else "\n"
+    path.write_text(f"{n}{sep}" + sep.join(map(str, trits.tolist())) + "\n")
+    if surface == "from_callable":
+        read = lambda: TernaryFunction.from_callable(n, lambda c: trits[encode(c)])
+    else:
+        read = lambda: load_table_file(str(path), None)
+    tracemalloc.start()
+    try:
+        f = read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f.table, trits)
+    assert peak <= 12 * size(n), peak / size(n)
+
+
 def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProcess:
     """python argv in a child process whose RLIMIT_AS is lowered to limit
     bytes before it starts; this process keeps its own limits."""
@@ -347,18 +374,32 @@ def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProce
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
-def test_memory_guard_refuses_past_the_cap_in_one_line():
-    # under a 1 GB address space n = 17 (about 2.7 GB at the peak) is
-    # refused before anything is tabulated; n = 13 (about 33 MB) passes the
-    # guard, which reads the lowered limit
-    search = ["search", "--m", "15", "--s", "1", "--count", "1", "--max-n", "17"]
+@pytest.mark.parametrize("n", [16, 17])
+def test_memory_guard_refuses_past_the_cap_in_one_line(n):
+    # under a 1 GB address space, of which the interpreter already maps
+    # about 140 MB, n = 16 (about 1 GB at the peak) and n = 17 are refused
+    # before anything is tabulated
+    search = ["search", "--m", str(n - 2), "--s", "1", "--count", "1", "--max-n", str(n)]
     proc = _run_with_address_space(10 ** 9, "-m", "tribent.cli", *search)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: n=17 needs about ")
-    assert "MB this process may take" in proc.stderr
-    probe = ("from tribent.core import check_memory, memory_limit; "
-             "check_memory(13); print(memory_limit())")
-    proc = _run_with_address_space(10 ** 9, "-c", probe)
+    assert proc.stderr.startswith(f"error: n={n} needs about ")
+    assert "MB this process may still take" in proc.stderr
+
+
+def test_memory_guard_admits_a_run_that_then_fits():
+    # the smallest address space the guard admits n = 14 in, plus 32 MB:
+    # the interpreter's own mappings (read from a probe of the same
+    # imports) and PEAK_BYTES_PER_POINT per point; the run must finish
+    probe = ("import tribent.cli, resource; "
+             "print(int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize())")
+    proc = _run_with_address_space(10 ** 10, "-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 10 ** 9
+    limit = int(proc.stdout) + size(14) * PEAK_BYTES_PER_POINT + (32 << 20)
+    search = ["search", "--m", "12", "--s", "1", "--count", "1", "--max-n", "14"]
+    proc = _run_with_address_space(limit, "-m", "tribent.cli", *search)
+    assert proc.returncode == 0, proc.stderr
+    probe = "from tribent.core import memory_limit; print(memory_limit())"
+    proc = _run_with_address_space(limit, "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert size(14) * PEAK_BYTES_PER_POINT <= int(proc.stdout) < limit - (64 << 20)

@@ -389,20 +389,19 @@ def test_span_finds_a_stray_in_either_half_at_n11(position, digit):
     v = span(pts, 11)
     reference = _row_reduce_reference([list(decode(p, 11)) for p in pts])
     assert v.dim == 5 and v.basis == tuple(encode(r) for r in reference)
-    # the same points as a mask, sampled from per-row counts past 3^10 points
+    # the same points as a mask, sampled from per-row counts
     mask = np.zeros(size(11), dtype=bool)
     mask[pts] = True
     assert span(mask, 11) == v
 
 
-@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 11, 12])
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.3, 1.0])
-def test_mask_sample_past_the_listed_size_is_the_strided_member_list(n, density):
-    # past _SPAN_LISTED points span samples a mask without listing its
-    # members; the sample must be the stride of the full member list
+def test_mask_sample_is_the_strided_member_list(n, density):
+    # span samples a mask without listing its members; the sample must be
+    # the stride of the full member list
     mask = np.random.default_rng(n).random(size(n)) < density
     view = mask.reshape(size(n - n // 2), size(n // 2))
-    assert view.size > core._SPAN_LISTED
     assert np.array_equal(core._strided_members(view), core._stride(np.flatnonzero(mask)))
 
 

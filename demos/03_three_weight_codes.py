@@ -39,11 +39,10 @@ assert pred.distribution == code.distribution
 # message sits relative to the dual's partition.  The code measures every
 # codeword once, at one message u_c per coset of its kernel V-perp.
 clf = WeightClassifier(ctx)
-messages = code.messages()
-expected = clf.expected_weights(messages)
+expected = clf.expected_weights(code)
 c = 5
 print("message %d: predicted weight %d, actual %d"
-      % (messages[c], expected[c], code.message_weights[c]))
+      % (code.messages()[c], expected[c], code.message_weights[c]))
 assert clf.check_all(code) is None
 print("all %d codewords classified correctly" % 3 ** code.dimension)
 

@@ -681,23 +681,19 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
 
 @dataclass(frozen=True, eq=False)
 class CosetStructure:
-    """Result of the coset decomposition check of the dual's point sets.
+    """Verdict of the coset decomposition check of the dual's point sets.
 
     The type side V of f, when it is a non-degenerate subspace, splits
-    into index sets i_plus / i_minus (V meeting the dual's plus / minus
-    set, as sorted int64 index arrays) whose cosets of V-perp tile the
-    dual's plus / minus sets; f is constant on the cosets over one of the
-    two index sets (which one depends on the parity of n and the side).
+    into i_plus / i_minus (V meeting the dual's plus / minus set), whose
+    cosets of V-perp tile the dual's plus / minus sets when
+    coset_union_ok holds; f is constant on the cosets over the one named
+    by constant_branch (which one depends on the parity of n and the
+    side) when constant_ok holds.
     """
 
-    side: BentType
-    subspace: Subspace
-    i_plus: np.ndarray
-    i_minus: np.ndarray
     coset_union_ok: bool
     constant_branch: str
     constant_ok: bool
-    dual_profile: BentProfile
 
 
 def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
@@ -735,20 +731,18 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     (f on the branch's side) both are.  Any basis of V-perp spans the
     same cosets, so the q are the rows of v.perp as span left them, not
     reduced again.  Only when some q moves D+, a broken tiling that the
-    theorem excludes, is the branch's index set closed under x -> x + q
-    and x -> x + 2q, and constant_ok read on that closure.
+    theorem excludes, is the type-side mask built: the branch's index set
+    (the type side meeting the branch's dual side) is closed under
+    x -> x + q and x -> x + 2q, and constant_ok read on that closure.
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
     n = f.n
-    side = profile.side_mask(profile.type)
     dual_plus = dual_profile.side_mask(BentType.PLUS)
-    dual_minus = dual_profile.side_mask(BentType.MINUS)
     steps = [translation(q, n) for q in (hyp.v.perp @ 3 ** np.arange(n)).tolist()]
 
     on_plus = constant_on_dual_plus(n, profile.type)
-    branch_name = "i_plus" if on_plus else "i_minus"
-    branch_side = dual_plus if on_plus else dual_minus
+    branch_side = dual_plus if on_plus else dual_profile.side_mask(BentType.MINUS)
     code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
     union_ok, constant_ok = True, True
     for step in steps:
@@ -761,19 +755,10 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
         constant_ok = False
 
     if not union_ok:
-        branch = side & branch_side
+        branch = profile.side_mask(profile.type) & branch_side
         for step in steps:
             shifted = step(branch)
             branch = branch | shifted | step(shifted)
         constant_ok = not any(((step(f.table) != f.table) & branch).any() for step in steps)
 
-    return CosetStructure(
-        side=profile.type,
-        subspace=hyp.v,
-        i_plus=np.flatnonzero(side & dual_plus),
-        i_minus=np.flatnonzero(side & dual_minus),
-        coset_union_ok=union_ok,
-        constant_branch=branch_name,
-        constant_ok=constant_ok,
-        dual_profile=dual_profile,
-    )
+    return CosetStructure(union_ok, "i_plus" if on_plus else "i_minus", constant_ok)

@@ -60,7 +60,8 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
     The file is read up to its first value and n is checked against the
     cap before the rest is read or tokenized.  The trits are then read a
     line at a time straight into an int8 table, so no list of 3^n values
-    is built; a value outside int8 stops the read as a bad entry.
+    is built; a value outside int8 stops the read as a bad entry, and so
+    does a token that is not an integer.
     """
 
     def tokens(line: str) -> list[str]:
@@ -72,15 +73,19 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
             head = next((toks for toks in map(tokens, fh) if toks), None)
             if head is None:
                 raise InputError(f"{path}: empty table file")
-            n = int(head[0])
+            try:
+                n = int(head[0])
+            except ValueError as exc:
+                raise InputError(f"{path}: first value must be the dimension n") from exc
             check_dim(n, cap)
             check_memory(n)
             values = chain(islice(head, 1, None), chain.from_iterable(map(tokens, fh)))
-            table = np.fromiter(map(int, values), dtype=np.int8)
+            try:
+                table = np.fromiter(map(int, values), dtype=np.int8)
+            except (OverflowError, ValueError) as exc:
+                raise bad_entry from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except OverflowError as exc:
-        raise bad_entry from exc
     if len(table) != size(n):
         raise InputError(f"{path}: expected 3^{n} = {size(n)} values, found {len(table)}")
     if table.view(np.uint8).max() > 2:
@@ -93,6 +98,15 @@ def _check_trits(path: str, trits: list) -> None:
         raise InputError(f"{path}: table entries must be 0, 1 or 2")
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
     """JSON spec: {"m": int, "s": int, "components": [...]}.
 
@@ -100,12 +114,7 @@ def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
     quadratic, or {"table": [...]} as an explicit table on F_3^m, listed
     in parameter-index order (all 3^s of them).
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    data = _read_json(path)
     try:
         m, s = int(data["m"]), int(data["s"])
         check_dim(m + 2 * s, cap)
@@ -132,12 +141,7 @@ def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
     a field element as an integer encoding or a digit list; terms are
     [generator_power, exponent] pairs.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    data = _read_json(path)
     try:
         k = int(data["k"])
         check_dim(k, cap)

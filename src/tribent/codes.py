@@ -207,15 +207,13 @@ class SelectionContext:
     j0: int
     r: int
     defining: DefiningSet
-    profile: BentProfile
-    dual_profile: BentProfile
     hypotheses: Hypotheses
     value: int
 
     @property
     def preimages(self) -> PreimageSets:
         """All six pre-image sets of the dual, computed on each access."""
-        return preimage_sets(self.profile)
+        return preimage_sets(self.hypotheses.profile)
 
 
 def select_defining_set(f: TernaryFunction,
@@ -245,7 +243,7 @@ def defining_set_for(hyp: Hypotheses) -> SelectionContext:
     case = case_for(f.n, profile.type)
     value = selected_dual_value(case, j0)
     defining = DefiningSet(f.n, preimage_points(profile, case.side, value))
-    return SelectionContext(case, j0, hyp.r, defining, profile, hyp.dual_profile, hyp, value)
+    return SelectionContext(case, j0, hyp.r, defining, hyp, value)
 
 
 @dataclass(frozen=True)
@@ -361,22 +359,29 @@ class WeightClassifier:
         assert (off_branch == off_branch[0]).all(), \
             "the prediction off the constant branch must not read f"
 
-    def expected_weights(self, messages: np.ndarray) -> np.ndarray:
-        """The case table at the representatives u_c (int32), given as
-        LinearCode.messages lists them: entry 3 * [u in dual plus] + f(u)
-        of a flat seven-entry table, which holds the weight picked by
-        dual-side membership and (f(u) - j0) % 3, and entry 6, weight 0,
-        at u_0 = 0, the only representative in the kernel.  Each row of
-        the case's classes is rolled by j0, so the key is computed in int8
-        with no reduction mod 3."""
+    def expected_weights(self, code: LinearCode) -> np.ndarray:
+        """The case table at the representatives u_c of code (int32), in
+        the order of c: entry 3 * [u in dual plus] + f(u) of a flat
+        seven-entry table, which holds the weight picked by dual-side
+        membership and (f(u) - j0) % 3, and entry 6, weight 0, at u_0 = 0,
+        the only representative in the kernel.  Each row of the case's
+        classes is rolled by j0, so the key is computed in int8 with no
+        reduction mod 3.  f and the dual's sign are read through a view of
+        their (3,) * n reshape, where digit p is axis n-1-p: each pivot
+        axis sliced, every other axis at 0.  Its C order is the order of c
+        because the pivots ascend, as reduction lists them."""
+        n, pivots = self.f.n, code.pivots
+        assert list(pivots) == sorted(set(pivots)), "pivots must ascend"
+        at = tuple(slice(None) if p in pivots else 0 for p in range(n - 1, -1, -1))
         case = self.ctx.case
         classes = _WEIGHT_CLASS[case][:, (np.arange(3) - self.ctx.j0) % 3]
         table = np.zeros(7, dtype=np.int32)
-        table[:6] = np.array(_case_weights(case, self.f.n, self.ctx.r))[classes].ravel()
-        in_dual_plus = self.ctx.dual_profile.sign[messages] == 1
-        key = in_dual_plus.view(np.int8) * np.int8(3) + self.f.table[messages]
+        table[:6] = np.array(_case_weights(case, n, self.ctx.r))[classes].ravel()
+        in_dual_plus = self.ctx.hypotheses.dual_profile.sign.reshape((3,) * n)[at] == 1
+        key = (in_dual_plus.view(np.int8) * np.int8(3)
+               + self.f.table.reshape((3,) * n)[at]).reshape(-1)
         key[0] = 6
-        return np.take(table, key)
+        return table[key]  # np.take would cast the whole key to intp
 
     def check_all(self, code: LinearCode) -> int | None:
         """First representative u_c, in the order of c, whose measured
@@ -387,10 +392,9 @@ class WeightClassifier:
         so the weights are constant on the cosets of V-perp, and so is the
         prediction, which reads only the int8 code that coset_tiling
         proved invariant, since the row off the branch's side is constant.
-        There is one u_c per coset."""
-        messages = code.messages()
-        mismatch = np.flatnonzero(self.expected_weights(messages) != code.message_weights)
-        return int(messages[mismatch[0]]) if mismatch.size else None
+        There is one u_c per coset; code.messages() only names a mismatch."""
+        mismatch = np.flatnonzero(self.expected_weights(code) != code.message_weights)
+        return int(code.messages()[mismatch[0]]) if mismatch.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +433,7 @@ def negation_check(f: TernaryFunction) -> NegationReport:
         raise HypothesisError("negation pairing",
                               f"cases {ctx_f.case.value}/{ctx_g.case.value}")
     # x is on g's type side exactly when -x is on f's
-    f_side = ctx_f.profile.side_mask(ctx_f.profile.type)
-    g_side = ctx_g.profile.side_mask(ctx_g.profile.type)
+    f_side, g_side = (c.hypotheses.profile.side_mask(c.case.side) for c in (ctx_f, ctx_g))
     sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
     same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))

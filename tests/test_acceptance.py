@@ -16,6 +16,7 @@ from tribent.analysis import (
     TernaryFunction,
     bent_profile,
     coset_structure,
+    establish,
     expected_preimage_sizes,
     expected_s0_minus_s1,
     preimage_sets,
@@ -152,12 +153,15 @@ def test_criterion_4_structural_properties(built_fixtures):
 
         # coset tiling, constant restriction, and the dual side size
         cs = coset_structure(f, prof)
-        r = cs.subspace.dim
+        hyp = establish(f, prof)
+        r = hyp.r
         assert cs.coset_union_ok and cs.constant_ok
         on_plus = (f.n % 2 == 0) == (prof.type is BentType.PLUS)
-        side_of_dual = cs.dual_profile.side_mask(BentType.PLUS if on_plus else BentType.MINUS)
+        assert cs.constant_branch == ("i_plus" if on_plus else "i_minus")
+        side_of_dual = hyp.dual_profile.side_mask(BentType.PLUS if on_plus else BentType.MINUS)
         assert np.count_nonzero(side_of_dual) == 3 ** r
-        assert len(cs.i_plus if on_plus else cs.i_minus) == 3 ** (2 * r - f.n)
+        branch = np.flatnonzero(prof.side_mask(prof.type) & side_of_dual)
+        assert len(branch) == 3 ** (2 * r - f.n)
 
     # Parseval also holds for non-bent input
     rng = np.random.default_rng(0)

@@ -20,6 +20,7 @@ from tribent.analysis import (
     bent_profile,
     coset_structure,
     decode_coefficient,
+    establish,
     expected_preimage_sizes,
     expected_s0_minus_s1,
     is_bent,
@@ -519,12 +520,13 @@ def test_preimage_sets_partition(built_fixtures):
             assert np.array_equal(np.sort(np.concatenate(list(sets.values()))),
                                   np.flatnonzero(p.side_mask(t)))
 
-        # the coset index sets: the type side meeting each side of the dual
-        cs = coset_structure(f, p)
+        # the coset index sets, the type side meeting each side of the
+        # dual, partition the type side
+        dual_profile = establish(f, p).dual_profile
         side = p.side_mask(p.type)
-        for got, dual_side in ((cs.i_plus, BentType.PLUS), (cs.i_minus, BentType.MINUS)):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, np.flatnonzero(side & cs.dual_profile.side_mask(dual_side)))
+        i_plus, i_minus = (np.flatnonzero(side & dual_profile.side_mask(t))
+                           for t in (BentType.PLUS, BentType.MINUS))
+        assert np.array_equal(np.sort(np.concatenate([i_plus, i_minus])), np.flatnonzero(side))
 
 
 @pytest.mark.parametrize("name,side,value,expect", [
@@ -573,10 +575,12 @@ def test_dual_involution(flagship):
 def test_coset_structure_flagship(flagship):
     p = bent_profile(flagship)
     cs = coset_structure(flagship, p)
-    assert cs.coset_union_ok and cs.constant_ok
-    r = cs.subspace.dim
-    assert len(cs.i_plus) == 3 ** (2 * r - flagship.n)
-    assert np.count_nonzero(cs.dual_profile.side_mask(BentType.PLUS)) == 3 ** r
+    assert cs.coset_union_ok and cs.constant_ok and cs.constant_branch == "i_plus"
+    hyp = establish(flagship, p)
+    r = hyp.r
+    dual_plus = hyp.dual_profile.side_mask(BentType.PLUS)
+    assert np.count_nonzero(p.side_mask(p.type) & dual_plus) == 3 ** (2 * r - flagship.n)
+    assert np.count_nonzero(dual_plus) == 3 ** r
 
 
 def test_coset_structure_minus_side(built_fixtures):
@@ -584,7 +588,8 @@ def test_coset_structure_minus_side(built_fixtures):
     p = bent_profile(f)
     cs = coset_structure(f, p)
     assert cs.coset_union_ok and cs.constant_ok
-    assert np.count_nonzero(cs.dual_profile.side_mask(BentType.MINUS)) == 3 ** cs.subspace.dim
+    hyp = establish(f, p)
+    assert np.count_nonzero(hyp.dual_profile.side_mask(BentType.MINUS)) == 3 ** hyp.r
 
 
 def test_coset_structure_rejects_weakly_regular():

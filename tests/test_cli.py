@@ -332,6 +332,31 @@ def test_table_file_over_the_cap_is_refused_before_its_body_is_read(tmp_path, ca
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x\n0 1 1\n", "first value must be the dimension n"),
+    ("1\n0 x 1\n", "table entries must be 0, 1 or 2"),
+    ("1 0 1 1.0\n", "table entries must be 0, 1 or 2"),
+], ids=["header", "body", "body-float"])
+def test_table_file_non_integer_token_names_the_file(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--table-file", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: {f}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--gmmf-file", "--trace-file"])
+def test_json_spec_read_errors_name_the_file(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, _, err = run_cli(capsys, "verify", flag, str(bad))
+    assert code == 2 and err.startswith(f"error: {bad}: invalid JSON: ")
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, "verify", flag, str(missing))
+    assert code == 2 and err.startswith(f"error: cannot read {missing}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_table_file_header_may_share_its_line_with_trits(tmp_path, capsys):
     f = tmp_path / "square.txt"
     f.write_text("\n# comment\n1 0 1 # inline\n1\n")

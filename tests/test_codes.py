@@ -191,7 +191,7 @@ def test_even_minus_alternative_shift(built_fixtures):
     f = built_fixtures["code756"]
     ctx2 = select_defining_set(f)
     assert ctx2.case is CodeCase.EVEN_MINUS
-    other = DefiningSet(f.n, preimage_points(ctx2.profile, ctx2.case.side, (ctx2.j0 + 1) % 3))
+    other = DefiningSet(f.n, preimage_points(ctx2.hypotheses.profile, ctx2.case.side, (ctx2.j0 + 1) % 3))
     assert not np.array_equal(other.points, ctx2.defining.points)
     c1, c2 = build_code(other), build_code(ctx2.defining)
     assert c1.dimension == c2.dimension == ctx2.r
@@ -286,7 +286,7 @@ def test_classifier_matches_actual_weights(built_fixtures):
     code = build_code(ctx.defining)
     assert clf.check_all(code) is None
     messages = code.messages()
-    expected = clf.expected_weights(messages)
+    expected = clf.expected_weights(code)
     assert len(expected) == 3 ** ctx.r
     for c in (0, 1, 17, 42, 80):
         assert expected[c] == code.message_weights[c] == weight_of(int(messages[c]), ctx.defining)
@@ -302,7 +302,7 @@ def test_classifier_reports_first_mismatch(built_fixtures):
     clf = WeightClassifier(swapped)
     code = build_code(swapped.defining)
     messages = code.messages()
-    expected = clf.expected_weights(messages)
+    expected = clf.expected_weights(code)
     first = next(u for c, u in enumerate(messages.tolist())
                  if expected[c] != weight_of(u, swapped.defining))
     # the weights build_code measured give that verdict, as a message
@@ -329,7 +329,7 @@ def test_classifier_kernel_is_complement(built_fixtures):
     assert np.array_equal(np.intersect1d(messages, perp), [0])
     cosets = {min(add_points(u, w, f.n) for w in perp.tolist()) for u in messages.tolist()}
     assert len(cosets) == 3 ** ctx.r
-    assert WeightClassifier(ctx).expected_weights(messages)[0] == 0
+    assert WeightClassifier(ctx).expected_weights(code)[0] == 0
 
 
 @pytest.mark.parametrize("name", ["code98-a", "code270-a", "code756", "code36"])
@@ -340,12 +340,12 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
     clf = WeightClassifier(ctx)
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _WEIGHT_CLASS[ctx.case]
-    messages = build_code(ctx.defining).messages()
-    in_dual_plus = ctx.dual_profile.sign == 1
+    code = build_code(ctx.defining)
+    in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
     expected = [0 if u == 0 else
                 weights[rows[int(in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
-                for u in messages.tolist()]
-    assert clf.expected_weights(messages).tolist() == expected
+                for u in code.messages().tolist()]
+    assert clf.expected_weights(code).tolist() == expected
 
 
 def _parent_expected_weights(clf: WeightClassifier, messages: np.ndarray) -> np.ndarray:
@@ -355,7 +355,7 @@ def _parent_expected_weights(clf: WeightClassifier, messages: np.ndarray) -> np.
     weights = np.array(_case_weights(case, clf.f.n, clf.ctx.r), dtype=np.int64)
     table = weights[_WEIGHT_CLASS[case]].ravel()
     delta = (clf.f.table[messages] - np.int8(j0)) % np.int8(3)
-    key = (clf.ctx.dual_profile.sign[messages] == 1).view(np.int8) * np.int8(3) + delta
+    key = (clf.ctx.hypotheses.dual_profile.sign[messages] == 1).view(np.int8) * np.int8(3) + delta
     return np.where(messages == 0, 0, table[key])
 
 
@@ -381,10 +381,10 @@ def test_expected_weights_are_int32_and_match_the_int64_formula(built_fixtures, 
     f = built_fixtures[name] if glue is None else _seeded_glue(*glue)
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
-    messages = build_code(ctx.defining).messages()
-    expected = clf.expected_weights(messages)
+    code = build_code(ctx.defining)
+    expected = clf.expected_weights(code)
     assert expected.dtype == np.int32
-    assert np.array_equal(expected, _parent_expected_weights(clf, messages))
+    assert np.array_equal(expected, _parent_expected_weights(clf, code.messages()))
 
 
 @pytest.mark.parametrize("name,glue", CLASSIFIED, ids=[name for name, _ in CLASSIFIED])
@@ -396,7 +396,8 @@ def test_theorem_classifier_agrees_with_a_direct_count_at_every_message(built_fi
     ctx = select_defining_set(f)
     in_perp = np.zeros(size(f.n), dtype=bool)
     in_perp[brute_perp(ctx.hypotheses.v)] = True
-    rows = _WEIGHT_CLASS[ctx.case][(ctx.dual_profile.sign == 1).astype(int), (f.table - ctx.j0) % 3]
+    in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
+    rows = _WEIGHT_CLASS[ctx.case][in_dual_plus.astype(int), (f.table - ctx.j0) % 3]
     predicted = np.where(in_perp, 0, np.array(_case_weights(ctx.case, f.n, ctx.r))[rows])
     assert np.array_equal(predicted, direct_weights(ctx.defining))
     code = build_code(ctx.defining)

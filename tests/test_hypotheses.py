@@ -120,8 +120,17 @@ def test_cases_cover_every_verdict():
                         "non-degenerate"}
 
 
-def _pointwise_tiling(f: TernaryFunction, cs, perp: np.ndarray) -> tuple[bool, bool]:
-    """(union, constant) of a coset structure, one add_points at a time."""
+def _index_sets(hyp) -> dict[str, np.ndarray]:
+    """i_plus and i_minus: the type side meeting the dual's plus and minus
+    sets, as index arrays."""
+    side = hyp.profile.side_mask(hyp.profile.type)
+    return {name: np.flatnonzero(side & hyp.dual_profile.side_mask(t))
+            for name, t in (("i_plus", BentType.PLUS), ("i_minus", BentType.MINUS))}
+
+
+def _pointwise_tiling(f: TernaryFunction, hyp, cs, perp: np.ndarray) -> tuple[bool, bool]:
+    """(union, constant) of a coset structure on hypotheses hyp, one
+    add_points at a time."""
     def cosets(reps):
         return {u: [add_points(u, w, f.n) for w in perp.tolist()] for u in reps.tolist()}
 
@@ -131,12 +140,12 @@ def _pointwise_tiling(f: TernaryFunction, cs, perp: np.ndarray) -> tuple[bool, b
             mask[points] = True
         return mask
 
+    sets = _index_sets(hyp)
     union_ok = all(
-        np.array_equal(union(reps), cs.dual_profile.side_mask(side))
-        for reps, side in ((cs.i_plus, BentType.PLUS), (cs.i_minus, BentType.MINUS)))
-    branch = cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus
+        np.array_equal(union(sets[name]), hyp.dual_profile.side_mask(side))
+        for name, side in (("i_plus", BentType.PLUS), ("i_minus", BentType.MINUS)))
     constant_ok = all(len({f(x) for x in points}) == 1
-                      for points in cosets(branch).values())
+                      for points in cosets(sets[cs.constant_branch]).values())
     return union_ok, constant_ok
 
 
@@ -147,7 +156,7 @@ def test_coset_tiling_against_pointwise_sums(name, f):
         return
     cs = coset_structure(f, hyp.profile)
     perp = orthogonal_complement(hyp.v).points()
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, hyp, cs, perp)
 
 
 ELIGIBLE = [(name, f) for name, f in CASES if establish(f).ok]
@@ -174,17 +183,17 @@ def test_coset_tiling_detects_broken_tilings(name, f):
     moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
     cs = coset_tiling(moved)
     assert not cs.coset_union_ok
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, moved, cs, perp)
 
     cs = coset_tiling(hyp)
-    branch = cs.i_plus if cs.constant_branch == "i_plus" else cs.i_minus
+    branch = _index_sets(hyp)[cs.constant_branch]
     y = add_points(int(branch[len(branch) // 2]), int(perp[-1]), f.n)
     table = f.table.copy()
     table[y] = (table[y] + 1) % 3
     g = TernaryFunction(f.n, table)
     cs = coset_tiling(dataclasses.replace(hyp, f=g))
     assert cs.coset_union_ok and not cs.constant_ok
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, cs, perp)
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, hyp, cs, perp)
 
 
 @pytest.mark.parametrize("name,f", MULTI_PERP, ids=[name for name, _ in MULTI_PERP])
@@ -205,7 +214,7 @@ def test_coset_tiling_detects_a_break_the_first_basis_vector_keeps(name, f):
     cs = coset_tiling(moved)
     assert not cs.coset_union_ok
     perp = orthogonal_complement(hyp.v).points()
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, cs, perp)
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, moved, cs, perp)
 
 
 def _count_translations(monkeypatch) -> list[int]:

@@ -158,7 +158,7 @@ def test_per_codeword_stage_names_the_first_mismatching_representative(built_fix
     rows = _WEIGHT_CLASS[ctx.case]
 
     def predicted(u):
-        in_dual_plus = int(ctx.dual_profile.sign[u] == 1)
+        in_dual_plus = int(ctx.hypotheses.dual_profile.sign[u] == 1)
         return 0 if u == 0 else weights[rows[in_dual_plus][(f(u) - ctx.j0) % 3]]
 
     first = next(u for u in code.messages().tolist()

@@ -16,10 +16,17 @@ import numpy as np
 import pytest
 
 from tribent import analysis, core
-from tribent.analysis import BentType, TernaryFunction, coset_structure, coset_tiling
+from tribent.analysis import (
+    BentType,
+    CosetStructure,
+    TernaryFunction,
+    coset_structure,
+    coset_tiling,
+)
 from tribent.codes import (
     CodeCase,
     DefiningSet,
+    LinearCode,
     SelectionContext,
     WeightClassifier,
     build_code,
@@ -189,7 +196,9 @@ def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
 def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side):
     # tracemalloc's peak above each stage's start, over 3^n: no stage
     # gathers through a 3^n-wide intp or int64 table, and the tables of
-    # coordinates and negations are asked for half widths only
+    # coordinates and negations are asked for half widths only.  A whole
+    # run_pipeline, which holds both profiles and the defining set while
+    # the code stage peaks, stays within 15.
     g = _glue(10, 1, side, seed=1)
     f = TernaryFunction(g.n, g.table)  # evenness not yet decided
     asked = []
@@ -222,8 +231,34 @@ def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side)
         cs = stage("coset_tiling", lambda: coset_tiling(hyp))
         code = stage("build_code", lambda: build_code(ctx.defining))
         bad = stage("classifier", lambda: WeightClassifier(ctx).check_all(code))
+        fresh = TernaryFunction(g.n, g.table)
+        rep = stage("run_pipeline", lambda: run_pipeline(fresh))
     finally:
         tracemalloc.stop()
-    assert hyp.ok and cs.coset_union_ok and cs.constant_ok and bad is None
+    assert hyp.ok and cs.coset_union_ok and cs.constant_ok and bad is None and rep.passed
+    assert peaks.pop("run_pipeline") <= 15, peaks
     assert max(peaks.values()) <= 12, peaks
+    # at r = n - 1 a 3^r-wide int64 or intp array alone is 2.7 B/pt
+    assert peaks["classifier"] <= 2.5, peaks
     assert asked and max(asked) <= f.n - f.n // 2
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=[c.value for c in CASES])
+def test_passing_verdict_never_tabulates_the_messages(monkeypatch, case):
+    # the classifier reads f and the dual's sign at the u_c through a view;
+    # the int64 table of the u_c is built only to name a mismatch
+    def refuse(code):
+        raise AssertionError("LinearCode.messages called on a passing verdict")
+
+    monkeypatch.setattr(LinearCode, "messages", refuse)
+    rep = run_pipeline(_glue(*CASES[case], seed=3))
+    assert rep.passed and rep.stage("per-codeword-weights").ok
+
+
+def test_verdict_records_hold_no_copies():
+    # the coset verdict is three fields; selection reads f and both
+    # profiles from its Hypotheses
+    assert [fld.name for fld in dataclasses.fields(CosetStructure)] == [
+        "coset_union_ok", "constant_branch", "constant_ok"]
+    names = {fld.name for fld in dataclasses.fields(SelectionContext)}
+    assert "hypotheses" in names and not names & {"profile", "dual_profile"}

@@ -27,7 +27,9 @@ ctx = defining_set_for(establish(f))
 print("case:", ctx.case.value, " j0:", ctx.j0, " r:", ctx.r,
       " |defining set|:", len(ctx.defining))
 
-code = build_code(ctx.defining)
+# the code is measured over the type side's span V, which establish has
+# already reduced: S lies in V, and the pivots of V index the messages
+code = build_code(ctx.defining, ctx.hypotheses.v)
 print("measured code: [%d,%d,%d]_3" % code.parameters())
 print("measured enumerator:", enumerator_string(code.distribution))
 

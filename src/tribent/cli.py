@@ -77,7 +77,12 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
                 n = int(head[0])
             except ValueError as exc:
                 raise InputError(f"{path}: first value must be the dimension n") from exc
-            check_dim(n, cap)
+            try:
+                check_dim(n, cap)
+            except DimensionCapError:
+                raise
+            except ValueError as exc:  # a negative n
+                raise InputError(f"{path}: {exc}") from exc
             check_memory(n)
             values = chain(islice(head, 1, None), chain.from_iterable(map(tokens, fh)))
             try:

@@ -30,11 +30,12 @@ from .analysis import (
 )
 from .core import (
     EXACT_DIM,
+    Subspace,
     coord_rows,
     digit_sum_table,
+    half_syndromes,
     negation,
     size,
-    span,
 )
 
 
@@ -73,9 +74,9 @@ class LinearCode:
 
     distribution maps Hamming weight to codeword count and includes the
     zero codeword at weight 0; counts sum to 3^dimension.  pivots and
-    message_weights (left out of repr) are what message_weights(defining)
-    returns: entry c holds the weight of the codeword of messages()[c].
-    Equality is identity.
+    message_weights (left out of repr) are what message_weights(defining,
+    v) returns for the subspace v the code was built over: entry c holds
+    the weight of the codeword of messages()[c].  Equality is identity.
     """
 
     defining: DefiningSet
@@ -94,23 +95,27 @@ class LinearCode:
 
     def messages(self) -> np.ndarray:
         """The message u_c of every entry c of message_weights (int64):
-        u_0 = 0 first, and one message per coset of the code's kernel."""
+        u_0 = 0 first, and one message per coset of v-perp."""
         return digit_sum_table([(0, 3 ** p, 2 * 3 ** p) for p in self.pivots])
 
 
-def message_weights(s: DefiningSet) -> tuple[tuple[int, ...], np.ndarray]:
-    """The pivot columns P of span(S) and the weight of every codeword
-    once, indexed by c in F_3^r (int32, r = |P|).
+def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pivot columns P of a subspace v that holds S, and the weight of
+    the codeword of every message u_c, indexed by c in F_3^r (int32,
+    r = |P| = dim v).
 
-    B[:, P] is the identity for the reduced basis B of span(S), so the
-    message u_c = sum_i c_i e_{P_i} has u_c . x = c . x[P] on S: the u_c
-    are one message per coset of the kernel span(S)-perp.  The coordinate
-    index of x[P] is read off one digit-additive table per index half
-    (one divmod by 3^k, k = n // 2, as in span).  One radix-3 transform of
-    the coordinate indicator gives a + b*w at every c, the conjugate of
-    chi_c = sum over S of w^(c . x[P]); 2a - b is the sum of chi_c over the
-    two nontrivial field automorphisms, which conjugation keeps, so the
-    weight at c is num / 3 with num = 2|S| - (2a - b).
+    B[:, P] is the identity for the reduced basis B of v, so the message
+    u_c = sum_i c_i e_{P_i} has u_c . x = c . x[P] for x in v: the u_c
+    are one message per coset of v-perp, whose members all give the
+    codeword of u_c on S.  v is reduced once by its caller (run_pipeline
+    passes the type side's span V); S inside v is asserted with one
+    syndrome compare per point (core.half_syndromes of v.perp).  The
+    coordinate index of x[P] is read off one digit-additive table per
+    index half (one divmod by 3^k, k = n // 2, as in span).  One radix-3
+    transform of the coordinate indicator gives a + b*w at every c, the
+    conjugate of chi_c = sum over S of w^(c . x[P]); 2a - b is the sum of
+    chi_c over the two nontrivial field automorphisms, which conjugation
+    keeps, so the weight at c is num / 3 with num = 2|S| - (2a - b).
 
     The division is a product with the inverse of 3 mod 2^32 (as in
     analysis._unit_lookup): q = num * 0xAAAAAAAB wraps in uint32, and
@@ -123,13 +128,16 @@ def message_weights(s: DefiningSet) -> tuple[tuple[int, ...], np.ndarray]:
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     n = s.n
-    pivots = (coord_rows(span(s.points, n).basis, n) != 0).argmax(axis=1).tolist()
+    pivots = (coord_rows(v.basis, n) != 0).argmax(axis=1).tolist()
     r = len(pivots)
+    k = n // 2
+    high, low = np.divmod(s.points, 3 ** k)
+    high_syndrome, minus_low_syndrome = half_syndromes(v.perp, n)
+    assert (high_syndrome[high] == minus_low_syndrome[low]).all(), \
+        "the defining set must lie in v"
     place = [(0, 0, 0)] * n
     for i, p in enumerate(pivots):
         place[p] = (0, 3 ** i, 2 * 3 ** i)
-    k = n // 2
-    high, low = np.divmod(s.points, 3 ** k)
     indicator = np.zeros(size(r), dtype=np.int8)
     indicator[digit_sum_table(place[k:])[high] + digit_sum_table(place[:k])[low]] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), r)
@@ -140,17 +148,29 @@ def message_weights(s: DefiningSet) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(pivots), q.view(np.int32)
 
 
-def build_code(s: DefiningSet) -> LinearCode:
-    """Measure dimension and weight distribution, each codeword once.
+def build_code(s: DefiningSet, v: Subspace) -> LinearCode:
+    """Measure dimension and weight distribution over a subspace v that
+    holds S, each codeword once.
 
-    The distribution is the bincount of message_weights; asserted are a
-    single codeword of weight 0, and the first Pless power moment: no
-    coordinate of the code is identically zero (0 is not in S), so the
-    weights sum to 2 * 3^(r-1) * |S| over the 3^r codewords.
+    Each codeword arises once per message u_c of message_weights(s, v) in
+    the kernel's coset, so m = 3^(dim v - dim span S) times, and the
+    kernel is exactly where the weight is 0: asserted are that the zero
+    count m is a power of 3 and divides every count, and the dimension is
+    dim v - log3 m, with no second reduction.  m = 1 whenever
+    span(S) = v, as on every passing verdict.  On the divided
+    distribution, asserted are a single codeword of weight 0, and the
+    first Pless power moment: no coordinate of the code is identically
+    zero (0 is not in S), so the weights sum to 2 * 3^(r-1) * |S| over the
+    3^r codewords, r the dimension.
     """
-    pivots, weights = message_weights(s)
-    r = len(pivots)
+    pivots, weights = message_weights(s, v)
     counts = np.bincount(weights, minlength=len(s) + 1)
+    kernel = int(counts[0])
+    kernel_dim = len(np.base_repr(kernel, 3)) - 1
+    assert kernel == 3 ** kernel_dim, f"zero-weight count {kernel} is not a power of 3"
+    assert not (counts % kernel).any(), "the kernel size must divide every weight count"
+    counts //= kernel
+    r = len(pivots) - kernel_dim
     present = np.flatnonzero(counts)
     distribution = dict(zip(present.tolist(), counts[present].tolist()))
     assert distribution.get(0) == 1
@@ -437,8 +457,8 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
     same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
-    code_f = build_code(ctx_f.defining)
-    code_g = build_code(ctx_g.defining)
+    code_f = build_code(ctx_f.defining, ctx_f.hypotheses.v)
+    code_g = build_code(ctx_g.defining, ctx_g.hypotheses.v)
     return NegationReport(
         sides_swap=sides_swap,
         j0_negates=j0_negates,

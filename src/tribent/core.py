@@ -394,6 +394,24 @@ def _strided_members(view: np.ndarray) -> np.ndarray:
     return picked + (rows - np.arange(len(rows))) * view.shape[1]
 
 
+def half_syndromes(null: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows q_j of an int8 matrix null (entries 0, 1, 2; shape
+    (m, n)), the syndrome sum_j 3^j (h . q_j mod 3) of every top half h
+    of a point (its n - k high digits, k = n // 2), and that of minus
+    every low half l, as two int32 tables of 3^(n-k) and 3^k entries.
+
+    A point h * 3^k + l has x . q_j = h . q_j[k:] + l . q_j[:k], so it is
+    orthogonal to every row exactly when its two table entries are equal:
+    the base-3 digits of a syndrome are the m residues, and a syndrome is
+    below 3^m <= 3^EXACT_DIM < 2^31.  The dot tables are int8 sums of at
+    most n - k products, at most 4n."""
+    k = n // 2
+    weights = 3 ** np.arange(len(null), dtype=np.int32)
+    high = coord_matrix(n - k) @ null.T[k:] % 3
+    minus_low = -(coord_matrix(k) @ null.T[:k]) % 3
+    return high @ weights, minus_low @ weights
+
+
 def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for the empty set), given as a
     boolean mask over all 3^n points or as point indices, which are
@@ -409,14 +427,12 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     the sample.  The last round's null basis is kept as the result's perp,
     so V-perp is not reduced again downstream.
 
-    A point's dots with the null basis are the sums of those of its top
-    n - k and its low k = n // 2 digits, so each round builds one dot
-    table per half (int8 sums of at most n - k products, at most 4n), and
-    per null vector one broadcast compare of the two tables over the
-    (3^(n-k), 3^k) view of the mask marks the points whose high half's dot
-    differs from minus the low half's mod 3.  Given a mask, only the
-    sample (_strided_members) and the folded points become indices; given
-    indices, the sample is a stride of them.
+    Each round encodes a point's dots with the null basis as one base-3
+    syndrome (half_syndromes), and one broadcast compare of the high
+    half's table with the low half's over the (3^(n-k), 3^k) view of the
+    mask marks the failing points, whatever the number of null vectors.
+    Given a mask, only the sample (_strided_members) and the folded points
+    become indices; given indices, the sample is a stride of them.
     """
     k = n // 2
     if isinstance(points, np.ndarray) and points.dtype == bool:
@@ -431,12 +447,8 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     basis = _rref(coord_rows(sample, n))
     while True:
         null = _null_basis(basis)
-        high_dots = coord_matrix(n - k) @ null.T[k:] % 3
-        minus_low_dots = -(coord_matrix(k) @ null.T[:k]) % 3
-        failing = np.zeros(members.shape, dtype=bool)
-        for high, minus_low in zip(high_dots.T, minus_low_dots.T):
-            failing |= high[:, None] != minus_low
-        failing &= members
+        high, minus_low = half_syndromes(null, n)
+        failing = (high[:, None] != minus_low) & members
         if not failing.any():
             return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), null)
         grown = _rref(np.vstack([basis, coord_rows([failing.argmax()], n)]))

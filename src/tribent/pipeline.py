@@ -30,6 +30,7 @@ from .codes import (
     predict_distribution,
     preimage_points,
 )
+from .core import span
 
 
 @dataclass
@@ -114,7 +115,7 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
         if forced is not None:
             points = preimage_points(profile, *forced)
             if points.size:
-                code = build_code(DefiningSet(f.n, points))
+                code = build_code(DefiningSet(f.n, points), span(points, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
                 rep.defining_label = force_set.upper()
                 first_bad = next(s.name for s in rep.stages if not s.ok)
@@ -140,7 +141,7 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     rep.stages.append(Stage("coset-structure", cosets_ok,
                             f"constant branch {cs.constant_branch}"))
 
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, hyp.v)
     prediction = predict_distribution(ctx.case, f.n, ctx.r)
     rep.code = code_report(code, prediction, ctx.case, ctx.r)
     rep.notes.extend(rep.code.notes)

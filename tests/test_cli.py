@@ -336,7 +336,8 @@ def test_table_file_over_the_cap_is_refused_before_its_body_is_read(tmp_path, ca
     ("x\n0 1 1\n", "first value must be the dimension n"),
     ("1\n0 x 1\n", "table entries must be 0, 1 or 2"),
     ("1 0 1 1.0\n", "table entries must be 0, 1 or 2"),
-], ids=["header", "body", "body-float"])
+    ("-1\n0\n", "dimension must be non-negative, got -1"),
+], ids=["header", "body", "body-float", "negative-dimension"])
 def test_table_file_non_integer_token_names_the_file(tmp_path, capsys, text, message):
     f = tmp_path / "bad.txt"
     f.write_text(text)

@@ -68,7 +68,7 @@ def test_defining_set_copies_its_points():
 
 
 def test_toy_code():
-    code = build_code(DefiningSet.from_points([1], 2))
+    code = build_code(DefiningSet.from_points([1], 2), span([1], 2))
     assert code.parameters() == (1, 1, 1)
     assert code.distribution == {0: 1, 1: 2}
     assert enumerator_string(code.distribution) == "1+2y^1"
@@ -118,7 +118,7 @@ def _assert_weights_cover_every_message(pivots, weights, every: np.ndarray, s) -
 def test_message_weights_equal_direct_count(n_points):
     n, points = n_points
     s = DefiningSet.from_points(sorted(points), n)
-    pivots, weights = message_weights(s)
+    pivots, weights = message_weights(s, span(s.points, n))
     every = np.array([weight_of(u, s) for u in range(size(n))])
     _assert_weights_cover_every_message(pivots, weights, every, s)
 
@@ -134,7 +134,7 @@ def test_message_weights_equal_int64_oracle(n):
         indicator = np.zeros(size(n), dtype=np.int64)
         indicator[s.points] = 1
         a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
-        pivots, weights = message_weights(s)
+        pivots, weights = message_weights(s, span(s.points, n))
         assert weights.dtype == np.int32
         _assert_weights_cover_every_message(pivots, weights, (2 * len(s) - (2 * a - b)) // 3, s)
 
@@ -142,10 +142,46 @@ def test_message_weights_equal_int64_oracle(n):
 def test_build_code_dimension_is_rank():
     # rank-deficient defining set
     s = DefiningSet.from_points([1, 2], 2)  # both multiples of e1
-    code = build_code(s)
+    code = build_code(s, span(s.points, 2))
     assert code.dimension == 1 and code.pivots == (0,)
     assert sum(code.distribution.values()) == 3
     assert code.messages().tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_code_over_a_superspace_of_span_s(n):
+    # S inside x_0 = x_1 = 0 (the multiples of 9), measured over the
+    # hyperplane x_0 = 0 and over F_3^n: each codeword arises once per
+    # message of a kernel coset, and dividing that multiplicity out gives
+    # the code measured over span(S) and by a direct count
+    rng = np.random.default_rng(n)
+    ninths = np.arange(9, size(n), 9)
+    s = DefiningSet.from_points(ninths[rng.random(len(ninths)) < 0.6], n)
+    own = build_code(s, span(s.points, n))
+    every = direct_weights(s)
+    kernel = int((every == 0).sum())
+    direct = {int(w): int(c) // kernel for w, c in zip(*np.unique(every, return_counts=True))}
+    assert size(n - own.dimension) == kernel and own.distribution == direct
+    for v in (span(np.arange(0, size(n), 3), n), span(np.arange(size(n)), n)):
+        assert v.dim > own.dimension
+        code = build_code(s, v)
+        assert code.dimension == own.dimension and code.distribution == own.distribution
+        assert np.array_equal(code.message_weights, every[_representatives(code.pivots)])
+    with pytest.raises(AssertionError, match="must lie in v"):
+        build_code(s, span(s.points[:1], n))
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0, 0, 1, 1, 1, 1, 1, 1, 1], "not a power of 3"),
+    ([0, 0, 0, 1, 1, 1, 1, 1, 2], "divide every weight count"),
+], ids=["zeros-not-a-power", "zeros-not-dividing"])
+def test_build_code_asserts_the_kernel_multiplicity(monkeypatch, weights, message):
+    s = DefiningSet.from_points([1, 3], 2)
+    v = span(s.points, 2)
+    monkeypatch.setattr(codes, "message_weights",
+                        lambda s, v: ((0, 1), np.array(weights, dtype=np.int32)))
+    with pytest.raises(AssertionError, match=message):
+        build_code(s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +229,8 @@ def test_even_minus_alternative_shift(built_fixtures):
     assert ctx2.case is CodeCase.EVEN_MINUS
     other = DefiningSet(f.n, preimage_points(ctx2.hypotheses.profile, ctx2.case.side, (ctx2.j0 + 1) % 3))
     assert not np.array_equal(other.points, ctx2.defining.points)
-    c1, c2 = build_code(other), build_code(ctx2.defining)
+    c1 = build_code(other, ctx2.hypotheses.v)
+    c2 = build_code(ctx2.defining, ctx2.hypotheses.v)
     assert c1.dimension == c2.dimension == ctx2.r
     # both dual values give the same three-weight distribution
     assert c1.distribution == c2.distribution
@@ -283,7 +320,7 @@ def test_classifier_matches_actual_weights(built_fixtures):
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
     assert clf.f is f
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     assert clf.check_all(code) is None
     messages = code.messages()
     expected = clf.expected_weights(code)
@@ -300,17 +337,17 @@ def test_classifier_reports_first_mismatch(built_fixtures):
     swapped = dataclasses.replace(
         ctx, defining=DefiningSet.from_points(other, f.n))
     clf = WeightClassifier(swapped)
-    code = build_code(swapped.defining)
+    code = build_code(swapped.defining, ctx.hypotheses.v)
     messages = code.messages()
     expected = clf.expected_weights(code)
     first = next(u for c, u in enumerate(messages.tolist())
                  if expected[c] != weight_of(u, swapped.defining))
     # the weights build_code measured give that verdict, as a message
-    assert np.array_equal(code.message_weights, message_weights(swapped.defining)[1])
+    assert np.array_equal(code.message_weights, message_weights(swapped.defining, ctx.hypotheses.v)[1])
     assert clf.check_all(code) == first
     # a mismatch at the last entry c is reported as u_c, not as c (the
     # pivots of code36 skip digit 3)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     weights = code.message_weights.copy()
     weights[-1] += 1
     u = int(code.messages()[-1])
@@ -322,7 +359,7 @@ def test_classifier_kernel_is_complement(built_fixtures):
     # the representatives meet the kernel V-perp only at 0, one per coset
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     messages = code.messages()
     perp = orthogonal_complement(ctx.hypotheses.v).points()
     assert len(messages) == 3 ** ctx.r and messages[0] == 0
@@ -340,7 +377,7 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
     clf = WeightClassifier(ctx)
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _WEIGHT_CLASS[ctx.case]
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
     expected = [0 if u == 0 else
                 weights[rows[int(in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
@@ -381,7 +418,7 @@ def test_expected_weights_are_int32_and_match_the_int64_formula(built_fixtures, 
     f = built_fixtures[name] if glue is None else _seeded_glue(*glue)
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     expected = clf.expected_weights(code)
     assert expected.dtype == np.int32
     assert np.array_equal(expected, _parent_expected_weights(clf, code.messages()))
@@ -400,7 +437,7 @@ def test_theorem_classifier_agrees_with_a_direct_count_at_every_message(built_fi
     rows = _WEIGHT_CLASS[ctx.case][in_dual_plus.astype(int), (f.table - ctx.j0) % 3]
     predicted = np.where(in_perp, 0, np.array(_case_weights(ctx.case, f.n, ctx.r))[rows])
     assert np.array_equal(predicted, direct_weights(ctx.defining))
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     assert code.dimension == ctx.r and WeightClassifier(ctx).check_all(code) is None
 
 
@@ -423,11 +460,12 @@ def _perturbed_radix3(monkeypatch, shift):
     lambda a, k: a - 3 * k,      # a multiple of 3 above 3|S|: weight above |S|
 ], ids=["not-divisible", "above-3S"])
 def test_message_weights_asserts_every_weight_in_range(built_fixtures, monkeypatch, shift):
-    s = select_defining_set(built_fixtures["code36"]).defining
-    assert message_weights(s)[1].dtype == np.int32
+    ctx = select_defining_set(built_fixtures["code36"])
+    s, v = ctx.defining, ctx.hypotheses.v
+    assert message_weights(s, v)[1].dtype == np.int32
     _perturbed_radix3(monkeypatch, shift)
     with pytest.raises(AssertionError, match="character-sum weight"):
-        message_weights(s)
+        message_weights(s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +504,14 @@ def test_negation_check_rejects_weakly_regular():
 def test_enumerator_examples(built_fixtures):
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     assert enumerator_string(code.distribution) == "1+32y^54+162y^66+48y^72"
 
 
 def test_code_report_serialization_keys(built_fixtures):
     f = built_fixtures["code98-a"]
     ctx = select_defining_set(f)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     pred = predict_distribution(ctx.case, f.n, ctx.r)
     rep = code_report(code, pred, ctx.case, ctx.r)
     doc = rep.to_dict()

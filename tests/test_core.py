@@ -405,6 +405,67 @@ def test_mask_sample_is_the_strided_member_list(n, density):
     assert np.array_equal(core._strided_members(view), core._stride(np.flatnonzero(mask)))
 
 
+def _row_space_closure(points: list[int], n: int) -> list[int]:
+    """The sorted F_3-span of the points, grown one point at a time:
+    a point outside the members so far adds its two nonzero multiples to
+    every member."""
+    members = {0}
+    for p in points:
+        if p not in members:
+            twice = add_points(p, p, n)
+            members |= {add_points(m, q, n) for m in members for q in (p, twice)}
+    return sorted(members)
+
+
+def _count_rounds(monkeypatch) -> list[int]:
+    """Count span's rounds: one _null_basis call each."""
+    rounds, null_basis = [0], core._null_basis
+
+    def counted(r):
+        rounds[0] += 1
+        return null_basis(r)
+
+    monkeypatch.setattr(core, "_null_basis", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_span_with_several_null_vectors_against_a_row_space_closure(monkeypatch, n):
+    # subsets of random subspaces of dimension d <= n - 3, so each round
+    # encodes at least three null vectors in one syndrome, as index lists
+    # and as masks.  From n = 8 the last list is the 3^(n-4) > 64 members
+    # of the row space of [I | R] and then a stray point at an index the
+    # strided sample skips, so span folds it in a second round; only the
+    # syndrome compare finds a stray, and one that aliased two residue
+    # vectors would miss some of 400 strays
+    rng = np.random.default_rng(n)
+    rounds = _count_rounds(monkeypatch)
+    cases = []
+    for d in range(n - 2):
+        members = span_points(rng.integers(0, 3, (d, n)).astype(np.int8))
+        cases.append(rng.permutation(members[rng.random(len(members)) < 0.7]).tolist())
+    if n >= 8:
+        gens = np.hstack([np.eye(n - 4, dtype=np.int8),
+                          rng.integers(0, 3, (n - 4, 4)).astype(np.int8)])
+        members = span_points(gens)
+        listed = rng.permutation(members).tolist()
+        strays = np.setdiff1d(np.arange(size(n)), members)
+        cases.append(listed + [int(strays[-1])])
+    for pts in cases:
+        v = span(pts, n)
+        closure = _row_space_closure(pts, n)
+        assert n - v.dim >= 3 and np.array_equal(v.points(), closure)
+        mask = np.zeros(size(n), dtype=bool)
+        mask[pts] = True
+        assert span(mask, n) == v
+    if n >= 8:
+        rounds[0] = 0
+        span(cases[-1], n)
+        assert rounds[0] >= 2
+        for stray in rng.choice(strays, 400, replace=False).tolist():
+            assert span(listed + [stray], n).dim == n - 3
+
+
 def _perp_cases():
     """Random point lists at n = 1..8 (empty, a few points, many points)
     and the n = 11 span cases with and without their stray point."""

@@ -152,7 +152,7 @@ def test_per_codeword_stage_names_the_first_mismatching_representative(built_fix
     _with_defining_points(monkeypatch, lambda ctx: ctx.preimages.minus[(ctx.value + 1) % 3])
     rep = run_pipeline(f)
     ctx = pipeline.defining_set_for(analysis.establish(f))
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     assert code.dimension == rep.r
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _WEIGHT_CLASS[ctx.case]

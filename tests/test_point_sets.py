@@ -154,7 +154,7 @@ def test_verdict_at_n11_never_tabulates_all_coordinates(monkeypatch):
     dots = core.dots_with(u, f.n)
     for x in (0, 1, u, size(f.n) - 1):
         assert dots[x] == dot(x, u, f.n)
-    code = build_code(ctx.defining)
+    code = build_code(ctx.defining, ctx.hypotheses.v)
     c = len(code.message_weights) - 5
     assert weight_of(int(code.messages()[c]), ctx.defining) == code.message_weights[c]
     assert analysis.walsh_point(f, u) == analysis.walsh_spectrum(f).value(u)
@@ -188,8 +188,9 @@ def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
     _patch_every_binding(monkeypatch, core.orthogonal_complement, refuse)
     rep = run_pipeline(f)
     assert rep.passed and rep.case == case.value
-    # the type side's span and the code's, at most n rounds each
-    assert spans[0] == 2 and 2 <= rounds[0] <= 2 * f.n
+    # the type side's span only, in at most n rounds: the code stage
+    # measures over that span, with no reduction of its own
+    assert spans[0] == 1 and 1 <= rounds[0] <= f.n
 
 
 @pytest.mark.parametrize("side", list(BentType), ids=lambda side: side.value)
@@ -229,7 +230,7 @@ def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side)
         hyp = stage("establish", lambda: analysis.establish(f, p))
         ctx = stage("defining_set_for", lambda: defining_set_for(hyp))
         cs = stage("coset_tiling", lambda: coset_tiling(hyp))
-        code = stage("build_code", lambda: build_code(ctx.defining))
+        code = stage("build_code", lambda: build_code(ctx.defining, ctx.hypotheses.v))
         bad = stage("classifier", lambda: WeightClassifier(ctx).check_all(code))
         fresh = TernaryFunction(g.n, g.table)
         rep = stage("run_pipeline", lambda: run_pipeline(fresh))

@@ -297,7 +297,7 @@ def cmd_search(args) -> int:
         for o in summary.outcomes:
             c = o.report.code
             writer.writerow([
-                o.index, o.j0, o.u_dim, o.report.case, o.eligible,
+                o.index, o.j0, o.u_dim, o.report.case, o.report.eligible,
                 c.length if c else "", c.dimension if c else "",
                 c.min_distance if c else "", o.report.passed,
             ])
@@ -305,9 +305,9 @@ def cmd_search(args) -> int:
         for o in summary.outcomes:
             c = o.report.code
             params = f"[{c.length},{c.dimension},{c.min_distance}]_3" if c else "-"
-            status = ("match" if o.matched else
-                      "MISMATCH" if o.eligible else
-                      "skipped: " + next(s.name for s in o.report.stages if not s.ok))
+            status = ("match" if o.report.passed else
+                      "MISMATCH" if o.report.eligible else
+                      "skipped: " + o.report.failed_stage)
             print(f"instance {o.index:3d}  j0={o.j0}  case={o.report.case or '-':11s}"
                   f"  {params:18s}  {status}")
         print(f"summary: {summary.matched} matched, {summary.mismatched} mismatched, "

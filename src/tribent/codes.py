@@ -270,11 +270,12 @@ def defining_set_for(hyp: Hypotheses) -> SelectionContext:
 class WeightPrediction:
     """Closed-form length and weight distribution for one case.
 
-    distribution includes the zero codeword; for the even/plus case with
-    r > n/2 + 1 an alternative tabulated reading of the lowest-weight
-    multiplicity (3^(2r-n-1) + 3^(r-n/2-1)) disagrees with the counting
-    argument used here, and is kept in alt_low_weight_count so reports
-    can flag the discrepancy.
+    distribution includes the zero codeword and no weight of count 0 (at
+    odd n and r = (n+1)/2 the code has two weights); for the even/plus
+    case with r > n/2 + 1 an alternative tabulated reading of the
+    lowest-weight multiplicity (3^(2r-n-1) + 3^(r-n/2-1)) disagrees with
+    the counting argument used here, and is kept in alt_low_weight_count
+    so reports can flag the discrepancy.
     """
 
     case: CodeCase
@@ -348,9 +349,9 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
         e2 = 3 ** r - 2 * 3 ** (2 * r - n - 1) - 3 ** (r - (n + 1) // 2)
         e3 = 3 ** (2 * r - n - 1) + 3 ** (r - (n + 1) // 2)
 
-    dist = {0: 1, w1: e1, w2: e2, w3: e3}
+    assert min(e1, e2, e3) >= 0
+    dist = {0: 1, **{w: e for w, e in ((w1, e1), (w2, e2), (w3, e3)) if e}}
     assert sum(dist.values()) == 3 ** r
-    assert all(v >= 0 for v in dist.values())
     return WeightPrediction(case, n, r, length, dist, alt)
 
 

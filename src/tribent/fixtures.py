@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .analysis import BentType, Regularity, TernaryFunction
+from .analysis import BentType, Regularity, TernaryFunction, bent_profile
 from .codes import CodeCase
 from .constructions import (
     GmmfSpec,
@@ -279,14 +279,12 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
     if fixture.case is not None:
         if report.case != fixture.case.value:
             mm.append(f"case: got {report.case}, expected {fixture.case.value}")
-        if not report.hypotheses_ok:
-            bad = [s.name for s in report.stages if not s.ok]
-            mm.append(f"failed stages: {bad}")
+        if report.failed_stage is not None:
+            mm.append(f"failed stage: {report.failed_stage}")
         if report.r != fixture.r:
             mm.append(f"r: got {report.r}, expected {fixture.r}")
         if fixture.dual_polynomial is not None:
             spec_dual = eval_poly(parse_poly(fixture.dual_polynomial, f.n))
-            from .analysis import bent_profile
             if bent_profile(f).dual != spec_dual:
                 mm.append("recorded dual polynomial disagrees with the measured dual")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    HYPOTHESES,
     BentType,
     Stage,
     TernaryFunction,
@@ -54,16 +55,19 @@ class PipelineReport:
         return None
 
     @property
-    def hypotheses_ok(self) -> bool:
-        return all(s.ok for s in self.stages)
+    def failed_stage(self) -> str | None:
+        """The first stage that failed, or None when every stage held."""
+        return next((s.name for s in self.stages if not s.ok), None)
+
+    @property
+    def eligible(self) -> bool:
+        """No hypothesis failed (they come first); a later check still may have."""
+        return self.failed_stage not in HYPOTHESES
 
     @property
     def passed(self) -> bool:
-        if not self.hypotheses_ok:
-            return False
-        if self.code is not None and self.code.prediction is not None:
-            return self.code.match
-        return self.code is not None
+        return (self.failed_stage is None and self.code is not None
+                and (self.code.prediction is None or self.code.match))
 
     def to_dict(self) -> dict:
         return {
@@ -96,9 +100,9 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     when all hold.  A force_set label ("C0".."D2", either case; anything
     else raises ValueError before any transform) is used only when the
     function is bent and some hypothesis fails: that pre-image code is
-    then built and measured without a closed-form prediction.  When every
-    hypothesis holds the selected set is measured and force_set is
-    ignored.
+    then built and measured without a closed-form prediction (a note says
+    so, or that the set is empty).  When every hypothesis holds the
+    selected set is measured and force_set is ignored.
     """
     forced = None if force_set is None else _forced_side(force_set)
     hyp = establish(f)
@@ -113,16 +117,18 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
 
     if not hyp.ok:
         if forced is not None:
+            label = force_set.upper()
             points = preimage_points(profile, *forced)
             if points.size:
                 code = build_code(DefiningSet(f.n, points), span(points, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
-                rep.defining_label = force_set.upper()
-                first_bad = next(s.name for s in rep.stages if not s.ok)
+                rep.defining_label = label
                 rep.notes.append(
-                    f"hypothesis '{first_bad}' failed; measured the requested "
-                    f"set {force_set.upper()} without a prediction"
+                    f"hypothesis '{rep.failed_stage}' failed; measured the requested "
+                    f"set {label} without a prediction"
                 )
+            else:
+                rep.notes.append(f"the requested set {label} is empty; nothing was measured")
         return rep
 
     ctx = defining_set_for(hyp)

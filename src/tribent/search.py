@@ -87,14 +87,6 @@ class SearchOutcome:
     j0: int
     report: PipelineReport
 
-    @property
-    def eligible(self) -> bool:
-        return self.report.hypotheses_ok
-
-    @property
-    def matched(self) -> bool:
-        return self.eligible and self.report.passed
-
 
 @dataclass
 class SearchSummary:
@@ -102,11 +94,11 @@ class SearchSummary:
 
     @property
     def eligible(self) -> int:
-        return sum(1 for o in self.outcomes if o.eligible)
+        return sum(1 for o in self.outcomes if o.report.eligible)
 
     @property
     def matched(self) -> int:
-        return sum(1 for o in self.outcomes if o.matched)
+        return sum(1 for o in self.outcomes if o.report.passed)
 
     @property
     def skipped(self) -> int:
@@ -130,7 +122,7 @@ class SearchSummary:
                     "s": o.s,
                     "u_dim": o.u_dim,
                     "j0": o.j0,
-                    "eligible": o.eligible,
+                    "eligible": o.report.eligible,
                     "passed": o.report.passed,
                     "case": o.report.case,
                     "code": o.report.code.to_dict() if o.report.code else None,

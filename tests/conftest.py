@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tribent.analysis import TernaryFunction
-from tribent.codes import DefiningSet
+from tribent.codes import DefiningSet, WeightClassifier
 from tribent.core import Eisenstein, Subspace, decode, dots_with, encode, root_sum, size
 from tribent.fixtures import FIXTURES, get_fixture
 
@@ -21,6 +21,20 @@ def built_fixtures() -> dict[str, TernaryFunction]:
 def flagship(built_fixtures) -> TernaryFunction:
     """The n=6 even/plus worked example."""
     return built_fixtures["code98-a"]
+
+
+@pytest.fixture
+def off_by_one_classifier(monkeypatch):
+    """The classifier's prediction one off at its last message, so every
+    verdict whose hypotheses hold fails its per-codeword-weights check."""
+    expected_weights = WeightClassifier.expected_weights
+
+    def off_by_one(self, code):
+        weights = expected_weights(self, code)
+        weights[-1] += 1
+        return weights
+
+    monkeypatch.setattr(WeightClassifier, "expected_weights", off_by_one)
 
 
 # Digit-by-digit point arithmetic: slow, independent references for the

@@ -43,12 +43,15 @@ EXPECTED_CODES = {
     "trace14": ((14, 3, 6), "1+4y^6+18y^10+4y^12"),
 }
 
-# per-case search plans: (m, s, u_dim, count, seed); n = m + 2s
+# per-case search plans: (m, s, u_dim, count, seed); n = m + 2s and
+# r = m + s + u_dim, so (1, 2, 0) is odd n = 5 at the minimal r = 3
 SEARCH_PLANS = {
     CodeCase.EVEN_PLUS: [(2, 1, 0, 30, 101), (4, 1, 0, 20, 102), (2, 2, 1, 10, 103)],
-    CodeCase.ODD_PLUS: [(3, 1, 0, 30, 201), (5, 1, 0, 15, 202), (3, 2, 1, 10, 203)],
+    CodeCase.ODD_PLUS: [(3, 1, 0, 30, 201), (5, 1, 0, 15, 202), (3, 2, 1, 10, 203),
+                        (1, 2, 0, 10, 204)],
     CodeCase.EVEN_MINUS: [(2, 1, 0, 25, 301), (4, 1, 0, 20, 302), (6, 1, 0, 10, 303)],
-    CodeCase.ODD_MINUS: [(3, 1, 0, 30, 401), (5, 1, 0, 15, 402), (1, 3, 1, 10, 403)],
+    CodeCase.ODD_MINUS: [(3, 1, 0, 30, 401), (5, 1, 0, 15, 402), (1, 3, 1, 10, 403),
+                         (1, 2, 0, 10, 404)],
 }
 
 
@@ -80,10 +83,10 @@ def test_criterion_2_closed_form_agreement(case):
     for m, s, u_dim, count, seed in SEARCH_PLANS[case]:
         summary = run_search(m, s, count, seed, side=case.side, u_dim=u_dim)
         for o in summary.outcomes:
-            if not o.eligible:
+            if not o.report.eligible:
                 continue
             eligible += 1
-            if o.matched:
+            if o.report.passed:
                 matched += 1
             stage = o.report.stage("preimage-sizes")
             sizes_ok = sizes_ok and stage is not None and stage.ok

@@ -27,10 +27,12 @@ def run_cli(capsys, *argv):
 DATA = Path(__file__).resolve().parent / "data"
 
 
+SEARCH_M4 = ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7"]
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("examples.json", ["examples", "--format", "json"]),
-    ("search-m4-s1-count50-seed7.json",
-     ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7", "--format", "json"]),
+    ("search-m4-s1-count50-seed7.json", SEARCH_M4 + ["--format", "json"]),
     # n = 8, r = 5: V-perp has three basis vectors
     ("search-m2-s3-count20-seed7.json",
      ["search", "--m", "2", "--s", "3", "--count", "20", "--seed", "7", "--format", "json"]),
@@ -39,6 +41,19 @@ def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("examples.csv", ["examples", "--format", "csv"]),
+    ("examples.txt", ["examples"]),
+    ("search-m4-s1-count50-seed7.csv", SEARCH_M4 + ["--format", "csv"]),
+    ("search-m4-s1-count50-seed7.txt", SEARCH_M4),
+])
+def test_csv_and_table_reports_match_the_golden_outputs(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the csv module ends rows with CRLF; compare the bytes untranslated
+    assert out.encode() == (DATA / golden).read_bytes()
 
 
 def test_examples_single_fixture(capsys):
@@ -213,6 +228,28 @@ def test_search_cli(capsys):
                            "--count", "5", "--seed", "4", "--side", "minus")
     assert code == 0
     assert "5 matched" in out
+
+
+def test_search_cli_exits_1_when_a_check_fails(capsys, off_by_one_classifier):
+    code, out, _ = run_cli(capsys, "search", "--m", "2", "--s", "1",
+                           "--count", "2", "--seed", "1")
+    assert code == 1
+    assert out.count("MISMATCH") == 2
+    assert "0 matched, 2 mismatched, 0 skipped" in out
+
+
+def test_search_cli_odd_minimal_r(capsys):
+    code, out, _ = run_cli(capsys, "search", "--m", "1", "--s", "2",
+                           "--count", "5", "--seed", "1")
+    assert code == 0
+    assert "5 matched" in out
+
+
+def test_predict_odd_minimal_r_has_two_weights(capsys):
+    code, out, _ = run_cli(capsys, "predict", "--case", "odd-plus", "--n", "3", "--r", "2")
+    assert code == 0
+    assert "[6,2,4]_3" in out
+    assert [ln.split("|")[0].strip() for ln in out.splitlines()[3:]] == ["0", "4", "6"]
 
 
 def test_search_csv(capsys):

@@ -47,6 +47,23 @@ def test_forced_set_on_failed_hypotheses(built_fixtures):
     assert any("dual-bent" in note for note in rep.notes)
 
 
+@pytest.mark.parametrize("label", ["C0", "C1", "D0"])
+def test_forced_empty_set_gets_a_note(label):
+    rep = run_pipeline(quadratic_function(QuadraticForm((1,))), force_set=label)
+    assert rep.code is None and rep.defining_label is None
+    assert rep.notes == [f"the requested set {label} is empty; nothing was measured"]
+
+
+def test_failed_stage_and_eligibility(flagship, built_fixtures, off_by_one_classifier):
+    rep = run_pipeline(built_fixtures["trace14"])
+    assert (rep.failed_stage, rep.eligible, rep.passed) == ("dual-bent", False, False)
+    weak = run_pipeline(quadratic_function(QuadraticForm((1, 2, 1, 1))))
+    assert (weak.failed_stage, weak.eligible) == ("non-weakly-regular", False)
+    # a failed check after the hypotheses leaves the instance eligible
+    rep = run_pipeline(flagship)
+    assert (rep.failed_stage, rep.eligible, rep.passed) == ("per-codeword-weights", True, False)
+
+
 def test_forced_set_without_failures_is_ignored_in_favor_of_selection(flagship):
     rep = run_pipeline(flagship, force_set="C2")
     # hypotheses all hold, so the selector's set is used, not the forced one

@@ -69,6 +69,23 @@ def test_search_minus_side():
     assert {o.report.case for o in summary.outcomes} == {"odd-minus"}
 
 
+def test_search_counts_a_failed_check_as_a_mismatch(off_by_one_classifier):
+    summary = run_search(2, 1, 3, seed=1)
+    assert (summary.eligible, summary.mismatched, summary.skipped) == (3, 3, 0)
+    assert {o.report.failed_stage for o in summary.outcomes} == {"per-codeword-weights"}
+
+
+@pytest.mark.parametrize("m, s", [(1, 1), (1, 2), (1, 3)])
+def test_search_odd_minimal_r_codes_have_two_weights(m, s):
+    # r = m + s = (n + 1) / 2: the lowest closed-form weight has no codeword
+    for side in BentType:
+        summary = run_search(m, s, 4, seed=3, side=side)
+        assert summary.matched == 4
+        for o in summary.outcomes:
+            assert o.report.r == (m + 2 * s + 1) // 2
+            assert len(o.report.code.distribution) == 3  # the zero word and two weights
+
+
 def test_search_deterministic_under_seed():
     a = run_search(2, 1, 10, seed=77).to_dict()
     b = run_search(2, 1, 10, seed=77).to_dict()

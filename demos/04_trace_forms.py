@@ -17,13 +17,16 @@ from tribent import (
     trace_function,
 )
 from tribent.fields import find_irreducible
-from tribent.fixtures import TRACE14_GENERATOR, TRACE14_MODULUS, get_fixture
+from tribent.fixtures import get_fixture
 
-# GF(3^4) with modulus t^4 + t + 2; the residue class t is primitive.
-field = ExtField.create(4, TRACE14_MODULUS, TRACE14_GENERATOR)
+# The trace14 fixture's spec: GF(3^4) with modulus t^4 + t + 2, and the
+# residue class t (encoded 3) as the primitive generator.
+spec = get_fixture("trace14").spec
+field = ExtField.create(spec["k"], spec["modulus"], spec["generator"])
 print("field order:", field.q, " Tr(t) =", field.trace(3))
 
-g = trace_function(TraceSpec(field, ((10, 22), (0, 4))))
+terms = tuple(map(tuple, spec["terms"]))  # Tr(g^10 x^22 + x^4)
+g = trace_function(TraceSpec(field, terms))
 profile = bent_profile(g)
 print("bent, type", profile.type.value + ",", profile.regularity.value)
 # establish records the dual's profile only when the dual is bent
@@ -49,7 +52,7 @@ print("\nGF(3^6) fixture: [%d,%d,%d]_3  %s  (closed-form match: %s)"
 hits = 0
 for w in field.primitive_elements()[:8]:
     fld = ExtField.create(4, find_irreducible(4), w)
-    cand = trace_function(TraceSpec(fld, ((10, 22), (0, 4))))
+    cand = trace_function(TraceSpec(fld, terms))
     p = bent_profile(cand)
     hits += p.type is BentType.PLUS and establish(cand, p).dual_profile is None
 print("\n%d/8 sampled primitive elements reproduce the classification" % hits)

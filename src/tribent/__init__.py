@@ -53,6 +53,7 @@ from .constructions import (
     QuadraticForm,
     TraceSpec,
     eval_poly,
+    function_from_spec,
     gmmf_build,
     gmmf_predict,
     parse_poly,

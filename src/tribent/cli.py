@@ -25,19 +25,8 @@ import numpy as np
 
 from .analysis import BentType, TernaryFunction
 from .codes import CodeCase, predict_distribution
-from .constructions import (
-    GmmfSpec,
-    PolyParseError,
-    QuadraticForm,
-    TraceSpec,
-    eval_poly,
-    gmmf_build,
-    parse_poly,
-    quadratic_function,
-    trace_function,
-)
+from .constructions import PolyParseError, eval_poly, function_from_spec, parse_poly
 from .core import DimensionCapError, check_dim, check_memory, size
-from .fields import ExtField
 from .fixtures import FIXTURES, get_fixture, run_fixture
 from .pipeline import PipelineReport, run_pipeline
 from .search import run_search
@@ -98,68 +87,20 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
     return TernaryFunction(n, table)
 
 
-def _check_trits(path: str, trits: list) -> None:
-    if any(t not in (0, 1, 2) for t in trits):
-        raise InputError(f"{path}: table entries must be 0, 1 or 2")
-
-
-def _read_json(path: str):
+def load_spec_file(path: str, cap: int | None) -> TernaryFunction:
+    """A JSON glue or trace spec (--gmmf-file, --trace-file), in the
+    format constructions.function_from_spec reads; its one-line errors
+    are prefixed with the path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def load_gmmf_file(path: str, cap: int | None) -> TernaryFunction:
-    """JSON spec: {"m": int, "s": int, "components": [...]}.
-
-    Each component is {"d": [coeffs], "c": const} for a diagonal
-    quadratic, or {"table": [...]} as an explicit table on F_3^m, listed
-    in parameter-index order (all 3^s of them).
-    """
-    data = _read_json(path)
     try:
-        m, s = int(data["m"]), int(data["s"])
-        check_dim(m + 2 * s, cap)
-        check_memory(m + 2 * s)
-        comps = []
-        for entry in data["components"]:
-            if "table" in entry:
-                _check_trits(path, entry["table"])
-                comps.append(TernaryFunction(m, entry["table"]))
-            else:
-                q = QuadraticForm(tuple(int(c) for c in entry["d"]),
-                                  int(entry.get("c", 0)))
-                comps.append(quadratic_function(q))
-        spec = GmmfSpec(m, s, tuple(comps))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad glue spec: {exc}") from exc
-    return gmmf_build(spec)
-
-
-def load_trace_file(path: str, cap: int | None) -> TernaryFunction:
-    """JSON spec: {"k", "modulus", "generator", "terms"}.
-
-    modulus lists coefficients lowest degree first (monic); generator is
-    a field element as an integer encoding or a digit list; terms are
-    [generator_power, exponent] pairs.
-    """
-    data = _read_json(path)
-    try:
-        k = int(data["k"])
-        check_dim(k, cap)
-        check_memory(k)
-        modulus = tuple(int(c) for c in data["modulus"])
-        gen = data["generator"]
-        if isinstance(gen, list):
-            gen = sum((int(d) % 3) * 3 ** i for i, d in enumerate(gen))
-        terms = tuple((int(c), int(e)) for c, e in data["terms"])
-        spec = TraceSpec(ExtField.create(k, modulus, int(gen)), terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad trace spec: {exc}") from exc
-    return trace_function(spec)
+        return function_from_spec(data, cap)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +169,8 @@ def cmd_examples(args) -> int:
         doc = [
             {
                 "name": res.fixture.name,
-                "expected": {
-                    "parameters": list(res.fixture.parameters),
-                    "enumerator": res.fixture.enumerator,
-                },
+                "expected": {key: res.fixture.expect[key]
+                             for key in ("parameters", "enumerator")},
                 "report": res.report.to_dict(),
                 "mismatches": res.mismatches,
                 "ok": res.ok,
@@ -275,10 +214,8 @@ def cmd_verify(args) -> int:
         f = eval_poly(parse_poly(args.poly, args.n), cap)
     elif args.table_file:
         f = load_table_file(args.table_file, cap)
-    elif args.gmmf_file:
-        f = load_gmmf_file(args.gmmf_file, cap)
     else:
-        f = load_trace_file(args.trace_file, cap)
+        f = load_spec_file(args.gmmf_file or args.trace_file, cap)
     rep = run_pipeline(f, force_set=args.defining_set)
     print(render_report(rep, args.format))
     return 0 if rep.passed else MISMATCH

@@ -2,7 +2,8 @@
 
 Four input routes produce TernaryFunction tables: diagonal quadratic
 forms, component-glued functions F(x, y, z) = f_z(x) + z.y, parsed
-polynomial expressions, and trace forms over GF(3^k).
+polynomial expressions, and trace forms over GF(3^k).  function_from_spec
+reads the glue and trace routes from JSON-shaped specs.
 """
 
 from __future__ import annotations
@@ -324,3 +325,85 @@ def trace_function(spec: TraceSpec) -> TernaryFunction:
         if e == 0:  # 0^0 = 1, and 0^e = 0 for e > 0
             table[0] += fld.trace(fld.gen_pow(cpow))
     return TernaryFunction(fld.k, table)
+
+
+# ---------------------------------------------------------------------------
+# JSON-shaped input specs
+# ---------------------------------------------------------------------------
+
+class _BadEntries(ValueError):
+    """A table component with an entry outside {0, 1, 2}; its message
+    names no spec kind, as the table-file reader's does not."""
+
+
+def _spec_int(value, name: str, non_negative: bool = False) -> int:
+    """A JSON integer, refusing a float or a bool (both of which int()
+    would silently accept)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if non_negative and value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _glue_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
+    m = _spec_int(spec["m"], "m", non_negative=True)
+    s = _spec_int(spec["s"], "s", non_negative=True)
+    check_dim(m + 2 * s, cap)
+    check_memory(m + 2 * s)
+    comps = []
+    for z, entry in enumerate(spec["components"]):
+        if "table" in entry:
+            if any(type(t) is not int or t not in (0, 1, 2) for t in entry["table"]):
+                raise _BadEntries("table entries must be 0, 1 or 2")
+            comps.append(TernaryFunction(m, entry["table"]))
+        else:
+            d = [_spec_int(c, f"components[{z}].d[{i}]") for i, c in enumerate(entry["d"])]
+            c = _spec_int(entry.get("c", 0), f"components[{z}].c")
+            comps.append(quadratic_function(QuadraticForm(tuple(d), c)))
+    return gmmf_build(GmmfSpec(m, s, tuple(comps)))
+
+
+def _trace_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
+    k = _spec_int(spec["k"], "k", non_negative=True)
+    check_dim(k, cap)
+    check_memory(k)
+    modulus = [_spec_int(c, f"modulus[{i}]") for i, c in enumerate(spec["modulus"])]
+    gen = spec["generator"]
+    if isinstance(gen, list):
+        digits = [_spec_int(d, f"generator[{i}]") for i, d in enumerate(gen)]
+        if any(d not in (0, 1, 2) for d in digits):
+            raise ValueError(f"generator digits must be 0, 1 or 2, got {gen}")
+        gen = sum(d * 3 ** i for i, d in enumerate(digits))
+    else:
+        gen = _spec_int(gen, "generator")
+    terms = tuple((_spec_int(c, f"terms[{i}]"), _spec_int(e, f"terms[{i}]"))
+                  for i, (c, e) in enumerate(spec["terms"]))
+    return trace_function(TraceSpec(ExtField.create(k, modulus, gen), terms))
+
+
+def function_from_spec(spec: dict, cap: int | None = None) -> TernaryFunction:
+    """Tabulate a JSON-shaped glue or trace spec, the format of the CLI's
+    --gmmf-file and --trace-file and of the bundled fixtures.
+
+    A trace body {"k", "modulus", "generator", "terms"} is told apart by
+    its "k": modulus lists coefficients lowest degree first (monic),
+    generator is a field element as an integer encoding or a digit list,
+    and terms are [generator_power, exponent] pairs.  Anything else is
+    read as a glue body {"m", "s", "components"}, whose 3^s components,
+    in parameter-index order, are each {"d": [coeffs], "c": const} (a
+    diagonal quadratic, c optional) or {"table": [...]} on F_3^m.
+
+    Every integer must be a JSON integer, and m, s and k non-negative.
+    The dimension is checked against the cap and the memory guard before
+    anything is tabulated.  Any fault raises ValueError in one line:
+    "bad glue spec: ..." or "bad trace spec: ...", except a table entry
+    outside {0, 1, 2}, which says only that.
+    """
+    kind = "trace" if isinstance(spec, dict) and "k" in spec else "glue"
+    try:
+        return (_trace_from_spec if kind == "trace" else _glue_from_spec)(spec, cap)
+    except _BadEntries:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad {kind} spec: {exc}") from exc

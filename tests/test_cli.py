@@ -16,6 +16,7 @@ from tribent.analysis import TernaryFunction
 from tribent.cli import load_table_file, main
 from tribent.core import PEAK_BYTES_PER_POINT, encode, size
 from tribent.fields import find_irreducible
+from tribent.fixtures import FIXTURES
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,22 @@ def test_examples_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "name"
     assert len(rows) == 10
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: fx.name)
+def test_fixture_specs_verify_through_the_cli_loaders(tmp_path, capsys, fx):
+    # the bundled examples are glue or trace spec files: verifying the
+    # file gives the report that `examples` gives for the fixture
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(fx.spec))
+    argv = ["verify", "--trace-file" if "k" in fx.spec else "--gmmf-file", str(path),
+            "--format", "json"]
+    if fx.force_set:
+        argv += ["--defining-set", fx.force_set]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (0 if fx.expect["failed_stage"] is None else 1)
+    _, examples, _ = run_cli(capsys, "examples", "--name", fx.name, "--format", "json")
+    assert json.loads(out) == json.loads(examples)[0]["report"]
 
 
 def test_verify_polynomial_pass(capsys):
@@ -307,7 +324,7 @@ def test_max_n_cap(tmp_path, capsys):
     assert code == 1  # runs fine under the raised/explicit cap
 
 
-@pytest.mark.parametrize("entry", [300, 5])
+@pytest.mark.parametrize("entry", [300, 5, True, False, 1.0])
 def test_verify_gmmf_table_entry_out_of_range(tmp_path, capsys, entry):
     spec = {
         "m": 1, "s": 1,
@@ -319,6 +336,41 @@ def test_verify_gmmf_table_entry_out_of_range(tmp_path, capsys, entry):
     code, _, err = run_cli(capsys, "verify", "--gmmf-file", str(f))
     assert code == 2
     assert err.strip() == f"error: {f}: table entries must be 0, 1 or 2"
+
+
+GLUE = {"m": 1, "s": 1, "components": [{"d": [1]}, {"d": [1]}, {"d": [1]}]}
+TRACE = {"k": 4, "modulus": [2, 1, 0, 0, 1], "generator": 3, "terms": [[10, 22], [0, 4]]}
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--gmmf-file", {**GLUE, "m": 1.7}, "bad glue spec: m must be an integer, got 1.7"),
+    ("--gmmf-file", {**GLUE, "s": True}, "bad glue spec: s must be an integer, got True"),
+    ("--gmmf-file", {**GLUE, "m": -1}, "bad glue spec: m must be non-negative, got -1"),
+    ("--gmmf-file", {**GLUE, "s": -1}, "bad glue spec: s must be non-negative, got -1"),
+    ("--gmmf-file", {**GLUE, "components": [{"d": [1.5]}] * 3},
+     "bad glue spec: components[0].d[0] must be an integer, got 1.5"),
+    ("--gmmf-file", {**GLUE, "components": [{"d": [1], "c": False}] * 3},
+     "bad glue spec: components[0].c must be an integer, got False"),
+    ("--trace-file", {**TRACE, "k": 4.0}, "bad trace spec: k must be an integer, got 4.0"),
+    ("--trace-file", {**TRACE, "k": -1}, "bad trace spec: k must be non-negative, got -1"),
+    ("--trace-file", {**TRACE, "generator": 3.9},
+     "bad trace spec: generator must be an integer, got 3.9"),
+    ("--trace-file", {**TRACE, "generator": [0, 5]},
+     "bad trace spec: generator digits must be 0, 1 or 2, got [0, 5]"),
+    ("--trace-file", {**TRACE, "generator": [0, True]},
+     "bad trace spec: generator[1] must be an integer, got True"),
+    ("--trace-file", {**TRACE, "modulus": [2, 1, 0, 0, 1.0]},
+     "bad trace spec: modulus[4] must be an integer, got 1.0"),
+    ("--trace-file", {**TRACE, "terms": [[10, 22.0]]},
+     "bad trace spec: terms[0] must be an integer, got 22.0"),
+], ids=["m-float", "s-bool", "m-negative", "s-negative", "d-float", "c-bool",
+        "k-float", "k-negative", "generator-float", "generator-digit", "generator-digit-bool",
+        "modulus-float", "exponent-float"])
+def test_json_spec_faults_exit_2_naming_the_field(tmp_path, capsys, flag, spec, message):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", flag, str(f))
+    assert (code, out, err) == (2, "", f"error: {f}: {message}\n")
 
 
 def test_verify_poly_above_default_cap(capsys):

@@ -94,6 +94,25 @@ def test_fixture_order_independence():
     assert a and b
 
 
+@pytest.mark.parametrize("key", list(get_fixture("code98-a").expect))
+def test_a_wrong_expectation_is_one_mismatch_naming_it(key):
+    fx = get_fixture("code98-a")
+    wrong = dataclasses.replace(fx, expect={**fx.expect, key: "wrong"})
+    res = run_fixture(wrong)
+    assert not res.ok
+    assert res.mismatches == [f"{key}: got {fx.expect[key]}, expected wrong"]
+
+
+@pytest.mark.parametrize("field, message", [
+    ("polynomial", "closed-form polynomial disagrees with the built table"),
+    ("dual_polynomial", "recorded dual polynomial disagrees with the measured dual"),
+])
+def test_a_wrong_polynomial_is_one_mismatch(field, message):
+    wrong = dataclasses.replace(get_fixture("code98-a"), **{field: "x1^2 + x5*x6"})
+    res = run_fixture(wrong)
+    assert (res.ok, res.mismatches) == (False, [message])
+
+
 def test_unknown_fixture():
     with pytest.raises(KeyError):
         get_fixture("nope")

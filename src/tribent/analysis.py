@@ -562,26 +562,16 @@ def expected_preimage_sizes(n: int, r: int, j0: int, side: BentType) -> dict[int
     """Closed-form sizes of the type-side pre-image sets.
 
     Valid when the type side of an even non-weakly-regular dual-bent
-    function is an r-dimensional subspace; keyed by dual value.
+    function is an r-dimensional subspace; keyed by dual value j0 + i,
+    i = 0, 1, 2 in that order.  Each size is 3^(r-1) + sigma d(i), sigma
+    -1 on the plus side and +1 on the minus side, where
+    d(i) = 3^(n/2-1) - [i = 0] 3^(n/2) for even n and
+    d(i) = legendre(i) 3^((n-1)/2) for odd n.
     """
-    sizes = {}
-    if side is BentType.PLUS:
-        if n % 2 == 0:
-            base = 3 ** (r - 1) - 3 ** (n // 2 - 1)
-            for i in range(3):
-                sizes[(j0 + i) % 3] = base + (3 ** (n // 2) if i == 0 else 0)
-        else:
-            for i in range(3):
-                sizes[(j0 + i) % 3] = 3 ** (r - 1) - legendre(i) * 3 ** ((n - 1) // 2)
-    else:
-        if n % 2 == 0:
-            base = 3 ** (r - 1) + 3 ** (n // 2 - 1)
-            for i in range(3):
-                sizes[(j0 + i) % 3] = base - (3 ** (n // 2) if i == 0 else 0)
-        else:
-            for i in range(3):
-                sizes[(j0 + i) % 3] = 3 ** (r - 1) + legendre(i) * 3 ** ((n - 1) // 2)
-    return sizes
+    sigma = 1 - 2 * (side is BentType.PLUS)
+    h = 3 ** (n // 2)
+    d = [legendre(i) * h if n % 2 else h // 3 - (i == 0) * h for i in range(3)]
+    return {(j0 + i) % 3: 3 ** (r - 1) + sigma * d[i] for i in range(3)}
 
 
 # The theorem's hypotheses in the order they are decided and reported, each

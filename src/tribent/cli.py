@@ -88,9 +88,9 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
 
 
 def load_spec_file(path: str, cap: int | None) -> TernaryFunction:
-    """A JSON glue or trace spec (--gmmf-file, --trace-file), in the
-    format constructions.function_from_spec reads; its one-line errors
-    are prefixed with the path."""
+    """A JSON glue or trace spec (--spec-file), in the format
+    constructions.function_from_spec reads; its one-line errors, and a
+    refusal by the cap or the memory guard, are prefixed with the path."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -99,7 +99,7 @@ def load_spec_file(path: str, cap: int | None) -> TernaryFunction:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return function_from_spec(data, cap)
-    except ValueError as exc:
+    except ValueError as exc:  # DimensionCapError too
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -202,11 +202,9 @@ def cmd_examples(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = args.max_n
-    sources = [bool(args.poly), bool(args.table_file),
-               bool(args.gmmf_file), bool(args.trace_file)]
+    sources = [bool(args.poly), bool(args.table_file), bool(args.spec_file)]
     if sum(sources) != 1:
-        raise InputError("provide exactly one of --poly/--table-file/"
-                         "--gmmf-file/--trace-file")
+        raise InputError("provide exactly one of --poly/--table-file/--spec-file")
     if args.poly:
         if args.n is None:
             raise InputError("--poly needs --n")
@@ -215,7 +213,7 @@ def cmd_verify(args) -> int:
     elif args.table_file:
         f = load_table_file(args.table_file, cap)
     else:
-        f = load_spec_file(args.gmmf_file or args.trace_file, cap)
+        f = load_spec_file(args.spec_file, cap)
     rep = run_pipeline(f, force_set=args.defining_set)
     print(render_report(rep, args.format))
     return 0 if rep.passed else MISMATCH
@@ -315,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--poly", help="polynomial text, e.g. '2*x1^2 + x2*x3'")
     p_ver.add_argument("--n", type=int, help="variable count for --poly")
     p_ver.add_argument("--table-file", help="text file: n, then 3^n trits")
-    p_ver.add_argument("--gmmf-file", help="JSON component-glue spec")
-    p_ver.add_argument("--trace-file", help="JSON trace-form spec")
+    p_ver.add_argument("--spec-file", "--gmmf-file", "--trace-file",
+                       help="JSON glue or trace spec, told apart by its 'k' key")
     p_ver.add_argument("--defining-set",
                        choices=[f"{s}{i}" for s in "CD" for i in range(3)],
                        help="build this pre-image set's code even if "

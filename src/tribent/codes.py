@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .analysis import (
     _radix3,
     constant_on_dual_plus,
     establish,
+    expected_preimage_sizes,
     preimage_sets,
 )
 from .core import (
@@ -192,28 +193,41 @@ class CodeCase(enum.Enum):
 
     @property
     def parity(self) -> int:
-        return 0 if self in (CodeCase.EVEN_PLUS, CodeCase.EVEN_MINUS) else 1
+        return int(self.value.startswith("odd"))
 
     @property
     def side(self) -> BentType:
-        return BentType.PLUS if self in (CodeCase.EVEN_PLUS, CodeCase.ODD_PLUS) else BentType.MINUS
+        return BentType.PLUS if self.value.endswith("plus") else BentType.MINUS
 
 
 def case_for(n: int, btype: BentType) -> CodeCase:
-    if btype is BentType.PLUS:
-        return CodeCase.EVEN_PLUS if n % 2 == 0 else CodeCase.ODD_PLUS
-    return CodeCase.EVEN_MINUS if n % 2 == 0 else CodeCase.ODD_MINUS
+    return CodeCase(f"{'odd' if n % 2 else 'even'}-{btype.value}")
+
+
+class _CaseRule(NamedTuple):
+    """One case's rules.  offset is the i of the selected pre-image (dual
+    value j0 + i).  weight_offsets are the c of the weights
+    2 (3^(r-2) + c 3^(ceil(n/2)-2)), w1 (the lowest) first.  weight_class
+    gives the weight (index 0, 1, 2 for w1, w2, w3) of a message off the
+    kernel, by [u in the dual's plus set][(f(u) - j0) % 3]."""
+
+    offset: int
+    weight_offsets: tuple[int, int, int]
+    weight_class: np.ndarray
+
+
+_CASE_RULES = {
+    CodeCase.EVEN_PLUS: _CaseRule(0, (0, 3, 2), np.array([[2, 2, 2], [0, 1, 1]])),
+    CodeCase.ODD_PLUS: _CaseRule(2, (0, 1, 2), np.array([[0, 2, 1], [1, 1, 1]])),
+    # offset 1 is equally valid; 2 is the tabulated one
+    CodeCase.EVEN_MINUS: _CaseRule(2, (0, 3, 1), np.array([[0, 0, 1], [2, 2, 2]])),
+    CodeCase.ODD_MINUS: _CaseRule(1, (0, 1, 2), np.array([[1, 1, 1], [0, 1, 2]])),
+}
 
 
 def selected_dual_value(case: CodeCase, j0: int) -> int:
     """Which pre-image of the dual is the defining set for each case."""
-    shift = {
-        CodeCase.EVEN_PLUS: 0,
-        CodeCase.ODD_PLUS: 2,
-        CodeCase.EVEN_MINUS: 2,  # the +1 shift is equally valid; +2 is the tabulated one
-        CodeCase.ODD_MINUS: 1,
-    }[case]
-    return (j0 + shift) % 3
+    return (j0 + _CASE_RULES[case].offset) % 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,15 +310,8 @@ class WeightPrediction:
 
 def _case_weights(case: CodeCase, n: int, r: int) -> tuple[int, int, int]:
     """The three nonzero weights (w1, w2, w3) of a case, w1 the lowest."""
-    base = 3 ** (r - 2)
-    if case is CodeCase.EVEN_PLUS:
-        return 2 * base, 2 * (base + 3 ** (n // 2 - 1)), \
-            2 * (base - 3 ** (n // 2 - 2) + 3 ** (n // 2 - 1))
-    if case is CodeCase.EVEN_MINUS:
-        return 2 * base, 2 * (base + 3 ** (n // 2 - 1)), 2 * (base + 3 ** (n // 2 - 2))
-    # the two odd cases share their weights
-    h = 3 ** ((n - 3) // 2)
-    return 2 * base, 2 * (base + h), 2 * (base + 2 * h)
+    base, unit = 3 ** (r - 2), 3 ** ((n + 1) // 2 - 2)
+    return tuple(2 * (base + c * unit) for c in _CASE_RULES[case].weight_offsets)
 
 
 def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
@@ -313,7 +320,8 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     Validates parity, the dimension bound, r < n (r = n leaves the other
     side empty: f would be weakly regular) and n >= 3 (below that the
     exponents go negative); every multiplicity below is an integer and
-    they sum (with the zero codeword) to 3^r.
+    they sum (with the zero codeword) to 3^r.  The length is the size of
+    the selected pre-image, less the point 0, which carries dual value j0.
     """
     if n % 2 != case.parity:
         raise ValueError(f"case {case.value} needs n parity {case.parity}, got n={n}")
@@ -328,9 +336,10 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
                          "so f would be weakly regular")
 
     alt = None
+    i = _CASE_RULES[case].offset
+    length = expected_preimage_sizes(n, r, 0, case.side)[i] - (i == 0)
     w1, w2, w3 = _case_weights(case, n, r)
     if case is CodeCase.EVEN_PLUS:
-        length = 3 ** (r - 1) - 3 ** (n // 2 - 1) + 3 ** (n // 2) - 1
         e1 = 3 ** (2 * r - n - 1) + 2 * 3 ** (r - n // 2 - 1) - 1
         e2 = 2 * 3 ** (2 * r - n - 1) - 2 * 3 ** (r - n // 2 - 1)
         e3 = 3 ** r - 3 ** (2 * r - n)
@@ -338,13 +347,11 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
         if alt_e1 != e1:
             alt = alt_e1
     elif case is CodeCase.EVEN_MINUS:
-        length = 3 ** (r - 1) + 3 ** (n // 2 - 1)
         e1 = 2 * 3 ** (2 * r - n - 1) - 3 ** (r - n // 2 - 1) - 1
         e2 = 3 ** (2 * r - n - 1) + 3 ** (r - n // 2 - 1)
         e3 = 3 ** r - 3 ** (2 * r - n)
     else:
-        # the two odd cases share length and multiplicities
-        length = 3 ** (r - 1) + 3 ** ((n - 1) // 2)
+        # the two odd cases share their multiplicities
         e1 = 3 ** (2 * r - n - 1) - 1
         e2 = 3 ** r - 2 * 3 ** (2 * r - n - 1) - 3 ** (r - (n + 1) // 2)
         e3 = 3 ** (2 * r - n - 1) + 3 ** (r - (n + 1) // 2)
@@ -353,16 +360,6 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     dist = {0: 1, **{w: e for w, e in ((w1, e1), (w2, e2), (w3, e3)) if e}}
     assert sum(dist.values()) == 3 ** r
     return WeightPrediction(case, n, r, length, dist, alt)
-
-
-# The weight (index 0, 1, 2 for w1, w2, w3) of a message off the kernel,
-# by [u in the dual's plus set][(f(u) - j0) % 3].
-_WEIGHT_CLASS = {
-    CodeCase.EVEN_PLUS: np.array([[2, 2, 2], [0, 1, 1]]),
-    CodeCase.ODD_PLUS: np.array([[0, 2, 1], [1, 1, 1]]),
-    CodeCase.EVEN_MINUS: np.array([[0, 0, 1], [2, 2, 2]]),
-    CodeCase.ODD_MINUS: np.array([[1, 1, 1], [0, 1, 2]]),
-}
 
 
 class WeightClassifier:
@@ -376,7 +373,7 @@ class WeightClassifier:
         self.ctx = ctx
         self.f = ctx.hypotheses.f
         on_plus = constant_on_dual_plus(self.f.n, ctx.case.side)
-        off_branch = _WEIGHT_CLASS[ctx.case][int(not on_plus)]
+        off_branch = _CASE_RULES[ctx.case].weight_class[int(not on_plus)]
         assert (off_branch == off_branch[0]).all(), \
             "the prediction off the constant branch must not read f"
 
@@ -395,7 +392,7 @@ class WeightClassifier:
         assert list(pivots) == sorted(set(pivots)), "pivots must ascend"
         at = tuple(slice(None) if p in pivots else 0 for p in range(n - 1, -1, -1))
         case = self.ctx.case
-        classes = _WEIGHT_CLASS[case][:, (np.arange(3) - self.ctx.j0) % 3]
+        classes = _CASE_RULES[case].weight_class[:, (np.arange(3) - self.ctx.j0) % 3]
         table = np.zeros(7, dtype=np.int32)
         table[:6] = np.array(_case_weights(case, n, self.ctx.r))[classes].ravel()
         in_dual_plus = self.ctx.hypotheses.dual_profile.sign.reshape((3,) * n)[at] == 1

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_profile
-from .core import check_dim, check_memory, coord_matrix, digit_sum_table, legendre, size
+from .core import (
+    DimensionCapError,
+    check_dim,
+    check_memory,
+    coord_matrix,
+    digit_sum_table,
+    legendre,
+    size,
+)
 from .fields import ExtField
 
 
@@ -384,7 +392,7 @@ def _trace_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
 
 def function_from_spec(spec: dict, cap: int | None = None) -> TernaryFunction:
     """Tabulate a JSON-shaped glue or trace spec, the format of the CLI's
-    --gmmf-file and --trace-file and of the bundled fixtures.
+    --spec-file and of the bundled fixtures.
 
     A trace body {"k", "modulus", "generator", "terms"} is told apart by
     its "k": modulus lists coefficients lowest degree first (monic),
@@ -396,14 +404,15 @@ def function_from_spec(spec: dict, cap: int | None = None) -> TernaryFunction:
 
     Every integer must be a JSON integer, and m, s and k non-negative.
     The dimension is checked against the cap and the memory guard before
-    anything is tabulated.  Any fault raises ValueError in one line:
+    anything is tabulated; a refusal raises their DimensionCapError
+    unchanged.  Any other fault raises ValueError in one line:
     "bad glue spec: ..." or "bad trace spec: ...", except a table entry
     outside {0, 1, 2}, which says only that.
     """
     kind = "trace" if isinstance(spec, dict) and "k" in spec else "glue"
     try:
         return (_trace_from_spec if kind == "trace" else _glue_from_spec)(spec, cap)
-    except _BadEntries:
+    except (_BadEntries, DimensionCapError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad {kind} spec: {exc}") from exc

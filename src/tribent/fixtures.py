@@ -1,7 +1,7 @@
 """Bundled worked examples with their expected classifications and codes.
 
 Each fixture is a record: its input as a JSON-shaped glue or trace spec
-(the format of the CLI's --gmmf-file and --trace-file, read by
+(the format of the CLI's --spec-file, read by
 constructions.function_from_spec), and an `expect` dict keyed by the
 pipeline report's own field names.  run_fixture runs the pipeline and
 diffs every expected value.  GMMF fixtures also carry the equivalent

@@ -22,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import Subspace, check_dim, check_memory, legendre, neg_table, size, span
+from .core import Subspace, check_dim, check_memory, neg_table, size, span
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -31,20 +31,13 @@ def random_quadratic(rng: random.Random, m: int, target: BentType,
     """A uniformly random diagonal form steered to the requested type.
 
     The first m-1 coefficients are free; the last is the unique nonzero
-    value making the discriminant's quadratic character match the target
-    sign (folded with the i^m bookkeeping).
+    value giving the target type: 1, or 2 when quadratic_type disagrees
+    (doubling one coefficient flips the discriminant's quadratic
+    character, and with it the type).
     """
-    head = [rng.choice((1, 2)) for _ in range(m - 1)]
-    partial = 1
-    for c in head:
-        partial = (partial * c) % 3
-    want = 1 if target is BentType.PLUS else -1
-    want_eta = want * (-1) ** (m // 2)
-    # legendre(1) = 1, legendre(2) = -1
-    last = 1 if want_eta * legendre(partial) == 1 else 2
-    q = QuadraticForm(tuple(head + [last]), constant)
-    assert quadratic_type(q) is target
-    return q
+    head = tuple(rng.choice((1, 2)) for _ in range(m - 1))
+    q = QuadraticForm(head + (1,), constant)
+    return q if quadratic_type(q) is target else QuadraticForm(head + (2,), constant)
 
 
 def random_subspace(rng: random.Random, s: int, dim: int) -> Subspace:

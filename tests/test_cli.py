@@ -89,8 +89,7 @@ def test_fixture_specs_verify_through_the_cli_loaders(tmp_path, capsys, fx):
     # file gives the report that `examples` gives for the fixture
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(fx.spec))
-    argv = ["verify", "--trace-file" if "k" in fx.spec else "--gmmf-file", str(path),
-            "--format", "json"]
+    argv = ["verify", "--spec-file", str(path), "--format", "json"]
     if fx.force_set:
         argv += ["--defining-set", fx.force_set]
     code, out, _ = run_cli(capsys, *argv)
@@ -199,6 +198,28 @@ def test_verify_gmmf_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["code"]["length"] == 36
+
+
+def test_spec_file_spellings_read_either_body(tmp_path, capsys):
+    # --gmmf-file and --trace-file are older spellings of --spec-file: the
+    # body's "k" key, not the flag, says which kind of spec it is
+    f = tmp_path / "trace.json"
+    f.write_text(json.dumps(TRACE))
+    runs = [run_cli(capsys, "verify", flag, str(f), "--format", "json")
+            for flag in ("--spec-file", "--gmmf-file", "--trace-file")]
+    assert runs[0][0] == 1
+    stages = json.loads(runs[0][1])["stages"]
+    assert [st["name"] for st in stages if not st["ok"]] == ["dual-bent"]
+    assert runs[1:] == runs[:1] * 2
+
+
+def test_verify_needs_exactly_one_source(tmp_path, capsys):
+    f = tmp_path / "glue.json"
+    f.write_text(json.dumps(GLUE))
+    for argv in ([], ["--spec-file", str(f), "--poly", "x1^2", "--n", "1"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: provide exactly one of --poly/--table-file/--spec-file\n"
 
 
 def test_verify_trace_file_with_forced_set(tmp_path, capsys):
@@ -394,7 +415,7 @@ def test_verify_gmmf_file_above_default_cap(tmp_path, capsys):
     assert not doc["stages"][0]["ok"]
     code, _, err = run_cli(capsys, "verify", "--gmmf-file", str(f))
     assert code == 2
-    assert err.strip() == (f"error: {f}: bad glue spec: n=13 exceeds the dimension "
+    assert err.strip() == (f"error: {f}: n=13 exceeds the dimension "
                            "cap 12 (3^13 points); raise the cap explicitly to proceed")
 
 

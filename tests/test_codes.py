@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 from tribent import codes
 from tribent.analysis import HypothesisError, TernaryFunction, bent_profile, establish
 from tribent.codes import (
-    _WEIGHT_CLASS,
+    _CASE_RULES,
     CodeCase,
     DefiningSet,
     WeightClassifier,
@@ -24,7 +26,7 @@ from tribent.codes import (
     select_defining_set,
     selected_dual_value,
 )
-from tribent.analysis import BentType
+from tribent.analysis import BentType, expected_preimage_sizes
 from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
 from tribent.core import EXACT_DIM, encode, orthogonal_complement, size, span
 from tribent.fixtures import get_fixture
@@ -312,6 +314,44 @@ def test_alt_reading_only_above_the_bound():
     assert predict_distribution(CodeCase.EVEN_PLUS, 6, 5).alt_low_weight_count == 30
 
 
+CLOSED_FORMS = Path(__file__).resolve().parent / "data" / "closed-forms-n3-18.json"
+
+
+def closed_forms() -> str:
+    """Every closed form of every case at n = 3..18 of the case's parity and
+    every r with floor(n/2) + 1 <= r <= n - 1, one JSON cell per line: the
+    prediction, the three weights, and per j0 the selected dual value and
+    the pre-image sizes on both sides as ordered pairs (key order too).
+
+    Regenerate with ``PYTHONPATH=src python tests/test_codes.py``; the file
+    pins the closed forms, so it changes only with a new formula."""
+    cells = []
+    for case in CodeCase:
+        for n in range(3, 19):
+            if n % 2 != case.parity:
+                continue
+            for r in range(n // 2 + 1, n):
+                pred = predict_distribution(case, n, r)
+                cells.append({
+                    "case": case.value, "n": n, "r": r,
+                    "length": pred.length,
+                    "distribution": sorted(pred.distribution.items()),
+                    "alt_low_weight_count": pred.alt_low_weight_count,
+                    "weights": _case_weights(case, n, r),
+                    "by_j0": [{
+                        "selected": selected_dual_value(case, j0),
+                        **{f"sizes_{side.value}": list(
+                            expected_preimage_sizes(n, r, j0, side).items())
+                           for side in BentType},
+                    } for j0 in range(3)],
+                })
+    return "[\n" + ",\n".join(json.dumps(c) for c in cells) + "\n]\n"
+
+
+def test_closed_forms_match_golden():
+    assert closed_forms() == CLOSED_FORMS.read_text()
+
+
 # ---------------------------------------------------------------------------
 # Per-codeword classification
 # ---------------------------------------------------------------------------
@@ -377,7 +417,7 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
     ctx = select_defining_set(f)
     clf = WeightClassifier(ctx)
     weights = _case_weights(ctx.case, f.n, ctx.r)
-    rows = _WEIGHT_CLASS[ctx.case]
+    rows = _CASE_RULES[ctx.case].weight_class
     code = build_code(ctx.defining, ctx.hypotheses.v)
     in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
     expected = [0 if u == 0 else
@@ -391,7 +431,7 @@ def _parent_expected_weights(clf: WeightClassifier, messages: np.ndarray) -> np.
     table indexed by a key reduced mod 3, and np.where for the message 0."""
     case, j0 = clf.ctx.case, clf.ctx.j0
     weights = np.array(_case_weights(case, clf.f.n, clf.ctx.r), dtype=np.int64)
-    table = weights[_WEIGHT_CLASS[case]].ravel()
+    table = weights[_CASE_RULES[case].weight_class].ravel()
     delta = (clf.f.table[messages] - np.int8(j0)) % np.int8(3)
     key = (clf.ctx.hypotheses.dual_profile.sign[messages] == 1).view(np.int8) * np.int8(3) + delta
     return np.where(messages == 0, 0, table[key])
@@ -435,7 +475,7 @@ def test_theorem_classifier_agrees_with_a_direct_count_at_every_message(built_fi
     in_perp = np.zeros(size(f.n), dtype=bool)
     in_perp[brute_perp(ctx.hypotheses.v)] = True
     in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
-    rows = _WEIGHT_CLASS[ctx.case][in_dual_plus.astype(int), (f.table - ctx.j0) % 3]
+    rows = _CASE_RULES[ctx.case].weight_class[in_dual_plus.astype(int), (f.table - ctx.j0) % 3]
     predicted = np.where(in_perp, 0, np.array(_case_weights(ctx.case, f.n, ctx.r))[rows])
     assert np.array_equal(predicted, direct_weights(ctx.defining))
     code = build_code(ctx.defining, ctx.hypotheses.v)
@@ -522,3 +562,7 @@ def test_code_report_serialization_keys(built_fixtures):
     assert doc["match"] is True
     assert doc["distribution"] == sorted(doc["distribution"])
     assert any("discrepancy" in note for note in doc["notes"])
+
+
+if __name__ == "__main__":
+    CLOSED_FORMS.write_text(closed_forms())

@@ -15,6 +15,7 @@ from tribent.constructions import (
     QuadraticForm,
     TraceSpec,
     eval_poly,
+    function_from_spec,
     gmmf_build,
     gmmf_predict,
     parse_poly,
@@ -22,7 +23,8 @@ from tribent.constructions import (
     quadratic_type,
     trace_function,
 )
-from tribent.core import decode, encode, size
+from tribent import core
+from tribent.core import DimensionCapError, decode, encode, size
 from tribent.fields import ExtField
 from tribent.fixtures import FIXTURES
 
@@ -280,3 +282,21 @@ def test_trace36_classification(built_fixtures):
     minus = np.flatnonzero(p.side_mask(BentType.MINUS))
     assert is_subspace(minus, 6)
     assert span(minus, 6).dim == 4
+
+
+@pytest.mark.parametrize("spec", [
+    {"m": 1, "s": 6, "components": [{"table": [0, 0, 0]}] * 729},
+    {"k": 13, "modulus": [1] + [0] * 12 + [1], "generator": 3, "terms": [[0, 2]]},
+], ids=["glue-n13", "trace-k13"])
+def test_spec_refused_by_the_cap_or_the_memory_guard_raises_dimension_cap_error(
+        spec, monkeypatch):
+    # not the "bad ... spec" ValueError of a malformed body: a caller that
+    # catches DimensionCapError from eval_poly or run_search catches it here
+    with pytest.raises(DimensionCapError, match="exceeds the dimension cap 12") as exc:
+        function_from_spec(spec)
+    assert "spec" not in str(exc.value)
+    monkeypatch.setattr(core, "memory_limit", lambda: 1 << 20)
+    with pytest.raises(DimensionCapError, match="needs about") as exc:
+        function_from_spec(spec, cap=13)
+    assert "spec" not in str(exc.value)
+

@@ -4,7 +4,7 @@ import pytest
 
 from tribent import analysis, pipeline
 from tribent.analysis import TernaryFunction
-from tribent.codes import _WEIGHT_CLASS, DefiningSet, _case_weights, build_code
+from tribent.codes import _CASE_RULES, DefiningSet, _case_weights, build_code
 from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.core import dots_with
 from tribent.fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
@@ -191,7 +191,7 @@ def test_per_codeword_stage_names_the_first_mismatching_representative(built_fix
     code = build_code(ctx.defining, ctx.hypotheses.v)
     assert code.dimension == rep.r
     weights = _case_weights(ctx.case, f.n, ctx.r)
-    rows = _WEIGHT_CLASS[ctx.case]
+    rows = _CASE_RULES[ctx.case].weight_class
 
     def predicted(u):
         in_dual_plus = int(ctx.hypotheses.dual_profile.sign[u] == 1)

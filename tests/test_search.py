@@ -123,3 +123,27 @@ def test_search_validates_parameters():
     from tribent.core import DimensionCapError
     with pytest.raises(DimensionCapError):
         run_search(10, 2, 1, seed=0)
+
+
+def test_coverage_matrix_every_side_n_r_has_a_passing_instance():
+    # every (side, n, r) with floor(n/2) + 1 <= r <= n - 1 at n = 3..12,
+    # reached through some block size s and target dimension dim U = u;
+    # the other choices may fail a hypothesis (non-degenerate, at n >= 7),
+    # but no instance whose hypotheses hold may mismatch
+    covered, mismatched = set(), []
+    for side in BentType:
+        for n in range(3, 13):
+            for s in range(1, (n - 1) // 2 + 1):
+                for u in range(s):
+                    summary = run_search(n - 2 * s, s, 1, 1000 * n + 10 * s + u, side,
+                                         u_dim=u)
+                    for o in summary.outcomes:
+                        if o.report.passed:
+                            covered.add((side, n, o.report.r))
+                        elif o.report.eligible:
+                            mismatched.append((side, n, s, u))
+    cells = {(side, n, r) for side in BentType for n in range(3, 13)
+             for r in range(n // 2 + 1, n)}
+    assert len(cells) == 60
+    assert covered == cells
+    assert mismatched == []

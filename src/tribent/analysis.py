@@ -159,6 +159,12 @@ class WalshSpectrum:
 # bound it holds (see _radix3); later passes run in int32.
 _NARROW_PASSES = ((np.int8, 4), (np.int16, 9))
 
+# The digits per round of radix-3 passes, each with the last n that takes
+# it (see _radix3).  Through n = 9 one-digit interleaved rounds are the
+# fastest; above, n - d >= 7, since an in-place pass whose contiguous runs
+# are 3^6 values or shorter ran about twice as slow.
+_ROUND_DIGITS = ((9, 1), (10, 3), (EXACT_DIM, 4))
+
 
 @cache
 def _holds(dtype: type, p: int) -> bool:
@@ -180,28 +186,92 @@ def _pass_dtype(p: int, width: type = np.int32) -> type:
     return np.int32
 
 
+def _round_digits(n: int) -> int:
+    """The digits per round of the radix-3 transform at n."""
+    for last, d in _ROUND_DIGITS:
+        if n <= last:
+            return d
+
+
+def _butterflies(ua: np.ndarray, ub: np.ndarray,
+                 va: np.ndarray, vb: np.ndarray) -> None:
+    """v[k] = u0 + w^(-k) u1 + w^(-2k) u2 along axis 1 of (x, 3, y) views,
+    written into va + vb w with no temporary: d1 = u1b - u1a and
+    d2 = u2b - u2a wait in the slots vb[:, 2] and va[:, 2], which are
+    finished last, in place.  Every partial sum is a coefficient of a sum
+    of at most three of the values u0, w^j u1, w^j u2 (see _holds)."""
+    u0a, u1a, u2a = ua[:, 0], ua[:, 1], ua[:, 2]
+    u0b, u1b, u2b = ub[:, 0], ub[:, 1], ub[:, 2]
+    a0, a1, a2 = va[:, 0], va[:, 1], va[:, 2]
+    b0, b1, b2 = vb[:, 0], vb[:, 1], vb[:, 2]
+    d1, d2 = b2, a2
+    np.subtract(u1b, u1a, out=d1)
+    np.subtract(u2b, u2a, out=d2)
+    np.add(u0a, u1a, out=a0)
+    a0 += u2a
+    np.add(u0b, u1b, out=b0)
+    b0 += u2b
+    np.add(u0a, d1, out=a1)
+    a1 -= u2b
+    np.subtract(u0b, u1a, out=b1)
+    b1 -= d2
+    a2 += u0a  # a2 = u0a - u1b + d2
+    a2 -= u1b
+    np.subtract(u0b, d1, out=b2)  # b2 = u0b - d1 - u2a
+    b2 -= u2a
+
+
+def _interleaved_pass(a: np.ndarray, b: np.ndarray,
+                      va: np.ndarray, vb: np.ndarray) -> None:
+    """The butterflies on the top digit of a + b w, written interleaved
+    into the (3^(n-1), 3) views of va + vb w from third-size temporaries,
+    so the digit becomes the lowest one."""
+    u0a, u1a, u2a = a.reshape(3, -1)
+    u0b, u1b, u2b = b.reshape(3, -1)
+    va, vb = va.reshape(-1, 3), vb.reshape(-1, 3)
+    d1 = u1b - u1a
+    d2 = u2b - u2a
+    va[:, 0] = u0a + u1a + u2a
+    vb[:, 0] = u0b + u1b + u2b
+    va[:, 1] = u0a + d1 - u2b
+    vb[:, 1] = u0b - u1a - d2
+    va[:, 2] = u0a - u1b + d2
+    vb[:, 2] = u0b - d1 - u2a
+
+
 def _radix3(a: np.ndarray, b: np.ndarray, n: int,
             width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
 
     a and b are flat int8 coefficient arrays over the 3^n point indices,
     each value a + b w of norm at most 1; the result is indexed the same
-    way, as arrays of type width.  A pass reads the three contiguous
-    thirds of the arrays (the top digit t) and writes the 3-point
-    butterflies out[k] = u0 + w^(-k) u1 + w^(-2k) u2 interleaved into
-    (3^(n-1), 3) buffers, so the processed digit becomes the lowest one
-    and after n passes every digit is back in place.  The butterflies use
-    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).
+    way, as arrays of type width.  Each pass is the 3-point transform
+    along one index digit, out[k] = u0 + w^(-k) u1 + w^(-2k) u2, with
+    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).  The passes run in
+    rounds of d = _round_digits(n) digits (the last round takes what is
+    left), after the four-step blocking of Bailey (J. Supercomputing
+    1990).  A round transforms the top d digits where they lie, the pass
+    on digit q through the (3^(n-1-q), 3, 3^q) view (_butterflies), so
+    every read and write runs over at least 3^(n-d) contiguous values;
+    one transposing copy of the (3^d, 3^(n-d)) view then moves those
+    digits to the bottom.  A round of one digit writes its butterflies
+    interleaved into the (3^(n-1), 3) view instead (_interleaved_pass).
+    After ceil(n/d) rounds every digit is transformed and back in place.
+    The passes alternate between two array pairs allocated once per pass
+    type, and an in-place round allocates nothing else; the first pass
+    reads the caller's arrays, which are never written.
 
-    After pass p every value has magnitude at most 3^p, so every partial
-    sum of that pass is at most (2/sqrt 3) 3^p in absolute value: at most
-    93 through pass 4, 22 730 through pass 9.  Each pass runs in the
-    narrowest type that holds its bound (_pass_dtype: int8 through pass 4,
-    int16 through pass 9, int32 after), and the arrays are widened with
-    astype before the first pass of a wider type, never inside a pass,
-    where a mixed-type sum would wrap first.  int32 holds every partial
-    sum, below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n
-    up front), so with the default width the result is exact.
+    Each pass multiplies magnitudes by at most 3, whatever digit it
+    transforms, so after pass p every value has magnitude at most 3^p
+    and every partial sum of that pass is at most (2/sqrt 3) 3^p in
+    absolute value: at most 93 through pass 4, 22 730 through pass 9.
+    The bound depends on p alone, and each pass runs in the narrowest
+    type that holds it (_pass_dtype: int8 through pass 4, int16 through
+    pass 9, int32 after).  The live pair is widened with astype before
+    the first pass of a wider type, never inside a pass, where a
+    mixed-type sum would wrap first.  int32 holds every partial sum,
+    below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n up
+    front), so with the default width the result is exact.
 
     A narrower width of B bits caps the pass types there: the passes past
     its bound wrap mod 2^B, and since the butterflies only add and
@@ -211,24 +281,31 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
     assert all(_holds(t, last) for t, last in _NARROW_PASSES), "pass type schedule exceeds its bound"
     assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
-    third = size(n) // 3
-    for p in range(1, n + 1):
-        dtype = _pass_dtype(p, width)
-        if a.dtype != dtype:
-            a, b = a.astype(dtype), b.astype(dtype)
-        u0a, u1a, u2a = a.reshape(3, third)
-        u0b, u1b, u2b = b.reshape(3, third)
-        a = np.empty((third, 3), dtype=dtype)
-        b = np.empty((third, 3), dtype=dtype)
-        d1 = u1b - u1a
-        d2 = u2b - u2a
-        a[:, 0] = u0a + u1a + u2a
-        b[:, 0] = u0b + u1b + u2b
-        a[:, 1] = u0a + d1 - u2b
-        b[:, 1] = u0b - u1a - d2
-        a[:, 2] = u0a - u1b + d2
-        b[:, 2] = u0b - d1 - u2a
-        a, b = a.reshape(-1), b.reshape(-1)
+    points, digits = size(n), _round_digits(n)
+    spare = None  # the pair the next pass writes
+    for done in range(0, n, digits):
+        d = min(digits, n - done)
+        for j in range(d):  # pass done + j + 1, on digit n - 1 - j
+            dtype = _pass_dtype(done + j + 1, width)
+            if a.dtype != dtype:
+                spare = None
+                a, b = a.astype(dtype), b.astype(dtype)
+            if spare is None:
+                spare = np.empty(points, dtype), np.empty(points, dtype)
+            if d == 1:
+                _interleaved_pass(a, b, *spare)
+            else:
+                view = (3 ** j, 3, 3 ** (n - 1 - j))
+                _butterflies(a.reshape(view), b.reshape(view),
+                             spare[0].reshape(view), spare[1].reshape(view))
+            # the first pass read the caller's arrays: never a spare
+            a, b, spare = *spare, (None if done + j == 0 else (a, b))
+        if d > 1:
+            low = 3 ** (n - d)
+            np.copyto(spare[0].reshape(low, -1), a.reshape(-1, low).T)
+            np.copyto(spare[1].reshape(low, -1), b.reshape(-1, low).T)
+            a, b, spare = *spare, (a, b)
+    spare = None  # dropped before any widening copy below
     return a.astype(width, copy=False), b.astype(width, copy=False)
 
 

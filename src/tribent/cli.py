@@ -301,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
+
+    def add_cap(p):  # only the commands that build a function take it
         p.add_argument("--max-n", type=int, default=None,
                        help="raise the ambient dimension cap")
 
@@ -320,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build this pre-image set's code even if "
                             "hypotheses fail")
     add_common(p_ver)
+    add_cap(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_se = sub.add_parser("search", help="random glued-quadratic instances")
@@ -331,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--u-dim", type=int, default=0,
                       help="dimension of the target type subspace in F_3^s")
     add_common(p_se)
+    add_cap(p_se)
     p_se.set_defaults(func=cmd_search)
 
     p_pr = sub.add_parser("predict", help="closed-form distribution for a case")

@@ -93,8 +93,12 @@ def test_fast_equals_matrix_oracle():
 
 
 # Narrow-integer passes.  Constant tables reach the largest partial sums
-# (3^p after pass p at u = 0), so they are compared at every n up to the
-# cap against the int64 oracle.
+# (3^p after pass p at u = 0), and near-constant ones, a drawn share of
+# points redrawn, stay near that bound; they and indicators are compared
+# at every n up to the cap against the int64 oracle.  The schedule alone
+# takes rounds of more than one digit only from n = 10, so every round
+# size d = 1..4 is forced through _ROUND_DIGITS, each in int32 and in the
+# residue width, where astype wraps the oracle mod 2^B.
 
 def _assert_spectrum_exact(f: TernaryFunction) -> None:
     sp = walsh_spectrum(f)
@@ -103,34 +107,74 @@ def _assert_spectrum_exact(f: TernaryFunction) -> None:
     assert np.array_equal(sp.coeff_1, oa) and np.array_equal(sp.coeff_w, ob)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_narrow_passes_exact_on_constant_tables(n):
-    for value in range(3):
-        _assert_spectrum_exact(TernaryFunction.constant(n, value))
+def _assert_exact_at_every_round_size(monkeypatch, a, b, n):
+    oa, ob = radix3_oracle(a, b, n)
+    for d in range(1, 5):
+        monkeypatch.setattr(analysis, "_ROUND_DIGITS", ((EXACT_DIM, d),))
+        for width in (np.int32, _residue_dtype(n)):
+            ra, rb = _radix3(a, b, n, width)
+            assert ra.dtype == rb.dtype == width
+            assert np.array_equal(ra, oa.astype(width)), (d, width)
+            assert np.array_equal(rb, ob.astype(width)), (d, width)
+
+
+def _near_constant(rng, n, value, noise):
+    table = np.full(size(n), value)
+    redrawn = rng.random(size(n)) < noise
+    table[redrawn] = rng.integers(0, 3, int(redrawn.sum()))
+    return table
+
+
+def _unit_coefficients(table):
+    """The int8 coefficients of w^t, as analysis._transform builds them."""
+    t = table.astype(np.int8)
+    return 1 - t, t - 3 * (t >> 1)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_narrow_passes_exact_on_indicators(n):
+def test_narrow_passes_exact_on_constant_tables(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    tables = [np.full(size(n), value) for value in range(3)]
+    tables += [_near_constant(rng, n, rng.integers(0, 3), noise) for noise in (0.01, 0.2)]
+    for table in tables:
+        _assert_exact_at_every_round_size(monkeypatch, *_unit_coefficients(table), n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_narrow_passes_exact_on_indicators(monkeypatch, n):
     rng = np.random.default_rng(n)
     for indicator in (np.ones(size(n), dtype=np.int8),
                       rng.integers(0, 2, size(n)).astype(np.int8)):
-        a, b = _radix3(indicator, np.zeros_like(indicator), n)
-        oa, ob = radix3_oracle(indicator, np.zeros_like(indicator), n)
-        assert a.dtype == b.dtype == np.int32
-        assert np.array_equal(a, oa) and np.array_equal(b, ob)
+        _assert_exact_at_every_round_size(monkeypatch, indicator, np.zeros_like(indicator), n)
 
 
 @given(st.integers(1, 8), st.integers(0, 2), st.sampled_from([0.0, 0.01, 0.2, 1.0]),
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_narrow_passes_exact_on_drawn_tables(n, value, noise, seed):
-    # a constant table with a drawn share of points redrawn: near-constant
-    # tables keep the partial sums near their bound
-    rng = np.random.default_rng(seed)
-    table = np.full(size(n), value)
-    redrawn = rng.random(size(n)) < noise
-    table[redrawn] = rng.integers(0, 3, int(redrawn.sum()))
-    _assert_spectrum_exact(TernaryFunction(n, table))
+    _assert_spectrum_exact(TernaryFunction(n, _near_constant(np.random.default_rng(seed), n, value, noise)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_radix3_never_writes_its_inputs(monkeypatch, n):
+    # the passes alternate between two pairs of their own; read-only inputs
+    # make any write to the caller's arrays raise
+    a, b = _unit_coefficients(np.random.default_rng(n).integers(0, 3, size(n)))
+    saved = a.copy(), b.copy()
+    a.flags.writeable = b.flags.writeable = False
+    for d in range(1, 5):
+        monkeypatch.setattr(analysis, "_ROUND_DIGITS", ((EXACT_DIM, d),))
+        for width in (np.int32, np.int16, np.int8):
+            _radix3(a, b, n, width)
+    assert np.array_equal(a, saved[0]) and np.array_equal(b, saved[1])
+
+
+def test_round_digits_schedule():
+    # one-digit interleaved rounds through n = 9, where an in-place round
+    # is slower; from n = 10 every in-place pass reads runs of 3^7 or more
+    assert [analysis._round_digits(n) for n in (1, 9, 10, 11, 12, EXACT_DIM)] == [
+        1, 1, 3, 4, 4, 4]
+    assert all(n - analysis._round_digits(n) >= 7 for n in range(10, EXACT_DIM + 1))
 
 
 def test_pass_types_are_the_narrowest_the_bound_allows():

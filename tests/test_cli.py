@@ -345,6 +345,17 @@ def test_max_n_cap(tmp_path, capsys):
     assert code == 1  # runs fine under the raised/explicit cap
 
 
+@pytest.mark.parametrize("argv", [
+    ["examples", "--max-n", "2"],
+    ["predict", "--case", "even-plus", "--n", "30", "--r", "20", "--max-n", "2"],
+])
+def test_max_n_only_where_it_acts(argv):
+    # examples and predict build no function, so a cap there would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("entry", [300, 5, True, False, 1.0])
 def test_verify_gmmf_table_entry_out_of_range(tmp_path, capsys, entry):
     spec = {

@@ -193,6 +193,31 @@ def test_verdict_reduces_each_subspace_only_inside_span(monkeypatch, case):
     assert spans[0] == 1 and 1 <= rounds[0] <= f.n
 
 
+def test_transform_at_n12_peaks_within_its_two_pairs():
+    # tracemalloc's peak over 3^n: the passes alternate between two array
+    # pairs of the pass type and allocate nothing per pass, so with the
+    # int8 input pair the int16 passes hold at most 10 B/point and the
+    # int32 ones, after widening, 20
+    g = _glue(10, 1, BentType.PLUS, seed=1)
+    f = TernaryFunction(g.n, g.table)
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - start) / size(f.n)
+
+    tracemalloc.start()
+    try:
+        peaks = {"transform": peak(lambda: analysis._transform(f, np.int16)),
+                 "bent_profile": peak(lambda: analysis.bent_profile(f)),
+                 "walsh_spectrum": peak(lambda: analysis.walsh_spectrum(f))}
+    finally:
+        tracemalloc.stop()
+    assert peaks["transform"] <= 10.1 and peaks["bent_profile"] <= 10.1, peaks
+    assert peaks["walsh_spectrum"] <= 20.1, peaks
+
+
 @pytest.mark.parametrize("side", list(BentType), ids=lambda side: side.value)
 def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side):
     # tracemalloc's peak above each stage's start, over 3^n: no stage

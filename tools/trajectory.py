@@ -1,0 +1,116 @@
+"""Per-stage wall time and peak RSS of one verdict at each n, each in a fresh
+process, written as one column of a BENCH_<date>.json file.
+
+For each n in DIMS, 6..14, a child interpreter builds the seeded glue
+instance that `run_search(n - 2, 1, 1, 0, cap=n)` draws (plus side, m = n - 2,
+s = 1, seed 0) and calls the public stage functions in order, timing each
+with perf_counter: build (gmmf_build), establish (both transforms, the span
+and the hypotheses), select (defining_set_for), cosets (coset_tiling), code
+(build_code) and classifier (WeightClassifier.check_all).  It then reads
+ru_maxrss.  First calls pay their cache fills, as a one-off CLI run does.
+
+    python3 tools/trajectory.py --column change --out BENCH_2026-10-19.json
+    python3 tools/trajectory.py --column parent --src ../parent/src \\
+        --out BENCH_2026-10-19.json
+
+Each run adds or replaces its column in the file, so one file holds a
+parent and a change side by side.  The tool is no test and no benchmark
+gate; it only records where the time and memory go.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIMS = range(6, 15)
+
+CHILD = r"""
+import json, random, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from tribent import analysis, codes
+from tribent.analysis import BentType
+from tribent.constructions import gmmf_build
+from tribent.search import random_instance, random_subspace
+
+n = int(sys.argv[2])
+rng = random.Random(0)  # the draws of run_search(n - 2, 1, 1, 0)
+u = random_subspace(rng, 1, 0)
+j0 = rng.randrange(3)
+spec = random_instance(rng, n - 2, 1, BentType.PLUS, u, j0)
+times = {}
+
+def stage(name, run):
+    start = time.perf_counter()
+    out = run()
+    times[name] = time.perf_counter() - start
+    return out
+
+f = stage("build", lambda: gmmf_build(spec))
+hyp = stage("establish", lambda: analysis.establish(f))
+ctx = stage("select", lambda: codes.defining_set_for(hyp))
+cosets = stage("cosets", lambda: analysis.coset_tiling(hyp))
+code = stage("code", lambda: codes.build_code(ctx.defining, hyp.v))
+bad = stage("classifier", lambda: codes.WeightClassifier(ctx).check_all(code))
+row = {"n": n, "passed": bool(hyp.ok and cosets.coset_union_ok
+                              and cosets.constant_ok and bad is None)}
+row.update({f"{k}_s": round(v, 5) for k, v in times.items()})
+row["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+row["numpy"] = np.__version__
+print(json.dumps(row))
+"""
+
+
+def measure(src: str, n: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(n)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def source_commit(src: str) -> str:
+    proc = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty=-modified"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--column", required=True,
+                        help="the column name, e.g. parent or change")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the source tree to measure (default: this checkout's)")
+    parser.add_argument("--out", required=True, help="the BENCH_<date>.json file")
+    args = parser.parse_args(argv)
+
+    rows = []
+    for n in DIMS:
+        row = measure(os.path.abspath(args.src), n)
+        print(json.dumps(row), file=sys.stderr)
+        rows.append(row)
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc.setdefault("instance", "glue, plus side, m = n - 2, s = 1, seed 0, "
+                               "one fresh process per n")
+    numpy = {row.pop("numpy") for row in rows}
+    doc.setdefault("columns", {})[args.column] = {
+        "commit": source_commit(args.src),
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version(), "numpy": ", ".join(sorted(numpy))},
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return 0 if all(row["passed"] for row in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,11 +68,9 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
                 raise InputError(f"{path}: first value must be the dimension n") from exc
             try:
                 check_dim(n, cap)
-            except DimensionCapError:
-                raise
-            except ValueError as exc:  # a negative n
+                check_memory(n)
+            except ValueError as exc:  # a negative n, or DimensionCapError
                 raise InputError(f"{path}: {exc}") from exc
-            check_memory(n)
             values = chain(islice(head, 1, None), chain.from_iterable(map(tokens, fh)))
             try:
                 table = np.fromiter(map(int, values), dtype=np.int8)

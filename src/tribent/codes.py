@@ -205,24 +205,40 @@ def case_for(n: int, btype: BentType) -> CodeCase:
 
 
 class _CaseRule(NamedTuple):
-    """One case's rules.  offset is the i of the selected pre-image (dual
-    value j0 + i).  weight_offsets are the c of the weights
-    2 (3^(r-2) + c 3^(ceil(n/2)-2)), w1 (the lowest) first.  weight_class
-    gives the weight (index 0, 1, 2 for w1, w2, w3) of a message off the
+    """One case's closed forms.  offset is the i of the selected pre-image
+    (dual value j0 + i).  weight_offsets are the c of the weights
+    2 (3^(r-2) + c 3^(ceil(n/2)-2)), w1 (the lowest) first.  counts are
+    the (a, b, c) of the multiplicities a 3^r + b 3^(2r-n-1)
+    + c 3^(r-floor(n/2)-1) of w1, w2, w3, less 1 for w1 (the zero
+    codeword); alt_w1_count is the same form, with nothing subtracted, of
+    an alternative tabulated reading of w1's count.  weight_class gives
+    the weight (index 0, 1, 2 for w1, w2, w3) of a message off the
     kernel, by [u in the dual's plus set][(f(u) - j0) % 3]."""
 
     offset: int
     weight_offsets: tuple[int, int, int]
+    counts: tuple[tuple[int, int, int], ...]
+    alt_w1_count: tuple[int, int, int] | None
     weight_class: np.ndarray
 
 
 _CASE_RULES = {
-    CodeCase.EVEN_PLUS: _CaseRule(0, (0, 3, 2), np.array([[2, 2, 2], [0, 1, 1]])),
-    CodeCase.ODD_PLUS: _CaseRule(2, (0, 1, 2), np.array([[0, 2, 1], [1, 1, 1]])),
+    CodeCase.EVEN_PLUS: _CaseRule(0, (0, 3, 2), ((0, 1, 2), (0, 2, -2), (1, -3, 0)),
+                                  (0, 1, 1), np.array([[2, 2, 2], [0, 1, 1]])),
+    CodeCase.ODD_PLUS: _CaseRule(2, (0, 1, 2), ((0, 1, 0), (1, -2, -1), (0, 1, 1)), None,
+                                 np.array([[0, 2, 1], [1, 1, 1]])),
     # offset 1 is equally valid; 2 is the tabulated one
-    CodeCase.EVEN_MINUS: _CaseRule(2, (0, 3, 1), np.array([[0, 0, 1], [2, 2, 2]])),
-    CodeCase.ODD_MINUS: _CaseRule(1, (0, 1, 2), np.array([[1, 1, 1], [0, 1, 2]])),
+    CodeCase.EVEN_MINUS: _CaseRule(2, (0, 3, 1), ((0, 2, -1), (0, 1, 1), (1, -3, 0)), None,
+                                   np.array([[0, 0, 1], [2, 2, 2]])),
+    CodeCase.ODD_MINUS: _CaseRule(1, (0, 1, 2), ((0, 1, 0), (1, -2, -1), (0, 1, 1)), None,
+                                  np.array([[1, 1, 1], [0, 1, 2]])),
 }
+
+# f is constant on the cosets only on one branch (analysis.coset_tiling),
+# so the weight-class row of the other branch must not read f; the branch
+# depends on n only through its parity
+assert all(len(set(rule.weight_class[int(not constant_on_dual_plus(case.parity, case.side))]))
+           == 1 for case, rule in _CASE_RULES.items())
 
 
 def selected_dual_value(case: CodeCase, j0: int) -> int:
@@ -285,11 +301,10 @@ class WeightPrediction:
     """Closed-form length and weight distribution for one case.
 
     distribution includes the zero codeword and no weight of count 0 (at
-    odd n and r = (n+1)/2 the code has two weights); for the even/plus
-    case with r > n/2 + 1 an alternative tabulated reading of the
-    lowest-weight multiplicity (3^(2r-n-1) + 3^(r-n/2-1)) disagrees with
-    the counting argument used here, and is kept in alt_low_weight_count
-    so reports can flag the discrepancy.
+    odd n and r = (n+1)/2 the code has two weights).  alt_low_weight_count
+    is a case's alternative tabulated reading of the lowest weight's count
+    (even/plus only) where it disagrees with the counting argument used
+    here, so reports can flag the discrepancy.
     """
 
     case: CodeCase
@@ -335,31 +350,21 @@ def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
         raise ValueError(f"r={r} equals n: the other side would be empty, "
                          "so f would be weakly regular")
 
-    alt = None
-    i = _CASE_RULES[case].offset
+    rule = _CASE_RULES[case]
+    i = rule.offset
     length = expected_preimage_sizes(n, r, 0, case.side)[i] - (i == 0)
-    w1, w2, w3 = _case_weights(case, n, r)
-    if case is CodeCase.EVEN_PLUS:
-        e1 = 3 ** (2 * r - n - 1) + 2 * 3 ** (r - n // 2 - 1) - 1
-        e2 = 2 * 3 ** (2 * r - n - 1) - 2 * 3 ** (r - n // 2 - 1)
-        e3 = 3 ** r - 3 ** (2 * r - n)
-        alt_e1 = 3 ** (2 * r - n - 1) + 3 ** (r - n // 2 - 1)
-        if alt_e1 != e1:
-            alt = alt_e1
-    elif case is CodeCase.EVEN_MINUS:
-        e1 = 2 * 3 ** (2 * r - n - 1) - 3 ** (r - n // 2 - 1) - 1
-        e2 = 3 ** (2 * r - n - 1) + 3 ** (r - n // 2 - 1)
-        e3 = 3 ** r - 3 ** (2 * r - n)
-    else:
-        # the two odd cases share their multiplicities
-        e1 = 3 ** (2 * r - n - 1) - 1
-        e2 = 3 ** r - 2 * 3 ** (2 * r - n - 1) - 3 ** (r - (n + 1) // 2)
-        e3 = 3 ** (2 * r - n - 1) + 3 ** (r - (n + 1) // 2)
+    basis = (3 ** r, 3 ** (2 * r - n - 1), 3 ** (r - n // 2 - 1))
 
-    assert min(e1, e2, e3) >= 0
-    dist = {0: 1, **{w: e for w, e in ((w1, e1), (w2, e2), (w3, e3)) if e}}
+    def count(row: tuple[int, int, int]) -> int:
+        return sum(a * b for a, b in zip(row, basis))
+
+    counts = [count(row) for row in rule.counts]
+    counts[0] -= 1
+    assert min(counts) >= 0
+    dist = {0: 1, **{w: e for w, e in zip(_case_weights(case, n, r), counts) if e}}
     assert sum(dist.values()) == 3 ** r
-    return WeightPrediction(case, n, r, length, dist, alt)
+    alt = None if rule.alt_w1_count is None else count(rule.alt_w1_count)
+    return WeightPrediction(case, n, r, length, dist, None if alt == counts[0] else alt)
 
 
 class WeightClassifier:
@@ -372,10 +377,6 @@ class WeightClassifier:
     def __init__(self, ctx: SelectionContext):
         self.ctx = ctx
         self.f = ctx.hypotheses.f
-        on_plus = constant_on_dual_plus(self.f.n, ctx.case.side)
-        off_branch = _CASE_RULES[ctx.case].weight_class[int(not on_plus)]
-        assert (off_branch == off_branch[0]).all(), \
-            "the prediction off the constant branch must not read f"
 
     def expected_weights(self, code: LinearCode) -> np.ndarray:
         """The case table at the representatives u_c of code (int32), in

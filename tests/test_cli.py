@@ -448,7 +448,7 @@ def test_table_file_over_the_cap_is_refused_before_its_body_is_read(tmp_path, ca
     f.write_text("# header first\n13 0 1\n2 x 1\n")
     code, _, err = run_cli(capsys, "verify", "--table-file", str(f))
     assert code == 2
-    assert "exceeds the dimension cap 12" in err
+    assert f"{f}: n=13 exceeds the dimension cap 12" in err
     assert "invalid literal" not in err
     assert err.count("\n") == 1
 

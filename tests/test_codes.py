@@ -28,7 +28,7 @@ from tribent.codes import (
 )
 from tribent.analysis import BentType, expected_preimage_sizes
 from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
-from tribent.core import EXACT_DIM, encode, orthogonal_complement, size, span
+from tribent.core import encode, orthogonal_complement, size, span
 from tribent.fixtures import get_fixture
 from tribent.search import random_instance, random_subspace
 
@@ -299,14 +299,21 @@ def test_prediction_validates_inputs():
 
 
 def test_prediction_is_integral_at_every_accepted_n():
+    # past enumeration too, by the first three Pless power moments.  0 is
+    # not in S (it carries j0), so the dual code has no word of weight 1;
+    # S = -S (the dual is even) and no two other points of S are parallel,
+    # so it has exactly N of weight 2, the multiples of e_x + e_-x
     for case in CodeCase:
-        for n in range(3 + (case.parity == 0), EXACT_DIM + 1, 2):
+        for n in range(3 + (case.parity == 0), 61, 2):
             for r in range(n // 2 + 1, n):
                 pred = predict_distribution(case, n, r)
-                assert all(type(w) is int and type(e) is int
-                           for w, e in pred.distribution.items())
-                assert sum(pred.distribution.values()) == 3 ** r
-                assert min(pred.distribution.values()) >= 0
+                dist, big_n = pred.distribution, pred.length
+                assert all(type(w) is int and type(e) is int for w, e in dist.items())
+                assert min(dist.values()) >= 0
+                assert sum(dist.values()) == 3 ** r
+                assert sum(w * e for w, e in dist.items()) == 2 * 3 ** (r - 1) * big_n
+                assert 9 * sum(w * w * e for w, e in dist.items()) \
+                    == 4 * big_n * (big_n + 1) * 3 ** r
 
 
 def test_alt_reading_only_above_the_bound():

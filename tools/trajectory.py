@@ -3,11 +3,13 @@ process, written as one column of a BENCH_<date>.json file.
 
 For each n in DIMS, 6..14, a child interpreter builds the seeded glue
 instance that `run_search(n - 2, 1, 1, 0, cap=n)` draws (plus side, m = n - 2,
-s = 1, seed 0) and calls the public stage functions in order, timing each
-with perf_counter: build (gmmf_build), establish (both transforms, the span
-and the hypotheses), select (defining_set_for), cosets (coset_tiling), code
-(build_code) and classifier (WeightClassifier.check_all).  It then reads
-ru_maxrss.  First calls pay their cache fills, as a one-off CLI run does.
+s = 1, seed 0) and runs one run_pipeline on it.  The stage functions that
+tribent.pipeline calls are wrapped, as perfbench/tracing.py wraps them, and
+timed with perf_counter: establish (both transforms, the span and the
+hypotheses), select (defining_set_for), cosets (coset_tiling), code
+(build_code) and classifier (WeightClassifier.check_all); build times
+gmmf_build.  A row records the report's verdict, passed and failed_stage,
+and ru_maxrss.  First calls pay their cache fills, as a one-off CLI run does.
 
     python3 tools/trajectory.py --column change --out BENCH_2026-10-19.json
     python3 tools/trajectory.py --column parent --src ../parent/src \\
@@ -34,7 +36,7 @@ CHILD = r"""
 import json, random, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from tribent import analysis, codes
+from tribent import codes, pipeline
 from tribent.analysis import BentType
 from tribent.constructions import gmmf_build
 from tribent.search import random_instance, random_subspace
@@ -46,20 +48,22 @@ j0 = rng.randrange(3)
 spec = random_instance(rng, n - 2, 1, BentType.PLUS, u, j0)
 times = {}
 
-def stage(name, run):
-    start = time.perf_counter()
-    out = run()
-    times[name] = time.perf_counter() - start
-    return out
+def timed(name, fn):
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        times[name] = time.perf_counter() - start
+        return out
+    return run
 
-f = stage("build", lambda: gmmf_build(spec))
-hyp = stage("establish", lambda: analysis.establish(f))
-ctx = stage("select", lambda: codes.defining_set_for(hyp))
-cosets = stage("cosets", lambda: analysis.coset_tiling(hyp))
-code = stage("code", lambda: codes.build_code(ctx.defining, hyp.v))
-bad = stage("classifier", lambda: codes.WeightClassifier(ctx).check_all(code))
-row = {"n": n, "passed": bool(hyp.ok and cosets.coset_union_ok
-                              and cosets.constant_ok and bad is None)}
+for name, attr in (("establish", "establish"), ("select", "defining_set_for"),
+                   ("cosets", "coset_tiling"), ("code", "build_code")):
+    setattr(pipeline, attr, timed(name, getattr(pipeline, attr)))
+codes.WeightClassifier.check_all = timed("classifier", codes.WeightClassifier.check_all)
+
+f = timed("build", gmmf_build)(spec)
+rep = pipeline.run_pipeline(f)
+row = {"n": n, "passed": rep.passed, "failed_stage": rep.failed_stage}
 row.update({f"{k}_s": round(v, 5) for k, v in times.items()})
 row["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 row["numpy"] = np.__version__

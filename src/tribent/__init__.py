@@ -62,7 +62,6 @@ from .constructions import (
     trace_function,
 )
 from .core import (
-    DIM_CAP,
     DimensionCapError,
     Eisenstein,
     Subspace,

@@ -20,7 +20,6 @@ from .core import (
     Eisenstein,
     Subspace,
     check_dim,
-    check_memory,
     decode,
     dots_with,
     is_nondegenerate,
@@ -94,10 +93,8 @@ class TernaryFunction:
         self._even: bool | None = None
 
     @classmethod
-    def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int],
-                      cap: int | None = None) -> "TernaryFunction":
-        check_dim(n, cap)
-        check_memory(n)
+    def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "TernaryFunction":
+        check_dim(n)
         values = (fn(decode(x, n)) % 3 for x in range(size(n)))
         return cls(n, np.fromiter(values, dtype=np.int8, count=size(n)))
 

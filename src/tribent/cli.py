@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import BentType, TernaryFunction
 from .codes import CodeCase, predict_distribution
 from .constructions import PolyParseError, eval_poly, function_from_spec, parse_poly
-from .core import DimensionCapError, check_dim, check_memory, size
+from .core import DimensionCapError, check_dim, size
 from .fixtures import FIXTURES, get_fixture, run_fixture
 from .pipeline import PipelineReport, run_pipeline
 from .search import run_search
@@ -43,14 +43,14 @@ class InputError(Exception):
 # Input loading
 # ---------------------------------------------------------------------------
 
-def load_table_file(path: str, cap: int | None) -> TernaryFunction:
+def load_table_file(path: str) -> TernaryFunction:
     """Plain-text table: first value is n, then 3^n trits, '#' comments.
 
-    The file is read up to its first value and n is checked against the
-    cap before the rest is read or tokenized.  The trits are then read a
-    line at a time straight into an int8 table, so no list of 3^n values
-    is built; a value outside int8 stops the read as a bad entry, and so
-    does a token that is not an integer.
+    The file is read up to its first value and n passes the size gate,
+    check_dim, before the rest is read or tokenized.  The trits are then
+    read a line at a time straight into an int8 table, so no list of 3^n
+    values is built; a value outside int8 stops the read as a bad entry,
+    and so does a token that is not an integer.
     """
 
     def tokens(line: str) -> list[str]:
@@ -67,8 +67,7 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
             except ValueError as exc:
                 raise InputError(f"{path}: first value must be the dimension n") from exc
             try:
-                check_dim(n, cap)
-                check_memory(n)
+                check_dim(n)
             except ValueError as exc:  # a negative n, or DimensionCapError
                 raise InputError(f"{path}: {exc}") from exc
             values = chain(islice(head, 1, None), chain.from_iterable(map(tokens, fh)))
@@ -85,10 +84,10 @@ def load_table_file(path: str, cap: int | None) -> TernaryFunction:
     return TernaryFunction(n, table)
 
 
-def load_spec_file(path: str, cap: int | None) -> TernaryFunction:
+def load_spec_file(path: str) -> TernaryFunction:
     """A JSON glue or trace spec (--spec-file), in the format
     constructions.function_from_spec reads; its one-line errors, and a
-    refusal by the cap or the memory guard, are prefixed with the path."""
+    refusal by the size gate, are prefixed with the path."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -96,7 +95,7 @@ def load_spec_file(path: str, cap: int | None) -> TernaryFunction:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        return function_from_spec(data, cap)
+        return function_from_spec(data)
     except ValueError as exc:  # DimensionCapError too
         raise InputError(f"{path}: {exc}") from exc
 
@@ -199,19 +198,17 @@ def cmd_examples(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = args.max_n
     sources = [bool(args.poly), bool(args.table_file), bool(args.spec_file)]
     if sum(sources) != 1:
         raise InputError("provide exactly one of --poly/--table-file/--spec-file")
     if args.poly:
         if args.n is None:
             raise InputError("--poly needs --n")
-        check_dim(args.n, cap)
-        f = eval_poly(parse_poly(args.poly, args.n), cap)
+        f = eval_poly(parse_poly(args.poly, args.n))
     elif args.table_file:
-        f = load_table_file(args.table_file, cap)
+        f = load_table_file(args.table_file)
     else:
-        f = load_spec_file(args.spec_file, cap)
+        f = load_spec_file(args.spec_file)
     rep = run_pipeline(f, force_set=args.defining_set)
     print(render_report(rep, args.format))
     return 0 if rep.passed else MISMATCH
@@ -220,7 +217,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     side = BentType.PLUS if args.side == "plus" else BentType.MINUS
     summary = run_search(args.m, args.s, args.count, args.seed,
-                         side=side, u_dim=args.u_dim, cap=args.max_n)
+                         side=side, u_dim=args.u_dim)
     if args.format == "json":
         print(json.dumps(summary.to_dict(), indent=2))
     elif args.format == "csv":
@@ -300,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
 
-    def add_cap(p):  # only the commands that build a function take it
-        p.add_argument("--max-n", type=int, default=None,
-                       help="raise the ambient dimension cap")
-
     p_ex = sub.add_parser("examples", help="run bundled worked examples")
     p_ex.add_argument("--name", choices=[f.name for f in FIXTURES])
     add_common(p_ex)
@@ -320,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build this pre-image set's code even if "
                             "hypotheses fail")
     add_common(p_ver)
-    add_cap(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_se = sub.add_parser("search", help="random glued-quadratic instances")
@@ -332,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--u-dim", type=int, default=0,
                       help="dimension of the target type subspace in F_3^s")
     add_common(p_se)
-    add_cap(p_se)
     p_se.set_defaults(func=cmd_search)
 
     p_pr = sub.add_parser("predict", help="closed-form distribution for a case")

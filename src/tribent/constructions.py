@@ -17,7 +17,6 @@ from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_p
 from .core import (
     DimensionCapError,
     check_dim,
-    check_memory,
     coord_matrix,
     digit_sum_table,
     legendre,
@@ -110,9 +109,8 @@ def gmmf_build(spec: GmmfSpec) -> TernaryFunction:
 
     The index x + 3^m y + 3^(m+s) z is the C-order (z, y, x) view of the
     table, so F = f_z(x) + z.y is the component tables along (z, x) plus
-    the Gram table along (z, y).  The dimension cap is checked at the
-    input surfaces (the glue-file loader and run_search), which know the
-    caller's cap.
+    the Gram table along (z, y).  The size gate, check_dim, is called at
+    the input surfaces (function_from_spec and run_search).
     """
     comp = np.stack([c.table for c in spec.components])  # (3^s, 3^m)
     table = (comp[:, None, :] + _gram(spec.s)[:, :, None]) % 3
@@ -211,8 +209,10 @@ def parse_poly(text: str, n: int) -> PolyExpr:
     """Parse 'c*xi^e*xj + ...' into a PolyExpr on n variables.
 
     Whitespace-insensitive.  Juxtaposed factors multiply, as in '2x1' or
-    'x1x2'; a '*' must stand between two factors.
+    'x1x2'; a '*' must stand between two factors.  n passes the size gate
+    before the text is read, so a bad n is named as such whatever the text.
     """
+    check_dim(n)
     tokens: list[tuple[str, str, int]] = []
     pos = 0
     for match in _TOKEN.finditer(text):
@@ -284,11 +284,10 @@ def parse_poly(text: str, n: int) -> PolyExpr:
     return PolyExpr(n, tuple(terms))
 
 
-def eval_poly(expr: PolyExpr, cap: int | None = None) -> TernaryFunction:
+def eval_poly(expr: PolyExpr) -> TernaryFunction:
     """Tabulate the expression; exponents act on F_3 values pointwise."""
     n = expr.n
-    check_dim(n, cap)
-    check_memory(n)
+    check_dim(n)
     total = np.zeros(size(n), dtype=np.int8)
     for coeff, powers in expr.terms:
         term = np.full(size(n), coeff % 3, dtype=np.int8)
@@ -354,11 +353,10 @@ def _spec_int(value, name: str, non_negative: bool = False) -> int:
     return value
 
 
-def _glue_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
+def _glue_from_spec(spec: dict) -> TernaryFunction:
     m = _spec_int(spec["m"], "m", non_negative=True)
     s = _spec_int(spec["s"], "s", non_negative=True)
-    check_dim(m + 2 * s, cap)
-    check_memory(m + 2 * s)
+    check_dim(m + 2 * s)
     comps = []
     for z, entry in enumerate(spec["components"]):
         if "table" in entry:
@@ -372,10 +370,9 @@ def _glue_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
     return gmmf_build(GmmfSpec(m, s, tuple(comps)))
 
 
-def _trace_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
+def _trace_from_spec(spec: dict) -> TernaryFunction:
     k = _spec_int(spec["k"], "k", non_negative=True)
-    check_dim(k, cap)
-    check_memory(k)
+    check_dim(k)
     modulus = [_spec_int(c, f"modulus[{i}]") for i, c in enumerate(spec["modulus"])]
     gen = spec["generator"]
     if isinstance(gen, list):
@@ -390,7 +387,7 @@ def _trace_from_spec(spec: dict, cap: int | None) -> TernaryFunction:
     return trace_function(TraceSpec(ExtField.create(k, modulus, gen), terms))
 
 
-def function_from_spec(spec: dict, cap: int | None = None) -> TernaryFunction:
+def function_from_spec(spec: dict) -> TernaryFunction:
     """Tabulate a JSON-shaped glue or trace spec, the format of the CLI's
     --spec-file and of the bundled fixtures.
 
@@ -403,15 +400,15 @@ def function_from_spec(spec: dict, cap: int | None = None) -> TernaryFunction:
     diagonal quadratic, c optional) or {"table": [...]} on F_3^m.
 
     Every integer must be a JSON integer, and m, s and k non-negative.
-    The dimension is checked against the cap and the memory guard before
-    anything is tabulated; a refusal raises their DimensionCapError
-    unchanged.  Any other fault raises ValueError in one line:
-    "bad glue spec: ..." or "bad trace spec: ...", except a table entry
-    outside {0, 1, 2}, which says only that.
+    The dimension passes the size gate, check_dim, before anything is
+    tabulated; a refusal raises its DimensionCapError unchanged.  Any
+    other fault raises ValueError in one line: "bad glue spec: ..." or
+    "bad trace spec: ...", except a table entry outside {0, 1, 2}, which
+    says only that.
     """
     kind = "trace" if isinstance(spec, dict) and "k" in spec else "glue"
     try:
-        return (_trace_from_spec if kind == "trace" else _glue_from_spec)(spec, cap)
+        return (_trace_from_spec if kind == "trace" else _glue_from_spec)(spec)
     except (_BadEntries, DimensionCapError):
         raise
     except (KeyError, TypeError, ValueError) as exc:

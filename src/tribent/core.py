@@ -15,29 +15,24 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Desk-scale guard: 3^12 = 531441 points.  Every entry point that tabulates
-# a function from outside input checks against this cap before allocating;
-# pass a larger explicit cap to override.
-DIM_CAP = 12
-
-
 # The radix-3 transform accumulates in int32 and every partial sum is at
-# most 2 * 3^n in absolute value, which stays below 2^31 up to n = 18; no
-# cap admits a larger dimension.
+# most 2 * 3^n in absolute value, which stays below 2^31 up to n = 18;
+# check_dim refuses every larger dimension.
 EXACT_DIM = 18
 
 
-# Peak bytes per point of one verdict past the cap, with a margin: the
-# growth of VmPeak and of ru_maxrss over a fresh interpreter with the
-# package imported, over 3^n, read 21.0-22.5 at n = 13..15 and 18.5 at
-# n = 16 for run_search(n - 2, 1, 1, 0, cap=n), and 18.8-22.5 at n = 13,
-# 14 for a table file read by the CLI (on one line or 81 values a line)
-# or a from_callable table, each followed by run_pipeline.
-PEAK_BYTES_PER_POINT = 24
+# Peak bytes per point of one run, with a margin: the growth of ru_maxrss
+# over a fresh interpreter with the package imported, over 3^n, at
+# n = 13..16.  A passing verdict read 13.7-18.0 on every input surface
+# (run_search(n - 2, 1, 1, 0), and the CLI's table file, glue spec and
+# --poly on its instance); a function that is not bent, 24.0-27.1, since
+# bent_profile then takes the exact int32 spectrum; a --defining-set
+# code over all of F_3^n (r = n, where a verdict has r < n), 34.0-39.2.
+PEAK_BYTES_PER_POINT = 42
 
 
 class DimensionCapError(ValueError):
-    """Raised when an operation would enumerate more than 3^cap points, or
+    """Raised when a dimension is past EXACT_DIM, or its run would take
     more than the process's memory holds."""
 
 
@@ -66,35 +61,26 @@ def memory_limit() -> int | None:
     return min(limits, default=None)
 
 
-def check_dim(n: int, cap: int | None = None) -> None:
-    limit = DIM_CAP if cap is None else cap
+def check_dim(n: int) -> None:
+    """The one size gate: every input surface calls it before it
+    tabulates anything.  It refuses a negative n (ValueError), an n past
+    EXACT_DIM, and an n whose run would need more than the process may
+    still take, 3^n * PEAK_BYTES_PER_POINT against memory_limit()
+    (DimensionCapError), each in one line."""
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
-    if n > limit:
-        raise DimensionCapError(
-            f"n={n} exceeds the dimension cap {limit} (3^{n} points); "
-            "raise the cap explicitly to proceed"
-        )
     if n > EXACT_DIM:
         raise DimensionCapError(
             f"n={n} exceeds {EXACT_DIM}, the largest dimension whose transform "
             "is exact in int32 (2 * 3^n < 2^31)"
         )
-
-
-def check_memory(n: int) -> None:
-    """Refuse n above DIM_CAP when 3^n * PEAK_BYTES_PER_POINT exceeds
-    memory_limit().  Every input surface calls it after check_dim and
-    before it tabulates anything, so a run past the cap that cannot fit
-    stops with one line instead of running out of memory part way."""
-    if n > DIM_CAP:
-        need, memory = size(n) * PEAK_BYTES_PER_POINT, memory_limit()
-        if memory is not None and need > memory:
-            raise DimensionCapError(
-                f"n={n} needs about {need >> 20} MB at its peak "
-                f"({PEAK_BYTES_PER_POINT} bytes for each of 3^{n} points), "
-                f"more than the {memory >> 20} MB this process may still take"
-            )
+    need, memory = size(n) * PEAK_BYTES_PER_POINT, memory_limit()
+    if memory is not None and need > memory:
+        raise DimensionCapError(
+            f"n={n} needs about {need >> 20} MB at its peak "
+            f"({PEAK_BYTES_PER_POINT} bytes for each of 3^{n} points), "
+            f"more than the {memory >> 20} MB this process may still take"
+        )
 
 
 def size(n: int) -> int:
@@ -133,8 +119,8 @@ def coord_matrix(n: int) -> np.ndarray:
     Row x holds decode(x, n); cached since the subspace layer enumerates
     coefficient vectors from it at small dimension.  Built one top digit at
     a time: the rows with top digit d are the previous table with d
-    appended.  The dimension cap is enforced at the input surfaces, not
-    here.
+    appended.  The size gate, check_dim, is called at the input
+    surfaces, not here.
     """
     m = np.zeros((1, 0), dtype=np.int8)
     for i in range(n):

@@ -66,8 +66,7 @@ class PipelineReport:
 
     @property
     def passed(self) -> bool:
-        return (self.failed_stage is None and self.code is not None
-                and (self.code.prediction is None or self.code.match))
+        return self.failed_stage is None
 
     def to_dict(self) -> dict:
         return {
@@ -157,6 +156,7 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     bad = WeightClassifier(ctx).check_all(code)
     detail = (f"message {bad} off prediction" if bad is not None else
               f"code dimension {code.dimension} != r = {ctx.r}" if code.dimension != ctx.r else
+              "distribution off the closed form" if not rep.code.match else
               "" if cosets_ok else "coset structure failed")
     rep.stages.append(Stage("per-codeword-weights", not detail, detail))
     return rep

@@ -22,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import Subspace, check_dim, check_memory, neg_table, size, span
+from .core import Subspace, check_dim, neg_table, size, span
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -127,16 +127,14 @@ class SearchSummary:
 
 def run_search(m: int, s: int, count: int, seed: int,
                side: BentType = BentType.PLUS,
-               u_dim: int = 0,
-               cap: int | None = None) -> SearchSummary:
+               u_dim: int = 0) -> SearchSummary:
     """Generate count instances and pipeline each; deterministic in seed."""
     if m < 1 or s < 1:
         raise ValueError("m and s must be at least 1")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     n = m + 2 * s
-    check_dim(n, cap)
-    check_memory(n)
+    check_dim(n)
     if not 0 <= u_dim <= s:
         raise ValueError(f"u_dim must lie in [0, {s}]")
     rng = random.Random(seed)

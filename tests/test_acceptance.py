@@ -225,8 +225,8 @@ def test_acceptance_sweep_at_the_ceiling(case, m, s, u_dim, side, seed):
     assert report.stage("per-codeword-weights").ok
 
 
-# (case, m, s, dim U, side) past the dimension cap: one seeded instance per
-# parity and side, at n = 13 and 14, with the cap raised to n
+# (case, m, s, dim U, side) past n = 12: one seeded instance per parity
+# and side, at n = 13 and 14, admitted by the size gate with no flag
 PAST_CAP_PLANS = [
     ("odd-plus", 11, 1, 0, BentType.PLUS), ("odd-minus", 11, 1, 0, BentType.MINUS),
     ("even-plus", 12, 1, 0, BentType.PLUS), ("even-minus", 12, 1, 0, BentType.MINUS),
@@ -237,7 +237,7 @@ PAST_CAP_PLANS = [
 @pytest.mark.parametrize("case, m, s, u_dim, side", PAST_CAP_PLANS,
                          ids=[f"{c}-n{m + 2 * s}" for c, m, s, _, _ in PAST_CAP_PLANS])
 def test_acceptance_past_the_cap(case, m, s, u_dim, side):
-    report = run_search(m, s, 1, seed=1, side=side, u_dim=u_dim, cap=m + 2 * s).outcomes[0].report
+    report = run_search(m, s, 1, seed=1, side=side, u_dim=u_dim).outcomes[0].report
     assert report.case == case
     assert report.r == m + s + u_dim
     assert report.passed and report.code.match

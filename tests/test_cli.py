@@ -338,19 +338,14 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
-def test_max_n_cap(tmp_path, capsys):
-    f = tmp_path / "big.txt"
-    f.write_text("1\n0 1 1\n")
-    code, _, _ = run_cli(capsys, "verify", "--table-file", str(f), "--max-n", "1")
-    assert code == 1  # runs fine under the raised/explicit cap
-
-
 @pytest.mark.parametrize("argv", [
     ["examples", "--max-n", "2"],
     ["predict", "--case", "even-plus", "--n", "30", "--r", "20", "--max-n", "2"],
+    ["verify", "--poly", "x1^2", "--n", "1", "--max-n", "1"],
+    ["search", "--m", "1", "--s", "1", "--count", "1", "--max-n", "3"],
 ])
-def test_max_n_only_where_it_acts(argv):
-    # examples and predict build no function, so a cap there would be ignored
+def test_every_command_refuses_max_n(argv):
+    # check_dim is the one size gate; no flag raises or lowers it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -406,8 +401,9 @@ def test_json_spec_faults_exit_2_naming_the_field(tmp_path, capsys, flag, spec, 
 
 
 def test_verify_poly_above_default_cap(capsys):
+    # n = 13 runs with no flag: the size gate admits what memory holds
     code, out, _ = run_cli(capsys, "verify", "--poly", "x1^2", "--n", "13",
-                           "--max-n", "13", "--format", "json")
+                           "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["stages"][0]["name"] == "bent"
@@ -418,23 +414,17 @@ def test_verify_gmmf_file_above_default_cap(tmp_path, capsys):
     spec = {"m": 1, "s": 6, "components": [{"table": [0, 0, 0]}] * 729}
     f = tmp_path / "glue13.json"
     f.write_text(json.dumps(spec))
-    code, out, _ = run_cli(capsys, "verify", "--gmmf-file", str(f),
-                           "--max-n", "13", "--format", "json")
+    code, out, _ = run_cli(capsys, "verify", "--gmmf-file", str(f), "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["stages"][0]["name"] == "bent"
     assert not doc["stages"][0]["ok"]
-    code, _, err = run_cli(capsys, "verify", "--gmmf-file", str(f))
-    assert code == 2
-    assert err.strip() == (f"error: {f}: n=13 exceeds the dimension "
-                           "cap 12 (3^13 points); raise the cap explicitly to proceed")
 
 
 def test_verify_refuses_an_inexact_transform_up_front(capsys):
-    # 2 * 3^19 >= 2^31: refused before any table is built, whatever the cap
+    # 2 * 3^19 >= 2^31: refused before any table is built
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--poly", "x1^2", "--n", "19",
-                             "--max-n", "19")
+    code, out, err = run_cli(capsys, "verify", "--poly", "x1^2", "--n", "19")
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out == ""
@@ -445,10 +435,10 @@ def test_verify_refuses_an_inexact_transform_up_front(capsys):
 
 def test_table_file_over_the_cap_is_refused_before_its_body_is_read(tmp_path, capsys):
     f = tmp_path / "big.txt"
-    f.write_text("# header first\n13 0 1\n2 x 1\n")
+    f.write_text("# header first\n19 0 1\n2 x 1\n")
     code, _, err = run_cli(capsys, "verify", "--table-file", str(f))
     assert code == 2
-    assert f"{f}: n=13 exceeds the dimension cap 12" in err
+    assert f"{f}: n=19 exceeds 18" in err
     assert "invalid literal" not in err
     assert err.count("\n") == 1
 
@@ -499,7 +489,7 @@ def test_input_surfaces_tabulate_within_12_bytes_per_point(tmp_path, surface):
     if surface == "from_callable":
         read = lambda: TernaryFunction.from_callable(n, lambda c: trits[encode(c)])
     else:
-        read = lambda: load_table_file(str(path), None)
+        read = lambda: load_table_file(str(path))
     tracemalloc.start()
     try:
         f = read()
@@ -524,9 +514,9 @@ def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProce
 @pytest.mark.parametrize("n", [16, 17])
 def test_memory_guard_refuses_past_the_cap_in_one_line(n):
     # under a 1 GB address space, of which the interpreter already maps
-    # about 140 MB, n = 16 (about 1 GB at the peak) and n = 17 are refused
-    # before anything is tabulated
-    search = ["search", "--m", str(n - 2), "--s", "1", "--count", "1", "--max-n", str(n)]
+    # about 140 MB, n = 16 and n = 17 (the guard asks 1.7 and 5.2 GB) are
+    # refused before anything is tabulated
+    search = ["search", "--m", str(n - 2), "--s", "1", "--count", "1"]
     proc = _run_with_address_space(10 ** 9, "-m", "tribent.cli", *search)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -543,7 +533,7 @@ def test_memory_guard_admits_a_run_that_then_fits():
     proc = _run_with_address_space(10 ** 10, "-c", probe)
     assert proc.returncode == 0, proc.stderr
     limit = int(proc.stdout) + size(14) * PEAK_BYTES_PER_POINT + (32 << 20)
-    search = ["search", "--m", "12", "--s", "1", "--count", "1", "--max-n", "14"]
+    search = ["search", "--m", "12", "--s", "1", "--count", "1"]
     proc = _run_with_address_space(limit, "-m", "tribent.cli", *search)
     assert proc.returncode == 0, proc.stderr
     probe = "from tribent.core import memory_limit; print(memory_limit())"

@@ -292,11 +292,13 @@ def test_spec_refused_by_the_cap_or_the_memory_guard_raises_dimension_cap_error(
         spec, monkeypatch):
     # not the "bad ... spec" ValueError of a malformed body: a caller that
     # catches DimensionCapError from eval_poly or run_search catches it here
-    with pytest.raises(DimensionCapError, match="exceeds the dimension cap 12") as exc:
-        function_from_spec(spec)
+    key = "k" if "k" in spec else "s"
+    past = {**spec, key: spec[key] + (6 if key == "k" else 3)}  # n = 19
+    with pytest.raises(DimensionCapError, match="n=19 exceeds 18") as exc:
+        function_from_spec(past)
     assert "spec" not in str(exc.value)
     monkeypatch.setattr(core, "memory_limit", lambda: 1 << 20)
     with pytest.raises(DimensionCapError, match="needs about") as exc:
-        function_from_spec(spec, cap=13)
+        function_from_spec(spec)
     assert "spec" not in str(exc.value)
 

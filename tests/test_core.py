@@ -76,18 +76,31 @@ def test_legendre_multiplicative():
             assert legendre(a) * legendre(b) == legendre(a * b)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    # with memory to spare, the one gate admits every n up to EXACT_DIM
+    monkeypatch.setattr(core, "memory_limit", lambda: None)
+    for n in range(EXACT_DIM + 1):
+        check_dim(n)
     with pytest.raises(DimensionCapError):
-        check_dim(13)
-    check_dim(13, cap=14)  # explicit override
+        check_dim(EXACT_DIM + 1)
 
 
-def test_no_cap_admits_an_inexact_transform():
-    # the int32 transform is exact while 2 * 3^n < 2^31
+def test_no_cap_admits_an_inexact_transform(monkeypatch):
+    # the int32 transform is exact while 2 * 3^n < 2^31; past that the
+    # gate refuses first, whatever memory there is
     assert 2 * 3 ** EXACT_DIM < 2 ** 31 <= 2 * 3 ** (EXACT_DIM + 1)
-    check_dim(EXACT_DIM, cap=EXACT_DIM)
-    with pytest.raises(DimensionCapError, match="exact in int32"):
-        check_dim(EXACT_DIM + 1, cap=EXACT_DIM + 5)
+    monkeypatch.setattr(core, "memory_limit", lambda: 0)
+    for n in (EXACT_DIM + 1, EXACT_DIM + 5):
+        with pytest.raises(DimensionCapError, match="exact in int32"):
+            check_dim(n)
+
+
+def test_memory_guard_acts_below_twelve(monkeypatch):
+    # 3^11 * PEAK_BYTES_PER_POINT is about 4 MB: refused under 1 MiB
+    monkeypatch.setattr(core, "memory_limit", lambda: 1 << 20)
+    check_dim(7)
+    with pytest.raises(DimensionCapError, match="needs about"):
+        check_dim(11)
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from tribent import analysis, pipeline
+from tribent import analysis, codes, pipeline
 from tribent.analysis import TernaryFunction
-from tribent.codes import _CASE_RULES, DefiningSet, _case_weights, build_code
+from tribent.codes import _CASE_RULES, CodeCase, DefiningSet, _case_weights, build_code
 from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.core import dots_with
 from tribent.fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
@@ -62,6 +62,18 @@ def test_failed_stage_and_eligibility(flagship, built_fixtures, off_by_one_class
     # a failed check after the hypotheses leaves the instance eligible
     rep = run_pipeline(flagship)
     assert (rep.failed_stage, rep.eligible, rep.passed) == ("per-codeword-weights", True, False)
+
+
+def test_distribution_off_its_closed_form_names_its_stage(flagship, monkeypatch):
+    # a wrong count row that keeps the total 3^r: every codeword's weight
+    # still agrees, only the aggregate distribution is off
+    rule = _CASE_RULES[CodeCase.EVEN_PLUS]
+    monkeypatch.setitem(codes._CASE_RULES, CodeCase.EVEN_PLUS,
+                        rule._replace(counts=((0, 1, 1), (0, 2, -1), (1, -3, 0))))
+    rep = run_pipeline(flagship)
+    assert not rep.code.match
+    assert (rep.failed_stage, rep.eligible, rep.passed) == ("per-codeword-weights", True, False)
+    assert rep.stage("per-codeword-weights").detail == "distribution off the closed form"
 
 
 def test_forced_set_without_failures_is_ignored_in_favor_of_selection(flagship):

@@ -102,9 +102,8 @@ def test_search_deterministic_under_seed():
     pytest.param("odd-minus", 9, 1, BentType.MINUS, id="odd-minus"),
 ])
 def test_search_at_the_dimension_cap(case, m, s, side):
-    # every case at the largest n of its parity the default cap accepts
-    # (n = 12 even, n = 11 odd): the whole pipeline, per-codeword check
-    # included
+    # every case at n = 12 (even) and n = 11 (odd): the whole pipeline,
+    # per-codeword check included
     summary = run_search(m, s, 1, seed=0, side=side)
     report = summary.outcomes[0].report
     assert report.case == case
@@ -121,8 +120,8 @@ def test_search_validates_parameters():
     with pytest.raises(ValueError, match="count"):
         run_search(2, 1, -1, seed=0)
     from tribent.core import DimensionCapError
-    with pytest.raises(DimensionCapError):
-        run_search(10, 2, 1, seed=0)
+    with pytest.raises(DimensionCapError, match="exact in int32"):
+        run_search(15, 2, 1, seed=0)  # n = 19
 
 
 def test_coverage_matrix_every_side_n_r_has_a_passing_instance():

@@ -1,8 +1,8 @@
 """Per-stage wall time and peak RSS of one verdict at each n, each in a fresh
 process, written as one column of a BENCH_<date>.json file.
 
-For each n in DIMS, 6..14, a child interpreter builds the seeded glue
-instance that `run_search(n - 2, 1, 1, 0, cap=n)` draws (plus side, m = n - 2,
+For each n in DIMS, 6..16, a child interpreter builds the seeded glue
+instance that `run_search(n - 2, 1, 1, 0)` draws (plus side, m = n - 2,
 s = 1, seed 0) and runs one run_pipeline on it.  The stage functions that
 tribent.pipeline calls are wrapped, as perfbench/tracing.py wraps them, and
 timed with perf_counter: establish (both transforms, the span and the
@@ -30,7 +30,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DIMS = range(6, 15)
+DIMS = range(6, 17)
 
 CHILD = r"""
 import json, random, resource, sys, time

@@ -514,6 +514,26 @@ def _residue_dtype(n: int) -> type:
     return np.int8 if n <= 8 else np.int16
 
 
+# Points per int64 block of _not_bent_witness's squared norms.
+_NORM_BLOCK = 1 << 16
+
+
+def _not_bent_witness(spectrum: WalshSpectrum) -> NotBentError:
+    """The NotBentError of the first point whose exact squared norm is not
+    3^n.  The norms are taken in int64 one block of _NORM_BLOCK points at
+    a time (WalshSpectrum.squared_norms on a slice), so nothing 3^n wide
+    is built beside the spectrum."""
+    expected = size(spectrum.n)
+    for start in range(0, expected, _NORM_BLOCK):
+        block = slice(start, start + _NORM_BLOCK)
+        part = WalshSpectrum(spectrum.n, spectrum.coeff_1[block], spectrum.coeff_w[block])
+        off = np.flatnonzero(part.squared_norms() != expected)
+        if off.size:
+            witness = start + int(off[0])
+            return NotBentError(witness, spectrum.value(witness).squared_norm(), expected)
+    raise AssertionError("the residue lookup missed a point of a bent spectrum")
+
+
 def bent_profile(f: TernaryFunction) -> BentProfile:
     """Dual, sign map, plus/minus partition, type and regularity of f.
 
@@ -533,23 +553,17 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     sign and dual the residues give.  Conversely a bent f hits at every
     point, so a miss proves f is not bent.  The first miss need not be
     the first non-bent point (an earlier one may alias to a unit key), so
-    on a miss only the exact int32 spectrum (walsh_spectrum) is computed
-    and its first lookup miss is the NotBentError witness, its norm
-    computed exactly at that one point.
+    on a miss the residues are dropped, only the exact int32 spectrum
+    (walsh_spectrum) is computed, and _not_bent_witness reads the
+    NotBentError off it.
     """
     n = f.n
     width = _residue_dtype(n)
     assert 4 ** (np.iinfo(width).bits - 1) > 3 ** n, "residues too narrow to certify bentness"
     sign, dual = _unit_lookup(*_transform(f, width), n)
     if not sign.all():
-        spectrum = walsh_spectrum(f)
-        exact_sign = _unit_lookup(spectrum.coeff_1.copy(), spectrum.coeff_w.copy(), n)[0]
-        miss = np.flatnonzero(exact_sign == 0)
-        assert miss.size, "the residue lookup missed a point of a bent spectrum"
-        witness = int(miss[0])
-        norm_sq = spectrum.value(witness).squared_norm()
-        assert norm_sq != size(n), "the unit lookup missed a value of bent magnitude"
-        raise NotBentError(witness, norm_sq, size(n))
+        del sign, dual  # room for the exact spectrum
+        raise _not_bent_witness(walsh_spectrum(f))
 
     has_plus = bool((sign == 1).any())
     has_minus = bool((sign == -1).any())

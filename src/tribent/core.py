@@ -8,6 +8,7 @@ root of unity w (w^2 = -1 - w); no floating point is used anywhere.
 
 from __future__ import annotations
 
+import ctypes
 import resource
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,10 +26,45 @@ EXACT_DIM = 18
 # over a fresh interpreter with the package imported, over 3^n, at
 # n = 13..16.  A passing verdict read 13.7-18.0 on every input surface
 # (run_search(n - 2, 1, 1, 0), and the CLI's table file, glue spec and
-# --poly on its instance); a function that is not bent, 24.0-27.1, since
+# --poly on its instance); a function that is not bent, 17.0-22.7, since
 # bent_profile then takes the exact int32 spectrum; a --defining-set
 # code over all of F_3^n (r = n, where a verdict has r < n), 34.0-39.2.
 PEAK_BYTES_PER_POINT = 42
+
+
+# The C library's memory policy for the process, set once at import:
+# glibc's mallopt parameters M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD
+# (-3), both 32 MB.  By default glibc raises its mmap threshold to the
+# largest block freed so far and trims the free top of the heap past
+# twice that (about 0.7 MB once a 354 KB n = 11 array is freed), so each
+# verdict handed its freed arrays back to the kernel and the next one
+# faulted them in again: about 460 minor faults per structure-large
+# verdict, at about 3.3 us per first touch of a page against 0.04 us for
+# a warm one (2-vCPU VM).
+# Setting either threshold turns glibc's dynamic thresholds off; 32 MB is
+# the largest mmap threshold glibc accepts on 64-bit.  Arrays under 32 MB
+# then come from the heap, at most 32 MB of freed heap stays mapped
+# between verdicts, and larger arrays (an int8 table from n = 16 up,
+# 43 MB) still go to mmap and back to the kernel when freed.
+_KEPT_HEAP_BYTES = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Set both thresholds where the C library has mallopt; where it has
+    none (not Linux) or refuses the value (musl's returns 0), nothing
+    changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        mallopt(param, _KEPT_HEAP_BYTES)
+
+
+_keep_freed_heap()
 
 
 class DimensionCapError(ValueError):
@@ -42,7 +78,10 @@ def memory_limit() -> int | None:
     field of /proc/self/statm, in pages; an interpreter with numpy
     imported maps about 140 MB) and the MemAvailable line of
     /proc/meminfo, each file read where it exists; None when neither
-    bounds it.  Where statm is absent the whole soft limit counts."""
+    bounds it.  Where statm is absent the whole soft limit counts.  The
+    virtual size includes the freed heap the allocator keeps mapped
+    after earlier runs, up to 32 MB (_keep_freed_heap), which a later
+    run reuses."""
     limits = []
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:

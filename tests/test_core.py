@@ -1,3 +1,9 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -101,6 +107,71 @@ def test_memory_guard_acts_below_twelve(monkeypatch):
     check_dim(7)
     with pytest.raises(DimensionCapError, match="needs about"):
         check_dim(11)
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """python -c code in a fresh interpreter with this checkout's src first
+    on its path."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _mallopt_takes_the_thresholds() -> bool:
+    """Whether this C library has a mallopt that accepts the kept-heap
+    setting (setting it again changes nothing: the import already did)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return mallopt(core._M_MMAP_THRESHOLD, core._KEPT_HEAP_BYTES) == 1
+
+
+WARM_VERDICT_FAULTS = """
+import random, resource
+from tribent.analysis import BentType
+from tribent.constructions import gmmf_build
+from tribent.pipeline import run_pipeline
+from tribent.search import random_instance, random_subspace
+
+rng = random.Random(0)
+u = random_subspace(rng, 1, 0)
+f = gmmf_build(random_instance(rng, 9, 1, BentType.PLUS, u, rng.randrange(3)))
+for _ in range(3):
+    assert run_pipeline(f).passed
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    assert run_pipeline(f).passed
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _mallopt_takes_the_thresholds(), reason="no glibc mallopt")
+def test_a_warm_verdict_faults_no_pages_in():
+    # the freed heap stays mapped between verdicts, so a warm n = 11
+    # verdict reuses its pages; with glibc's default trimming each one
+    # took hundreds of minor faults
+    proc = _run_child(WARM_VERDICT_FAULTS)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10 * 10
+
+
+@pytest.mark.parametrize("libc", [
+    "class Libc: pass",  # no mallopt: not glibc
+    "class Libc:\n    mallopt = staticmethod(lambda param, value: 0)",  # refused: musl
+])
+def test_the_package_runs_where_mallopt_is_unavailable(libc):
+    proc = _run_child(f"""
+import ctypes
+import numpy
+{libc}
+ctypes.CDLL = lambda *args, **kwargs: Libc()
+from tribent.fixtures import get_fixture
+from tribent.pipeline import run_pipeline
+assert run_pipeline(get_fixture("code98-a").build()).passed
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", range(9))

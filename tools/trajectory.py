@@ -8,8 +8,13 @@ tribent.pipeline calls are wrapped, as perfbench/tracing.py wraps them, and
 timed with perf_counter: establish (both transforms, the span and the
 hypotheses), select (defining_set_for), cosets (coset_tiling), code
 (build_code) and classifier (WeightClassifier.check_all); build times
-gmmf_build.  A row records the report's verdict, passed and failed_stage,
-and ru_maxrss.  First calls pay their cache fills, as a one-off CLI run does.
+gmmf_build.  Beside each time, <stage>_faults counts the minor page faults
+(ru_minflt) the stage took.  First calls pay their cache fills and their
+first touch of every page, as a one-off CLI run does; the same instance is
+then verified a second time, and warm_s and warm_faults record that warm
+verdict, as a process that verifies many instances sees each one.  A row
+records the report's verdict, passed (of both runs) and failed_stage, and
+ru_maxrss.
 
     python3 tools/trajectory.py --column change --out BENCH_2026-10-19.json
     python3 tools/trajectory.py --column parent --src ../parent/src \\
@@ -46,13 +51,17 @@ rng = random.Random(0)  # the draws of run_search(n - 2, 1, 1, 0)
 u = random_subspace(rng, 1, 0)
 j0 = rng.randrange(3)
 spec = random_instance(rng, n - 2, 1, BentType.PLUS, u, j0)
-times = {}
+times, faults = {}, {}
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 def timed(name, fn):
     def run(*args, **kwargs):
-        start = time.perf_counter()
+        start, first = time.perf_counter(), minflt()
         out = fn(*args, **kwargs)
         times[name] = time.perf_counter() - start
+        faults[name] = minflt() - first
         return out
     return run
 
@@ -63,8 +72,14 @@ codes.WeightClassifier.check_all = timed("classifier", codes.WeightClassifier.ch
 
 f = timed("build", gmmf_build)(spec)
 rep = pipeline.run_pipeline(f)
-row = {"n": n, "passed": rep.passed, "failed_stage": rep.failed_stage}
-row.update({f"{k}_s": round(v, 5) for k, v in times.items()})
+stages = {k: (round(v, 5), faults[k]) for k, v in times.items()}
+start, first = time.perf_counter(), minflt()
+warm = pipeline.run_pipeline(f)
+warm_s, warm_faults = round(time.perf_counter() - start, 5), minflt() - first
+row = {"n": n, "passed": rep.passed and warm.passed, "failed_stage": rep.failed_stage}
+for k, (s, c) in stages.items():
+    row.update({f"{k}_s": s, f"{k}_faults": c})
+row.update(warm_s=warm_s, warm_faults=warm_faults)
 row["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 row["numpy"] = np.__version__
 print(json.dumps(row))

@@ -25,18 +25,19 @@ import numpy as np
 
 from .analysis import BentType, TernaryFunction
 from .codes import CodeCase, predict_distribution
-from .constructions import PolyParseError, eval_poly, function_from_spec, parse_poly
-from .core import DimensionCapError, check_dim, size
+from .constructions import eval_poly, function_from_spec, parse_poly
+from .core import check_dim, size
 from .fixtures import FIXTURES, get_fixture, run_fixture
-from .pipeline import PipelineReport, run_pipeline
+from .pipeline import DEFINING_SET_LABELS, PipelineReport, run_pipeline
 from .search import run_search
 
 USAGE_ERROR = 2
 MISMATCH = 1
 
 
-class InputError(Exception):
-    """Anything wrong with user-supplied files, text, or parameters."""
+class InputError(ValueError):
+    """Anything wrong with user-supplied files, text, or parameters; a
+    ValueError, as is every error main reports with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def render_report(rep: PipelineReport, fmt: str, name: str | None = None) -> str
         detail = f"  ({st.detail})" if st.detail else ""
         lines.append(f"  [{mark}] {st.name}{detail}")
     summary = (f"  type={rep.type} regularity={rep.regularity} j0={rep.j0} "
-               f"r={rep.r} case={rep.case} set={rep.defining_label}")
+               f"r={rep.r} case={rep.case} set={rep.defining_set}")
     lines.append(summary)
     if rep.code:
         c = rep.code
@@ -247,10 +248,7 @@ def cmd_search(args) -> int:
 
 def cmd_predict(args) -> int:
     case = CodeCase(args.case)
-    try:
-        pred = predict_distribution(case, args.n, args.r)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    pred = predict_distribution(case, args.n, args.r)
     pairs = sorted(pred.distribution.items())
     if args.format == "json":
         doc = {
@@ -308,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--table-file", help="text file: n, then 3^n trits")
     p_ver.add_argument("--spec-file", "--gmmf-file", "--trace-file",
                        help="JSON glue or trace spec, told apart by its 'k' key")
-    p_ver.add_argument("--defining-set",
-                       choices=[f"{s}{i}" for s in "CD" for i in range(3)],
+    p_ver.add_argument("--defining-set", choices=DEFINING_SET_LABELS,
                        help="build this pre-image set's code even if "
-                            "hypotheses fail")
+                            "hypotheses fail; when they all hold, the "
+                            "selected set is built and a note names both")
     add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -341,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PolyParseError, DimensionCapError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -32,9 +32,7 @@ from .analysis import (
 from .core import (
     EXACT_DIM,
     Subspace,
-    coord_rows,
     digit_sum_table,
-    half_syndromes,
     negation,
     size,
 )
@@ -109,10 +107,8 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     u_c = sum_i c_i e_{P_i} has u_c . x = c . x[P] for x in v: the u_c
     are one message per coset of v-perp, whose members all give the
     codeword of u_c on S.  v is reduced once by its caller (run_pipeline
-    passes the type side's span V); S inside v is asserted with one
-    syndrome compare per point (core.half_syndromes of v.perp).  The
-    coordinate index of x[P] is read off one digit-additive table per
-    index half (one divmod by 3^k, k = n // 2, as in span).  One radix-3
+    passes the type side's span V); v.coordinates asserts S inside v and
+    gives the index of each x[P] in F_3^r.  One radix-3
     transform of the coordinate indicator gives a + b*w at every c, the
     conjugate of chi_c = sum over S of w^(c . x[P]); 2a - b is the sum of
     chi_c over the two nontrivial field automorphisms, which conjugation
@@ -128,25 +124,15 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     |3q - num| <= 5 * 3^r < 2^32, so 3q = num.  The test is stronger than
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
-    n = s.n
-    pivots = (coord_rows(v.basis, n) != 0).argmax(axis=1).tolist()
-    r = len(pivots)
-    k = n // 2
-    high, low = np.divmod(s.points, 3 ** k)
-    high_syndrome, minus_low_syndrome = half_syndromes(v.perp, n)
-    assert (high_syndrome[high] == minus_low_syndrome[low]).all(), \
-        "the defining set must lie in v"
-    place = [(0, 0, 0)] * n
-    for i, p in enumerate(pivots):
-        place[p] = (0, 3 ** i, 2 * 3 ** i)
+    r = v.dim
     indicator = np.zeros(size(r), dtype=np.int8)
-    indicator[digit_sum_table(place[k:])[high] + digit_sum_table(place[:k])[low]] = 1
+    indicator[v.coordinates(s.points)] = 1
     a, b = _radix3(indicator, np.zeros_like(indicator), r)
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"
     num = 2 * len(s) - (2 * a - b)
     q = num.view(np.uint32) * np.uint32(pow(3, -1, 2 ** 32))
     assert (q <= len(s)).all(), "character-sum weight must be an integer in [0, |S|]"
-    return tuple(pivots), q.view(np.int32)
+    return v.pivots, q.view(np.int32)
 
 
 def build_code(s: DefiningSet, v: Subspace) -> LinearCode:
@@ -497,21 +483,6 @@ class CodeReport:
     prediction: dict | None
     match: bool
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "case": self.case,
-            "length": self.length,
-            "dimension": self.dimension,
-            "min_distance": self.min_distance,
-            "distribution": [list(p) for p in self.distribution],
-            "enumerator": self.enumerator,
-            "prediction": self.prediction,
-            "match": self.match,
-            "notes": self.notes,
-        }
 
 
 def code_report(code: LinearCode, prediction: WeightPrediction | None,

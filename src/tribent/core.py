@@ -11,7 +11,7 @@ from __future__ import annotations
 import ctypes
 import resource
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,12 +24,15 @@ EXACT_DIM = 18
 
 # Peak bytes per point of one run, with a margin: the growth of ru_maxrss
 # over a fresh interpreter with the package imported, over 3^n, at
-# n = 13..16.  A passing verdict read 13.7-18.0 on every input surface
+# n = 13..16 (the growth of VmPeak, which RLIMIT_AS bounds, read no
+# higher).  A passing verdict read 12.0-17.7 on every input surface
 # (run_search(n - 2, 1, 1, 0), and the CLI's table file, glue spec and
-# --poly on its instance); a function that is not bent, 17.0-22.7, since
+# --poly on its instance); a function that is not bent, 17.0-22.5, since
 # bent_profile then takes the exact int32 spectrum; a --defining-set
-# code over all of F_3^n (r = n, where a verdict has r < n), 34.0-39.2.
-PEAK_BYTES_PER_POINT = 42
+# code over all of F_3^n (r = n, where a verdict has r < n), 25.8-31.5
+# (tools/trajectory.py's forced_rss_mb), most of it the radix-3
+# transform over F_3^n.
+PEAK_BYTES_PER_POINT = 34
 
 
 # The C library's memory policy for the process, set once at import:
@@ -153,20 +156,12 @@ def coord_rows(points: np.ndarray | Sequence[int], n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def coord_matrix(n: int) -> np.ndarray:
-    """All 3^n points as rows of coordinates, shape (3^n, n), dtype int8.
-
-    Row x holds decode(x, n); cached since the subspace layer enumerates
-    coefficient vectors from it at small dimension.  Built one top digit at
-    a time: the rows with top digit d are the previous table with d
-    appended.  The size gate, check_dim, is called at the input
-    surfaces, not here.
-    """
-    m = np.zeros((1, 0), dtype=np.int8)
-    for i in range(n):
-        grown = np.empty((3, len(m), i + 1), dtype=np.int8)
-        grown[:, :, :i] = m
-        grown[:, :, i] = np.arange(3, dtype=np.int8)[:, None]
-        m = grown.reshape(-1, i + 1)
+    """coord_rows of all 3^n points, shape (3^n, n), int8: cached, so
+    made read-only.  The size gate, check_dim, is called at the input
+    surfaces, not here; the package asks for half widths and subspace
+    dimensions only."""
+    m = coord_rows(np.arange(size(n)), n)
+    m.flags.writeable = False
     return m
 
 
@@ -391,6 +386,32 @@ class Subspace:
     def points(self) -> np.ndarray:
         """All 3^dim members as a sorted int64 index array."""
         return span_points(coord_rows(self.basis, self.n))
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The first nonzero coordinate of each basis point, ascending.
+        span and orthogonal_complement give the reduced echelon basis B,
+        so B[:, pivots] is the identity."""
+        return tuple((coord_rows(self.basis, self.n) != 0).argmax(axis=1).tolist())
+
+    def coordinates(self, points: np.ndarray) -> np.ndarray:
+        """Each point's coordinates in the basis, as an index into F_3^dim
+        (int64): x = sum_i x[P_i] B_i, P the pivots, gives sum_i 3^i x[P_i].
+        Membership in V is asserted by one syndrome compare per point
+        (half_syndromes of perp).  Each index is split once at 3^k,
+        k = n // 2, as in span, and read off two digit-additive half
+        tables; the int64 halves are freed on return."""
+        k = self.n // 2
+        high, low = np.divmod(points, 3 ** k)
+        high_syndrome, minus_low_syndrome = half_syndromes(self.perp, self.n)
+        assert (high_syndrome[high] == minus_low_syndrome[low]).all(), \
+            "the points must lie in v"
+        place = [(0, 0, 0)] * self.n
+        for i, p in enumerate(self.pivots):
+            place[p] = (0, 3 ** i, 2 * 3 ** i)
+        coords = digit_sum_table(place[k:])[high]
+        coords += digit_sum_table(place[:k])[low]
+        return coords
 
 
 # rows reduced up front by span; the rest are only checked against them

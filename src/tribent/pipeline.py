@@ -8,7 +8,7 @@ randomized sweeps) serializes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class PipelineReport:
     j0: int | None = None
     r: int | None = None
     case: str | None = None
-    defining_label: str | None = None
+    defining_set: str | None = None
     code: CodeReport | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -69,26 +69,20 @@ class PipelineReport:
         return self.failed_stage is None
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail} for s in self.stages],
-            "type": self.type,
-            "regularity": self.regularity,
-            "j0": self.j0,
-            "r": self.r,
-            "case": self.case,
-            "defining_set": self.defining_label,
-            "code": self.code.to_dict() if self.code else None,
-            "notes": self.notes,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
+
+
+# The letter of a defining-set label "C0".."D2" names the dual side it is
+# read on; the digit is the dual value.
+_SIDE_LETTERS = {"C": BentType.PLUS, "D": BentType.MINUS}
+DEFINING_SET_LABELS = [f"{letter}{i}" for letter in _SIDE_LETTERS for i in range(3)]
 
 
 def _forced_side(label: str) -> tuple[BentType, int]:
-    """The side and dual value a defining-set label ("C0".."D2", either
-    case) names: C is the plus side, D the minus side."""
-    if len(label) != 2 or label[0].upper() not in "CD" or label[1] not in "012":
+    """The side and dual value a defining-set label (either case) names."""
+    if label.upper() not in DEFINING_SET_LABELS:
         raise ValueError(f"defining-set label must be C0..C2 or D0..D2, got {label!r}")
-    return (BentType.PLUS if label[0].upper() == "C" else BentType.MINUS), int(label[1])
+    return _SIDE_LETTERS[label[0].upper()], int(label[1])
 
 
 def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineReport:
@@ -101,7 +95,8 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     function is bent and some hypothesis fails: that pre-image code is
     then built and measured without a closed-form prediction (a note says
     so, or that the set is empty).  When every hypothesis holds the
-    selected set is measured and force_set is ignored.
+    selected set is measured, and a note names both labels if force_set
+    names another set.
     """
     forced = None if force_set is None else _forced_side(force_set)
     hyp = establish(f)
@@ -119,9 +114,11 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
             label = force_set.upper()
             points = preimage_points(profile, *forced)
             if points.size:
-                code = build_code(DefiningSet(f.n, points), span(points, f.n))
+                s = DefiningSet(f.n, points)
+                del points  # s holds its own copy
+                code = build_code(s, span(s.points, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
-                rep.defining_label = label
+                rep.defining_set = label
                 rep.notes.append(
                     f"hypothesis '{rep.failed_stage}' failed; measured the requested "
                     f"set {label} without a prediction"
@@ -132,8 +129,11 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
 
     ctx = defining_set_for(hyp)
     rep.case = ctx.case.value
-    plus_side = ctx.case.side is BentType.PLUS
-    rep.defining_label = ("C" if plus_side else "D") + str(ctx.value)
+    letter = next(k for k, side in _SIDE_LETTERS.items() if side is ctx.case.side)
+    rep.defining_set = f"{letter}{ctx.value}"
+    if forced is not None and force_set.upper() != rep.defining_set:
+        rep.notes.append(f"every hypothesis holds, so the selected set {rep.defining_set} "
+                         f"was measured, not the requested set {force_set.upper()}")
 
     sizes = expected_preimage_sizes(f.n, ctx.r, ctx.j0, ctx.case.side)
     counts = np.bincount(profile.dual.table[profile.side_mask(ctx.case.side)], minlength=3)

@@ -12,7 +12,7 @@ values of f(0) are produced deterministically from the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .analysis import BentType, TernaryFunction
 from .constructions import (
@@ -118,7 +118,7 @@ class SearchSummary:
                     "eligible": o.report.eligible,
                     "passed": o.report.passed,
                     "case": o.report.case,
-                    "code": o.report.code.to_dict() if o.report.code else None,
+                    "code": asdict(o.report.code) if o.report.code else None,
                 }
                 for o in self.outcomes
             ],

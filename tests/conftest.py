@@ -55,6 +55,26 @@ def dot(u: int, v: int, n: int) -> int:
     return sum(a * b for a, b in zip(decode(u, n), decode(v, n))) % 3
 
 
+def subspace_pivots(v: Subspace) -> tuple[int, ...]:
+    """The first nonzero digit of each basis point of v."""
+    return tuple(next(i for i, c in enumerate(decode(b, v.n)) if c) for b in v.basis)
+
+
+def subspace_coordinates(v: Subspace, x: int) -> int:
+    """The digits of x at v's pivots, read as a point of F_3^dim."""
+    digits = decode(x, v.n)
+    return encode(tuple(digits[p] for p in subspace_pivots(v)))
+
+
+def combination(c: int, v: Subspace) -> int:
+    """sum_i c_i B_i for the digits c_i of c and v's basis B, point by point."""
+    x = 0
+    for ci, b in zip(decode(c, v.dim), v.basis):
+        for _ in range(ci):
+            x = add_points(x, b, v.n)
+    return x
+
+
 # Direct per-message sums: references for codes.message_weights, which
 # measures every codeword from one transform.
 

@@ -16,7 +16,7 @@ from tribent.analysis import TernaryFunction
 from tribent.cli import load_table_file, main
 from tribent.core import PEAK_BYTES_PER_POINT, encode, size
 from tribent.fields import find_irreducible
-from tribent.fixtures import FIXTURES
+from tribent.fixtures import FIXTURES, get_fixture
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,16 @@ def test_fixture_specs_verify_through_the_cli_loaders(tmp_path, capsys, fx):
     assert code == (0 if fx.expect["failed_stage"] is None else 1)
     _, examples, _ = run_cli(capsys, "examples", "--name", fx.name, "--format", "json")
     assert json.loads(out) == json.loads(examples)[0]["report"]
+
+
+def test_defining_set_on_an_eligible_function_gets_a_note(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(get_fixture("code98-a").spec))
+    code, out, err = run_cli(capsys, "verify", "--spec-file", str(path), "--defining-set", "D1")
+    assert (code, err) == (0, "")
+    assert "set=C0" in out
+    assert ("  note: every hypothesis holds, so the selected set C0 was measured, "
+            "not the requested set D1") in out.splitlines()
 
 
 def test_verify_polynomial_pass(capsys):
@@ -514,7 +524,7 @@ def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProce
 @pytest.mark.parametrize("n", [16, 17])
 def test_memory_guard_refuses_past_the_cap_in_one_line(n):
     # under a 1 GB address space, of which the interpreter already maps
-    # about 140 MB, n = 16 and n = 17 (the guard asks 1.7 and 5.2 GB) are
+    # about 140 MB, n = 16 and n = 17 (the guard asks 1.4 and 4.1 GB) are
     # refused before anything is tabulated
     search = ["search", "--m", str(n - 2), "--s", "1", "--count", "1"]
     proc = _run_with_address_space(10 ** 9, "-m", "tribent.cli", *search)
@@ -524,15 +534,20 @@ def test_memory_guard_refuses_past_the_cap_in_one_line(n):
     assert "MB this process may still take" in proc.stderr
 
 
-def test_memory_guard_admits_a_run_that_then_fits():
-    # the smallest address space the guard admits n = 14 in, plus 32 MB:
-    # the interpreter's own mappings (read from a probe of the same
-    # imports) and PEAK_BYTES_PER_POINT per point; the run must finish
+def _admitting_n14() -> int:
+    """The smallest address space the guard admits n = 14 in, plus 32 MB:
+    the interpreter's own mappings (read from a probe of the same imports)
+    and PEAK_BYTES_PER_POINT per point."""
     probe = ("import tribent.cli, resource; "
              "print(int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize())")
     proc = _run_with_address_space(10 ** 10, "-c", probe)
     assert proc.returncode == 0, proc.stderr
-    limit = int(proc.stdout) + size(14) * PEAK_BYTES_PER_POINT + (32 << 20)
+    return int(proc.stdout) + size(14) * PEAK_BYTES_PER_POINT + (32 << 20)
+
+
+def test_memory_guard_admits_a_run_that_then_fits():
+    # the run must finish in the smallest address space the guard admits
+    limit = _admitting_n14()
     search = ["search", "--m", "12", "--s", "1", "--count", "1"]
     proc = _run_with_address_space(limit, "-m", "tribent.cli", *search)
     assert proc.returncode == 0, proc.stderr
@@ -540,3 +555,16 @@ def test_memory_guard_admits_a_run_that_then_fits():
     proc = _run_with_address_space(limit, "-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert size(14) * PEAK_BYTES_PER_POINT <= int(proc.stdout) < limit - (64 << 20)
+
+
+def test_memory_guard_admits_a_forced_set_that_then_fits():
+    # the largest measured peak per point: a --defining-set code over the
+    # weakly regular sum of 14 squares, whose type side (minus, since
+    # 14 % 4 == 2) is all of F_3^14, so the code has r = n
+    squares = " + ".join(f"x{i}^2" for i in range(1, 15))
+    verify = ["verify", "--poly", squares, "--n", "14", "--defining-set", "D0", "--format", "json"]
+    proc = _run_with_address_space(_admitting_n14(), "-m", "tribent.cli", *verify)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    doc = json.loads(proc.stdout)
+    assert (doc["regularity"], doc["defining_set"]) == ("weakly-regular", "D0")
+    assert doc["code"]["dimension"] == 14

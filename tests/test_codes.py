@@ -562,7 +562,7 @@ def test_code_report_serialization_keys(built_fixtures):
     code = build_code(ctx.defining, ctx.hypotheses.v)
     pred = predict_distribution(ctx.case, f.n, ctx.r)
     rep = code_report(code, pred, ctx.case, ctx.r)
-    doc = rep.to_dict()
+    doc = dataclasses.asdict(rep)
     for key in ("n", "r", "case", "length", "dimension", "min_distance",
                 "distribution", "enumerator", "prediction", "match"):
         assert key in doc

@@ -35,7 +35,7 @@ from tribent.core import (
     translation_table,
 )
 
-from conftest import add_points, dot, neg_point
+from conftest import add_points, combination, dot, neg_point, subspace_coordinates, subspace_pivots
 
 
 def test_encode_decode_roundtrip_exhaustive():
@@ -102,7 +102,7 @@ def test_no_cap_admits_an_inexact_transform(monkeypatch):
 
 
 def test_memory_guard_acts_below_twelve(monkeypatch):
-    # 3^11 * PEAK_BYTES_PER_POINT is about 4 MB: refused under 1 MiB
+    # 3^11 * PEAK_BYTES_PER_POINT is about 6 MB: refused under 1 MiB
     monkeypatch.setattr(core, "memory_limit", lambda: 1 << 20)
     check_dim(7)
     with pytest.raises(DimensionCapError, match="needs about"):
@@ -617,3 +617,24 @@ def test_span_points_enumerates_every_combination_of_the_rows():
             points = span_points(rows)
             assert points.dtype == np.int64 and len(points) == size(d)
             assert np.unique(points).tolist() == sorted(combos)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subspace_coordinates_against_the_digit_loop(n):
+    rng = np.random.default_rng(n)
+    for trial in range(6):
+        v = span(rng.integers(0, size(n), rng.integers(0, n + 1)).tolist(), n)
+        for w in (v, orthogonal_complement(v)):
+            assert w.pivots == subspace_pivots(w)
+            members = w.points()
+            coords = w.coordinates(members)
+            assert coords.dtype == np.int64
+            assert np.array_equal(np.sort(coords), np.arange(size(w.dim)))
+            for i in rng.permutation(len(members))[:40]:
+                x, c = int(members[i]), int(coords[i])
+                assert c == subspace_coordinates(w, x)
+                assert combination(c, w) == x
+            if w.dim < n:
+                outside = rng.choice(np.setdiff1d(np.arange(size(n)), members))
+                with pytest.raises(AssertionError, match="must lie in v"):
+                    w.coordinates(np.append(members, outside))

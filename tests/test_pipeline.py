@@ -17,7 +17,7 @@ def test_full_pass_on_flagship(flagship):
     rep = run_pipeline(flagship)
     assert rep.passed
     assert rep.case == "even-plus"
-    assert rep.defining_label == "C0"
+    assert rep.defining_set == "C0"
     assert rep.code.match
     assert all(s.ok for s in rep.stages)
 
@@ -50,7 +50,7 @@ def test_forced_set_on_failed_hypotheses(built_fixtures):
 @pytest.mark.parametrize("label", ["C0", "C1", "D0"])
 def test_forced_empty_set_gets_a_note(label):
     rep = run_pipeline(quadratic_function(QuadraticForm((1,))), force_set=label)
-    assert rep.code is None and rep.defining_label is None
+    assert rep.code is None and rep.defining_set is None
     assert rep.notes == [f"the requested set {label} is empty; nothing was measured"]
 
 
@@ -79,8 +79,19 @@ def test_distribution_off_its_closed_form_names_its_stage(flagship, monkeypatch)
 def test_forced_set_without_failures_is_ignored_in_favor_of_selection(flagship):
     rep = run_pipeline(flagship, force_set="C2")
     # hypotheses all hold, so the selector's set is used, not the forced one
-    assert rep.defining_label == "C0"
+    assert rep.defining_set == "C0"
     assert rep.passed
+
+
+@pytest.mark.parametrize("label", ["C2", "d1"])
+def test_an_ignored_forced_set_is_named_in_a_note(flagship, label):
+    plain = run_pipeline(flagship)
+    rep = run_pipeline(flagship, force_set=label)
+    note = (f"every hypothesis holds, so the selected set C0 was measured, "
+            f"not the requested set {label.upper()}")
+    assert rep.notes == [note] + plain.notes
+    # requesting the selected set itself changes nothing
+    assert run_pipeline(flagship, force_set="c0").to_dict() == plain.to_dict()
 
 
 def test_report_dict_shape(flagship):
@@ -143,7 +154,7 @@ def test_malformed_forced_set_is_refused_before_any_transform(built_fixtures, mo
 def test_forced_set_label_in_either_case(built_fixtures):
     f = built_fixtures["trace14"]
     upper, lower = run_pipeline(f, force_set="D1"), run_pipeline(f, force_set="d1")
-    assert lower.defining_label == upper.defining_label == "D1"
+    assert lower.defining_set == upper.defining_set == "D1"
     assert lower.to_dict() == upper.to_dict()
 
 

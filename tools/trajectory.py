@@ -13,8 +13,17 @@ gmmf_build.  Beside each time, <stage>_faults counts the minor page faults
 first touch of every page, as a one-off CLI run does; the same instance is
 then verified a second time, and warm_s and warm_faults record that warm
 verdict, as a process that verifies many instances sees each one.  A row
-records the report's verdict, passed (of both runs) and failed_stage, and
-ru_maxrss.
+records the report's verdict, passed (of both runs) and failed_stage,
+import_rss_mb (ru_maxrss once the package is imported) and ru_maxrss.
+
+A second fresh child runs the forced path: run_pipeline with force_set on
+the sum of n squares.  That function is weakly regular, so its type side
+is all of F_3^n, and the type side's label (C when n % 4 is 0 or 1, D
+otherwise; digit 0) gives a code with r = n, the largest peak per point
+a run reaches.  forced_rss_mb is its ru_maxrss: the growth over
+import_rss_mb, over 3^n, is the figure core.PEAK_BYTES_PER_POINT is
+fitted to.  It runs apart because after a verdict the heap the allocator
+keeps would count too.
 
     python3 tools/trajectory.py --column change --out BENCH_2026-10-19.json
     python3 tools/trajectory.py --column parent --src ../parent/src \\
@@ -46,6 +55,10 @@ from tribent.analysis import BentType
 from tribent.constructions import gmmf_build
 from tribent.search import random_instance, random_subspace
 
+def rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+import_rss_mb = rss_mb()
 n = int(sys.argv[2])
 rng = random.Random(0)  # the draws of run_search(n - 2, 1, 1, 0)
 u = random_subspace(rng, 1, 0)
@@ -79,17 +92,34 @@ warm_s, warm_faults = round(time.perf_counter() - start, 5), minflt() - first
 row = {"n": n, "passed": rep.passed and warm.passed, "failed_stage": rep.failed_stage}
 for k, (s, c) in stages.items():
     row.update({f"{k}_s": s, f"{k}_faults": c})
-row.update(warm_s=warm_s, warm_faults=warm_faults)
-row["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+row.update(warm_s=warm_s, warm_faults=warm_faults, import_rss_mb=import_rss_mb,
+           ru_maxrss_mb=rss_mb())
 row["numpy"] = np.__version__
 print(json.dumps(row))
 """
 
+FORCED_CHILD = r"""
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from tribent.constructions import QuadraticForm, quadratic_function
+from tribent.pipeline import run_pipeline
+
+n = int(sys.argv[2])
+label = ("C" if n % 4 < 2 else "D") + "0"
+rep = run_pipeline(quadratic_function(QuadraticForm((1,) * n)), force_set=label)
+assert rep.code is not None and rep.code.dimension == n, rep.notes
+rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+print(json.dumps({"forced_set": label, "forced_rss_mb": rss_mb}))
+"""
+
 
 def measure(src: str, n: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(n)],
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    row = {}
+    for child in (CHILD, FORCED_CHILD):
+        proc = subprocess.run([sys.executable, "-c", child, src, str(n)],
+                              capture_output=True, text=True, check=True)
+        row.update(json.loads(proc.stdout))
+    return row
 
 
 def source_commit(src: str) -> str:

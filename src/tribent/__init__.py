@@ -21,12 +21,10 @@ from .analysis import (
     decode_coefficient,
     establish,
     expected_preimage_sizes,
-    expected_s0_minus_s1,
     is_bent,
     is_dual_bent,
     is_plateaued,
     preimage_sets,
-    s0_s1,
     walsh_point,
     walsh_spectrum,
 )

@@ -46,7 +46,9 @@ class NotBentError(Exception):
 
 
 class HypothesisError(Exception):
-    """A structural hypothesis needed by an operation does not hold."""
+    """A structural hypothesis needed by an operation does not hold.  For
+    the theorem's hypotheses, `hypothesis` is the stage name in HYPOTHESES,
+    as a report's failed_stage gives it."""
 
     def __init__(self, hypothesis: str, detail: str = ""):
         self.hypothesis = hypothesis
@@ -332,8 +334,13 @@ def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
 
 
 def is_bent(f: TernaryFunction) -> bool:
-    spectrum = walsh_spectrum(f)
-    return bool((spectrum.squared_norms() == size(f.n)).all())
+    """Whether every spectral value has squared norm 3^n: whether
+    bent_profile certifies f rather than raising NotBentError."""
+    try:
+        bent_profile(f)
+    except NotBentError:
+        return False
+    return True
 
 
 def is_plateaued(f: TernaryFunction) -> int | None:
@@ -601,28 +608,6 @@ def is_dual_bent(f: TernaryFunction,
     return True, dual_profile
 
 
-def expected_s0_minus_s1(f: TernaryFunction, y: int) -> Eisenstein:
-    """The exact closed form of S0 - S1 at y: 3^(n/2) w^f(y) for even n,
-    -i 3^(n/2) w^f(y) = 3^((n-1)/2) (w^(f(y)+2) - w^(f(y)+1)) for odd n."""
-    unit = _unit_values(f.n)[f(y)]
-    return unit if f.n % 2 == 0 else -unit
-
-
-def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein, Eisenstein]:
-    """The plus-side and minus-side dual character sums at y.
-
-    S0 sums w^(dual(a) + a.y) over the plus set, S1 over the minus set;
-    their difference always equals expected_s0_minus_s1(f, y).
-    """
-    n = f.n
-    exps = (profile.dual.table.astype(np.int64) + dots_with(y, n)) % 3
-    sums = []
-    for t in (BentType.PLUS, BentType.MINUS):
-        counts = np.bincount(exps[profile.side_mask(t)], minlength=3)
-        sums.append(root_sum([int(c) for c in counts]))
-    return sums[0], sums[1]
-
-
 @dataclass(frozen=True, eq=False)
 class PreimageSets:
     """Pre-images of the dual value, split by spectral sign.
@@ -662,17 +647,10 @@ def expected_preimage_sizes(n: int, r: int, j0: int, side: BentType) -> dict[int
     return {(j0 + i) % 3: 3 ** (r - 1) + sigma * d[i] for i in range(3)}
 
 
-# The theorem's hypotheses in the order they are decided and reported, each
-# with the phrase a HypothesisError names it by.
-HYPOTHESES = {
-    "bent": "bent",
-    "non-weakly-regular": "non-weakly-regular",
-    "even": "even function",
-    "dual-bent": "dual bent",
-    "type-side-subspace": "type side is a subspace",
-    "non-degenerate": "type side non-degenerate",
-    "dimension-bound": "dimension bound",
-}
+# The theorem's hypotheses in the order they are decided and reported: the
+# names of their stages, which a HypothesisError names them by too.
+HYPOTHESES = ("bent", "non-weakly-regular", "even", "dual-bent",
+              "type-side-subspace", "non-degenerate", "dimension-bound")
 
 
 @dataclass(frozen=True)
@@ -711,7 +689,7 @@ class Hypotheses:
         including `through`, in HYPOTHESES order."""
         for stage in self.stages:
             if not stage.ok:
-                raise HypothesisError(HYPOTHESES[stage.name], stage.detail)
+                raise HypothesisError(stage.name, stage.detail)
             if stage.name == through:
                 return
 

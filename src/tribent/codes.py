@@ -257,9 +257,7 @@ def select_defining_set(f: TernaryFunction,
     """Pick the theorem-grade pre-image defining set for f.
 
     The hypotheses are decided by analysis.establish; a failure raises
-    HypothesisError naming the first failing stage in pipeline order
-    (bent, non-weakly-regular, even function, dual bent, type side is a
-    subspace, type side non-degenerate, dimension bound).
+    HypothesisError naming the first failing stage of analysis.HYPOTHESES.
     """
     return defining_set_for(establish(f, profile))
 
@@ -315,19 +313,29 @@ def _case_weights(case: CodeCase, n: int, r: int) -> tuple[int, int, int]:
     return tuple(2 * (base + c * unit) for c in _CASE_RULES[case].weight_offsets)
 
 
+# The largest n predict_distribution accepts: the tests assert the first
+# three Pless power moments of every case's closed forms at every r up to
+# it, so every n accepted is an n checked.
+PREDICT_MAX_N = 60
+
+
 def predict_distribution(case: CodeCase, n: int, r: int) -> WeightPrediction:
     """Exact predicted [length, r] parameters and weight multiplicities.
 
-    Validates parity, the dimension bound, r < n (r = n leaves the other
-    side empty: f would be weakly regular) and n >= 3 (below that the
-    exponents go negative); every multiplicity below is an integer and
-    they sum (with the zero codeword) to 3^r.  The length is the size of
-    the selected pre-image, less the point 0, which carries dual value j0.
+    Validates parity, n >= 3 (below that the exponents go negative),
+    n <= PREDICT_MAX_N, the dimension bound and r < n (r = n leaves the
+    other side empty: f would be weakly regular); every multiplicity below
+    is an integer and they sum (with the zero codeword) to 3^r.  The
+    length is the size of the selected pre-image, less the point 0, which
+    carries dual value j0.
     """
     if n % 2 != case.parity:
         raise ValueError(f"case {case.value} needs n parity {case.parity}, got n={n}")
     if n < 3:
         raise ValueError(f"n={n} below 3, where the closed forms do not apply")
+    if n > PREDICT_MAX_N:
+        raise ValueError(f"n={n} exceeds {PREDICT_MAX_N}, the largest n whose "
+                         "closed forms are checked")
     if r < n // 2 + 1:
         raise ValueError(f"r={r} below the bound floor(n/2)+1={n // 2 + 1}")
     if r > n:

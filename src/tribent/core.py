@@ -418,18 +418,13 @@ class Subspace:
 _SPAN_SAMPLE = 64
 
 
-def _stride(idx: np.ndarray) -> np.ndarray:
-    """At most _SPAN_SAMPLE entries of idx, evenly strided."""
-    return idx[::max(1, -(-len(idx) // _SPAN_SAMPLE))]
-
-
 def _strided_members(view: np.ndarray) -> np.ndarray:
     """Indices of at most _SPAN_SAMPLE members of a boolean mask, given as
     its 2-D view: those of rank 0, step, 2 step, ... in index order, with
-    step = ceil(members / _SPAN_SAMPLE), as _stride picks them from the
-    full list.  The per-row counts place each sampled rank in its row,
-    and only the members of those rows are listed: sampled row i's member
-    of rank ranks[i] is entry held[:i + 1].sum() - (ends[rows[i]] -
+    step = ceil(members / _SPAN_SAMPLE), as a stride of the full list
+    would pick them.  The per-row counts place each sampled rank in its
+    row, and only the members of those rows are listed: sampled row i's
+    member of rank ranks[i] is entry held[:i + 1].sum() - (ends[rows[i]] -
     ranks[i]) of that list."""
     counts = view.sum(axis=1)
     ends = counts.cumsum()
@@ -477,19 +472,16 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     syndrome (half_syndromes), and one broadcast compare of the high
     half's table with the low half's over the (3^(n-k), 3^k) view of the
     mask marks the failing points, whatever the number of null vectors.
-    Given a mask, only the sample (_strided_members) and the folded points
-    become indices; given indices, the sample is a stride of them.
+    Only the sample (_strided_members) and the folded points become
+    indices.
     """
     k = n // 2
-    if isinstance(points, np.ndarray) and points.dtype == bool:
-        members = points.reshape(size(n - k), size(k))
-        sample = _strided_members(members)
-    else:
+    if not (isinstance(points, np.ndarray) and points.dtype == bool):
         idx = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.int64)
-        sample = _stride(idx)
-        members = np.zeros(size(n), dtype=bool)
-        members[idx] = True
-        members = members.reshape(size(n - k), size(k))
+        points = np.zeros(size(n), dtype=bool)
+        points[idx] = True
+    members = points.reshape(size(n - k), size(k))
+    sample = _strided_members(members)
     basis = _rref(coord_rows(sample, n))
     while True:
         null = _null_basis(basis)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tribent.analysis import TernaryFunction
+from tribent.analysis import BentProfile, BentType, TernaryFunction, _unit_values
 from tribent.codes import DefiningSet, WeightClassifier
 from tribent.core import Eisenstein, Subspace, decode, dots_with, encode, root_sum, size
 from tribent.fixtures import FIXTURES, get_fixture
@@ -73,6 +73,30 @@ def combination(c: int, v: Subspace) -> int:
         for _ in range(ci):
             x = add_points(x, b, v.n)
     return x
+
+
+# The dual's character sums over each side: the inverse-transform identity
+# S0 - S1 that a bent profile's dual and signs must satisfy at every y.
+
+def s0_s1(f: TernaryFunction, y: int, profile: BentProfile) -> tuple[Eisenstein, Eisenstein]:
+    """The plus-side and minus-side dual character sums at y.
+
+    S0 sums w^(dual(a) + a.y) over the plus set, S1 over the minus set;
+    their difference always equals expected_s0_minus_s1(f, y).
+    """
+    exps = (profile.dual.table.astype(np.int64) + dots_with(y, f.n)) % 3
+    sums = []
+    for t in (BentType.PLUS, BentType.MINUS):
+        counts = np.bincount(exps[profile.side_mask(t)], minlength=3)
+        sums.append(root_sum([int(c) for c in counts]))
+    return sums[0], sums[1]
+
+
+def expected_s0_minus_s1(f: TernaryFunction, y: int) -> Eisenstein:
+    """The exact closed form of S0 - S1 at y: 3^(n/2) w^f(y) for even n,
+    -i 3^(n/2) w^f(y) = 3^((n-1)/2) (w^(f(y)+2) - w^(f(y)+1)) for odd n."""
+    unit = _unit_values(f.n)[f(y)]
+    return unit if f.n % 2 == 0 else -unit
 
 
 # Direct per-message sums: references for codes.message_weights, which

@@ -18,9 +18,7 @@ from tribent.analysis import (
     coset_structure,
     establish,
     expected_preimage_sizes,
-    expected_s0_minus_s1,
     preimage_sets,
-    s0_s1,
     walsh_spectrum,
 )
 from tribent.codes import CodeCase, predict_distribution
@@ -29,7 +27,13 @@ from tribent.fixtures import FIXTURES, run_fixture
 from tribent.pipeline import run_pipeline
 from tribent.search import run_search
 
-from conftest import naive_spectrum_pair, neg_point, random_function
+from conftest import (
+    expected_s0_minus_s1,
+    naive_spectrum_pair,
+    neg_point,
+    random_function,
+    s0_s1,
+)
 
 EXPECTED_CODES = {
     "code98-a": ((98, 5, 54), "1+32y^54+162y^66+48y^72"),

@@ -22,12 +22,10 @@ from tribent.analysis import (
     decode_coefficient,
     establish,
     expected_preimage_sizes,
-    expected_s0_minus_s1,
     is_bent,
     is_dual_bent,
     is_plateaued,
     preimage_sets,
-    s0_s1,
     walsh_point,
     walsh_spectrum,
 )
@@ -37,7 +35,15 @@ from tribent.fixtures import get_fixture
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
 
-from conftest import naive_spectrum_pair, neg_point, oracle_spectrum, radix3_oracle, random_function
+from conftest import (
+    expected_s0_minus_s1,
+    naive_spectrum_pair,
+    neg_point,
+    oracle_spectrum,
+    radix3_oracle,
+    random_function,
+    s0_s1,
+)
 
 
 # ---------------------------------------------------------------------------

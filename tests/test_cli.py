@@ -336,9 +336,16 @@ def test_predict_bad_parity_exits_two(capsys):
     (["--case", "even-plus", "--n", "2", "--r", "2"], "error: n=2 below 3, where the closed forms do not apply"),
     (["--case", "even-plus", "--n", "4", "--r", "4"],
      "error: r=4 equals n: the other side would be empty, so f would be weakly regular"),
+    # past the n whose closed forms the tests check, however large
+    (["--case", "odd-plus", "--n", "61", "--r", "60"],
+     "error: n=61 exceeds 60, the largest n whose closed forms are checked"),
+    (["--case", "even-plus", "--n", str(10 ** 12), "--r", str(10 ** 12 - 1)],
+     f"error: n={10 ** 12} exceeds 60, the largest n whose closed forms are checked"),
 ])
 def test_predict_out_of_range_exits_two_with_one_line(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "predict", *argv)
+    assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", message + "\n")
 
 

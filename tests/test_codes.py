@@ -213,7 +213,7 @@ def test_selection_hypothesis_failures(built_fixtures):
     with pytest.raises(HypothesisError, match="non-weakly-regular"):
         select_defining_set(quadratic_function(QuadraticForm((1, 2, 1, 1))))
     # dual not bent
-    with pytest.raises(HypothesisError, match="dual bent"):
+    with pytest.raises(HypothesisError, match="dual-bent"):
         select_defining_set(built_fixtures["trace14"])
     # not even: add a linear term to the flagship's recipe
     f = built_fixtures["code98-a"]
@@ -296,6 +296,9 @@ def test_prediction_validates_inputs():
                     (CodeCase.ODD_PLUS, 1), (CodeCase.ODD_MINUS, 1)):
         with pytest.raises(ValueError, match="below 3"):
             predict_distribution(case, n, n)
+    for case, n in ((CodeCase.ODD_PLUS, 61), (CodeCase.EVEN_MINUS, 62)):
+        with pytest.raises(ValueError, match="exceeds 60"):
+            predict_distribution(case, n, n - 1)
 
 
 def test_prediction_is_integral_at_every_accepted_n():
@@ -304,7 +307,7 @@ def test_prediction_is_integral_at_every_accepted_n():
     # S = -S (the dual is even) and no two other points of S are parallel,
     # so it has exactly N of weight 2, the multiples of e_x + e_-x
     for case in CodeCase:
-        for n in range(3 + (case.parity == 0), 61, 2):
+        for n in range(3 + (case.parity == 0), codes.PREDICT_MAX_N + 1, 2):
             for r in range(n // 2 + 1, n):
                 pred = predict_distribution(case, n, r)
                 dist, big_n = pred.distribution, pred.length

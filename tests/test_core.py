@@ -486,7 +486,26 @@ def test_mask_sample_is_the_strided_member_list(n, density):
     # the stride of the full member list
     mask = np.random.default_rng(n).random(size(n)) < density
     view = mask.reshape(size(n - n // 2), size(n // 2))
-    assert np.array_equal(core._strided_members(view), core._stride(np.flatnonzero(mask)))
+    members = np.flatnonzero(mask)
+    stride = members[::max(1, -(-len(members) // core._SPAN_SAMPLE))]
+    assert np.array_equal(core._strided_members(view), stride)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_span_of_indices_is_the_span_of_their_mask(n):
+    # indices are scattered into a mask and sampled as one, so neither
+    # their order nor their repeats change the basis or perp
+    rng = np.random.default_rng(n)
+    v = span(rng.integers(0, size(n), 2), n)
+    for points in (rng.integers(0, size(n), 1), rng.integers(0, size(n), 3),
+                   rng.integers(0, size(n), size(n) // 3), v.points()):
+        mask = np.zeros(size(n), dtype=bool)
+        mask[points] = True
+        shuffled = rng.permutation(np.concatenate([points, points[: len(points) // 2 + 1]]))
+        expected = span(mask, n)
+        for given in (points, shuffled, shuffled.tolist()):
+            got = span(given, n)
+            assert got == expected and np.array_equal(got.perp, expected.perp)
 
 
 def _row_space_closure(points: list[int], n: int) -> list[int]:

@@ -211,10 +211,11 @@ def test_transform_at_n12_peaks_within_its_two_pairs():
     try:
         peaks = {"transform": peak(lambda: analysis._transform(f, np.int16)),
                  "bent_profile": peak(lambda: analysis.bent_profile(f)),
+                 "is_bent": peak(lambda: analysis.is_bent(f)),
                  "walsh_spectrum": peak(lambda: analysis.walsh_spectrum(f))}
     finally:
         tracemalloc.stop()
-    assert peaks["transform"] <= 10.1 and peaks["bent_profile"] <= 10.1, peaks
+    assert all(peaks[name] <= 10.1 for name in ("transform", "bent_profile", "is_bent")), peaks
     assert peaks["walsh_spectrum"] <= 20.1, peaks
 
 

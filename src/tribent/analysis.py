@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,6 +129,10 @@ class TernaryFunction:
         return TernaryFunction(self.n, -self.table)
 
 
+# Points per int64 block of WalshSpectrum.norm_blocks.
+_NORM_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:
     """All 3^n transform values, as parallel integer coefficient arrays.
@@ -149,9 +153,18 @@ class WalshSpectrum:
         a, b = self.coeff_1.astype(np.int64), self.coeff_w.astype(np.int64)
         return a * a - a * b + b * b
 
+    def norm_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, squared_norms of the block from start) for each block of
+        _NORM_BLOCK points, so that no int64 array 3^n wide is built beside
+        the spectrum."""
+        for start in range(0, size(self.n), _NORM_BLOCK):
+            block = slice(start, start + _NORM_BLOCK)
+            part = WalshSpectrum(self.n, self.coeff_1[block], self.coeff_w[block])
+            yield start, part.squared_norms()
+
     def parseval_total(self) -> int:
         """Sum of squared norms; always 3^(2n)."""
-        return int(self.squared_norms().sum())
+        return sum(int(norms.sum()) for _, norms in self.norm_blocks())
 
 
 # The narrow types of the radix-3 passes, each with the last pass whose
@@ -350,12 +363,16 @@ def is_plateaued(f: TernaryFunction) -> int | None:
     None.  An all-zero spectrum cannot occur (the squared norms sum to
     3^(2n)) and is asserted against.
     """
-    norms = walsh_spectrum(f).squared_norms()
-    nonzero = np.unique(norms[norms != 0])
-    assert nonzero.size > 0, "spectrum cannot be identically zero"
-    if nonzero.size != 1:
-        return None
-    level = int(nonzero[0])
+    levels: set[int] = set()
+    holes = False
+    for _, norms in walsh_spectrum(f).norm_blocks():
+        nonzero = norms[norms != 0]
+        holes = holes or nonzero.size < norms.size
+        levels.update(np.unique(nonzero).tolist())
+        if len(levels) > 1:
+            return None
+    assert levels, "spectrum cannot be identically zero"
+    level = levels.pop()
     target = size(f.n)
     s = 0
     while target < level:
@@ -363,7 +380,7 @@ def is_plateaued(f: TernaryFunction) -> int | None:
         s += 1
     if target != level:
         return None
-    if s == 0 and (norms == 0).any():
+    if s == 0 and holes:
         return None  # bent level with holes is not 0-plateaued
     return s
 
@@ -521,20 +538,12 @@ def _residue_dtype(n: int) -> type:
     return np.int8 if n <= 8 else np.int16
 
 
-# Points per int64 block of _not_bent_witness's squared norms.
-_NORM_BLOCK = 1 << 16
-
-
 def _not_bent_witness(spectrum: WalshSpectrum) -> NotBentError:
     """The NotBentError of the first point whose exact squared norm is not
-    3^n.  The norms are taken in int64 one block of _NORM_BLOCK points at
-    a time (WalshSpectrum.squared_norms on a slice), so nothing 3^n wide
-    is built beside the spectrum."""
+    3^n, read one block at a time (WalshSpectrum.norm_blocks)."""
     expected = size(spectrum.n)
-    for start in range(0, expected, _NORM_BLOCK):
-        block = slice(start, start + _NORM_BLOCK)
-        part = WalshSpectrum(spectrum.n, spectrum.coeff_1[block], spectrum.coeff_w[block])
-        off = np.flatnonzero(part.squared_norms() != expected)
+    for start, norms in spectrum.norm_blocks():
+        off = np.flatnonzero(norms != expected)
         if off.size:
             witness = start + int(off[0])
             return NotBentError(witness, spectrum.value(witness).squared_norm(), expected)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from itertools import chain, islice
@@ -105,28 +104,35 @@ def load_spec_file(path: str) -> TernaryFunction:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _weight_table(pairs: list[tuple[int, int]]) -> str:
-    lines = ["Hamming weight a | multiplicity E_a",
-             "-----------------+-----------------"]
-    for w, e in pairs:
-        lines.append(f"{w:>16d} | {e}")
-    return "\n".join(lines)
+_WEIGHT_HEADER = ["weight", "count"]
 
 
-def render_report(rep: PipelineReport, fmt: str, name: str | None = None) -> str:
+def _emit(fmt: str, doc: dict | list, header: list[str], rows: list,
+          lines: list[str]) -> None:
+    """Print one result in the chosen format: doc as one JSON document,
+    header and rows as CSV, or lines as the table."""
     if fmt == "json":
-        doc = rep.to_dict()
-        if name:
-            doc["name"] = name
-        return json.dumps(doc, indent=2)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["weight", "count"])
-        if rep.code:
-            for w, c in rep.code.distribution:
-                writer.writerow([w, c])
-        return buf.getvalue().rstrip("\n")
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        print("\n".join(lines))
+
+
+def _parameters(length: int, dimension: int, min_distance: int) -> str:
+    return f"[{length},{dimension},{min_distance}]_3"
+
+
+def _weight_table(pairs: list[tuple[int, int]]) -> list[str]:
+    return ["Hamming weight a | multiplicity E_a",
+            "-----------------+-----------------",
+            *(f"{w:>16d} | {e}" for w, e in pairs)]
+
+
+def report_lines(rep: PipelineReport, name: str | None = None) -> list[str]:
+    """The table lines of one pipeline report, headed by name if given."""
     lines = []
     if name:
         lines.append(f"== {name}")
@@ -139,21 +145,16 @@ def render_report(rep: PipelineReport, fmt: str, name: str | None = None) -> str
     lines.append(summary)
     if rep.code:
         c = rep.code
-        lines.append(f"  code [{c.length},{c.dimension},{c.min_distance}]_3  "
+        lines.append(f"  code {_parameters(c.length, c.dimension, c.min_distance)}  "
                      f"enumerator {c.enumerator}")
-        lines.append(_indent(_weight_table(c.distribution), 4))
+        lines.extend("    " + line for line in _weight_table(c.distribution))
         if c.prediction:
             lines.append(f"  prediction {c.prediction['enumerator']}  "
                          f"match={c.match}")
     for note in rep.notes:
         lines.append(f"  note: {note}")
     lines.append(f"  passed: {rep.passed}")
-    return "\n".join(lines)
-
-
-def _indent(text: str, k: int) -> str:
-    pad = " " * k
-    return "\n".join(pad + ln for ln in text.splitlines())
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +164,29 @@ def _indent(text: str, k: int) -> str:
 def cmd_examples(args) -> int:
     fixtures = [get_fixture(args.name)] if args.name else list(FIXTURES)
     results = [run_fixture(fx) for fx in fixtures]
-    if args.format == "json":
-        doc = [
-            {
-                "name": res.fixture.name,
-                "expected": {key: res.fixture.expect[key]
-                             for key in ("parameters", "enumerator")},
-                "report": res.report.to_dict(),
-                "mismatches": res.mismatches,
-                "ok": res.ok,
-            }
-            for res in results
-        ]
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["name", "case", "n", "length", "dimension",
-                         "min_distance", "enumerator", "ok"])
-        for res in results:
-            c = res.report.code
-            writer.writerow([
-                res.fixture.name, res.report.case,
-                c.n if c else "", c.length if c else "",
-                c.dimension if c else "", c.min_distance if c else "",
-                c.enumerator if c else "", res.ok,
-            ])
-    else:
-        for res in results:
-            print(render_report(res.report, "table", name=res.fixture.name))
-            if res.mismatches:
-                for mm in res.mismatches:
-                    print(f"  MISMATCH: {mm}")
-            print(f"  fixture: {'PASS' if res.ok else 'FAIL'}")
+    doc, rows, lines = [], [], []
+    for res in results:
+        c = res.report.code
+        doc.append({
+            "name": res.fixture.name,
+            "expected": {key: res.fixture.expect[key]
+                         for key in ("parameters", "enumerator")},
+            "report": res.report.to_dict(),
+            "mismatches": res.mismatches,
+            "ok": res.ok,
+        })
+        rows.append([
+            res.fixture.name, res.report.case,
+            *((c.n, c.length, c.dimension, c.min_distance, c.enumerator) if c else ("",) * 5),
+            res.ok,
+        ])
+        lines.extend(report_lines(res.report, name=res.fixture.name))
+        for mm in res.mismatches:
+            lines.append(f"  MISMATCH: {mm}")
+        lines.append(f"  fixture: {'PASS' if res.ok else 'FAIL'}")
+    header = ["name", "case", "n", "length", "dimension",
+              "min_distance", "enumerator", "ok"]
+    _emit(args.format, doc, header, rows, lines)
     return 0 if all(res.ok for res in results) else MISMATCH
 
 
@@ -211,7 +203,8 @@ def cmd_verify(args) -> int:
     else:
         f = load_spec_file(args.spec_file)
     rep = run_pipeline(f, force_set=args.defining_set)
-    print(render_report(rep, args.format))
+    _emit(args.format, rep.to_dict(), _WEIGHT_HEADER,
+          rep.code.distribution if rep.code else [], report_lines(rep))
     return 0 if rep.passed else MISMATCH
 
 
@@ -219,30 +212,25 @@ def cmd_search(args) -> int:
     side = BentType.PLUS if args.side == "plus" else BentType.MINUS
     summary = run_search(args.m, args.s, args.count, args.seed,
                          side=side, u_dim=args.u_dim)
-    if args.format == "json":
-        print(json.dumps(summary.to_dict(), indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["index", "j0", "u_dim", "case", "eligible",
-                         "length", "dimension", "min_distance", "passed"])
-        for o in summary.outcomes:
-            c = o.report.code
-            writer.writerow([
-                o.index, o.j0, o.u_dim, o.report.case, o.report.eligible,
-                c.length if c else "", c.dimension if c else "",
-                c.min_distance if c else "", o.report.passed,
-            ])
-    else:
-        for o in summary.outcomes:
-            c = o.report.code
-            params = f"[{c.length},{c.dimension},{c.min_distance}]_3" if c else "-"
-            status = ("match" if o.report.passed else
-                      "MISMATCH" if o.report.eligible else
-                      "skipped: " + o.report.failed_stage)
-            print(f"instance {o.index:3d}  j0={o.j0}  case={o.report.case or '-':11s}"
-                  f"  {params:18s}  {status}")
-        print(f"summary: {summary.matched} matched, {summary.mismatched} mismatched, "
-              f"{summary.skipped} skipped, of {len(summary.outcomes)}")
+    rows, lines = [], []
+    for o in summary.outcomes:
+        c = o.report.code
+        rows.append([
+            o.index, o.j0, o.u_dim, o.report.case, o.report.eligible,
+            *((c.length, c.dimension, c.min_distance) if c else ("",) * 3),
+            o.report.passed,
+        ])
+        params = _parameters(c.length, c.dimension, c.min_distance) if c else "-"
+        status = ("match" if o.report.passed else
+                  "MISMATCH" if o.report.eligible else
+                  "skipped: " + o.report.failed_stage)
+        lines.append(f"instance {o.index:3d}  j0={o.j0}  case={o.report.case or '-':11s}"
+                     f"  {params:18s}  {status}")
+    lines.append(f"summary: {summary.matched} matched, {summary.mismatched} mismatched, "
+                 f"{summary.skipped} skipped, of {len(summary.outcomes)}")
+    header = ["index", "j0", "u_dim", "case", "eligible",
+              "length", "dimension", "min_distance", "passed"]
+    _emit(args.format, summary.to_dict(), header, rows, lines)
     return 0 if summary.mismatched == 0 else MISMATCH
 
 
@@ -250,32 +238,24 @@ def cmd_predict(args) -> int:
     case = CodeCase(args.case)
     pred = predict_distribution(case, args.n, args.r)
     pairs = sorted(pred.distribution.items())
-    if args.format == "json":
-        doc = {
-            "case": case.value,
-            "n": args.n,
-            "r": args.r,
-            "length": pred.length,
-            "dimension": pred.r,
-            "min_distance": pred.min_distance,
-            "distribution": [list(p) for p in pairs],
-        }
-        if pred.alt_low_weight_count is not None:
-            doc["alt_low_weight_count"] = pred.alt_low_weight_count
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["weight", "count"])
-        for w, e in pairs:
-            writer.writerow([w, e])
-    else:
-        print(f"case {case.value}, n={args.n}, r={args.r}: "
-              f"[{pred.length},{pred.r},{pred.min_distance}]_3")
-        print(_weight_table(pairs))
-        if pred.alt_low_weight_count is not None:
-            print(f"note: an alternative tabulated reading puts "
-                  f"{pred.alt_low_weight_count} at weight {pred.min_distance}; "
-                  f"the counting argument above is the one measurements match")
+    doc = {
+        "case": case.value,
+        "n": args.n,
+        "r": args.r,
+        "length": pred.length,
+        "dimension": pred.r,
+        "min_distance": pred.min_distance,
+        "distribution": [list(p) for p in pairs],
+    }
+    lines = [f"case {case.value}, n={args.n}, r={args.r}: "
+             f"{_parameters(pred.length, pred.r, pred.min_distance)}",
+             *_weight_table(pairs)]
+    if pred.alt_low_weight_count is not None:
+        doc["alt_low_weight_count"] = pred.alt_low_weight_count
+        lines.append(f"note: an alternative tabulated reading puts "
+                     f"{pred.alt_low_weight_count} at weight {pred.min_distance}; "
+                     f"the counting argument above is the one measurements match")
+    _emit(args.format, doc, _WEIGHT_HEADER, pairs, lines)
     return 0
 
 

@@ -202,7 +202,7 @@ class PolyExpr:
     terms: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(\^)|(\*)|(\+)|(-)|(.))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*^])|(?P<bad>\S))")
 
 
 def parse_poly(text: str, n: int) -> PolyExpr:
@@ -214,24 +214,12 @@ def parse_poly(text: str, n: int) -> PolyExpr:
     """
     check_dim(n)
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
     for match in _TOKEN.finditer(text):
-        pos = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
-        num, var, caret, star, plus, minus, other = match.groups()
-        if num:
-            tokens.append(("num", num, pos))
-        elif var:
-            tokens.append(("var", var, pos))
-        elif caret:
-            tokens.append(("^", "^", pos))
-        elif star:
-            tokens.append(("*", "*", pos))
-        elif plus:
-            tokens.append(("+", "+", pos))
-        elif minus:
-            tokens.append(("-", "-", pos))
-        elif other and other.strip():
-            raise PolyParseError(f"unexpected character {other!r}", pos)
+        kind = match.lastgroup
+        val, pos = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {val!r}", pos)
+        tokens.append((val if kind == "op" else kind, val, pos))
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
 

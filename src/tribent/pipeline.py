@@ -96,13 +96,17 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     then built and measured without a closed-form prediction (a note says
     so, or that the set is empty).  When every hypothesis holds the
     selected set is measured, and a note names both labels if force_set
-    names another set.
+    names another set; when f is not bent a note says the set was not
+    measured.
     """
     forced = None if force_set is None else _forced_side(force_set)
     hyp = establish(f)
     rep = PipelineReport(stages=list(hyp.stages))
     profile = hyp.profile
     if profile is None:
+        if forced is not None:
+            rep.notes.append(f"f is not bent, so it has no dual and the requested "
+                             f"set {force_set.upper()} was not measured")
         return rep
     rep.type = profile.type.value
     rep.regularity = profile.regularity.value

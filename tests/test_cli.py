@@ -29,6 +29,13 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 SEARCH_M4 = ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7"]
+VERIFY_N5 = ["verify", "--poly", "x2^2*x5^2 + x1^2 + x2^2 + x3^2 + x4*x5", "--n", "5"]
+# weakly regular: a hypothesis fails, so the forced set is measured and
+# the run exits 1
+VERIFY_N3_D0 = ["verify", "--poly", "x1^2+x2^2+x3^2", "--n", "3", "--defining-set", "D0"]
+EXIT_ONE = {"verify-squares-n3-D0.csv", "verify-squares-n3-D0.txt"}
+# even/plus at r = n - 1 carries the alternative low-weight count
+PREDICT_N6 = ["predict", "--case", "even-plus", "--n", "6", "--r", "5"]
 
 
 @pytest.mark.parametrize("golden, argv", [
@@ -37,6 +44,7 @@ SEARCH_M4 = ["search", "--m", "4", "--s", "1", "--count", "50", "--seed", "7"]
     # n = 8, r = 5: V-perp has three basis vectors
     ("search-m2-s3-count20-seed7.json",
      ["search", "--m", "2", "--s", "3", "--count", "20", "--seed", "7", "--format", "json"]),
+    ("predict-even-plus-n6-r5.json", PREDICT_N6 + ["--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)
@@ -49,10 +57,16 @@ def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     ("examples.txt", ["examples"]),
     ("search-m4-s1-count50-seed7.csv", SEARCH_M4 + ["--format", "csv"]),
     ("search-m4-s1-count50-seed7.txt", SEARCH_M4),
+    ("verify-poly-n5.csv", VERIFY_N5 + ["--format", "csv"]),
+    ("verify-poly-n5.txt", VERIFY_N5),
+    ("verify-squares-n3-D0.csv", VERIFY_N3_D0 + ["--format", "csv"]),
+    ("verify-squares-n3-D0.txt", VERIFY_N3_D0),
+    ("predict-even-plus-n6-r5.csv", PREDICT_N6 + ["--format", "csv"]),
+    ("predict-even-plus-n6-r5.txt", PREDICT_N6),
 ])
 def test_csv_and_table_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == (1 if golden in EXIT_ONE else 0)
     # the csv module ends rows with CRLF; compare the bytes untranslated
     assert out.encode() == (DATA / golden).read_bytes()
 
@@ -106,6 +120,16 @@ def test_defining_set_on_an_eligible_function_gets_a_note(tmp_path, capsys):
     assert "set=C0" in out
     assert ("  note: every hypothesis holds, so the selected set C0 was measured, "
             "not the requested set D1") in out.splitlines()
+
+
+def test_defining_set_on_a_function_that_is_not_bent_gets_a_note(capsys):
+    code, out, err = run_cli(capsys, "verify", "--poly", "x1", "--n", "1",
+                             "--defining-set", "C0", "--format", "json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["defining_set"] is None and doc["code"] is None
+    assert doc["notes"] == ["f is not bent, so it has no dual and the requested "
+                            "set C0 was not measured"]
 
 
 def test_verify_polynomial_pass(capsys):

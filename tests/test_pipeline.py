@@ -30,6 +30,14 @@ def test_linear_function_stops_at_bentness():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("label", ["C0", "d2"])
+def test_forced_set_on_a_function_that_is_not_bent_gets_a_note(label):
+    rep = run_pipeline(TernaryFunction(2, [x % 3 for x in range(9)]), force_set=label)
+    assert rep.code is None and rep.defining_set is None and not rep.passed
+    assert rep.notes == [f"f is not bent, so it has no dual and the requested "
+                         f"set {label.upper()} was not measured"]
+
+
 def test_weakly_regular_reports_empty_side():
     rep = run_pipeline(quadratic_function(QuadraticForm((1, 2, 1, 1))))
     stage = rep.stage("non-weakly-regular")

@@ -33,7 +33,7 @@ from tribent.codes import (
     defining_set_for,
     select_defining_set,
 )
-from tribent.constructions import gmmf_build, gmmf_predict
+from tribent.constructions import eval_poly, gmmf_build, gmmf_predict, parse_poly
 from tribent.fields import ExtField
 from tribent.core import coord_matrix, coord_rows, size
 from tribent.pipeline import run_pipeline
@@ -217,6 +217,26 @@ def test_transform_at_n12_peaks_within_its_two_pairs():
         tracemalloc.stop()
     assert all(peaks[name] <= 10.1 for name in ("transform", "bent_profile", "is_bent")), peaks
     assert peaks["walsh_spectrum"] <= 20.1, peaks
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_plateau_and_parseval_read_squared_norms_in_blocks(n):
+    # tracemalloc's peak over 3^n: the int64 squared norms are read one
+    # block at a time, so neither reader peaks above the int32 spectrum
+    # itself, 16 B/point at n = 12 and 20 at n = 13
+    f = eval_poly(parse_poly(" + ".join(f"x{i}^2" for i in range(1, n + 1)), n))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / size(n)
+        finally:
+            tracemalloc.stop()
+
+    peaks = {"is_plateaued": peak(lambda: analysis.is_plateaued(f)),
+             "parseval_total": peak(lambda: analysis.walsh_spectrum(f).parseval_total())}
+    assert all(p <= 20.5 for p in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("side", list(BentType), ids=lambda side: side.value)

@@ -32,14 +32,12 @@ from .codes import (
     CodeCase,
     DefiningSet,
     LinearCode,
-    NegationReport,
     SelectionContext,
     WeightClassifier,
     WeightPrediction,
     build_code,
     enumerator_string,
     message_weights,
-    negation_check,
     predict_distribution,
     select_defining_set,
 )

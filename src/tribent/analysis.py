@@ -22,6 +22,7 @@ from .core import (
     check_dim,
     decode,
     dots_with,
+    encode,
     is_nondegenerate,
     legendre,
     negation,
@@ -30,6 +31,7 @@ from .core import (
     size,
     span,
     translation,
+    translation_table,
 )
 
 
@@ -321,11 +323,26 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     return a.astype(width, copy=False), b.astype(width, copy=False)
 
 
+def _omega_sums(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i w^(t_i) over m int8 exponent tables t_i with entries in
+    {0, 1, 2}, as int8 coefficient arrays a + b w.
+
+    w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 is (1 - t) + (t - 3 c) w
+    with c = t >> 1, so the sum is (m - s) + (s - 3 C) w for s the sum of
+    the exponents and C that of the c: at most 2m in magnitude.
+    """
+    s = sum(tables)
+    return len(tables) - s, s - 3 * sum(t >> 1 for t in tables)
+
+
 def _transform(f: TernaryFunction, width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
     """_radix3 of f's values w^f(x), in the given width.
 
     The inputs w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 are the
-    int8 coefficients 1 - t and t - 3 * (t >> 1).
+    int8 coefficients 1 - t and t - 3 * (t >> 1) (_omega_sums of the one
+    table), written out as the call's arguments so that _radix3 holds the
+    only references and drops them after its first pass: a tuple unpacked
+    into the call would keep them for the whole transform, 2 B/point more.
     """
     t = f.table
     return _radix3(1 - t, t - 3 * (t >> 1), f.n, width)
@@ -338,12 +355,29 @@ def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
-    """Single transform value by direct summation of w^(f(x) - a.x)."""
-    if not 0 <= alpha < size(f.n):
-        raise ValueError(f"point {alpha} out of range for n={f.n}")
-    exps = (f.table.astype(np.int64) - dots_with(alpha, f.n)) % 3
-    counts = np.bincount(exps, minlength=3)
-    return root_sum([int(c) for c in counts])
+    """Single transform value by direct summation of w^(f(x) - a.x).
+
+    x = h 3^k + l (k = n // 2) has x.a = h.a_high + l.a_low, so the
+    exponents come in int8 from the two half-width dot tables, a block of
+    rows h of at most _NORM_BLOCK points at a time, as
+    WalshSpectrum.norm_blocks reads its norms; nothing 3^n wide is built.
+    """
+    n = f.n
+    if not 0 <= alpha < size(n):
+        raise ValueError(f"point {alpha} out of range for n={n}")
+    k = n // 2
+    table = f.table.reshape(-1, size(k))
+    high, low = dots_with(alpha // size(k), n - k), dots_with(alpha % size(k), k)
+    rows = max(1, _NORM_BLOCK // size(k))
+    zeros = ones = 0
+    for start in range(0, len(table), rows):
+        block = slice(start, start + rows)
+        exps = table[block] - low
+        exps -= high[block, None]
+        exps %= 3
+        zeros += int(np.count_nonzero(exps == 0))
+        ones += int(np.count_nonzero(exps == 1))
+    return root_sum([zeros, ones, size(n) - zeros - ones])
 
 
 def is_bent(f: TernaryFunction) -> bool:
@@ -422,10 +456,10 @@ class BentProfile:
     sign[a] is +-1; for even n it is the literal unit in front of
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks.
-    dual_profile is the dual's own profile (None when the dual is not
-    bent), and type_span the span V of the type side, each built on first
-    access, so every reader of one profile shares one transform of the
-    dual and one span.
+    f is the function profiled, held by reference.  dual_profile is the
+    dual's own profile (None when the dual is not bent), and type_span
+    the span V of the type side, each built on first access, so every
+    reader of one profile shares one dual profile and one span.
     """
 
     n: int
@@ -433,6 +467,7 @@ class BentProfile:
     sign: np.ndarray
     type: BentType
     regularity: Regularity
+    f: TernaryFunction
 
     def side_mask(self, t: BentType) -> np.ndarray:
         """Boolean mask over all 3^n points, true on the side t."""
@@ -440,6 +475,10 @@ class BentProfile:
 
     @cached_property
     def dual_profile(self) -> "BentProfile | None":
+        """From coset sums of f (_dual_by_cosets) when the type side is a
+        subspace, else from the dual's own transform."""
+        if self.type_side_is_subspace():
+            return _dual_by_cosets(self)
         try:
             return bent_profile(self.dual)
         except NotBentError:
@@ -449,6 +488,16 @@ class BentProfile:
     def type_span(self) -> Subspace:
         """The span V of the type side, with a basis of V-perp as v.perp."""
         return span(self.side_mask(self.type), self.n)
+
+    @cached_property
+    def type_side_size(self) -> int:
+        """The number of points on the type side."""
+        return int(np.count_nonzero(self.side_mask(self.type)))
+
+    def type_side_is_subspace(self) -> bool:
+        """Whether the type side is its span V: it lies in V, so exactly
+        when it has 3^dim V points."""
+        return self.type_side_size == size(self.type_span.dim)
 
 
 @cache
@@ -491,9 +540,13 @@ def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
 
     A hit says the value is congruent to a unit's mod 2^B componentwise
     (the map (a, b) -> (2a - b, a + b) has determinant 3, odd, so it is
-    one-to-one mod 2^B).  On exact int32 values the lookup is exact: for
-    n <= EXACT_DIM, |x - unit| <= 2^31 + 2 * 3^9 < 2^32 forces x to be the
-    unit.  On residues mod 2^B a hit says only that the value is a unit's
+    one-to-one mod 2^B).  The lookup is exact wherever every coefficient
+    x it reads has |x - unit| < 2^B: on the exact int32 spectrum at
+    n <= EXACT_DIM, |x - unit| <= 2^31 + 2 * 3^9 < 2^32, and on the coset
+    sums Z of _dual_by_cosets, read at n = 2k, |Z| <= 3^(k+1) and
+    4 * 3^k < 2^B, asserted there.  The scale 3^ceil(n/2) is asserted to
+    be a B-bit value, which every use meets (n <= 2 EXACT_DIM in int32).
+    On residues mod 2^B a hit says only that the value is a unit's
     up to a multiple of 2^B (at n = 10 the int16 lookup reads 3^5 + 2^16
     as the unit 3^5); bent_profile turns hits at every point into a
     proof.  The inverses are taken in [-2^(B-1), 2^(B-1)) and passed as
@@ -505,8 +558,8 @@ def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
     dtype = coeff_1.dtype
     assert coeff_w.dtype == dtype and dtype in (np.int8, np.int16, np.int32), \
         "the lookup wraps int8, int16 or int32 products"
-    assert n <= EXACT_DIM, f"the lookup is exact only for n <= {EXACT_DIM}"
     bits = 8 * dtype.itemsize
+    assert 3 ** ((n + 1) // 2) < 2 ** (bits - 1), f"the scale at n={n} is no {bits}-bit value"
     qa, qb, odd = coeff_1, coeff_w, n % 2
     if odd:
         qb += qa
@@ -580,7 +633,14 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     if not sign.all():
         del sign, dual  # room for the exact spectrum
         raise _not_bent_witness(walsh_spectrum(f))
+    return _classified(f, sign, dual)
 
+
+def _classified(f: TernaryFunction, sign: np.ndarray, dual: np.ndarray) -> BentProfile:
+    """The profile of a bent f from its int8 sign map and dual table: the
+    type is the side of 0, and f is regular when every sign is +1 at even
+    n, weakly regular when every sign is that of 0 otherwise."""
+    n = f.n
     has_plus = bool((sign == 1).any())
     has_minus = bool((sign == -1).any())
     btype = BentType.PLUS if sign[0] == 1 else BentType.MINUS
@@ -590,13 +650,147 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
         reg = Regularity.WEAKLY_REGULAR
     else:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
-    return BentProfile(
-        n=n,
-        dual=TernaryFunction(n, dual),
-        sign=sign,
-        type=btype,
-        regularity=reg,
-    )
+    return BentProfile(n=n, dual=TernaryFunction(n, dual), sign=sign,
+                       type=btype, regularity=reg, f=f)
+
+
+@cache
+def _narrowest(bound: int) -> type:
+    """The narrowest of int8, int16 and int32 that holds bound."""
+    return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= bound)
+
+
+def _pivot_shifts(perp: np.ndarray) -> list[tuple[int, int]]:
+    """(p, q) for each row of the basis perp of V-perp, in decreasing p:
+    the row's highest nonzero digit p and the index q of its digits below
+    p.  span's null basis is in echelon form from the top digit, asserted
+    here: its row for a free column of V's reduced basis is 1 there, 0 at
+    the other free columns, and nonzero elsewhere only at V's pivots
+    below it."""
+    rows = perp.tolist()  # at most EXACT_DIM^2 entries: plain lists beat numpy calls
+    tops = [max(i for i, d in enumerate(row) if d) for row in rows]
+    assert all(row[p] == (i == j) for i, row in enumerate(rows) for j, p in enumerate(tops)), \
+        "perp is not in echelon form"
+    return sorted(((p, encode(row[:p])) for p, row in zip(tops, rows)), reverse=True)
+
+
+def _shift(x: np.ndarray, tables: Sequence[np.ndarray | None]) -> np.ndarray:
+    """x(a, y + q) for x viewed as (a, high digits of y, low digits of y),
+    given the translation tables of q's high and low digits, None where
+    those digits of q are all 0."""
+    for axis, table in enumerate(tables, start=1):
+        if table is not None:
+            x = x.take(table, axis=axis)
+    return x
+
+
+def _folded(h: np.ndarray, high: int, low: int, once: list, twice: list) -> list[np.ndarray]:
+    """The three slices of h at digit p, viewed as (a, c, y) with y's
+    digits below p split as high x low points, slice c translated by c q."""
+    view = h.reshape(-1, 3, high, low)
+    return [view[:, 0], _shift(view[:, 1], once), _shift(view[:, 2], twice)]
+
+
+def _coset_sums(t: np.ndarray, shifts: Sequence[tuple[int, int]],
+                lane: type) -> tuple[np.ndarray, np.ndarray]:
+    """H(x) = sum_{z in V-perp} w^t(x + z) at every x, as two coefficient
+    arrays of type lane, for an int8 exponent table t and V-perp spanned
+    by the k rows q_j = 3^p + q of _pivot_shifts: 1 at digit p, nothing
+    above it and nothing at the other p.
+
+    H is constant on the cosets of V-perp, and the points whose digits p
+    are all 0 hold one point of each coset.  A fold removes one digit p,
+    highest first: H_j(y) = sum_c H_(j-1)(y + c q_j) over c in F_3 for the
+    y with digit p zero, and y + c q_j has c at p and y's lower digits
+    moved by c q.  So the fold adds the three slices of the digit-p view,
+    slice c translated by c q along the p digits below p (_folded: the
+    digits split in halves as core.translation does, and a half that q
+    leaves alone not taken), into an array a third the size; the higher
+    digits, which q_j leaves alone, stay where they are.  Unfolding in
+    reverse order gives H back at every point: slice c at digit p is the
+    folded array translated by -c q, since H(y + c q_j) = H(y).  So the
+    k folds translate fewer than 3^n values, and so do the k unfolds.
+
+    The first fold reads the int8 table t (_omega_sums of its slices).
+    The rest, and the unfolds, run on one packed array h = a + 2^L b of
+    twice lane's L bits, so that one translation moves both coefficients:
+    the packed sums are the sums of the coefficients, and while both are
+    at most 3^k <= 2^(L-1) - 1 in magnitude (lane holds 3^k), neither
+    spills into the other's lane, so a is the low lane read as signed and
+    b = (h - a) / 2^L.
+    """
+    if not shifts:
+        return _omega_sums([t])
+    folds = []
+    for p, q in shifts:
+        m = p // 2
+        once = [translation_table(d, w) if d else None
+                for d, w in ((q // 3 ** m, p - m), (q % 3 ** m, m))]
+        folds.append((3 ** (p - m), 3 ** m, once, [x if x is None else x[x] for x in once]))
+    bits = 8 * np.dtype(lane).itemsize
+    first, *rest = folds
+    a, b = _omega_sums(_folded(t, *first))
+    h = a.astype(f"i{bits // 4}")
+    h += b.astype(h.dtype) << bits
+    del a, b
+    for fold in rest:
+        base, *shifted = _folded(h, *fold)
+        h = sum(shifted, base)
+    for high, low, once, twice in reversed(folds):
+        base = h.reshape(-1, high, low)
+        h = np.stack([base, _shift(base, twice), _shift(base, once)], axis=1)
+    h = h.reshape(-1)
+    a = h.astype(lane)
+    h -= a
+    h >>= bits
+    return a, h.astype(lane)
+
+
+def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
+    """The profile of f's dual f* when the type side of f is a subspace V
+    of dimension r = n - k; None when f* is not bent.  No transform is
+    taken: Poisson summation over V gives the dual's spectrum from f.
+
+    With eps(x) = s_type on V and -s_type off it (s_type = +1 when the
+    type side is the plus side), sum_x W_f(x) w^(-u.x) = 3^n w^f(-u) and
+    sum_{x in V} W_f(x) w^(-u.x) = 3^r G(u), G(u) = sum_{z in V-perp}
+    w^f(z - u), so
+
+        sum_x eps(x) W_f(x) w^(-u.x) = s_type 3^r Z(u),
+        Z(u) = 2 G(u) - 3^k w^f(-u).
+
+    W_f(x) = eps(x) c w^f*(x), with c = 3^(n/2) for even n and i 3^(n/2)
+    for odd n, so the left side is c W_f*(u), and f* is bent exactly when
+    |Z(u)|^2 = 3^(2k) everywhere, that is when every Z(u) is
+    s 3^k w^j: then f**(u) = j and the dual's sign is s_type s, negated
+    for odd n, where 1 / c = -i / 3^(n/2).  The unit lookup at 2k reads
+    s and j exactly (_unit_lookup): a coefficient of G is at most 3^k in
+    magnitude, so one of Z at most 3^(k+1), and Z is taken in the
+    narrowest type of B bits with 4 * 3^k < 2^B.
+
+    G(u) = sum_z w^t(u - z) = H(u) for the table t(x) = f(-x)
+    (_coset_sums, V-perp being closed under negation), and w^f(-u) =
+    w^t(u); for even f, t is f's own table.
+    """
+    f, n, v = p.f, p.n, p.type_span
+    k = n - v.dim
+    t = f.table if f.is_even() else negation(n)(f.table)
+    dtype = _narrowest(2 * 3 ** k)
+    assert 4 * 3 ** k < 2 ** (8 * np.dtype(dtype).itemsize), "coset sums too wide to read exactly"
+    za, zb = (c.astype(dtype, copy=False)
+              for c in _coset_sums(t, _pivot_shifts(v.perp), _narrowest(3 ** k)))
+    scale = dtype(3 ** k)
+    for z, c in zip((za, zb), _omega_sums([t])):
+        z *= dtype(2)
+        z -= np.multiply(c, scale, dtype=dtype)
+    del c  # w^t's last coefficient, else 1 B/point held through the lookup
+    sign, dual = _unit_lookup(za, zb, 2 * k)
+    del za, zb
+    if not sign.all():
+        return None
+    if (p.type is BentType.MINUS) != (n % 2 == 1):
+        np.negative(sign, out=sign)
+    return _classified(p.dual, sign, dual)
 
 
 def is_dual_bent(f: TernaryFunction,
@@ -729,11 +923,10 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     dual_ok, dual_profile = is_dual_bent(f, profile)
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
-    side_size = int(np.count_nonzero(profile.side_mask(profile.type)))
     v = profile.type_span
-    subspace = side_size == size(v.dim)
+    subspace = profile.type_side_is_subspace()
     stages.append(Stage("type-side-subspace", subspace, "" if subspace else
-                        f"|side| = {side_size} is not a subspace"))
+                        f"|side| = {profile.type_side_size} is not a subspace"))
     if subspace:
         nondeg = is_nondegenerate(v)
         stages.append(Stage("non-degenerate", nondeg, "" if nondeg else

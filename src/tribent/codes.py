@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import (
     BentProfile,
     BentType,
-    HypothesisError,
     Hypotheses,
     PreimageSets,
     TernaryFunction,
@@ -33,7 +32,6 @@ from .core import (
     EXACT_DIM,
     Subspace,
     digit_sum_table,
-    negation,
     size,
 )
 
@@ -408,58 +406,6 @@ class WeightClassifier:
         There is one u_c per coset; code.messages() only names a mismatch."""
         mismatch = np.flatnonzero(self.expected_weights(code) != code.message_weights)
         return int(code.messages()[mismatch[0]]) if mismatch.size else None
-
-
-# ---------------------------------------------------------------------------
-# Negation pairing between the two odd cases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NegationReport:
-    """Checks tying f to g = -f for odd n.
-
-    The plus set of f maps onto the minus set of g under point negation,
-    g(0) = -f(0), the two selected defining sets coincide as point sets,
-    and the two measured codes share one weight distribution.
-    """
-
-    sides_swap: bool
-    j0_negates: bool
-    same_defining_points: bool
-    distributions_equal: bool
-    f_context: SelectionContext
-    g_context: SelectionContext
-
-    @property
-    def ok(self) -> bool:
-        return (self.sides_swap and self.j0_negates
-                and self.same_defining_points and self.distributions_equal)
-
-
-def negation_check(f: TernaryFunction) -> NegationReport:
-    """Run both odd-n pipelines on f and -f and compare them."""
-    if f.n % 2 == 0:
-        raise HypothesisError("odd dimension")
-    ctx_f = defining_set_for(establish(f))
-    ctx_g = defining_set_for(establish(f.negated()))
-    if {ctx_f.case, ctx_g.case} != {CodeCase.ODD_PLUS, CodeCase.ODD_MINUS}:
-        raise HypothesisError("negation pairing",
-                              f"cases {ctx_f.case.value}/{ctx_g.case.value}")
-    # x is on g's type side exactly when -x is on f's
-    f_side, g_side = (c.hypotheses.profile.side_mask(c.case.side) for c in (ctx_f, ctx_g))
-    sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
-    j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
-    same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
-    code_f = build_code(ctx_f.defining, ctx_f.hypotheses.v)
-    code_g = build_code(ctx_g.defining, ctx_g.hypotheses.v)
-    return NegationReport(
-        sides_swap=sides_swap,
-        j0_negates=j0_negates,
-        same_defining_points=same_points,
-        distributions_equal=code_f.distribution == code_g.distribution,
-        f_context=ctx_f,
-        g_context=ctx_g,
-    )
 
 
 # ---------------------------------------------------------------------------

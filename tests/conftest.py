@@ -3,12 +3,40 @@ several suites inspect the same tables."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from tribent.analysis import BentProfile, BentType, TernaryFunction, _unit_values
-from tribent.codes import DefiningSet, WeightClassifier
-from tribent.core import Eisenstein, Subspace, decode, dots_with, encode, root_sum, size
+from tribent import analysis
+from tribent.analysis import (
+    BentProfile,
+    BentType,
+    HypothesisError,
+    NotBentError,
+    TernaryFunction,
+    _unit_values,
+    bent_profile,
+    establish,
+)
+from tribent.codes import (
+    CodeCase,
+    DefiningSet,
+    SelectionContext,
+    WeightClassifier,
+    build_code,
+    defining_set_for,
+)
+from tribent.core import (
+    Eisenstein,
+    Subspace,
+    decode,
+    dots_with,
+    encode,
+    negation,
+    root_sum,
+    size,
+)
 from tribent.fixtures import FIXTURES, get_fixture
 
 
@@ -159,6 +187,77 @@ def brute_perp(v: Subspace) -> np.ndarray:
     points = np.arange(size(v.n))[:, None] // 3 ** np.arange(v.n) % 3
     basis = np.array([decode(b, v.n) for b in v.basis], dtype=np.int64).reshape(-1, v.n)
     return np.flatnonzero(~(points @ basis.T % 3).any(axis=1))
+
+
+def assert_dual_by_cosets_matches_transform(f: TernaryFunction) -> int:
+    """The dual's profile from coset sums of f (analysis._dual_by_cosets)
+    against the dual's own transform: the same sign map, dual, type and
+    regularity, or None on both routes when the dual is not bent.  f must
+    be bent with a type side that is a subspace; returns k = n - dim V."""
+    p = bent_profile(f)
+    assert p.type_side_is_subspace()
+    got = analysis._dual_by_cosets(p)
+    try:
+        want = bent_profile(p.dual)
+    except NotBentError:
+        assert got is None
+    else:
+        assert got is not None and got.f is p.dual
+        assert got.sign.dtype == np.int8 and np.array_equal(got.sign, want.sign)
+        assert got.dual == want.dual
+        assert (got.n, got.type, got.regularity) == (want.n, want.type, want.regularity)
+    return f.n - p.type_span.dim
+
+
+# Negation pairing between the two odd cases: f and -f run the odd-plus
+# and odd-minus pipelines and must agree.
+
+@dataclass(frozen=True)
+class NegationReport:
+    """Checks tying f to g = -f for odd n.
+
+    The plus set of f maps onto the minus set of g under point negation,
+    g(0) = -f(0), the two selected defining sets coincide as point sets,
+    and the two measured codes share one weight distribution.
+    """
+
+    sides_swap: bool
+    j0_negates: bool
+    same_defining_points: bool
+    distributions_equal: bool
+    f_context: SelectionContext
+    g_context: SelectionContext
+
+    @property
+    def ok(self) -> bool:
+        return (self.sides_swap and self.j0_negates
+                and self.same_defining_points and self.distributions_equal)
+
+
+def negation_check(f: TernaryFunction) -> NegationReport:
+    """Run both odd-n pipelines on f and -f and compare them."""
+    if f.n % 2 == 0:
+        raise HypothesisError("odd dimension")
+    ctx_f = defining_set_for(establish(f))
+    ctx_g = defining_set_for(establish(f.negated()))
+    if {ctx_f.case, ctx_g.case} != {CodeCase.ODD_PLUS, CodeCase.ODD_MINUS}:
+        raise HypothesisError("negation pairing",
+                              f"cases {ctx_f.case.value}/{ctx_g.case.value}")
+    # x is on g's type side exactly when -x is on f's
+    f_side, g_side = (c.hypotheses.profile.side_mask(c.case.side) for c in (ctx_f, ctx_g))
+    sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
+    j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
+    same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
+    code_f = build_code(ctx_f.defining, ctx_f.hypotheses.v)
+    code_g = build_code(ctx_g.defining, ctx_g.hypotheses.v)
+    return NegationReport(
+        sides_swap=sides_swap,
+        j0_negates=j0_negates,
+        same_defining_points=same_points,
+        distributions_equal=code_f.distribution == code_g.distribution,
+        f_context=ctx_f,
+        g_context=ctx_g,
+    )
 
 
 def random_function(rng: np.random.Generator, n: int) -> TernaryFunction:

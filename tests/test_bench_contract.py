@@ -17,6 +17,8 @@ import pytest
 
 import tribent
 
+from conftest import assert_dual_by_cosets_matches_transform
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -50,3 +52,12 @@ def test_trace_targets_include_the_dense_layers():
 def test_hypothesis_path_verdict():
     inst = workloads.glue_instance(random.Random(0), 4, 1, 0, "minus")
     assert workloads.check_hypotheses(inst, workloads.run_hypotheses(inst)) is None
+
+
+def test_dual_profile_by_cosets_on_every_benchmark_instance():
+    # every input of the three workloads at the default seed: the dual's
+    # profile from coset sums equals the dual's own transform
+    instances = [inst for workload in workloads.WORKLOADS.values() for inst in workload.build(1)]
+    assert len(instances) == 248
+    ks = {assert_dual_by_cosets_matches_transform(inst.f) for inst in instances}
+    assert {0, 1, 2, 3, 4} <= ks

@@ -45,6 +45,10 @@ PREDICT_N6 = ["predict", "--case", "even-plus", "--n", "6", "--r", "5"]
     ("search-m2-s3-count20-seed7.json",
      ["search", "--m", "2", "--s", "3", "--count", "20", "--seed", "7", "--format", "json"]),
     ("predict-even-plus-n6-r5.json", PREDICT_N6 + ["--format", "json"]),
+    # n = 11, r = 6: V-perp has five basis vectors, past every benchmark shape
+    ("search-m1-s5-count6-seed7-minus.json",
+     ["search", "--m", "1", "--s", "5", "--count", "6", "--seed", "7", "--side", "minus",
+      "--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)

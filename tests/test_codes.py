@@ -20,7 +20,6 @@ from tribent.codes import (
     code_report,
     enumerator_string,
     message_weights,
-    negation_check,
     predict_distribution,
     preimage_points,
     select_defining_set,
@@ -36,6 +35,7 @@ from conftest import (
     add_points,
     brute_perp,
     direct_weights,
+    negation_check,
     radix3_oracle,
     weight_of,
     weight_of_character_sum,

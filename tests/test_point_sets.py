@@ -239,6 +239,24 @@ def test_plateau_and_parseval_read_squared_norms_in_blocks(n):
     assert all(p <= 20.5 for p in peaks.values()), peaks
 
 
+def test_walsh_point_at_n12_reads_its_exponents_in_blocks():
+    # tracemalloc's peak over 3^n: the int8 exponents of one block of
+    # rows at a time from two half-width dot tables, where the int64
+    # exponent and dot tables over all points read 24 B/point
+    n = 12
+    f = eval_poly(parse_poly(" + ".join(f"x{i}^2" for i in range(1, n + 1)) + " + x1*x2", n))
+    points = (0, 5, 12345, size(n) - 1)
+    tracemalloc.start()
+    try:
+        values = [analysis.walsh_point(f, a) for a in points]
+        peak = tracemalloc.get_traced_memory()[1] / size(n)
+    finally:
+        tracemalloc.stop()
+    spectrum = analysis.walsh_spectrum(f)
+    assert values == [spectrum.value(a) for a in points]
+    assert peak <= 0.5, peak
+
+
 @pytest.mark.parametrize("side", list(BentType), ids=lambda side: side.value)
 def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side):
     # tracemalloc's peak above each stage's start, over 3^n: no stage

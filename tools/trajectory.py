@@ -5,9 +5,9 @@ For each n in DIMS, 6..16, a child interpreter builds the seeded glue
 instance that `run_search(n - 2, 1, 1, 0)` draws (plus side, m = n - 2,
 s = 1, seed 0) and runs one run_pipeline on it.  The stage functions that
 tribent.pipeline calls are wrapped, as perfbench/tracing.py wraps them, and
-timed with perf_counter: establish (both transforms, the span and the
-hypotheses), select (defining_set_for), cosets (coset_tiling), code
-(build_code) and classifier (WeightClassifier.check_all); build times
+timed with perf_counter: establish (f's transform, the dual's profile, the
+span and the hypotheses), select (defining_set_for), cosets (coset_tiling),
+code (build_code) and classifier (WeightClassifier.check_all); build times
 gmmf_build.  Beside each time, <stage>_faults counts the minor page faults
 (ru_minflt) the stage took.  First calls pay their cache fills and their
 first touch of every page, as a one-off CLI run does; the same instance is

@@ -9,6 +9,7 @@ partition of F_3^n into the plus and minus point sets.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
@@ -31,7 +32,6 @@ from .core import (
     size,
     span,
     translation,
-    translation_table,
 )
 
 
@@ -169,10 +169,6 @@ class WalshSpectrum:
         return sum(int(norms.sum()) for _, norms in self.norm_blocks())
 
 
-# The narrow types of the radix-3 passes, each with the last pass whose
-# bound it holds (see _radix3); later passes run in int32.
-_NARROW_PASSES = ((np.int8, 4), (np.int16, 9))
-
 # The digits per round of radix-3 passes, each with the last n that takes
 # it (see _radix3).  Through n = 9 one-digit interleaved rounds are the
 # fastest; above, n - d >= 7, since an in-place pass whose contiguous runs
@@ -191,13 +187,11 @@ def _holds(dtype: type, p: int) -> bool:
     return 4 * 9 ** p <= 3 * int(np.iinfo(dtype).max) ** 2
 
 
+@cache
 def _pass_dtype(p: int, width: type = np.int32) -> type:
     """The narrowest integer type of radix-3 pass p (counted from 1) that
-    holds the pass's bound, or width where that is narrower."""
-    for dtype, last in _NARROW_PASSES:
-        if p <= last or dtype is width:
-            return dtype
-    return np.int32
+    holds the pass's bound (_holds), or width where that is narrower."""
+    return next(t for t in (np.int8, np.int16, np.int32) if t is width or _holds(t, p))
 
 
 def _round_digits(n: int) -> int:
@@ -293,7 +287,6 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     coefficients (the residues bent_profile reads).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
-    assert all(_holds(t, last) for t, last in _NARROW_PASSES), "pass type schedule exceeds its bound"
     assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
     points, digits = size(n), _round_digits(n)
     spare = None  # the pair the next pass writes
@@ -588,7 +581,7 @@ def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
 def _residue_dtype(n: int) -> type:
     """The integer type whose residues bent_profile reads at n: the
     narrowest of B bits with 2^(B-1) > 3^(n/2) (see bent_profile)."""
-    return np.int8 if n <= 8 else np.int16
+    return _narrowest(math.isqrt(3 ** n))
 
 
 def _not_bent_witness(spectrum: WalshSpectrum) -> NotBentError:
@@ -660,42 +653,33 @@ def _narrowest(bound: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= bound)
 
 
-def _pivot_shifts(perp: np.ndarray) -> list[tuple[int, int]]:
-    """(p, q) for each row of the basis perp of V-perp, in decreasing p:
-    the row's highest nonzero digit p and the index q of its digits below
-    p.  span's null basis is in echelon form from the top digit, asserted
-    here: its row for a free column of V's reduced basis is 1 there, 0 at
-    the other free columns, and nonzero elsewhere only at V's pivots
-    below it."""
+def _coset_folds(perp: np.ndarray) -> list[tuple[int, Callable, Callable]]:
+    """(p, translation by q, translation by -q) over F_3^p for each row
+    3^p + q of the basis perp of V-perp, in decreasing p: the row's
+    highest nonzero digit and its digits below.  span's null basis is in
+    echelon form from the top digit, asserted here: its row for a free
+    column of V's reduced basis is 1 there, 0 at the other free columns,
+    and nonzero elsewhere only at V's pivots below it."""
     rows = perp.tolist()  # at most EXACT_DIM^2 entries: plain lists beat numpy calls
     tops = [max(i for i, d in enumerate(row) if d) for row in rows]
     assert all(row[p] == (i == j) for i, row in enumerate(rows) for j, p in enumerate(tops)), \
         "perp is not in echelon form"
-    return sorted(((p, encode(row[:p])) for p, row in zip(tops, rows)), reverse=True)
+    return [(p, translation(encode(row[:p]), p), translation(encode([-d for d in row[:p]]), p))
+            for p, row in sorted(zip(tops, rows), reverse=True)]
 
 
-def _shift(x: np.ndarray, tables: Sequence[np.ndarray | None]) -> np.ndarray:
-    """x(a, y + q) for x viewed as (a, high digits of y, low digits of y),
-    given the translation tables of q's high and low digits, None where
-    those digits of q are all 0."""
-    for axis, table in enumerate(tables, start=1):
-        if table is not None:
-            x = x.take(table, axis=axis)
-    return x
+def _folded(h: np.ndarray, p: int, plus: Callable, minus: Callable) -> list[np.ndarray]:
+    """The three slices of h at digit p, as (a, c, y) with y the p digits
+    below it, slice c translated by c q: by q (plus) or -q = 2q (minus)."""
+    view = h.reshape(-1, 3, size(p))
+    return [view[:, 0], plus(view[:, 1]), minus(view[:, 2])]
 
 
-def _folded(h: np.ndarray, high: int, low: int, once: list, twice: list) -> list[np.ndarray]:
-    """The three slices of h at digit p, viewed as (a, c, y) with y's
-    digits below p split as high x low points, slice c translated by c q."""
-    view = h.reshape(-1, 3, high, low)
-    return [view[:, 0], _shift(view[:, 1], once), _shift(view[:, 2], twice)]
-
-
-def _coset_sums(t: np.ndarray, shifts: Sequence[tuple[int, int]],
+def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]],
                 lane: type) -> tuple[np.ndarray, np.ndarray]:
     """H(x) = sum_{z in V-perp} w^t(x + z) at every x, as two coefficient
     arrays of type lane, for an int8 exponent table t and V-perp spanned
-    by the k rows q_j = 3^p + q of _pivot_shifts: 1 at digit p, nothing
+    by the k rows q_j = 3^p + q of _coset_folds: 1 at digit p, nothing
     above it and nothing at the other p.
 
     H is constant on the cosets of V-perp, and the points whose digits p
@@ -703,13 +687,12 @@ def _coset_sums(t: np.ndarray, shifts: Sequence[tuple[int, int]],
     highest first: H_j(y) = sum_c H_(j-1)(y + c q_j) over c in F_3 for the
     y with digit p zero, and y + c q_j has c at p and y's lower digits
     moved by c q.  So the fold adds the three slices of the digit-p view,
-    slice c translated by c q along the p digits below p (_folded: the
-    digits split in halves as core.translation does, and a half that q
-    leaves alone not taken), into an array a third the size; the higher
-    digits, which q_j leaves alone, stay where they are.  Unfolding in
-    reverse order gives H back at every point: slice c at digit p is the
-    folded array translated by -c q, since H(y + c q_j) = H(y).  So the
-    k folds translate fewer than 3^n values, and so do the k unfolds.
+    slice c translated by c q along the p digits below p (_folded), into
+    an array a third the size; the higher digits, which q_j leaves alone,
+    stay where they are.  Unfolding in reverse order gives H back at every
+    point: slice c at digit p is the folded array translated by -c q,
+    since H(y + c q_j) = H(y).  So the k folds translate fewer than 3^n
+    values, and so do the k unfolds.
 
     The first fold reads the int8 table t (_omega_sums of its slices).
     The rest, and the unfolds, run on one packed array h = a + 2^L b of
@@ -719,14 +702,8 @@ def _coset_sums(t: np.ndarray, shifts: Sequence[tuple[int, int]],
     spills into the other's lane, so a is the low lane read as signed and
     b = (h - a) / 2^L.
     """
-    if not shifts:
+    if not folds:
         return _omega_sums([t])
-    folds = []
-    for p, q in shifts:
-        m = p // 2
-        once = [translation_table(d, w) if d else None
-                for d, w in ((q // 3 ** m, p - m), (q % 3 ** m, m))]
-        folds.append((3 ** (p - m), 3 ** m, once, [x if x is None else x[x] for x in once]))
     bits = 8 * np.dtype(lane).itemsize
     first, *rest = folds
     a, b = _omega_sums(_folded(t, *first))
@@ -736,9 +713,9 @@ def _coset_sums(t: np.ndarray, shifts: Sequence[tuple[int, int]],
     for fold in rest:
         base, *shifted = _folded(h, *fold)
         h = sum(shifted, base)
-    for high, low, once, twice in reversed(folds):
-        base = h.reshape(-1, high, low)
-        h = np.stack([base, _shift(base, twice), _shift(base, once)], axis=1)
+    for p, plus, minus in reversed(folds):
+        base = h.reshape(-1, size(p))
+        h = np.stack([base, minus(base), plus(base)], axis=1)
     h = h.reshape(-1)
     a = h.astype(lane)
     h -= a
@@ -778,7 +755,7 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     dtype = _narrowest(2 * 3 ** k)
     assert 4 * 3 ** k < 2 ** (8 * np.dtype(dtype).itemsize), "coset sums too wide to read exactly"
     za, zb = (c.astype(dtype, copy=False)
-              for c in _coset_sums(t, _pivot_shifts(v.perp), _narrowest(3 ** k)))
+              for c in _coset_sums(t, _coset_folds(v.perp), _narrowest(3 ** k)))
     scale = dtype(3 ** k)
     for z, c in zip((za, zb), _omega_sums([t])):
         z *= dtype(2)
@@ -984,14 +961,15 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
     cosets exactly when f(x + q) = f(x) on that side for every q.
 
     So each q translates one int8 code, 3 [x in D+] + f(x) [x on the
-    branch's side], once (core.translation, two half-width tables): the
-    code is unchanged exactly when the high part (D+) and the low part
-    (f on the branch's side) both are.  Any basis of V-perp spans the
-    same cosets, so the q are the rows of v.perp as span left them, not
-    reduced again.  Only when some q moves D+, a broken tiling that the
-    theorem excludes, is the type-side mask built: the branch's index set
-    (the type side meeting the branch's dual side) is closed under
-    x -> x + q and x -> x + 2q, and constant_ok read on that closure.
+    branch's side], once (core.translation, at most two half-width
+    tables): the code is unchanged exactly when the high part (D+) and
+    the low part (f on the branch's side) both are.  Any basis of V-perp
+    spans the same cosets, so the q are the rows of v.perp as span left
+    them, not reduced again.  Only when some q moves D+, a broken tiling
+    that the theorem excludes, is the type-side mask built: the branch's
+    index set (the type side meeting the branch's dual side) is closed
+    under x -> x + q and x -> x + 2q, and constant_ok read on that
+    closure.
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile

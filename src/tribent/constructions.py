@@ -314,11 +314,16 @@ class TraceSpec:
 def trace_function(spec: TraceSpec) -> TernaryFunction:
     fld = spec.field
     n = fld.q - 1
-    table = np.zeros(fld.q, dtype=np.int64)
+    table = np.zeros(fld.q, dtype=np.int8)
+    trace_of_power = fld._trace[fld._exp]  # Tr(g^i), int8
     for cpow, e in spec.terms:
-        table[1:] += fld._trace[fld._exp[(cpow % n + e % n * fld._log[1:]) % n]]
+        power = np.multiply(fld._log[1:], e % n, dtype=np.int64)
+        power += cpow % n
+        power %= n
+        table[1:] += trace_of_power[power]
         if e == 0:  # 0^0 = 1, and 0^e = 0 for e > 0
             table[0] += fld.trace(fld.gen_pow(cpow))
+        table %= 3
     return TernaryFunction(fld.k, table)
 
 

@@ -31,7 +31,8 @@ EXACT_DIM = 18
 # bent_profile then takes the exact int32 spectrum; a --defining-set
 # code over all of F_3^n (r = n, where a verdict has r < n), 25.8-31.5
 # (tools/trajectory.py's forced_rss_mb), most of it the radix-3
-# transform over F_3^n.
+# transform over F_3^n.  tests/test_peak_contract.py holds every exported
+# path that builds a 3^n table to it at n = 12, by tracemalloc's peak.
 PEAK_BYTES_PER_POINT = 34
 
 
@@ -186,39 +187,48 @@ def neg_table(n: int) -> np.ndarray:
 
 
 def translation_table(p: int, n: int) -> np.ndarray:
-    """t[x] = index of x + p, for all x (int64)."""
-    return (coord_matrix(n) + coord_rows([p], n)) % 3 @ 3 ** np.arange(n)
+    """t[x] = index of x + p, for all x (int64), added digit by digit."""
+    return digit_sum_table([[(d + c) % 3 * 3 ** i for d in range(3)]
+                            for i, c in enumerate(decode(p, n))])
 
 
-def _halfwise(high: np.ndarray, low: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map taking a flat array a over F_3^n to x -> a[t(x)], for a
-    point map t that acts on each digit alone, given as its table high on
-    the top n - k digits and low on the low k = n // 2 digits.
-
-    The two halves of x then move independently, so on the
-    (3^(n-k), 3^k) view of a one take along each axis replaces a gather
-    by one 3^n-entry table.
+def _halfwise(high: np.ndarray | None, low: np.ndarray | None,
+              n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> a[..., t(x)] on the last axis of an array a over
+    F_3^n, for a point map t that acts on each digit alone, given as its
+    tables high on the top n - k digits and low on the low k = n // 2,
+    None for a half that t leaves alone.  The halves of x then move
+    independently, so a take along each moved axis of the
+    (..., 3^(n-k), 3^k) view replaces a gather by one 3^n-entry table.
     """
+    halves = (size(n - n // 2), size(n // 2))
 
     def apply(a: np.ndarray) -> np.ndarray:
-        return a.reshape(len(high), len(low)).take(high, axis=0).take(low, axis=1).reshape(-1)
+        view = a.reshape(a.shape[:-1] + halves)
+        if high is not None:
+            view = view.take(high, axis=-2)
+        if low is not None:
+            view = view.take(low, axis=-1)
+        return view.reshape(a.shape)
 
     return apply
 
 
 def translation(p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map taking a flat array a over F_3^n to x -> a[x + p]; x + p is
-    added digit by digit, so the map is _halfwise of two half-width
-    translation tables."""
+    """The map taking an array a over F_3^n (last axis) to x -> a[x + p];
+    x + p is added digit by digit, so the map is _halfwise of the
+    half-width translation tables of p's nonzero halves."""
     k = n // 2
-    return _halfwise(translation_table(p // 3 ** k, n - k), translation_table(p % 3 ** k, k))
+    high, low = divmod(p, 3 ** k)
+    return _halfwise(translation_table(high, n - k) if high else None,
+                     translation_table(low, k) if low else None, n)
 
 
 def negation(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map taking a flat array a over F_3^n to x -> a[-x], from
-    neg_table(n - k) and neg_table(k) (_halfwise): no table is 3^n wide."""
+    """The map taking an array a over F_3^n (last axis) to x -> a[-x]:
+    _halfwise of neg_table(n - k) and neg_table(k)."""
     k = n // 2
-    return _halfwise(neg_table(n - k), neg_table(k))
+    return _halfwise(neg_table(n - k), neg_table(k), n)
 
 
 def dots_with(v: int, n: int) -> np.ndarray:

@@ -13,7 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import coord_rows, decode, digit_sum_table, size
+from .core import coord_rows, decode, dots_with, encode, size
+
+# powers of the generator ExtField.create multiplies at once; at k = 12
+# larger blocks than 2^12 ran no faster
+_POWER_BLOCK = 1 << 13
 
 
 def _poly_mod(p: list[int], m: list[int]) -> list[int]:
@@ -94,8 +98,8 @@ class ExtField:
 
     Construction checks that the generator's multiplication matrix has
     order 3^k - 1, which also proves the modulus irreducible, then builds
-    discrete exp/log tables (read-only int64 arrays) so products and
-    powers are table lookups.
+    discrete exp/log tables (read-only int32 arrays) and the int8 trace
+    table, so products, powers and traces are table lookups.
     """
 
     k: int
@@ -119,16 +123,18 @@ class ExtField:
                 raise ValueError(f"modulus {list(mod)} is reducible over F_3")
             raise ValueError(f"generator {generator} is not primitive")
 
-        # Row i of rows holds the coordinates of g^i.  Each round doubles
-        # them: rows i + 2^j are rows i times M_g^(2^j).  Each dot product
-        # is at most 4k, so the rows stay int8.
-        rows, step = np.eye(1, k, dtype=np.int8), m_g.astype(np.int8)
-        while len(rows) < q - 1:
-            rows = np.concatenate([rows, rows[: q - 1 - len(rows)] @ step.T % 3])
-            step = step @ step % 3
-        exp = sum(digit.astype(np.int64) * 3 ** i for i, digit in enumerate(rows.T))
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
+        # exp[i] = index of g^i, int32 (q <= 3^EXACT_DIM < 2^31), filled as
+        # exp[s + i] = g^b exp[s - b + i] on the int8 coordinates (dot
+        # products at most 4k) of the last b <= _POWER_BLOCK powers only.
+        exp, s, weights = np.ones(q - 1, dtype=np.int32), 1, 3 ** np.arange(k)
+        coords = np.eye(1, k, dtype=np.int8)
+        while s < q - 1:
+            b = min(s, _POWER_BLOCK, q - 1 - s)
+            block = coords[-b:] @ _mat_pow(m_g, b).T.astype(np.int8) % 3
+            exp[s:s + b] = block @ weights
+            coords, s = np.concatenate([coords, block])[-_POWER_BLOCK:], s + b
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
 
         # Tr(x) = x + x^3 + ... + x^(3^(k-1)) is F_3-linear, so it is
         # digit-additive: Tr(x) = sum_j x_j Tr(t^j).  Row j of exp[logs]
@@ -137,7 +143,7 @@ class ExtField:
         logs = np.outer(log[3 ** np.arange(k)], 3 ** np.arange(k)) % (q - 1)
         sums = coord_rows(exp[logs].ravel(), k).reshape(k, k, k).sum(axis=1) % 3
         assert not sums[:, 1:].any(), "trace must land in the prime field"
-        trace = digit_sum_table([(0, t, 2 * t) for t in sums[:, 0].tolist()]) % 3
+        trace = dots_with(encode(sums[:, 0].tolist()), k)
         for table in (exp, log, trace):
             table.flags.writeable = False
         return cls(k, mod, generator, exp, log, trace)

@@ -49,6 +49,12 @@ PREDICT_N6 = ["predict", "--case", "even-plus", "--n", "6", "--r", "5"]
     ("search-m1-s5-count6-seed7-minus.json",
      ["search", "--m", "1", "--s", "5", "--count", "6", "--seed", "7", "--side", "minus",
       "--format", "json"]),
+    # n = 8 with U of dimension 1: V-perp is not axis-aligned, so the
+    # dual's coset folds translate by q != 0 (k = 2); one instance skips
+    # at non-degenerate
+    ("search-m2-s3-count8-seed7-u1.json",
+     ["search", "--m", "2", "--s", "3", "--count", "8", "--seed", "7", "--u-dim", "1",
+      "--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)

@@ -25,6 +25,7 @@ from tribent.core import (
     is_subspace,
     legendre,
     neg_table,
+    negation,
     omega_pow,
     orthogonal_complement,
     root_sum,
@@ -205,12 +206,37 @@ def test_digit_sum_table_against_decode(n):
 def test_half_width_translation_against_the_full_table(n):
     # at n = 1 the low half is empty; digit-wise addition carries nothing
     # across the halves, which p = 3^k - 1 (every low digit 2) and p = 3^k
-    # (lowest high digit 1) probe
+    # (lowest high digit 1) probe; a map acts along the last axis, so each
+    # row of a (3, 3^n) array moves as a flat one does
     rng = np.random.default_rng(n)
-    a = rng.integers(0, 3, size(n)).astype(np.int8)
+    rows = rng.integers(0, 3, (3, size(n))).astype(np.int8)
+    a = rows[0]
     k = n // 2
     for p in {0, size(n) - 1, 3 ** k - 1, 3 ** k % size(n), int(rng.integers(size(n)))}:
-        assert np.array_equal(translation(p, n)(a), a[translation_table(p, n)])
+        shift = translation(p, n)
+        assert np.array_equal(shift(a), a[translation_table(p, n)])
+        assert np.array_equal(shift(rows), rows[:, translation_table(p, n)])
+    assert np.array_equal(negation(n)(a), a[neg_table(n)])
+    assert np.array_equal(negation(n)(rows), rows[:, neg_table(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_translation_builds_a_table_for_each_half_it_moves(monkeypatch, n):
+    # 3^k moves only the lowest high digit, and 0 moves nothing
+    built = []
+    original = core.translation_table
+
+    def counted(p, width):
+        built.append(width)
+        return original(p, width)
+
+    monkeypatch.setattr(core, "translation_table", counted)
+    k = n // 2
+    translation(3 ** k, n)
+    assert built == [n - k]
+    built.clear()
+    translation(0, n)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -535,10 +535,8 @@ def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
     (the map (a, b) -> (2a - b, a + b) has determinant 3, odd, so it is
     one-to-one mod 2^B).  The lookup is exact wherever every coefficient
     x it reads has |x - unit| < 2^B: on the exact int32 spectrum at
-    n <= EXACT_DIM, |x - unit| <= 2^31 + 2 * 3^9 < 2^32, and on the coset
-    sums Z of _dual_by_cosets, read at n = 2k, |Z| <= 3^(k+1) and
-    4 * 3^k < 2^B, asserted there.  The scale 3^ceil(n/2) is asserted to
-    be a B-bit value, which every use meets (n <= 2 EXACT_DIM in int32).
+    n <= EXACT_DIM, |x - unit| <= 2^31 + 2 * 3^9 < 2^32.  The scale
+    3^ceil(n/2) is asserted to be a B-bit value, which every use meets.
     On residues mod 2^B a hit says only that the value is a unit's
     up to a multiple of 2^B (at n = 10 the int16 lookup reads 3^5 + 2^16
     as the unit 3^5); bent_profile turns hits at every point into a
@@ -675,52 +673,36 @@ def _folded(h: np.ndarray, p: int, plus: Callable, minus: Callable) -> list[np.n
     return [view[:, 0], plus(view[:, 1]), minus(view[:, 2])]
 
 
-def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]],
-                lane: type) -> tuple[np.ndarray, np.ndarray]:
-    """H(x) = sum_{z in V-perp} w^t(x + z) at every x, as two coefficient
-    arrays of type lane, for an int8 exponent table t and V-perp spanned
-    by the k rows q_j = 3^p + q of _coset_folds: 1 at digit p, nothing
-    above it and nothing at the other p.
+def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]]) -> np.ndarray:
+    """G(y) = sum_{z in V-perp} w^t(y + z) for an int8 exponent table t and
+    V-perp spanned by the k rows q_j = 3^p + q of _coset_folds: 1 at digit
+    p, nothing above it and nothing at the other p.  The points y whose
+    digits p are all 0 hold one point of each coset, and G is given there
+    only, in index order with those digits dropped, as h = a + 2^L b for
+    G = a + b w, in the signed type of 2L bits, L those of the narrowest
+    type that holds 3^k.
 
-    H is constant on the cosets of V-perp, and the points whose digits p
-    are all 0 hold one point of each coset.  A fold removes one digit p,
-    highest first: H_j(y) = sum_c H_(j-1)(y + c q_j) over c in F_3 for the
-    y with digit p zero, and y + c q_j has c at p and y's lower digits
-    moved by c q.  So the fold adds the three slices of the digit-p view,
-    slice c translated by c q along the p digits below p (_folded), into
-    an array a third the size; the higher digits, which q_j leaves alone,
-    stay where they are.  Unfolding in reverse order gives H back at every
-    point: slice c at digit p is the folded array translated by -c q,
-    since H(y + c q_j) = H(y).  So the k folds translate fewer than 3^n
-    values, and so do the k unfolds.
+    A fold removes one digit p, highest first: G_j(y) = sum_c
+    G_(j-1)(y + c q_j) over c in F_3 for the y with digit p zero, and
+    y + c q_j has c at p and y's lower digits moved by c q.  So the fold
+    adds the three slices of the digit-p view, slice c translated by c q
+    along the p digits below p (_folded), into an array a third the size;
+    the higher digits, which q_j leaves alone, stay where they are.
 
-    The first fold reads the int8 table t (_omega_sums of its slices).
-    The rest, and the unfolds, run on one packed array h = a + 2^L b of
-    twice lane's L bits, so that one translation moves both coefficients:
-    the packed sums are the sums of the coefficients, and while both are
-    at most 3^k <= 2^(L-1) - 1 in magnitude (lane holds 3^k), neither
-    spills into the other's lane, so a is the low lane read as signed and
-    b = (h - a) / 2^L.
+    The first fold reads t (_omega_sums of its slices; with no fold, of t
+    itself).  The rest run on the packed h, so that one translation moves
+    both coefficients: while both are at most 3^k <= 2^(L-1) - 1 in
+    magnitude, neither spills into the other's lane.
     """
-    if not folds:
-        return _omega_sums([t])
-    bits = 8 * np.dtype(lane).itemsize
-    first, *rest = folds
-    a, b = _omega_sums(_folded(t, *first))
+    bits = 8 * np.dtype(_narrowest(3 ** len(folds))).itemsize
+    a, b = _omega_sums(_folded(t, *folds[0]) if folds else [t])
     h = a.astype(f"i{bits // 4}")
     h += b.astype(h.dtype) << bits
     del a, b
-    for fold in rest:
+    for fold in folds[1:]:
         base, *shifted = _folded(h, *fold)
         h = sum(shifted, base)
-    for p, plus, minus in reversed(folds):
-        base = h.reshape(-1, size(p))
-        h = np.stack([base, minus(base), plus(base)], axis=1)
-    h = h.reshape(-1)
-    a = h.astype(lane)
-    h -= a
-    h >>= bits
-    return a, h.astype(lane)
+    return h
 
 
 def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
@@ -729,45 +711,47 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     taken: Poisson summation over V gives the dual's spectrum from f.
 
     With eps(x) = s_type on V and -s_type off it (s_type = +1 when the
-    type side is the plus side), sum_x W_f(x) w^(-u.x) = 3^n w^f(-u) and
-    sum_{x in V} W_f(x) w^(-u.x) = 3^r G(u), G(u) = sum_{z in V-perp}
-    w^f(z - u), so
+    type side is the plus side), t(x) = f(-x), sum_x W_f(x) w^(-u.x) =
+    3^n w^t(u) and sum_{x in V} W_f(x) w^(-u.x) = 3^r G(u), G(u) =
+    sum_{z in V-perp} w^t(u + z), so
 
         sum_x eps(x) W_f(x) w^(-u.x) = s_type 3^r Z(u),
-        Z(u) = 2 G(u) - 3^k w^f(-u).
+        Z(u) = 2 G(u) - 3^k w^t(u).
 
     W_f(x) = eps(x) c w^f*(x), with c = 3^(n/2) for even n and i 3^(n/2)
     for odd n, so the left side is c W_f*(u), and f* is bent exactly when
-    |Z(u)|^2 = 3^(2k) everywhere, that is when every Z(u) is
-    s 3^k w^j: then f**(u) = j and the dual's sign is s_type s, negated
-    for odd n, where 1 / c = -i / 3^(n/2).  The unit lookup at 2k reads
-    s and j exactly (_unit_lookup): a coefficient of G is at most 3^k in
-    magnitude, so one of Z at most 3^(k+1), and Z is taken in the
-    narrowest type of B bits with 4 * 3^k < 2^B.
+    every Z(u) is s 3^k w^j: then f**(u) = j and the dual's sign is
+    s_type s, negated for odd n, where 1 / c = -i / 3^(n/2).
 
-    G(u) = sum_z w^t(u - z) = H(u) for the table t(x) = f(-x)
-    (_coset_sums, V-perp being closed under negation), and w^f(-u) =
-    w^t(u); for even f, t is f's own table.
+    Z(u) = s 3^k w^j means 2 G(u) = 3^k (w^t(u) + s w^j).  For j != t(u)
+    the bracket is -w^m (m the third exponent) or a unit times 1 - w, of
+    norm 1 or 3, so the right side has odd norm, while 4 divides the norm
+    of 2 G(u).  For j = t(u), G(u) is 3^k w^t(u) (s = +1) or 0 (s = -1).
+    |G(u)| <= 3^k, with equality only when t is constant on the coset
+    u + V-perp, and G(u) = 0 exactly when t is balanced there.  So f* is
+    bent exactly when t, or equally f, is constant or balanced on every
+    coset of V-perp; then f** = t (f's own table for even f), and s is +1
+    on a constant coset and -1 on a balanced one.  The folded sums
+    (_coset_sums) are compared with 0 and the three 3^k w^c, and the sign
+    per coset is unfolded once: slice c at digit p is the folded array
+    translated by -c q, since y + c q_j lies in y's coset.
     """
     f, n, v = p.f, p.n, p.type_span
     k = n - v.dim
     t = f.table if f.is_even() else negation(n)(f.table)
-    dtype = _narrowest(2 * 3 ** k)
-    assert 4 * 3 ** k < 2 ** (8 * np.dtype(dtype).itemsize), "coset sums too wide to read exactly"
-    za, zb = (c.astype(dtype, copy=False)
-              for c in _coset_sums(t, _coset_folds(v.perp), _narrowest(3 ** k)))
-    scale = dtype(3 ** k)
-    for z, c in zip((za, zb), _omega_sums([t])):
-        z *= dtype(2)
-        z -= np.multiply(c, scale, dtype=dtype)
-    del c  # w^t's last coefficient, else 1 B/point held through the lookup
-    sign, dual = _unit_lookup(za, zb, 2 * k)
-    del za, zb
-    if not sign.all():
+    folds = _coset_folds(v.perp)
+    sums = _coset_sums(t, folds)
+    unit, bits = 3 ** k, 4 * sums.itemsize
+    constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
+    if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:
         return None
-    if (p.type is BentType.MINUS) != (n % 2 == 1):
-        np.negative(sign, out=sign)
-    return _classified(p.dual, sign, dual)
+    s = -1 if (p.type is BentType.MINUS) != (n % 2 == 1) else 1
+    sign = constant.view(np.int8) * np.int8(2 * s)
+    sign -= np.int8(s)
+    for digit, plus, minus in reversed(folds):
+        base = sign.reshape(-1, size(digit))
+        sign = np.stack([base, minus(base), plus(base)], axis=1)
+    return _classified(p.dual, sign.reshape(-1), t)
 
 
 def is_dual_bent(f: TernaryFunction,

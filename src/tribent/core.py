@@ -232,8 +232,15 @@ def negation(n: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def dots_with(v: int, n: int) -> np.ndarray:
-    """Vector of x . v over all x in F_3^n (int8)."""
-    return (digit_sum_table([(0, d, 2 * d) for d in decode(v, n)]) % 3).astype(np.int8)
+    """Vector of x . v over all x in F_3^n (int8): the low n - 1 digits'
+    int64 digit_sum_table is reduced in place and cast first, and the top
+    digit's three residues are added in int8."""
+    *low, top = [(0, d, 2 * d % 3) for d in decode(v, n)] or [(0,)]  # n = 0: one point
+    t = digit_sum_table(low)
+    t %= 3
+    t = (np.array(top, dtype=np.int8)[:, None] + t.astype(np.int8)).ravel()
+    np.subtract(t, 3, out=t, where=t >= 3)
+    return t
 
 
 def legendre(a: int) -> int:
@@ -424,25 +431,20 @@ class Subspace:
         return coords
 
 
-# rows reduced up front by span; the rest are only checked against them
-_SPAN_SAMPLE = 64
-
-
-def _strided_members(view: np.ndarray) -> np.ndarray:
-    """Indices of at most _SPAN_SAMPLE members of a boolean mask, given as
-    its 2-D view: those of rank 0, step, 2 step, ... in index order, with
-    step = ceil(members / _SPAN_SAMPLE), as a stride of the full list
-    would pick them.  The per-row counts place each sampled rank in its
-    row, and only the members of those rows are listed: sampled row i's
-    member of rank ranks[i] is entry held[:i + 1].sum() - (ends[rows[i]] -
-    ranks[i]) of that list."""
-    counts = view.sum(axis=1)
-    ends = counts.cumsum()
-    ranks = np.arange(0, ends[-1], max(1, -(-int(ends[-1]) // _SPAN_SAMPLE)))
-    rows = ends.searchsorted(ranks, side="right")
-    held = counts[rows]
-    picked = np.flatnonzero(view[rows])[held.cumsum() - ends[rows] + ranks]
-    return picked + (rows - np.arange(len(rows))) * view.shape[1]
+def _band_members(mask: np.ndarray, n: int) -> list[int]:
+    """For each digit p, the first member of a boolean mask over F_3^n in
+    mask[3^p::3^(p+1)], the points whose lowest nonzero digit is p and
+    equals 1, where there is one.  For a subspace these are a basis: each
+    lowest nonzero digit of a member is that of such a member (the member
+    or its double), there are dim of them, and points with distinct
+    lowest nonzero digits are independent."""
+    picked = []
+    for p in range(n):
+        band = mask[3 ** p::3 ** (p + 1)]
+        i = int(band.argmax())
+        if band[i]:
+            picked.append(3 ** p + i * 3 ** (p + 1))
+    return picked
 
 
 def half_syndromes(null: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,22 +470,22 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     boolean mask over all 3^n points or as point indices, which are
     scattered into one.
 
-    A strided sample of at most _SPAN_SAMPLE members is reduced first,
-    and every member is then checked against the sample's null space: a
-    point lies in the span exactly when it is orthogonal to that null
-    space.  While some member fails, the first failing one is folded into
-    the reduced sample and only the failing members are checked again;
-    each fold raises the rank, so there are at most n rounds.  The reduced
-    echelon form of a row space is unique, so the basis does not depend on
-    the sample.  The last round's null basis is kept as the result's perp,
-    so V-perp is not reduced again downstream.
+    One member per digit band (_band_members) is reduced first, and every
+    member is then checked against the sample's null space: a point lies
+    in the span exactly when it is orthogonal to that null space.  For a
+    subspace the sample is a basis and one round suffices.  While some
+    member fails, the first failing one is folded into the reduced sample
+    and only the failing members are checked again; each fold raises the
+    rank, so there are at most n rounds.  The reduced echelon form of a
+    row space is unique, so the basis does not depend on the sample.  The
+    last round's null basis is kept as the result's perp, so V-perp is
+    not reduced again downstream.
 
     Each round encodes a point's dots with the null basis as one base-3
     syndrome (half_syndromes), and one broadcast compare of the high
     half's table with the low half's over the (3^(n-k), 3^k) view of the
     mask marks the failing points, whatever the number of null vectors.
-    Only the sample (_strided_members) and the folded points become
-    indices.
+    Only the sample and the folded points become indices.
     """
     k = n // 2
     if not (isinstance(points, np.ndarray) and points.dtype == bool):
@@ -491,8 +493,7 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
         points = np.zeros(size(n), dtype=bool)
         points[idx] = True
     members = points.reshape(size(n - k), size(k))
-    sample = _strided_members(members)
-    basis = _rref(coord_rows(sample, n))
+    basis = _rref(coord_rows(_band_members(points, n), n))
     while True:
         null = _null_basis(basis)
         high, minus_low = half_syndromes(null, n)

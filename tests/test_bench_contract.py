@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import tribent
+from tribent import core
+from tribent.analysis import bent_profile
+from tribent.core import size
 
 from conftest import assert_dual_by_cosets_matches_transform
 
@@ -61,3 +64,17 @@ def test_dual_profile_by_cosets_on_every_benchmark_instance():
     assert len(instances) == 248
     ks = {assert_dual_by_cosets_matches_transform(inst.f) for inst in instances}
     assert {0, 1, 2, 3, 4} <= ks
+
+
+def test_every_benchmark_type_side_spans_in_one_round(monkeypatch):
+    # each workload input's type side is a subspace, so span's band sample
+    # is already its basis: one null-space check (_null_basis) per span
+    instances = [inst for workload in workloads.WORKLOADS.values() for inst in workload.build(1)]
+    profiles = [bent_profile(inst.f) for inst in instances]
+    calls = []
+    null_basis = core._null_basis
+    monkeypatch.setattr(core, "_null_basis", lambda r: calls.append(r) or null_basis(r))
+    for p in profiles:
+        calls.clear()
+        v = core.span(p.side_mask(p.type), p.n)
+        assert len(calls) == 1 and p.type_side_size == size(v.dim)

@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,20 @@ def test_per_n_tables_against_definitions(n):
         dots = dots_with(p, n)
         assert dots.dtype == np.int8
         assert dots.tolist() == [dot(x, p, n) for x in range(size(n))]
+
+
+def test_dots_with_at_n12_peaks_near_its_int8_table():
+    # tracemalloc's peak over 3^n: the table of all 3^n digit sums in
+    # int64 and its int64 residues read 16.0 B/point; the low digits'
+    # int64 table, a third as long, and the int8 result read 4.0
+    expected = coord_matrix(12).astype(np.int64) @ decode(12345, 12) % 3
+    tracemalloc.start()
+    try:
+        dots = dots_with(12345, 12)
+        peak = tracemalloc.get_traced_memory()[1] / size(12)
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dots, expected) and peak <= 4.5, peak
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -449,8 +464,7 @@ def subspace_with_extras(draw):
     return n, pts
 
 
-# every member of the hyperplane x_5 = 0 of F_3^6, then e_5 last, where a
-# strided sample of the list does not reach it
+# every member of the hyperplane x_5 = 0 of F_3^6, then e_5 last
 _HYPERPLANE_AND_ONE = (6, sorted((coord_matrix(5) @ 3 ** np.arange(5)).tolist()) + [3 ** 5])
 
 
@@ -474,9 +488,9 @@ def test_span_and_perp_against_references_at_larger_n(case):
 def _subspace_and_stray(position: int, digit: int) -> list[int]:
     """All 3^4 members of a subspace of F_3^11 in random order, then one
     stray point: the member at index 1 with the given digit set, outside
-    the subspace by construction.  The stray comes last, at an odd index,
-    so span's strided sample skips it and only the membership check can
-    find it."""
+    the subspace by construction.  The stray comes last and is no digit
+    band's first member, so span's band sample skips it and only the
+    membership check can find it."""
     n = 11
     gens = np.zeros((4, n), dtype=np.int64)
     gens[0, [0, 6]] = 1
@@ -508,13 +522,15 @@ def test_span_finds_a_stray_in_either_half_at_n11(position, digit):
 @pytest.mark.parametrize("n", [0, 1, 4, 7, 11, 12])
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.3, 1.0])
 def test_mask_sample_is_the_strided_member_list(n, density):
-    # span samples a mask without listing its members; the sample must be
-    # the stride of the full member list
+    # span samples a mask without listing its members: for each digit p,
+    # the first member of the strided slice mask[3^p::3^(p+1)], which must
+    # be the first in the full member list whose lowest nonzero digit is
+    # p and equals 1
     mask = np.random.default_rng(n).random(size(n)) < density
-    view = mask.reshape(size(n - n // 2), size(n // 2))
     members = np.flatnonzero(mask)
-    stride = members[::max(1, -(-len(members) // core._SPAN_SAMPLE))]
-    assert np.array_equal(core._strided_members(view), stride)
+    bands = [members[members % 3 ** (p + 1) == 3 ** p] for p in range(n)]
+    expected = [int(band[0]) for band in bands if band.size]
+    assert core._band_members(mask, n) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -558,13 +574,31 @@ def _count_rounds(monkeypatch) -> list[int]:
     return rounds
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_subspace_mask_spans_in_one_round(monkeypatch, n):
+    # the band sample of a subspace is a basis, so its null space is
+    # checked once and nothing is folded in: random subspaces of every
+    # dimension, given as masks and as index lists
+    rng = np.random.default_rng(n)
+    rounds = _count_rounds(monkeypatch)
+    for d in range(n + 1):
+        for _ in range(3):
+            members = np.unique(span_points(rng.integers(0, 3, (d, n)).astype(np.int8)))
+            mask = np.zeros(size(n), dtype=bool)
+            mask[members] = True
+            for given in (mask, rng.permutation(members)):
+                rounds[0] = 0
+                v = span(given, n)
+                assert rounds[0] == 1 and size(v.dim) == len(members)
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_span_with_several_null_vectors_against_a_row_space_closure(monkeypatch, n):
     # subsets of random subspaces of dimension d <= n - 3, so each round
     # encodes at least three null vectors in one syndrome, as index lists
-    # and as masks.  From n = 8 the last list is the 3^(n-4) > 64 members
-    # of the row space of [I | R] and then a stray point at an index the
-    # strided sample skips, so span folds it in a second round; only the
+    # and as masks.  From n = 8 the last list is the 3^(n-4) members
+    # of the row space of [I | R] and then a stray point that the band
+    # sample skips, so span folds it in a second round; only the
     # syndrome compare finds a stray, and one that aliased two residue
     # vectors would miss some of 400 strays
     rng = np.random.default_rng(n)

@@ -71,7 +71,7 @@ from .core import (
     span,
 )
 from .fields import ExtField, find_irreducible, is_irreducible
-from .fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
+from .fixtures import FIXTURES, get_fixture, run_fixture
 from .pipeline import PipelineReport, run_pipeline
 from .search import SearchSummary, run_search
 

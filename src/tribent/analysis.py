@@ -177,21 +177,18 @@ _ROUND_DIGITS = ((9, 1), (10, 3), (EXACT_DIM, 4))
 
 
 @cache
-def _holds(dtype: type, p: int) -> bool:
-    """Whether dtype holds every coefficient met in radix-3 pass p.
+def _pass_dtype(p: int, width: type = np.int32) -> type:
+    """The narrowest integer type that holds every coefficient met in
+    radix-3 pass p (counted from 1), or width where that is narrower.
 
     A value after p passes has magnitude at most 3^p, and
     a^2 - a b + b^2 >= (3/4) a^2 bounds its coefficients, their
-    difference and every butterfly partial sum by (2/sqrt 3) 3^p.
+    difference and every butterfly partial sum by (2/sqrt 3) 3^p, the
+    square root of 4 * 3^(2p - 1): an integer partial sum is at most
+    isqrt of that.
     """
-    return 4 * 9 ** p <= 3 * int(np.iinfo(dtype).max) ** 2
-
-
-@cache
-def _pass_dtype(p: int, width: type = np.int32) -> type:
-    """The narrowest integer type of radix-3 pass p (counted from 1) that
-    holds the pass's bound (_holds), or width where that is narrower."""
-    return next(t for t in (np.int8, np.int16, np.int32) if t is width or _holds(t, p))
+    bound = _narrowest(math.isqrt(4 * 3 ** (2 * p - 1)))
+    return min(bound, width, key=lambda t: np.iinfo(t).bits)
 
 
 def _round_digits(n: int) -> int:
@@ -207,7 +204,7 @@ def _butterflies(ua: np.ndarray, ub: np.ndarray,
     written into va + vb w with no temporary: d1 = u1b - u1a and
     d2 = u2b - u2a wait in the slots vb[:, 2] and va[:, 2], which are
     finished last, in place.  Every partial sum is a coefficient of a sum
-    of at most three of the values u0, w^j u1, w^j u2 (see _holds)."""
+    of at most three of the values u0, w^j u1, w^j u2 (see _pass_dtype)."""
     u0a, u1a, u2a = ua[:, 0], ua[:, 1], ua[:, 2]
     u0b, u1b, u2b = ub[:, 0], ub[:, 1], ub[:, 2]
     a0, a1, a2 = va[:, 0], va[:, 1], va[:, 2]
@@ -469,13 +466,18 @@ class BentProfile:
     @cached_property
     def dual_profile(self) -> "BentProfile | None":
         """From coset sums of f (_dual_by_cosets) when the type side is a
-        subspace, else from the dual's own transform."""
+        subspace, which give an even f itself as the dual's dual, else
+        from the dual's own transform, where the involution
+        dual(dual(f)) = f that the code relies on is checked for even f."""
         if self.type_side_is_subspace():
             return _dual_by_cosets(self)
         try:
-            return bent_profile(self.dual)
+            dual_profile = bent_profile(self.dual)
         except NotBentError:
             return None
+        if self.f.is_even() and dual_profile.dual != self.f:
+            raise AssertionError("dual involution failed on an even dual-bent function")
+        return dual_profile
 
     @cached_property
     def type_span(self) -> Subspace:
@@ -624,11 +626,11 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     if not sign.all():
         del sign, dual  # room for the exact spectrum
         raise _not_bent_witness(walsh_spectrum(f))
-    return _classified(f, sign, dual)
+    return _classified(f, sign, TernaryFunction(n, dual))
 
 
-def _classified(f: TernaryFunction, sign: np.ndarray, dual: np.ndarray) -> BentProfile:
-    """The profile of a bent f from its int8 sign map and dual table: the
+def _classified(f: TernaryFunction, sign: np.ndarray, dual: TernaryFunction) -> BentProfile:
+    """The profile of a bent f from its int8 sign map and its dual: the
     type is the side of 0, and f is regular when every sign is +1 at even
     n, weakly regular when every sign is that of 0 otherwise."""
     n = f.n
@@ -641,7 +643,7 @@ def _classified(f: TernaryFunction, sign: np.ndarray, dual: np.ndarray) -> BentP
         reg = Regularity.WEAKLY_REGULAR
     else:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
-    return BentProfile(n=n, dual=TernaryFunction(n, dual), sign=sign,
+    return BentProfile(n=n, dual=dual, sign=sign,
                        type=btype, regularity=reg, f=f)
 
 
@@ -730,22 +732,23 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     |G(u)| <= 3^k, with equality only when t is constant on the coset
     u + V-perp, and G(u) = 0 exactly when t is balanced there.  So f* is
     bent exactly when t, or equally f, is constant or balanced on every
-    coset of V-perp; then f** = t (f's own table for even f), and s is +1
-    on a constant coset and -1 on a balanced one.  The folded sums
-    (_coset_sums) are compared with 0 and the three 3^k w^c, and the sign
-    per coset is unfolded once: slice c at digit p is the folded array
-    translated by -c q, since y + c q_j lies in y's coset.
+    coset of V-perp; then f** = t (f itself for even f), and s is +1 on a
+    constant coset and -1 on a balanced one, so the constant cosets make
+    up the dual's plus set exactly when constant_on_dual_plus.  The folded
+    sums (_coset_sums) are compared with 0 and the three 3^k w^c, and the
+    sign per coset is unfolded once: slice c at digit p is the folded
+    array translated by -c q, since y + c q_j lies in y's coset.
     """
     f, n, v = p.f, p.n, p.type_span
     k = n - v.dim
-    t = f.table if f.is_even() else negation(n)(f.table)
+    t = f if f.is_even() else TernaryFunction(n, negation(n)(f.table))
     folds = _coset_folds(v.perp)
-    sums = _coset_sums(t, folds)
+    sums = _coset_sums(t.table, folds)
     unit, bits = 3 ** k, 4 * sums.itemsize
     constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
     if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:
         return None
-    s = -1 if (p.type is BentType.MINUS) != (n % 2 == 1) else 1
+    s = 1 if constant_on_dual_plus(n, p.type) else -1
     sign = constant.view(np.int8) * np.int8(2 * s)
     sign -= np.int8(s)
     for digit, plus, minus in reversed(folds):
@@ -756,20 +759,12 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
 
 def is_dual_bent(f: TernaryFunction,
                  profile: BentProfile | None = None) -> tuple[bool, BentProfile | None]:
-    """Whether the dual of f is itself bent; the dual's profile if so.
-
-    The dual's profile is profile.dual_profile, transformed at most once
-    per profile.  For even f the involution dual(dual(f)) = f is also
-    verified, since the code downstream relies on it.
-    """
+    """Whether the dual of f is itself bent, and the dual's profile
+    (profile.dual_profile, built at most once per profile) or None."""
     if profile is None:
         profile = bent_profile(f)
     dual_profile = profile.dual_profile
-    if dual_profile is None:
-        return False, None
-    if f.is_even() and dual_profile.dual != f:
-        raise AssertionError("dual involution failed on an even dual-bent function")
-    return True, dual_profile
+    return dual_profile is not None, dual_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -864,8 +859,9 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
     non-degenerate, dimension-bound.  The type side lies in its span V,
     so it is a subspace exactly when |side| = 3^dim V, and is_nondegenerate
-    decides V from a Gram rank.  V comes from profile.type_span, decided
-    once per profile.
+    decides V from a Gram rank.  V and the dual's profile come from
+    profile.type_span and profile.dual_profile, each decided once per
+    profile (the involution check included).
     """
     n = f.n
     if profile is None:
@@ -881,7 +877,8 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
                         f"function is {profile.regularity.value}"))
     even = f.is_even()
     stages.append(Stage("even", even, "" if even else "f(x) != f(-x) somewhere"))
-    dual_ok, dual_profile = is_dual_bent(f, profile)
+    dual_profile = profile.dual_profile
+    dual_ok = dual_profile is not None
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
     v = profile.type_span

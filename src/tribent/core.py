@@ -159,8 +159,7 @@ def coord_rows(points: np.ndarray | Sequence[int], n: int) -> np.ndarray:
 def coord_matrix(n: int) -> np.ndarray:
     """coord_rows of all 3^n points, shape (3^n, n), int8: cached, so
     made read-only.  The size gate, check_dim, is called at the input
-    surfaces, not here; the package asks for half widths and subspace
-    dimensions only."""
+    surfaces, not here; the package asks for half widths and s only."""
     m = coord_rows(np.arange(size(n)), n)
     m.flags.writeable = False
     return m
@@ -285,10 +284,6 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def times_omega(self) -> "Eisenstein":
-        """Multiply by w: (a, b) -> (-b, a - b)."""
-        return Eisenstein(-self.b, self.a - self.b)
-
     def conj(self) -> "Eisenstein":
         """Complex conjugation w -> w^2: (a, b) -> (a - b, -b)."""
         return Eisenstein(self.a - self.b, -self.b)
@@ -296,9 +291,6 @@ class Eisenstein:
     def squared_norm(self) -> int:
         """|a + b*w|^2 = a^2 - a*b + b^2, a non-negative integer."""
         return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __repr__(self) -> str:
         return f"Eisenstein({self.a}, {self.b})"
@@ -371,11 +363,18 @@ def _null_basis(r: np.ndarray) -> np.ndarray:
 
 def span_points(rows: np.ndarray) -> np.ndarray:
     """The sorted indices (int64) of all 3^len(rows) F_3-combinations of
-    the rows of an int8 matrix with entries in {0, 1, 2}: every
-    coefficient vector times the rows (int8 sums of len(rows) products,
-    at most 4 * len(rows))."""
-    members = coord_matrix(len(rows)) @ rows % 3
-    return np.sort(members @ 3 ** np.arange(rows.shape[1]))
+    the rows of an int8 matrix with entries in {0, 1, 2}.  Digit j of the
+    combination c B is c . B[:, j] (dots_with of column j), so the indices
+    are accumulated one output digit at a time, highest first: beside the
+    int64 result only one digit's dots_with is live, and nothing is
+    cached."""
+    dim = len(rows)
+    members = np.zeros(size(dim), dtype=np.int64)
+    for column in rows.T[::-1].tolist():
+        members *= 3
+        members += dots_with(encode(column), dim)
+    members.sort()
+    return members
 
 
 @dataclass(frozen=True)
@@ -405,6 +404,28 @@ class Subspace:
         return span_points(coord_rows(self.basis, self.n))
 
     @cached_property
+    def syndromes(self) -> tuple[np.ndarray, np.ndarray]:
+        """V's membership tables: for the rows q_j of perp, the syndrome
+        sum_j 3^j (h . q_j mod 3) of every top half h of a point (its n - k
+        high digits, k = n // 2), and that of minus every low half l, as
+        two int32 tables of 3^(n-k) and 3^k entries.
+
+        A point h * 3^k + l has x . q_j = h . q_j[k:] + l . q_j[:k], so it
+        lies in V exactly when its two table entries are equal: the base-3
+        digits of a syndrome are the n - dim residues, and a syndrome is
+        below 3^(n - dim) <= 3^EXACT_DIM < 2^31.  The dot tables are int8
+        sums of at most n - k products, at most 4n.  Cached, so made
+        read-only."""
+        k = self.n // 2
+        weights = 3 ** np.arange(len(self.perp), dtype=np.int32)
+        high = coord_matrix(self.n - k) @ self.perp.T[k:] % 3
+        minus_low = -(coord_matrix(k) @ self.perp.T[:k]) % 3
+        tables = high @ weights, minus_low @ weights
+        for t in tables:
+            t.flags.writeable = False
+        return tables
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         """The first nonzero coordinate of each basis point, ascending.
         span and orthogonal_complement give the reduced echelon basis B,
@@ -415,12 +436,12 @@ class Subspace:
         """Each point's coordinates in the basis, as an index into F_3^dim
         (int64): x = sum_i x[P_i] B_i, P the pivots, gives sum_i 3^i x[P_i].
         Membership in V is asserted by one syndrome compare per point
-        (half_syndromes of perp).  Each index is split once at 3^k,
+        (syndromes).  Each index is split once at 3^k,
         k = n // 2, as in span, and read off two digit-additive half
         tables; the int64 halves are freed on return."""
         k = self.n // 2
         high, low = np.divmod(points, 3 ** k)
-        high_syndrome, minus_low_syndrome = half_syndromes(self.perp, self.n)
+        high_syndrome, minus_low_syndrome = self.syndromes
         assert (high_syndrome[high] == minus_low_syndrome[low]).all(), \
             "the points must lie in v"
         place = [(0, 0, 0)] * self.n
@@ -447,24 +468,6 @@ def _band_members(mask: np.ndarray, n: int) -> list[int]:
     return picked
 
 
-def half_syndromes(null: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the rows q_j of an int8 matrix null (entries 0, 1, 2; shape
-    (m, n)), the syndrome sum_j 3^j (h . q_j mod 3) of every top half h
-    of a point (its n - k high digits, k = n // 2), and that of minus
-    every low half l, as two int32 tables of 3^(n-k) and 3^k entries.
-
-    A point h * 3^k + l has x . q_j = h . q_j[k:] + l . q_j[:k], so it is
-    orthogonal to every row exactly when its two table entries are equal:
-    the base-3 digits of a syndrome are the m residues, and a syndrome is
-    below 3^m <= 3^EXACT_DIM < 2^31.  The dot tables are int8 sums of at
-    most n - k products, at most 4n."""
-    k = n // 2
-    weights = 3 ** np.arange(len(null), dtype=np.int32)
-    high = coord_matrix(n - k) @ null.T[k:] % 3
-    minus_low = -(coord_matrix(k) @ null.T[:k]) % 3
-    return high @ weights, minus_low @ weights
-
-
 def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for the empty set), given as a
     boolean mask over all 3^n points or as point indices, which are
@@ -477,15 +480,14 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     member fails, the first failing one is folded into the reduced sample
     and only the failing members are checked again; each fold raises the
     rank, so there are at most n rounds.  The reduced echelon form of a
-    row space is unique, so the basis does not depend on the sample.  The
-    last round's null basis is kept as the result's perp, so V-perp is
-    not reduced again downstream.
+    row space is unique, so the basis does not depend on the sample.
 
-    Each round encodes a point's dots with the null basis as one base-3
-    syndrome (half_syndromes), and one broadcast compare of the high
-    half's table with the low half's over the (3^(n-k), 3^k) view of the
-    mask marks the failing points, whatever the number of null vectors.
-    Only the sample and the folded points become indices.
+    Each round builds the candidate Subspace, with the null basis as its
+    perp, and one broadcast compare of its membership tables (syndromes)
+    over the (3^(n-k), 3^k) view of the mask marks the failing points,
+    whatever the number of null vectors.  The last round's candidate is
+    the result, so neither V-perp nor the tables are built again
+    downstream.  Only the sample and the folded points become indices.
     """
     k = n // 2
     if not (isinstance(points, np.ndarray) and points.dtype == bool):
@@ -495,11 +497,11 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     members = points.reshape(size(n - k), size(k))
     basis = _rref(coord_rows(_band_members(points, n), n))
     while True:
-        null = _null_basis(basis)
-        high, minus_low = half_syndromes(null, n)
+        v = Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), _null_basis(basis))
+        high, minus_low = v.syndromes
         failing = (high[:, None] != minus_low) & members
         if not failing.any():
-            return Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), null)
+            return v
         grown = _rref(np.vstack([basis, coord_rows([failing.argmax()], n)]))
         assert len(grown) > len(basis), "a point failed the check but lies in the span"
         basis, members = grown, failing

@@ -242,7 +242,3 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
     if code is not None and not code["match"]:
         mm.append("measured distribution differs from the closed form")
     return result
-
-
-def run_all_fixtures() -> list[FixtureResult]:
-    return [run_fixture(f) for f in FIXTURES]

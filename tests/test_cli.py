@@ -55,6 +55,9 @@ PREDICT_N6 = ["predict", "--case", "even-plus", "--n", "6", "--r", "5"]
     ("search-m2-s3-count8-seed7-u1.json",
      ["search", "--m", "2", "--s", "3", "--count", "8", "--seed", "7", "--u-dim", "1",
       "--format", "json"]),
+    # odd-plus at n = 5 with the minimal r = 3: two-weight codes
+    ("search-m1-s2-count5-seed1.json",
+     ["search", "--m", "1", "--s", "2", "--count", "5", "--seed", "1", "--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)

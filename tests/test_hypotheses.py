@@ -11,11 +11,12 @@ import dataclasses
 import gc
 import random
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from tribent import analysis, core
+from tribent import analysis, core, pipeline
 from tribent.analysis import (
     HYPOTHESES,
     BentType,
@@ -25,8 +26,8 @@ from tribent.analysis import (
     coset_tiling,
     establish,
 )
-from tribent.codes import select_defining_set
-from tribent.constructions import gmmf_build
+from tribent.codes import build_code, select_defining_set
+from tribent.constructions import QuadraticForm, gmmf_build, quadratic_function
 from tribent.core import (
     dots_with,
     encode,
@@ -314,6 +315,71 @@ def test_public_hypothesis_path_spans_the_type_side_once(monkeypatch):
     # the even check, decided once per function from the two half-width
     # negation tables (core.negation), never the 3^n-wide one
     assert negs == [f.n - f.n // 2, f.n // 2]
+
+
+def _count_membership_tables(monkeypatch) -> tuple[list, list]:
+    """Record every Subspace whose membership tables (Subspace.syndromes)
+    are built, and the subspace each code is built on, with the number of
+    tables built by then."""
+    calls, measured = [], []
+    build = core.Subspace.__dict__["syndromes"].func
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    def recorded(s, v):
+        measured.append((v, len(calls)))
+        return build_code(s, v)
+
+    tables = cached_property(counted)
+    tables.__set_name__(core.Subspace, "syndromes")
+    monkeypatch.setattr(core.Subspace, "syndromes", tables)
+    monkeypatch.setattr(pipeline, "build_code", recorded)
+    return calls, measured
+
+
+def test_passing_verdict_builds_the_membership_tables_once(monkeypatch):
+    # span's one round builds V's tables; the code stage's coordinates
+    # reads them from the same Subspace
+    f = _eligible_glue()
+    calls, measured = _count_membership_tables(monkeypatch)
+    assert run_pipeline(f).passed
+    [(v, before)] = measured
+    assert before == len(calls) == 1 and calls[0] is v
+
+
+def test_forced_code_builds_its_subspaces_tables_once(monkeypatch):
+    # weakly regular, so the forced set's code is built on the span of
+    # the set, whose last round's tables the coordinates read
+    f = quadratic_function(QuadraticForm((1,) * 5))
+    calls, measured = _count_membership_tables(monkeypatch)
+    assert run_pipeline(f, force_set="C0").code is not None
+    [(v, before)] = measured
+    assert before == len(calls) and sum(c is v for c in calls) == 1
+
+
+def test_dual_of_the_dual_is_f_itself_on_the_coset_route(flagship):
+    p = analysis.bent_profile(flagship)
+    assert p.type_side_is_subspace() and flagship.is_even()
+    assert p.dual_profile.dual is flagship
+
+
+def test_involution_guard_fires_on_the_transform_route(monkeypatch, flagship):
+    # off the coset route the dual's profile is the dual's own transform,
+    # and the dual's dual is checked against f there
+    monkeypatch.setattr(analysis.BentProfile, "type_side_is_subspace", lambda self: False)
+    fresh = analysis.bent_profile(flagship)
+    assert fresh.dual_profile.dual == flagship and fresh.dual_profile.dual is not flagship
+
+    p = analysis.bent_profile(flagship)
+    original = analysis.bent_profile
+    monkeypatch.setattr(analysis, "bent_profile",
+                        lambda g: dataclasses.replace(original(g), dual=flagship.negated()))
+    with pytest.raises(AssertionError, match="involution"):
+        establish(flagship, p)
+    with pytest.raises(AssertionError, match="involution"):
+        analysis.is_dual_bent(flagship, p)
 
 
 def test_verdict_enumerates_no_subspace(monkeypatch):

@@ -27,7 +27,7 @@ from tribent.constructions import (
     parse_poly,
     quadratic_function,
 )
-from tribent.core import PEAK_BYTES_PER_POINT, size
+from tribent.core import PEAK_BYTES_PER_POINT, coord_matrix, size, span
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
 
@@ -79,6 +79,12 @@ def _predict(tmp_path):
     return lambda: gmmf_predict(spec)
 
 
+def _full_space_points(tmp_path):
+    v = span(np.ones(size(N), dtype=bool), N)
+    coord_matrix.cache_clear()  # a fresh process pays for any table it caches
+    return v.points
+
+
 def _preimages(tmp_path):
     profile = bent_profile(gmmf_build(_glue_spec()))
     return lambda: preimage_sets(profile)
@@ -92,6 +98,7 @@ PATHS = {
     "eval_poly": _poly,
     "gmmf_predict": _predict,
     "preimage_sets": _preimages,
+    "Subspace.points": _full_space_points,
 }
 
 

@@ -7,7 +7,7 @@ from tribent.analysis import TernaryFunction
 from tribent.codes import _CASE_RULES, CodeCase, DefiningSet, _case_weights, build_code
 from tribent.constructions import QuadraticForm, quadratic_function
 from tribent.core import dots_with
-from tribent.fixtures import FIXTURES, get_fixture, run_all_fixtures, run_fixture
+from tribent.fixtures import FIXTURES, get_fixture, run_fixture
 from tribent.pipeline import run_pipeline
 
 from conftest import weight_of
@@ -114,7 +114,7 @@ def test_report_dict_shape(flagship):
 
 
 def test_all_fixtures_pass():
-    for res in run_all_fixtures():
+    for res in map(run_fixture, FIXTURES):
         assert res.ok, f"{res.fixture.name}: {res.mismatches}"
 
 

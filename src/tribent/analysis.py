@@ -485,6 +485,12 @@ class BentProfile:
         return span(self.side_mask(self.type), self.n)
 
     @cached_property
+    def coset_folds(self) -> list[tuple[int, Callable, Callable]]:
+        """_coset_folds of V-perp's basis: the maps both the dual's profile
+        and the coset check walk the cosets of V-perp through."""
+        return _coset_folds(self.type_span.perp)
+
+    @cached_property
     def type_side_size(self) -> int:
         """The number of points on the type side."""
         return int(np.count_nonzero(self.side_mask(self.type)))
@@ -742,8 +748,7 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     f, n, v = p.f, p.n, p.type_span
     k = n - v.dim
     t = f if f.is_even() else TernaryFunction(n, negation(n)(f.table))
-    folds = _coset_folds(v.perp)
-    sums = _coset_sums(t.table, folds)
+    sums = _coset_sums(t.table, p.coset_folds)
     unit, bits = 3 ** k, 4 * sums.itemsize
     constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
     if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:
@@ -751,7 +756,7 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     s = 1 if constant_on_dual_plus(n, p.type) else -1
     sign = constant.view(np.int8) * np.int8(2 * s)
     sign -= np.int8(s)
-    for digit, plus, minus in reversed(folds):
+    for digit, plus, minus in reversed(p.coset_folds):
         base = sign.reshape(-1, size(digit))
         sign = np.stack([base, minus(base), plus(base)], axis=1)
     return _classified(p.dual, sign.reshape(-1), t)
@@ -904,7 +909,8 @@ class CosetStructure:
     cosets of V-perp tile the dual's plus / minus sets when
     coset_union_ok holds; f is constant on the cosets over the one named
     by constant_branch (which one depends on the parity of n and the
-    side) when constant_ok holds.
+    side) when constant_ok holds.  constant_ok is read only on a tiling
+    that holds, so it implies coset_union_ok.
     """
 
     coset_union_ok: bool
@@ -933,49 +939,33 @@ def coset_tiling(hyp: Hypotheses) -> CosetStructure:
 
     The hypotheses hold through non-degenerate, so the type side is V and
     F_3^n is the direct sum of V and V-perp.  The cosets u + V-perp over i_plus then
-    tile the dual's plus set D+ exactly when D+ is invariant under every
-    basis vector q of V-perp: an invariant D+ holds x = v + w (v in V,
-    w in V-perp) exactly when it holds v, and a union of cosets is
-    invariant.  D- is the complement of D+, so the same test tiles it by
-    the cosets over i_minus.  When the tiling holds, the constant
-    branch's coset union is its dual side, and f is constant on those
-    cosets exactly when f(x + q) = f(x) on that side for every q.
+    tile the dual's plus set D+ exactly when D+ is invariant under
+    V-perp: an invariant D+ holds x = v + w (v in V, w in V-perp) exactly
+    when it holds v, and a union of cosets is invariant.  D- is the
+    complement of D+, so the same test tiles it by the cosets over
+    i_minus.  f is then constant on the constant branch's cosets exactly
+    when it is invariant under V-perp on that branch's dual side.
 
-    So each q translates one int8 code, 3 [x in D+] + f(x) [x on the
-    branch's side], once (core.translation, at most two half-width
-    tables): the code is unchanged exactly when the high part (D+) and
-    the low part (f on the branch's side) both are.  Any basis of V-perp
-    spans the same cosets, so the q are the rows of v.perp as span left
-    them, not reduced again.  Only when some q moves D+, a broken tiling
-    that the theorem excludes, is the type-side mask built: the branch's
-    index set (the type side meeting the branch's dual side) is closed
-    under x -> x + q and x -> x + 2q, and constant_ok read on that
-    closure.
+    So one int8 code, 3 [x in D+] + f(x) [x on the branch's side], walks
+    the dual profile's coset_folds, highest digit first: each fold keeps
+    slice 0 and checks the two moved slices against it.  Each coset meets
+    the points whose fold digits are all 0 once (see _coset_sums), so no
+    move anywhere means invariance.  A moved D+ (the high part) breaks the
+    tiling and ends the walk with both verdicts false; a move in f's part
+    alone breaks constant_ok.
     """
     hyp.require(through="non-degenerate")
     f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
-    n = f.n
+    on_plus = constant_on_dual_plus(f.n, profile.type)
+    branch = "i_plus" if on_plus else "i_minus"
     dual_plus = dual_profile.side_mask(BentType.PLUS)
-    steps = [translation(q, n) for q in (hyp.v.perp @ 3 ** np.arange(n)).tolist()]
-
-    on_plus = constant_on_dual_plus(n, profile.type)
     branch_side = dual_plus if on_plus else dual_profile.side_mask(BentType.MINUS)
     code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
-    union_ok, constant_ok = True, True
-    for step in steps:
-        shifted = step(code)
-        if np.array_equal(shifted, code):
-            continue
-        if not np.array_equal(shifted >= 3, dual_plus):
-            union_ok = False
-            break
-        constant_ok = False
-
-    if not union_ok:
-        branch = profile.side_mask(profile.type) & branch_side
-        for step in steps:
-            shifted = step(branch)
-            branch = branch | shifted | step(shifted)
-        constant_ok = not any(((step(f.table) != f.table) & branch).any() for step in steps)
-
-    return CosetStructure(union_ok, "i_plus" if on_plus else "i_minus", constant_ok)
+    constant_ok = True
+    for fold in profile.coset_folds:
+        code, *moved = _folded(code, *fold)
+        changed = [m for m in moved if not np.array_equal(m, code)]
+        if any(not np.array_equal(m >= 3, code >= 3) for m in changed):
+            return CosetStructure(False, branch, False)
+        constant_ok = constant_ok and not changed
+    return CosetStructure(True, branch, constant_ok)

@@ -123,9 +123,9 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     r = v.dim
-    indicator = np.zeros(size(r), dtype=np.int8)
-    indicator[v.coordinates(s.points)] = 1
-    a, b = _radix3(indicator, np.zeros_like(indicator), r)
+    # the indicator is built in the call, so _radix3 drops it after one pass
+    a, b = _radix3(np.bincount(v.coordinates(s.points), minlength=size(r)).astype(np.int8),
+                   np.zeros(size(r), np.int8), r)
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"
     num = 2 * len(s) - (2 * a - b)
     q = num.view(np.uint32) * np.uint32(pow(3, -1, 2 ** 32))

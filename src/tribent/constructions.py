@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import BentProfile, BentType, Regularity, TernaryFunction, bent_profile
+from .analysis import BentType, Regularity, TernaryFunction, bent_profile
 from .core import (
     DimensionCapError,
     check_dim,
@@ -136,7 +136,6 @@ class GmmfPrediction:
     type: BentType
     w_plus: np.ndarray
     w_minus: np.ndarray
-    component_profiles: tuple[BentProfile, ...]
 
 
 def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
@@ -177,7 +176,6 @@ def gmmf_predict(spec: GmmfSpec) -> GmmfPrediction:
         type=btype,
         w_plus=w_plus,
         w_minus=w_minus,
-        component_profiles=tuple(profiles),
     )
 
 
@@ -346,12 +344,21 @@ def _spec_int(value, name: str, non_negative: bool = False) -> int:
     return value
 
 
+def _spec_term(term, name: str) -> tuple[int, int]:
+    """A trace term: a [generator_power, exponent] pair of JSON integers."""
+    if not (isinstance(term, list) and len(term) == 2):
+        raise ValueError(f"{name} must be a [generator_power, exponent] pair, got {term!r}")
+    return _spec_int(term[0], name), _spec_int(term[1], name)
+
+
 def _glue_from_spec(spec: dict) -> TernaryFunction:
     m = _spec_int(spec["m"], "m", non_negative=True)
     s = _spec_int(spec["s"], "s", non_negative=True)
     check_dim(m + 2 * s)
     comps = []
     for z, entry in enumerate(spec["components"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"components[{z}] must be a JSON object, got {entry!r}")
         if "table" in entry:
             if any(type(t) is not int or t not in (0, 1, 2) for t in entry["table"]):
                 raise _BadEntries("table entries must be 0, 1 or 2")
@@ -375,8 +382,7 @@ def _trace_from_spec(spec: dict) -> TernaryFunction:
         gen = sum(d * 3 ** i for i, d in enumerate(digits))
     else:
         gen = _spec_int(gen, "generator")
-    terms = tuple((_spec_int(c, f"terms[{i}]"), _spec_int(e, f"terms[{i}]"))
-                  for i, (c, e) in enumerate(spec["terms"]))
+    terms = tuple(_spec_term(term, f"terms[{i}]") for i, term in enumerate(spec["terms"]))
     return trace_function(TraceSpec(ExtField.create(k, modulus, gen), terms))
 
 
@@ -401,8 +407,11 @@ def function_from_spec(spec: dict) -> TernaryFunction:
     """
     kind = "trace" if isinstance(spec, dict) and "k" in spec else "glue"
     try:
+        if not isinstance(spec, dict):
+            raise ValueError(f"the spec must be a JSON object, got {type(spec).__name__}")
         return (_trace_from_spec if kind == "trace" else _glue_from_spec)(spec)
     except (_BadEntries, DimensionCapError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad {kind} spec: {exc}") from exc
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"bad {kind} spec: {detail}") from exc

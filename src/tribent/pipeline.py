@@ -79,10 +79,10 @@ DEFINING_SET_LABELS = [f"{letter}{i}" for letter in _SIDE_LETTERS for i in range
 
 
 def _forced_side(label: str) -> tuple[BentType, int]:
-    """The side and dual value a defining-set label (either case) names."""
-    if label.upper() not in DEFINING_SET_LABELS:
+    """The side and dual value a defining-set label names."""
+    if label not in DEFINING_SET_LABELS:
         raise ValueError(f"defining-set label must be C0..C2 or D0..D2, got {label!r}")
-    return _SIDE_LETTERS[label[0].upper()], int(label[1])
+    return _SIDE_LETTERS[label[0]], int(label[1])
 
 
 def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineReport:
@@ -90,14 +90,13 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
 
     The hypothesis stages are the record of analysis.establish, every one
     evaluated even after one fails; selection and prediction run only
-    when all hold.  A force_set label ("C0".."D2", either case; anything
-    else raises ValueError before any transform) is used only when the
-    function is bent and some hypothesis fails: that pre-image code is
-    then built and measured without a closed-form prediction (a note says
-    so, or that the set is empty).  When every hypothesis holds the
-    selected set is measured, and a note names both labels if force_set
-    names another set; when f is not bent a note says the set was not
-    measured.
+    when all hold.  A force_set label ("C0".."D2"; anything else raises
+    ValueError before any transform) is used only when the function is
+    bent and some hypothesis fails: that pre-image code is then built and
+    measured without a closed-form prediction (a note says so, or that
+    the set is empty).  When every hypothesis holds the selected set is
+    measured, and a note names both labels if force_set names another
+    set; when f is not bent a note says the set was not measured.
     """
     forced = None if force_set is None else _forced_side(force_set)
     hyp = establish(f)
@@ -106,7 +105,7 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     if profile is None:
         if forced is not None:
             rep.notes.append(f"f is not bent, so it has no dual and the requested "
-                             f"set {force_set.upper()} was not measured")
+                             f"set {force_set} was not measured")
         return rep
     rep.type = profile.type.value
     rep.regularity = profile.regularity.value
@@ -115,29 +114,28 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
 
     if not hyp.ok:
         if forced is not None:
-            label = force_set.upper()
             points = preimage_points(profile, *forced)
             if points.size:
                 s = DefiningSet(f.n, points)
                 del points  # s holds its own copy
                 code = build_code(s, span(s.points, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
-                rep.defining_set = label
+                rep.defining_set = force_set
                 rep.notes.append(
                     f"hypothesis '{rep.failed_stage}' failed; measured the requested "
-                    f"set {label} without a prediction"
+                    f"set {force_set} without a prediction"
                 )
             else:
-                rep.notes.append(f"the requested set {label} is empty; nothing was measured")
+                rep.notes.append(f"the requested set {force_set} is empty; nothing was measured")
         return rep
 
     ctx = defining_set_for(hyp)
     rep.case = ctx.case.value
     letter = next(k for k, side in _SIDE_LETTERS.items() if side is ctx.case.side)
     rep.defining_set = f"{letter}{ctx.value}"
-    if forced is not None and force_set.upper() != rep.defining_set:
+    if forced is not None and force_set != rep.defining_set:
         rep.notes.append(f"every hypothesis holds, so the selected set {rep.defining_set} "
-                         f"was measured, not the requested set {force_set.upper()}")
+                         f"was measured, not the requested set {force_set}")
 
     sizes = expected_preimage_sizes(f.n, ctx.r, ctx.j0, ctx.case.side)
     counts = np.bincount(profile.dual.table[profile.side_mask(ctx.case.side)], minlength=3)

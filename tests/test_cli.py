@@ -444,9 +444,17 @@ TRACE = {"k": 4, "modulus": [2, 1, 0, 0, 1], "generator": 3, "terms": [[10, 22],
      "bad trace spec: modulus[4] must be an integer, got 1.0"),
     ("--trace-file", {**TRACE, "terms": [[10, 22.0]]},
      "bad trace spec: terms[0] must be an integer, got 22.0"),
+    ("--gmmf-file", {"m": 1}, "bad glue spec: missing key 's'"),
+    ("--trace-file", {"k": 2}, "bad trace spec: missing key 'modulus'"),
+    ("--gmmf-file", [GLUE], "bad glue spec: the spec must be a JSON object, got list"),
+    ("--gmmf-file", {**GLUE, "components": [1, 2, 3]},
+     "bad glue spec: components[0] must be a JSON object, got 1"),
+    ("--trace-file", {**TRACE, "terms": [[0, 2, 5]]},
+     "bad trace spec: terms[0] must be a [generator_power, exponent] pair, got [0, 2, 5]"),
 ], ids=["m-float", "s-bool", "m-negative", "s-negative", "d-float", "c-bool",
         "k-float", "k-negative", "generator-float", "generator-digit", "generator-digit-bool",
-        "modulus-float", "exponent-float"])
+        "modulus-float", "exponent-float", "missing-s", "missing-modulus", "array",
+        "component-int", "term-triple"])
 def test_json_spec_faults_exit_2_naming_the_field(tmp_path, capsys, flag, spec, message):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))

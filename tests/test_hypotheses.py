@@ -183,8 +183,8 @@ def test_coset_tiling_detects_broken_tilings(name, f):
     sign[x] = -sign[x]
     moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
     cs = coset_tiling(moved)
-    assert not cs.coset_union_ok
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, moved, cs, perp)
+    assert not cs.coset_union_ok and not cs.constant_ok
+    assert cs.coset_union_ok == _pointwise_tiling(f, moved, cs, perp)[0]
 
     cs = coset_tiling(hyp)
     branch = _index_sets(hyp)[cs.constant_branch]
@@ -213,37 +213,52 @@ def test_coset_tiling_detects_a_break_the_first_basis_vector_keeps(name, f):
     assert sign[add_points(x, q2, f.n)] != sign[x]
     moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
     cs = coset_tiling(moved)
-    assert not cs.coset_union_ok
+    assert not cs.coset_union_ok and not cs.constant_ok
     perp = orthogonal_complement(hyp.v).points()
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, moved, cs, perp)
+    assert cs.coset_union_ok == _pointwise_tiling(f, moved, cs, perp)[0]
 
 
-def _count_translations(monkeypatch) -> list[int]:
-    """Record the translation vector of every call to a map that
-    analysis.translation returns."""
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to analysis.<name>."""
     calls = []
-    original = analysis.translation
+    original = getattr(analysis, name)
 
-    def counted(p, n):
-        step = original(p, n)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        def translate(a):
-            calls.append(p)
-            return step(a)
-
-        return translate
-
-    monkeypatch.setattr(analysis, "translation", counted)
+    monkeypatch.setattr(analysis, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("name,f", ELIGIBLE, ids=[name for name, _ in ELIGIBLE])
 def test_a_holding_tiling_translates_once_per_basis_vector(monkeypatch, name, f):
+    # no table of its own: each fold the dual's profile built moves slices
+    # 1 and 2 once
     hyp = establish(f)
-    calls = _count_translations(monkeypatch)
+    moves = []
+
+    def counted(p, c, step):
+        def move(a):
+            moves.append((p, c))
+            return step(a)
+        return move
+
+    folds = [(p, counted(p, 1, plus), counted(p, 2, minus))
+             for p, plus, minus in hyp.profile.coset_folds]
+    hyp.profile.__dict__["coset_folds"] = folds
+    translations = _count_calls(monkeypatch, "translation")
     cs = coset_tiling(hyp)
     assert cs.coset_union_ok and cs.constant_ok
-    assert calls == (hyp.v.perp @ 3 ** np.arange(f.n)).tolist()
+    assert translations == []
+    assert moves == [(p, c) for p, _, _ in folds for c in (1, 2)]
+    assert len(folds) == len(hyp.v.perp)
+
+
+def test_a_passing_verdict_builds_the_coset_folds_once(monkeypatch, flagship):
+    folds = _count_calls(monkeypatch, "_coset_folds")
+    assert run_pipeline(flagship).passed
+    assert len(folds) == 1
 
 
 # ---------------------------------------------------------------------------

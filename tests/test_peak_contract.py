@@ -18,6 +18,7 @@ import pytest
 
 from tribent.analysis import BentType, bent_profile, preimage_sets
 from tribent.cli import load_table_file
+from tribent.codes import DefiningSet, build_code, preimage_points
 from tribent.constructions import (
     QuadraticForm,
     eval_poly,
@@ -112,3 +113,23 @@ def test_exported_paths_peak_within_the_guards_bytes_per_point(tmp_path, path):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES_PER_POINT, peak
+
+
+# The code stage of the forced path above, measured alone: its transform's
+# int32 pairs, with the indicator dropped after the first pass (17.01 B/point
+# at n = 12; 18.01 while message_weights held the indicator throughout).
+CODE_STAGE_BYTES_PER_POINT = 17.1
+
+
+def test_the_forced_code_stage_holds_no_input_through_its_transform():
+    f = quadratic_function(QuadraticForm((1,) * N))
+    s = DefiningSet(N, preimage_points(bent_profile(f), BentType.PLUS, 0))
+    v = span(s.points, N)
+    tracemalloc.start()
+    try:
+        code = build_code(s, v)
+        peak = tracemalloc.get_traced_memory()[1] / size(N)
+    finally:
+        tracemalloc.stop()
+    assert code.dimension == N
+    assert peak <= CODE_STAGE_BYTES_PER_POINT, peak

@@ -12,7 +12,6 @@ from tribent import (
     ExtField,
     TraceSpec,
     bent_profile,
-    establish,
     run_pipeline,
     trace_function,
 )
@@ -29,8 +28,8 @@ terms = tuple(map(tuple, spec["terms"]))  # Tr(g^10 x^22 + x^4)
 g = trace_function(TraceSpec(field, terms))
 profile = bent_profile(g)
 print("bent, type", profile.type.value + ",", profile.regularity.value)
-# establish records the dual's profile only when the dual is bent
-print("dual bent:", establish(g, profile).dual_profile is not None)
+# the profile decides once whether the dual is bent
+print("dual bent:", profile.dual_bent)
 
 # The pipeline still measures the requested pre-image code when the
 # dual-bent hypothesis fails.
@@ -54,5 +53,5 @@ for w in field.primitive_elements()[:8]:
     fld = ExtField.create(4, find_irreducible(4), w)
     cand = trace_function(TraceSpec(fld, terms))
     p = bent_profile(cand)
-    hits += p.type is BentType.PLUS and establish(cand, p).dual_profile is None
+    hits += p.type is BentType.PLUS and not p.dual_bent
 print("\n%d/8 sampled primitive elements reproduce the classification" % hits)

@@ -446,10 +446,9 @@ class BentProfile:
     sign[a] is +-1; for even n it is the literal unit in front of
     3^(n/2) w^dual(a), for odd n it stands for +-i.  The plus and minus
     point sets partition F_3^n accordingly; side_mask gives them as masks.
-    f is the function profiled, held by reference.  dual_profile is the
-    dual's own profile (None when the dual is not bent), and type_span
-    the span V of the type side, each built on first access, so every
-    reader of one profile shares one dual profile and one span.
+    f is the function profiled, held by reference.  type_span (the span V
+    of the type side), dual_sign and dual_bent are built on first access,
+    so every reader of one profile shares one span and one dual verdict.
     """
 
     n: int
@@ -464,31 +463,32 @@ class BentProfile:
         return self.sign == (1 if t is BentType.PLUS else -1)
 
     @cached_property
-    def dual_profile(self) -> "BentProfile | None":
-        """From coset sums of f (_dual_by_cosets) when the type side is a
-        subspace, which give an even f itself as the dual's dual, else
-        from the dual's own transform, where the involution
+    def dual_sign(self) -> np.ndarray | None:
+        """The dual's int8 sign per coset of V-perp, 3^dim V entries in the
+        order of c (_dual_by_cosets), when the type side is a subspace;
+        None when the dual is not bent, or when the type side is no
+        subspace, where the sign is not one value per coset."""
+        return _dual_by_cosets(self) if self.type_side_is_subspace() else None
+
+    @cached_property
+    def dual_bent(self) -> bool:
+        """Whether the dual is bent: dual_sign's verdict when the type side
+        is a subspace, else the dual's own transform, where the involution
         dual(dual(f)) = f that the code relies on is checked for even f."""
         if self.type_side_is_subspace():
-            return _dual_by_cosets(self)
+            return self.dual_sign is not None
         try:
-            dual_profile = bent_profile(self.dual)
+            of_dual = bent_profile(self.dual)
         except NotBentError:
-            return None
-        if self.f.is_even() and dual_profile.dual != self.f:
+            return False
+        if self.f.is_even() and of_dual.dual != self.f:
             raise AssertionError("dual involution failed on an even dual-bent function")
-        return dual_profile
+        return True
 
     @cached_property
     def type_span(self) -> Subspace:
         """The span V of the type side, with a basis of V-perp as v.perp."""
         return span(self.side_mask(self.type), self.n)
-
-    @cached_property
-    def coset_folds(self) -> list[tuple[int, Callable, Callable]]:
-        """_coset_folds of V-perp's basis: the maps both the dual's profile
-        and the coset check walk the cosets of V-perp through."""
-        return _coset_folds(self.type_span.perp)
 
     @cached_property
     def type_side_size(self) -> int:
@@ -624,6 +624,9 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     on a miss the residues are dropped, only the exact int32 spectrum
     (walsh_spectrum) is computed, and _not_bent_witness reads the
     NotBentError off it.
+
+    The type is the side of 0, and f is regular when every sign is +1 at
+    even n, weakly regular when every sign is that of 0 otherwise.
     """
     n = f.n
     width = _residue_dtype(n)
@@ -632,14 +635,6 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     if not sign.all():
         del sign, dual  # room for the exact spectrum
         raise _not_bent_witness(walsh_spectrum(f))
-    return _classified(f, sign, TernaryFunction(n, dual))
-
-
-def _classified(f: TernaryFunction, sign: np.ndarray, dual: TernaryFunction) -> BentProfile:
-    """The profile of a bent f from its int8 sign map and its dual: the
-    type is the side of 0, and f is regular when every sign is +1 at even
-    n, weakly regular when every sign is that of 0 otherwise."""
-    n = f.n
     has_plus = bool((sign == 1).any())
     has_minus = bool((sign == -1).any())
     btype = BentType.PLUS if sign[0] == 1 else BentType.MINUS
@@ -649,7 +644,7 @@ def _classified(f: TernaryFunction, sign: np.ndarray, dual: TernaryFunction) -> 
         reg = Regularity.WEAKLY_REGULAR
     else:
         reg = Regularity.REGULAR if n % 2 == 0 else Regularity.WEAKLY_REGULAR
-    return BentProfile(n=n, dual=dual, sign=sign,
+    return BentProfile(n=n, dual=TernaryFunction(n, dual), sign=sign,
                        type=btype, regularity=reg, f=f)
 
 
@@ -713,10 +708,11 @@ def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]]) 
     return h
 
 
-def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
-    """The profile of f's dual f* when the type side of f is a subspace V
-    of dimension r = n - k; None when f* is not bent.  No transform is
-    taken: Poisson summation over V gives the dual's spectrum from f.
+def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
+    """The sign of f's dual f* on each coset of V-perp, when the type side
+    of f is a subspace V of dimension r = n - k, as 3^r int8 values in the
+    order of c; None when f* is not bent.  No transform is taken: Poisson
+    summation over V gives the dual's spectrum from f.
 
     With eps(x) = s_type on V and -s_type off it (s_type = +1 when the
     type side is the plus side), t(x) = f(-x), sum_x W_f(x) w^(-u.x) =
@@ -741,14 +737,17 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     coset of V-perp; then f** = t (f itself for even f), and s is +1 on a
     constant coset and -1 on a balanced one, so the constant cosets make
     up the dual's plus set exactly when constant_on_dual_plus.  The folded
-    sums (_coset_sums) are compared with 0 and the three 3^k w^c, and the
-    sign per coset is unfolded once: slice c at digit p is the folded
-    array translated by -c q, since y + c q_j lies in y's coset.
+    sums (_coset_sums) are compared with 0 and the three 3^k w^c, one per
+    coset.  They are indexed by the point y of each coset whose fold
+    digits are 0, with those digits dropped.  The fold digits are the free
+    columns of V's reduced basis (_coset_folds), so the digits kept are
+    V's pivots in ascending order, and y is the message u_c of
+    codes.LinearCode.messages(): entry c is the dual's sign at u_c.
     """
-    f, n, v = p.f, p.n, p.type_span
-    k = n - v.dim
-    t = f if f.is_even() else TernaryFunction(n, negation(n)(f.table))
-    sums = _coset_sums(t.table, p.coset_folds)
+    f, n = p.f, p.n
+    k = n - p.type_span.dim
+    t = f.table if f.is_even() else negation(n)(f.table)
+    sums = _coset_sums(t, _coset_folds(p.type_span.perp)).reshape(-1)
     unit, bits = 3 ** k, 4 * sums.itemsize
     constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
     if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:
@@ -756,20 +755,16 @@ def _dual_by_cosets(p: BentProfile) -> BentProfile | None:
     s = 1 if constant_on_dual_plus(n, p.type) else -1
     sign = constant.view(np.int8) * np.int8(2 * s)
     sign -= np.int8(s)
-    for digit, plus, minus in reversed(p.coset_folds):
-        base = sign.reshape(-1, size(digit))
-        sign = np.stack([base, minus(base), plus(base)], axis=1)
-    return _classified(p.dual, sign.reshape(-1), t)
+    return sign
 
 
 def is_dual_bent(f: TernaryFunction,
-                 profile: BentProfile | None = None) -> tuple[bool, BentProfile | None]:
-    """Whether the dual of f is itself bent, and the dual's profile
-    (profile.dual_profile, built at most once per profile) or None."""
+                 profile: BentProfile | None = None) -> tuple[bool, np.ndarray | None]:
+    """Whether the dual of f is itself bent (profile.dual_bent, decided at
+    most once per profile), and profile.dual_sign."""
     if profile is None:
         profile = bent_profile(f)
-    dual_profile = profile.dual_profile
-    return dual_profile is not None, dual_profile
+    return profile.dual_bent, profile.dual_sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -837,7 +832,6 @@ class Hypotheses:
     f: TernaryFunction
     stages: tuple[Stage, ...]
     profile: BentProfile | None = None
-    dual_profile: BentProfile | None = None
     v: Subspace | None = None
 
     @property
@@ -864,8 +858,8 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
     Order: bent, non-weakly-regular, even, dual-bent, type-side-subspace,
     non-degenerate, dimension-bound.  The type side lies in its span V,
     so it is a subspace exactly when |side| = 3^dim V, and is_nondegenerate
-    decides V from a Gram rank.  V and the dual's profile come from
-    profile.type_span and profile.dual_profile, each decided once per
+    decides V from a Gram rank.  V and the dual's verdict come from
+    profile.type_span and profile.dual_bent, each decided once per
     profile (the involution check included).
     """
     n = f.n
@@ -882,8 +876,7 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
                         f"function is {profile.regularity.value}"))
     even = f.is_even()
     stages.append(Stage("even", even, "" if even else "f(x) != f(-x) somewhere"))
-    dual_profile = profile.dual_profile
-    dual_ok = dual_profile is not None
+    dual_ok = profile.dual_bent
     stages.append(Stage("dual-bent", dual_ok, "" if dual_ok else "dual function is not bent"))
 
     v = profile.type_span
@@ -897,7 +890,7 @@ def establish(f: TernaryFunction, profile: BentProfile | None = None) -> Hypothe
         bound = v.dim >= n // 2 + 1
         stages.append(Stage("dimension-bound", bound, f"r = {v.dim}" if bound else
                             f"r = {v.dim} < floor(n/2)+1 = {n // 2 + 1}"))
-    return Hypotheses(f, tuple(stages), profile, dual_profile, v)
+    return Hypotheses(f, tuple(stages), profile, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -909,8 +902,9 @@ class CosetStructure:
     cosets of V-perp tile the dual's plus / minus sets when
     coset_union_ok holds; f is constant on the cosets over the one named
     by constant_branch (which one depends on the parity of n and the
-    side) when constant_ok holds.  constant_ok is read only on a tiling
-    that holds, so it implies coset_union_ok.
+    side) when constant_ok holds.  Both verdicts are that the dual's sign
+    is one value per coset (BentProfile.dual_sign is not None): see
+    _dual_by_cosets, whose constant cosets are the branch's side.
     """
 
     coset_union_ok: bool
@@ -919,13 +913,15 @@ class CosetStructure:
 
 
 def coset_structure(f: TernaryFunction, profile: BentProfile) -> CosetStructure:
-    """Verify the coset tiling of the dual's point sets, exhaustively.
+    """The coset decomposition verdict of f.
 
     Requires f non-weakly regular, even, dual-bent, with the type side a
     non-degenerate subspace; raises HypothesisError naming the first
     failing requirement otherwise.
     """
-    return coset_tiling(establish(f, profile))
+    establish(f, profile).require(through="non-degenerate")
+    tiled = profile.dual_sign is not None
+    return CosetStructure(tiled, constant_branch(f.n, profile.type), tiled)
 
 
 def constant_on_dual_plus(n: int, side: BentType) -> bool:
@@ -934,38 +930,6 @@ def constant_on_dual_plus(n: int, side: BentType) -> bool:
     return (n % 2 == 0) == (side is BentType.PLUS)
 
 
-def coset_tiling(hyp: Hypotheses) -> CosetStructure:
-    """coset_structure on hypotheses already established.
-
-    The hypotheses hold through non-degenerate, so the type side is V and
-    F_3^n is the direct sum of V and V-perp.  The cosets u + V-perp over i_plus then
-    tile the dual's plus set D+ exactly when D+ is invariant under
-    V-perp: an invariant D+ holds x = v + w (v in V, w in V-perp) exactly
-    when it holds v, and a union of cosets is invariant.  D- is the
-    complement of D+, so the same test tiles it by the cosets over
-    i_minus.  f is then constant on the constant branch's cosets exactly
-    when it is invariant under V-perp on that branch's dual side.
-
-    So one int8 code, 3 [x in D+] + f(x) [x on the branch's side], walks
-    the dual profile's coset_folds, highest digit first: each fold keeps
-    slice 0 and checks the two moved slices against it.  Each coset meets
-    the points whose fold digits are all 0 once (see _coset_sums), so no
-    move anywhere means invariance.  A moved D+ (the high part) breaks the
-    tiling and ends the walk with both verdicts false; a move in f's part
-    alone breaks constant_ok.
-    """
-    hyp.require(through="non-degenerate")
-    f, profile, dual_profile = hyp.f, hyp.profile, hyp.dual_profile
-    on_plus = constant_on_dual_plus(f.n, profile.type)
-    branch = "i_plus" if on_plus else "i_minus"
-    dual_plus = dual_profile.side_mask(BentType.PLUS)
-    branch_side = dual_plus if on_plus else dual_profile.side_mask(BentType.MINUS)
-    code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
-    constant_ok = True
-    for fold in profile.coset_folds:
-        code, *moved = _folded(code, *fold)
-        changed = [m for m in moved if not np.array_equal(m, code)]
-        if any(not np.array_equal(m >= 3, code >= 3) for m in changed):
-            return CosetStructure(False, branch, False)
-        constant_ok = constant_ok and not changed
-    return CosetStructure(True, branch, constant_ok)
+def constant_branch(n: int, side: BentType) -> str:
+    """The name of the branch whose cosets f is constant on."""
+    return "i_plus" if constant_on_dual_plus(n, side) else "i_minus"

@@ -218,9 +218,10 @@ _CASE_RULES = {
                                   np.array([[1, 1, 1], [0, 1, 2]])),
 }
 
-# f is constant on the cosets only on one branch (analysis.coset_tiling),
-# so the weight-class row of the other branch must not read f; the branch
-# depends on n only through its parity
+# f is constant on the cosets of V-perp only on one branch, the dual's
+# side whose cosets are constant (analysis._dual_by_cosets), so the
+# weight-class row of the other branch must not read f; the branch depends
+# on n only through its parity
 assert all(len(set(rule.weight_class[int(not constant_on_dual_plus(case.parity, case.side))]))
            == 1 for case, rule in _CASE_RULES.items())
 
@@ -377,10 +378,12 @@ class WeightClassifier:
         membership and (f(u) - j0) % 3, and entry 6, weight 0, at u_0 = 0,
         the only representative in the kernel.  Each row of the case's
         classes is rolled by j0, so the key is computed in int8 with no
-        reduction mod 3.  f and the dual's sign are read through a view of
-        their (3,) * n reshape, where digit p is axis n-1-p: each pivot
-        axis sliced, every other axis at 0.  Its C order is the order of c
-        because the pivots ascend, as reduction lists them."""
+        reduction mod 3.  The dual's sign per coset (BentProfile.dual_sign)
+        is already in the order of c.  f is read through a view of its
+        (3,) * n reshape, where digit p is axis n-1-p: each pivot axis
+        sliced, every other axis at 0.  Its C order is the order of c
+        because the pivots ascend, as reduction lists them, so the sign
+        takes its shape."""
         n, pivots = self.f.n, code.pivots
         assert list(pivots) == sorted(set(pivots)), "pivots must ascend"
         at = tuple(slice(None) if p in pivots else 0 for p in range(n - 1, -1, -1))
@@ -388,9 +391,9 @@ class WeightClassifier:
         classes = _CASE_RULES[case].weight_class[:, (np.arange(3) - self.ctx.j0) % 3]
         table = np.zeros(7, dtype=np.int32)
         table[:6] = np.array(_case_weights(case, n, self.ctx.r))[classes].ravel()
-        in_dual_plus = self.ctx.hypotheses.dual_profile.sign.reshape((3,) * n)[at] == 1
-        key = (in_dual_plus.view(np.int8) * np.int8(3)
-               + self.f.table.reshape((3,) * n)[at]).reshape(-1)
+        f_at = self.f.table.reshape((3,) * n)[at]
+        in_dual_plus = (self.ctx.hypotheses.profile.dual_sign == 1).reshape(f_at.shape)
+        key = (in_dual_plus.view(np.int8) * np.int8(3) + f_at).reshape(-1)
         key[0] = 6
         return table[key]  # np.take would cast the whole key to intp
 
@@ -398,12 +401,13 @@ class WeightClassifier:
         """First representative u_c, in the order of c, whose measured
         weight differs from the prediction, or None when all 3^r agree.
 
-        That decides all 3^n messages when code.dimension == r and
-        coset_tiling passed (run_pipeline checks both): then span(S) = V,
-        so the weights are constant on the cosets of V-perp, and so is the
-        prediction, which reads only the int8 code that coset_tiling
-        proved invariant, since the row off the branch's side is constant.
-        There is one u_c per coset; code.messages() only names a mismatch."""
+        That decides all 3^n messages when code.dimension == r
+        (run_pipeline checks it): then span(S) = V, so the weights are
+        constant on the cosets of V-perp, and so is the prediction.  The
+        dual's sign is one value per coset, and f is constant on the
+        cosets of the branch's side (analysis._dual_by_cosets), while the
+        row off that side is constant.  There is one u_c per coset;
+        code.messages() only names a mismatch."""
         mismatch = np.flatnonzero(self.expected_weights(code) != code.message_weights)
         return int(code.messages()[mismatch[0]]) if mismatch.size else None
 

@@ -344,6 +344,13 @@ def _spec_int(value, name: str, non_negative: bool = False) -> int:
     return value
 
 
+def _spec_list(value, name: str) -> list:
+    """A JSON array, refusing anything else before it is iterated."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
 def _spec_term(term, name: str) -> tuple[int, int]:
     """A trace term: a [generator_power, exponent] pair of JSON integers."""
     if not (isinstance(term, list) and len(term) == 2):
@@ -356,15 +363,17 @@ def _glue_from_spec(spec: dict) -> TernaryFunction:
     s = _spec_int(spec["s"], "s", non_negative=True)
     check_dim(m + 2 * s)
     comps = []
-    for z, entry in enumerate(spec["components"]):
+    for z, entry in enumerate(_spec_list(spec["components"], "components")):
         if not isinstance(entry, dict):
             raise ValueError(f"components[{z}] must be a JSON object, got {entry!r}")
         if "table" in entry:
-            if any(type(t) is not int or t not in (0, 1, 2) for t in entry["table"]):
+            table = _spec_list(entry["table"], f"components[{z}].table")
+            if any(type(t) is not int or t not in (0, 1, 2) for t in table):
                 raise _BadEntries("table entries must be 0, 1 or 2")
-            comps.append(TernaryFunction(m, entry["table"]))
+            comps.append(TernaryFunction(m, table))
         else:
-            d = [_spec_int(c, f"components[{z}].d[{i}]") for i, c in enumerate(entry["d"])]
+            d = [_spec_int(c, f"components[{z}].d[{i}]")
+                 for i, c in enumerate(_spec_list(entry["d"], f"components[{z}].d"))]
             c = _spec_int(entry.get("c", 0), f"components[{z}].c")
             comps.append(quadratic_function(QuadraticForm(tuple(d), c)))
     return gmmf_build(GmmfSpec(m, s, tuple(comps)))
@@ -373,7 +382,8 @@ def _glue_from_spec(spec: dict) -> TernaryFunction:
 def _trace_from_spec(spec: dict) -> TernaryFunction:
     k = _spec_int(spec["k"], "k", non_negative=True)
     check_dim(k)
-    modulus = [_spec_int(c, f"modulus[{i}]") for i, c in enumerate(spec["modulus"])]
+    modulus = [_spec_int(c, f"modulus[{i}]")
+               for i, c in enumerate(_spec_list(spec["modulus"], "modulus"))]
     gen = spec["generator"]
     if isinstance(gen, list):
         digits = [_spec_int(d, f"generator[{i}]") for i, d in enumerate(gen)]
@@ -382,7 +392,8 @@ def _trace_from_spec(spec: dict) -> TernaryFunction:
         gen = sum(d * 3 ** i for i, d in enumerate(digits))
     else:
         gen = _spec_int(gen, "generator")
-    terms = tuple(_spec_term(term, f"terms[{i}]") for i, term in enumerate(spec["terms"]))
+    terms = tuple(_spec_term(term, f"terms[{i}]")
+                  for i, term in enumerate(_spec_list(spec["terms"], "terms")))
     return trace_function(TraceSpec(ExtField.create(k, modulus, gen), terms))
 
 
@@ -398,7 +409,8 @@ def function_from_spec(spec: dict) -> TernaryFunction:
     in parameter-index order, are each {"d": [coeffs], "c": const} (a
     diagonal quadratic, c optional) or {"table": [...]} on F_3^m.
 
-    Every integer must be a JSON integer, and m, s and k non-negative.
+    Every integer must be a JSON integer, every list a JSON array, and m,
+    s and k non-negative.
     The dimension passes the size gate, check_dim, before anything is
     tabulated; a refusal raises its DimensionCapError unchanged.  Any
     other fault raises ValueError in one line: "bad glue spec: ..." or

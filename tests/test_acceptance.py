@@ -165,7 +165,7 @@ def test_criterion_4_structural_properties(built_fixtures):
         assert cs.coset_union_ok and cs.constant_ok
         on_plus = (f.n % 2 == 0) == (prof.type is BentType.PLUS)
         assert cs.constant_branch == ("i_plus" if on_plus else "i_minus")
-        side_of_dual = hyp.dual_profile.side_mask(BentType.PLUS if on_plus else BentType.MINUS)
+        side_of_dual = dual_prof.side_mask(BentType.PLUS if on_plus else BentType.MINUS)
         assert np.count_nonzero(side_of_dual) == 3 ** r
         branch = np.flatnonzero(prof.side_mask(prof.type) & side_of_dual)
         assert len(branch) == 3 ** (2 * r - f.n)

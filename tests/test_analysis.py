@@ -575,7 +575,7 @@ def test_preimage_sets_partition(built_fixtures):
 
         # the coset index sets, the type side meeting each side of the
         # dual, partition the type side
-        dual_profile = establish(f, p).dual_profile
+        dual_profile = bent_profile(p.dual)
         side = p.side_mask(p.type)
         i_plus, i_minus = (np.flatnonzero(side & dual_profile.side_mask(t))
                            for t in (BentType.PLUS, BentType.MINUS))
@@ -631,7 +631,7 @@ def test_coset_structure_flagship(flagship):
     assert cs.coset_union_ok and cs.constant_ok and cs.constant_branch == "i_plus"
     hyp = establish(flagship, p)
     r = hyp.r
-    dual_plus = hyp.dual_profile.side_mask(BentType.PLUS)
+    dual_plus = bent_profile(p.dual).side_mask(BentType.PLUS)
     assert np.count_nonzero(p.side_mask(p.type) & dual_plus) == 3 ** (2 * r - flagship.n)
     assert np.count_nonzero(dual_plus) == 3 ** r
 
@@ -642,7 +642,7 @@ def test_coset_structure_minus_side(built_fixtures):
     cs = coset_structure(f, p)
     assert cs.coset_union_ok and cs.constant_ok
     hyp = establish(f, p)
-    assert np.count_nonzero(hyp.dual_profile.side_mask(BentType.MINUS)) == 3 ** hyp.r
+    assert np.count_nonzero(bent_profile(p.dual).side_mask(BentType.MINUS)) == 3 ** hyp.r
 
 
 def test_coset_structure_rejects_weakly_regular():

@@ -59,7 +59,8 @@ def test_hypothesis_path_verdict():
 
 def test_dual_profile_by_cosets_on_every_benchmark_instance():
     # every input of the three workloads at the default seed: the dual's
-    # profile from coset sums equals the dual's own transform
+    # sign per coset from coset sums equals the dual's own transform at
+    # the messages, and the transform's sign tiles the cosets
     instances = [inst for workload in workloads.WORKLOADS.values() for inst in workload.build(1)]
     assert len(instances) == 248
     ks = {assert_dual_by_cosets_matches_transform(inst.f) for inst in instances}

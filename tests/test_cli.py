@@ -451,10 +451,20 @@ TRACE = {"k": 4, "modulus": [2, 1, 0, 0, 1], "generator": 3, "terms": [[10, 22],
      "bad glue spec: components[0] must be a JSON object, got 1"),
     ("--trace-file", {**TRACE, "terms": [[0, 2, 5]]},
      "bad trace spec: terms[0] must be a [generator_power, exponent] pair, got [0, 2, 5]"),
+    ("--gmmf-file", {**GLUE, "components": 5},
+     "bad glue spec: components must be a JSON array, got 5"),
+    ("--gmmf-file", {**GLUE, "components": [{"table": 5}] * 3},
+     "bad glue spec: components[0].table must be a JSON array, got 5"),
+    ("--gmmf-file", {**GLUE, "components": [{"d": 5}] * 3},
+     "bad glue spec: components[0].d must be a JSON array, got 5"),
+    ("--trace-file", {**TRACE, "terms": 5}, "bad trace spec: terms must be a JSON array, got 5"),
+    ("--trace-file", {**TRACE, "modulus": 5},
+     "bad trace spec: modulus must be a JSON array, got 5"),
 ], ids=["m-float", "s-bool", "m-negative", "s-negative", "d-float", "c-bool",
         "k-float", "k-negative", "generator-float", "generator-digit", "generator-digit-bool",
         "modulus-float", "exponent-float", "missing-s", "missing-modulus", "array",
-        "component-int", "term-triple"])
+        "component-int", "term-triple", "components-int", "table-int", "d-int", "terms-int",
+        "modulus-int"])
 def test_json_spec_faults_exit_2_naming_the_field(tmp_path, capsys, flag, spec, message):
     f = tmp_path / "spec.json"
     f.write_text(json.dumps(spec))

@@ -429,7 +429,7 @@ def test_classifier_flat_key_reads_the_case_table(built_fixtures, name):
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _CASE_RULES[ctx.case].weight_class
     code = build_code(ctx.defining, ctx.hypotheses.v)
-    in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
+    in_dual_plus = bent_profile(ctx.hypotheses.profile.dual).sign == 1
     expected = [0 if u == 0 else
                 weights[rows[int(in_dual_plus[u])][(f(u) - ctx.j0) % 3]]
                 for u in code.messages().tolist()]
@@ -443,7 +443,8 @@ def _parent_expected_weights(clf: WeightClassifier, messages: np.ndarray) -> np.
     weights = np.array(_case_weights(case, clf.f.n, clf.ctx.r), dtype=np.int64)
     table = weights[_CASE_RULES[case].weight_class].ravel()
     delta = (clf.f.table[messages] - np.int8(j0)) % np.int8(3)
-    key = (clf.ctx.hypotheses.dual_profile.sign[messages] == 1).view(np.int8) * np.int8(3) + delta
+    dual_sign = bent_profile(clf.ctx.hypotheses.profile.dual).sign
+    key = (dual_sign[messages] == 1).view(np.int8) * np.int8(3) + delta
     return np.where(messages == 0, 0, table[key])
 
 
@@ -484,7 +485,7 @@ def test_theorem_classifier_agrees_with_a_direct_count_at_every_message(built_fi
     ctx = select_defining_set(f)
     in_perp = np.zeros(size(f.n), dtype=bool)
     in_perp[brute_perp(ctx.hypotheses.v)] = True
-    in_dual_plus = ctx.hypotheses.dual_profile.sign == 1
+    in_dual_plus = bent_profile(ctx.hypotheses.profile.dual).sign == 1
     rows = _CASE_RULES[ctx.case].weight_class[in_dual_plus.astype(int), (f.table - ctx.j0) % 3]
     predicted = np.where(in_perp, 0, np.array(_case_weights(ctx.case, f.n, ctx.r))[rows])
     assert np.array_equal(predicted, direct_weights(ctx.defining))

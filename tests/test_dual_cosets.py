@@ -1,11 +1,11 @@
-"""The dual's profile from the V-perp coset sums of f.
+"""The dual's sign per coset of V-perp, from the coset sums of f.
 
-When the type side of f is a subspace V, BentProfile.dual_profile reads
-the dual's sign map and dual from coset sums of f's own table
-(analysis._dual_by_cosets) instead of a second radix-3 transform.  These
-tests hold that route to the dual's transform, bent_profile(p.dual), on
-every shape of V-perp: axis-aligned and sheared, k = n - dim V from 0 to
-past 5, both parities and sides, odd functions, and duals that are not
+When the type side of f is a subspace V, BentProfile.dual_sign reads the
+dual's sign, one value per coset of V-perp, from coset sums of f's own
+table (analysis._dual_by_cosets) instead of a second radix-3 transform.
+These tests hold that route to the dual's transform, bent_profile(p.dual),
+on every shape of V-perp: axis-aligned and sheared, k = n - dim V from 0
+to past 5, both parities and sides, odd functions, and duals that are not
 bent.
 """
 
@@ -20,7 +20,6 @@ import pytest
 from tribent import analysis, core
 from tribent.analysis import (
     BentType,
-    Regularity,
     TernaryFunction,
     bent_profile,
     establish,
@@ -29,7 +28,7 @@ from tribent.constructions import GmmfSpec, gmmf_build, quadratic_function
 from tribent.core import coord_matrix, dots_with, neg_table, size
 from tribent.search import random_instance, random_quadratic, random_subspace
 
-from conftest import assert_dual_by_cosets_matches_transform, brute_perp
+from conftest import assert_dual_by_cosets_matches_transform, brute_perp, pivot_messages
 
 
 def _glue(rng: random.Random, m: int, s: int, k: int, side: BentType) -> TernaryFunction:
@@ -64,7 +63,17 @@ def test_cosets_match_the_transform_on_the_fixtures(built_fixtures):
     ks = {name: assert_dual_by_cosets_matches_transform(f) for name, f in built_fixtures.items()}
     assert ks["trace36"] == 2
     # trace14's dual is not bent: both routes say so
-    assert bent_profile(built_fixtures["trace14"]).dual_profile is None
+    assert bent_profile(built_fixtures["trace14"]).dual_sign is None
+
+
+@pytest.mark.parametrize("name", ["code98-a", "code270-a", "code756", "code36", "trace36"])
+def test_passing_verdict_holds_one_dual_sign_per_coset(built_fixtures, name):
+    # 3^r int8 values, one per coset of V-perp, never one per point of F_3^n
+    hyp = establish(built_fixtures[name])
+    assert hyp.ok and hyp.r < hyp.f.n
+    sign = hyp.profile.dual_sign
+    assert sign.dtype == np.int8 and sign.shape == (size(hyp.r),)
+    assert set(np.unique(sign).tolist()) == {-1, 1}
 
 
 # (m, s, k): k = 0 (V is all of F_3^n), k = 1..5, both parities of n
@@ -132,20 +141,21 @@ def _dual_bent_by_coset_counts(f: TernaryFunction) -> bool:
     """The dual of f is bent exactly when f (read as t(x) = f(-x)) is
     constant or balanced on every coset of V-perp; then the dual's sign
     at u is +1 on a constant coset and -1 on a balanced one, times +1 for
-    a plus type and -1 for a minus type, negated for odd n, and its dual
-    is t.  Returns whether the dual is bent."""
+    a plus type and -1 for a minus type, negated for odd n, and the
+    dual's dual is t.  Returns whether the dual is bent."""
     p = bent_profile(f)
     assert p.type_side_is_subspace()
     counts, k = _coset_counts(p), f.n - p.type_span.dim
     constant = counts.max(axis=1) == 3 ** k
     balanced = (counts == 3 ** k // 3).all(axis=1)
-    dual = p.dual_profile
     if not (constant | balanced).all():
-        assert dual is None
+        assert p.dual_sign is None
         return False
     flip = (1 if p.type is BentType.PLUS else -1) * (-1 if f.n % 2 else 1)
-    assert dual is not None
-    assert np.array_equal(dual.sign, np.where(constant, flip, -flip))
+    sign = np.where(constant, flip, -flip)
+    assert np.array_equal(p.dual_sign, sign[pivot_messages(p.type_span)])
+    dual = bent_profile(p.dual)
+    assert np.array_equal(dual.sign, sign)
     assert np.array_equal(dual.dual.table, f.table[neg_table(f.n)])
     return True
 
@@ -177,7 +187,7 @@ def test_dual_that_is_not_bent_is_none_on_both_routes(built_fixtures):
     f = built_fixtures["trace14"]
     for g in (f, _sheared(rng, f), _odd(rng, f), _sheared(rng, _odd(rng, f))):
         p = bent_profile(g)
-        assert p.dual_profile is None
+        assert p.dual_sign is None and not p.dual_bent
         assert_dual_by_cosets_matches_transform(g)
 
 
@@ -212,24 +222,25 @@ def test_type_side_that_is_no_subspace_takes_the_dual_transform(monkeypatch):
         ("bent", True), ("non-weakly-regular", True), ("even", True), ("dual-bent", True),
         ("type-side-subspace", False)]
     assert hyp.stages[-1].detail == f"|side| = {5 * 3 ** 4} is not a subspace"
-    assert hyp.dual_profile.regularity is Regularity.NON_WEAKLY_REGULAR
+    # no cosets to read the dual's sign on
+    assert hyp.profile.dual_sign is None
 
 
 @pytest.mark.parametrize("m, s, k", [(10, 1, 1), (6, 3, 3), (4, 4, 4)])
 def test_dual_profile_at_n12_peaks_within_the_transforms_level(m, s, k):
-    # tracemalloc's peak over 3^n while the dual's profile is computed,
-    # with f's profile, evenness and span already decided: the dual's
-    # int16 transform read 9.0 B/point, and the coset sums with the unit
-    # lookup over 3^n values read 7.0 at k = 1, 3 and 9.0 at k = 4.  A
-    # verdict per coset reads 2.7 at each k: the int8 sign unfolded once
-    # and the dual's copy of f's table, 1 B/point each
+    # tracemalloc's peak over 3^n while the dual's sign is computed, with
+    # f's profile, evenness and span already decided: the dual's int16
+    # transform read 9.0 B/point, and the coset sums with the unit lookup
+    # over 3^n values read 7.0 at k = 1, 3 and 9.0 at k = 4.  A verdict
+    # per coset reads 2.7 at each k, the first fold of the coset sums; the
+    # sign it returns is 3^r int8 values, one per coset
     f = _glue(random.Random(12), m, s, k, BentType.PLUS)
     p = bent_profile(f)
     f.is_even()
     assert f.n - p.type_span.dim == k and p.type_side_is_subspace()
     tracemalloc.start()
     try:
-        dual = p.dual_profile
+        dual = p.dual_sign
         peak = tracemalloc.get_traced_memory()[1] / size(f.n)
     finally:
         tracemalloc.stop()

@@ -22,8 +22,8 @@ from tribent.analysis import (
     BentType,
     HypothesisError,
     TernaryFunction,
+    constant_branch,
     coset_structure,
-    coset_tiling,
     establish,
 )
 from tribent.codes import build_code, select_defining_set
@@ -39,7 +39,7 @@ from tribent.fixtures import FIXTURES
 from tribent.pipeline import run_pipeline
 from tribent.search import random_instance, random_subspace
 
-from conftest import add_points, brute_perp
+from conftest import add_points, brute_perp, coset_tiling
 
 # (m, s, dim U, side): eligible cases of both parities, U = F_3^s (weakly
 # regular), and random lines in F_3^3, some spanned by an isotropic vector
@@ -121,17 +121,18 @@ def test_cases_cover_every_verdict():
                         "non-degenerate"}
 
 
-def _index_sets(hyp) -> dict[str, np.ndarray]:
-    """i_plus and i_minus: the type side meeting the dual's plus and minus
-    sets, as index arrays."""
+def _index_sets(hyp, dual_sign: np.ndarray) -> dict[str, np.ndarray]:
+    """i_plus and i_minus: the type side meeting the plus and minus sets
+    of the dual's sign at every point, as index arrays."""
     side = hyp.profile.side_mask(hyp.profile.type)
-    return {name: np.flatnonzero(side & hyp.dual_profile.side_mask(t))
-            for name, t in (("i_plus", BentType.PLUS), ("i_minus", BentType.MINUS))}
+    return {name: np.flatnonzero(side & (dual_sign == t))
+            for name, t in (("i_plus", 1), ("i_minus", -1))}
 
 
-def _pointwise_tiling(f: TernaryFunction, hyp, cs, perp: np.ndarray) -> tuple[bool, bool]:
-    """(union, constant) of a coset structure on hypotheses hyp, one
-    add_points at a time."""
+def _pointwise_tiling(f: TernaryFunction, hyp, dual_sign: np.ndarray,
+                      perp: np.ndarray) -> tuple[bool, bool]:
+    """(union, constant) of the coset structure of the dual's sign on
+    hypotheses hyp, one add_points at a time."""
     def cosets(reps):
         return {u: [add_points(u, w, f.n) for w in perp.tolist()] for u in reps.tolist()}
 
@@ -141,23 +142,32 @@ def _pointwise_tiling(f: TernaryFunction, hyp, cs, perp: np.ndarray) -> tuple[bo
             mask[points] = True
         return mask
 
-    sets = _index_sets(hyp)
-    union_ok = all(
-        np.array_equal(union(sets[name]), hyp.dual_profile.side_mask(side))
-        for name, side in (("i_plus", BentType.PLUS), ("i_minus", BentType.MINUS)))
-    constant_ok = all(len({f(x) for x in points}) == 1
-                      for points in cosets(sets[cs.constant_branch]).values())
+    sets = _index_sets(hyp, dual_sign)
+    union_ok = all(np.array_equal(union(sets[name]), dual_sign == t)
+                   for name, t in (("i_plus", 1), ("i_minus", -1)))
+    branch = sets[constant_branch(f.n, hyp.profile.type)]
+    constant_ok = all(len({f(x) for x in points}) == 1 for points in cosets(branch).values())
     return union_ok, constant_ok
+
+
+def _transform_sign(hyp) -> np.ndarray:
+    """The dual's sign at every point, from the dual's own transform."""
+    return analysis.bent_profile(hyp.profile.dual).sign
 
 
 @pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
 def test_coset_tiling_against_pointwise_sums(name, f):
+    # the verdict read off the coset route, and the test's walk of the
+    # transform's sign, against a pointwise count
     hyp = establish(f)
     if not hyp.ok:
         return
     cs = coset_structure(f, hyp.profile)
     perp = orthogonal_complement(hyp.v).points()
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, hyp, cs, perp)
+    sign = _transform_sign(hyp)
+    assert cs.constant_branch == constant_branch(f.n, hyp.profile.type)
+    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(f, hyp, sign, perp)
+    assert coset_tiling(f, hyp.profile, sign) == (True, True)
 
 
 ELIGIBLE = [(name, f) for name, f in CASES if establish(f).ok]
@@ -172,29 +182,27 @@ def test_multi_perp_cases_are_the_expected_ones():
 
 @pytest.mark.parametrize("name,f", BROKEN, ids=[name for name, _ in BROKEN])
 def test_coset_tiling_detects_broken_tilings(name, f):
-    # the theorem makes every eligible tiling hold, so break one by hand:
-    # move one point of the dual across sides, or change f at one point of
-    # the constant branch's cosets
+    # the theorem makes every eligible tiling hold, so break one by hand
+    # for the test's walk (conftest.coset_tiling): move one point of the
+    # dual across sides, or change f at one point of the constant
+    # branch's cosets
     hyp = establish(f)
     perp = orthogonal_complement(hyp.v).points()
     rng = np.random.default_rng(len(name))
     x = int(rng.integers(1, size(f.n)))
-    sign = hyp.dual_profile.sign.copy()
-    sign[x] = -sign[x]
-    moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
-    cs = coset_tiling(moved)
-    assert not cs.coset_union_ok and not cs.constant_ok
-    assert cs.coset_union_ok == _pointwise_tiling(f, moved, cs, perp)[0]
+    sign = _transform_sign(hyp)
+    moved = sign.copy()
+    moved[x] = -moved[x]
+    assert coset_tiling(f, hyp.profile, moved) == (False, False)
+    assert not _pointwise_tiling(f, hyp, moved, perp)[0]
 
-    cs = coset_tiling(hyp)
-    branch = _index_sets(hyp)[cs.constant_branch]
+    branch = _index_sets(hyp, sign)[constant_branch(f.n, hyp.profile.type)]
     y = add_points(int(branch[len(branch) // 2]), int(perp[-1]), f.n)
     table = f.table.copy()
     table[y] = (table[y] + 1) % 3
     g = TernaryFunction(f.n, table)
-    cs = coset_tiling(dataclasses.replace(hyp, f=g))
-    assert cs.coset_union_ok and not cs.constant_ok
-    assert (cs.coset_union_ok, cs.constant_ok) == _pointwise_tiling(g, hyp, cs, perp)
+    assert coset_tiling(g, hyp.profile, sign) == (True, False)
+    assert _pointwise_tiling(g, hyp, sign, perp) == (True, False)
 
 
 @pytest.mark.parametrize("name,f", MULTI_PERP, ids=[name for name, _ in MULTI_PERP])
@@ -208,14 +216,12 @@ def test_coset_tiling_detects_a_break_the_first_basis_vector_keeps(name, f):
     line = [x]
     for _ in range(2):
         line.append(add_points(line[-1], q1, f.n))
-    sign = hyp.dual_profile.sign.copy()
+    sign = _transform_sign(hyp).copy()
     sign[line] = -sign[line]
     assert sign[add_points(x, q2, f.n)] != sign[x]
-    moved = dataclasses.replace(hyp, dual_profile=dataclasses.replace(hyp.dual_profile, sign=sign))
-    cs = coset_tiling(moved)
-    assert not cs.coset_union_ok and not cs.constant_ok
+    assert coset_tiling(f, hyp.profile, sign) == (False, False)
     perp = orthogonal_complement(hyp.v).points()
-    assert cs.coset_union_ok == _pointwise_tiling(f, moved, cs, perp)[0]
+    assert not _pointwise_tiling(f, hyp, sign, perp)[0]
 
 
 def _count_calls(monkeypatch, name: str) -> list[tuple]:
@@ -233,9 +239,9 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
 
 @pytest.mark.parametrize("name,f", ELIGIBLE, ids=[name for name, _ in ELIGIBLE])
 def test_a_holding_tiling_translates_once_per_basis_vector(monkeypatch, name, f):
-    # no table of its own: each fold the dual's profile built moves slices
-    # 1 and 2 once
-    hyp = establish(f)
+    # the dual's sign per coset moves slices 1 and 2 of each fold once, in
+    # the coset sums, and is never unfolded: no translation table is built
+    # beyond the folds' own
     moves = []
 
     def counted(p, c, step):
@@ -244,15 +250,21 @@ def test_a_holding_tiling_translates_once_per_basis_vector(monkeypatch, name, f)
             return step(a)
         return move
 
-    folds = [(p, counted(p, 1, plus), counted(p, 2, minus))
-             for p, plus, minus in hyp.profile.coset_folds]
-    hyp.profile.__dict__["coset_folds"] = folds
+    folds = []
+    coset_folds = analysis._coset_folds
+
+    def recorded(perp):
+        folds.extend((p, counted(p, 1, plus), counted(p, 2, minus))
+                     for p, plus, minus in coset_folds(perp))
+        return folds
+
+    p = analysis.bent_profile(f)
+    assert f.is_even() and p.type_side_is_subspace()
+    monkeypatch.setattr(analysis, "_coset_folds", recorded)
     translations = _count_calls(monkeypatch, "translation")
-    cs = coset_tiling(hyp)
-    assert cs.coset_union_ok and cs.constant_ok
-    assert translations == []
-    assert moves == [(p, c) for p, _, _ in folds for c in (1, 2)]
-    assert len(folds) == len(hyp.v.perp)
+    assert p.dual_sign is not None
+    assert len(translations) == 2 * len(folds) == 2 * len(p.type_span.perp)
+    assert moves == [(q, c) for q, _, _ in folds for c in (1, 2)]
 
 
 def test_a_passing_verdict_builds_the_coset_folds_once(monkeypatch, flagship):
@@ -298,7 +310,7 @@ def test_public_hypothesis_path_profiles_f_once(monkeypatch):
     calls = _count_profiles(monkeypatch)
     p = _run_public_path(f)
     assert calls == [f]
-    assert establish(f, p).dual_profile is p.dual_profile
+    assert analysis.is_dual_bent(f, p)[1] is p.dual_sign
 
 
 def test_pipeline_profiles_f_once(monkeypatch):
@@ -374,18 +386,27 @@ def test_forced_code_builds_its_subspaces_tables_once(monkeypatch):
     assert before == len(calls) and sum(c is v for c in calls) == 1
 
 
-def test_dual_of_the_dual_is_f_itself_on_the_coset_route(flagship):
+def test_dual_of_the_dual_is_f_itself_on_the_coset_route(monkeypatch, flagship):
+    # for even f the coset sums read f's own table as the dual's dual,
+    # with no negated copy; the dual's transform gives f back
     p = analysis.bent_profile(flagship)
     assert p.type_side_is_subspace() and flagship.is_even()
-    assert p.dual_profile.dual is flagship
+
+    def refuse(n):
+        raise AssertionError("the coset route negated an even f")
+
+    monkeypatch.setattr(analysis, "negation", refuse)
+    assert p.dual_sign is not None
+    monkeypatch.undo()
+    assert analysis.bent_profile(p.dual).dual == flagship
 
 
 def test_involution_guard_fires_on_the_transform_route(monkeypatch, flagship):
-    # off the coset route the dual's profile is the dual's own transform,
+    # off the coset route the dual's verdict is the dual's own transform,
     # and the dual's dual is checked against f there
     monkeypatch.setattr(analysis.BentProfile, "type_side_is_subspace", lambda self: False)
     fresh = analysis.bent_profile(flagship)
-    assert fresh.dual_profile.dual == flagship and fresh.dual_profile.dual is not flagship
+    assert fresh.dual_bent and fresh.dual_sign is None
 
     p = analysis.bent_profile(flagship)
     original = analysis.bent_profile
@@ -427,14 +448,14 @@ def test_type_span_kernel_of_random_subspaces():
 
 
 def test_profile_is_freed_without_the_cyclic_collector():
-    # the profile caches its dual's profile and its type-side span, but
+    # the profile caches its dual's sign and its type-side span, but
     # nothing cached on it points back to it: dropping the caller's
     # references frees it by reference counting alone
     f = _eligible_glue()
     gc.disable()
     try:
         p = _run_public_path(f)
-        refs = [weakref.ref(p), weakref.ref(p.dual_profile)]
+        refs = [weakref.ref(p), weakref.ref(p.dual_sign)]
         del p
         assert [ref() for ref in refs] == [None, None]
     finally:

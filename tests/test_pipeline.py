@@ -175,17 +175,6 @@ def _with_defining_points(monkeypatch, pick) -> None:
 
 
 @pytest.mark.parametrize("name", ["code98-a", "code36", "code756"])
-def test_per_codeword_stage_needs_the_coset_tiling(built_fixtures, monkeypatch, name):
-    original = pipeline.coset_tiling
-    monkeypatch.setattr(pipeline, "coset_tiling",
-                        lambda hyp: dataclasses.replace(original(hyp), constant_ok=False))
-    rep = run_pipeline(built_fixtures[name])
-    assert not rep.stage("coset-structure").ok
-    stage = rep.stage("per-codeword-weights")
-    assert not stage.ok and stage.detail == "coset structure failed"
-
-
-@pytest.mark.parametrize("name", ["code98-a", "code36", "code756"])
 def test_per_codeword_stage_needs_the_full_dimension(built_fixtures, monkeypatch, name):
     # keep the points of S orthogonal to one of them: span(S) drops to a
     # hyperplane of V (V is non-degenerate, so no point of S is in V-perp)
@@ -216,9 +205,10 @@ def test_per_codeword_stage_names_the_first_mismatching_representative(built_fix
     assert code.dimension == rep.r
     weights = _case_weights(ctx.case, f.n, ctx.r)
     rows = _CASE_RULES[ctx.case].weight_class
+    dual_sign = analysis.bent_profile(ctx.hypotheses.profile.dual).sign
 
     def predicted(u):
-        in_dual_plus = int(ctx.hypotheses.dual_profile.sign[u] == 1)
+        in_dual_plus = int(dual_sign[u] == 1)
         return 0 if u == 0 else weights[rows[in_dual_plus][(f(u) - ctx.j0) % 3]]
 
     first = next(u for u in code.messages().tolist()

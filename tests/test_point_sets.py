@@ -21,7 +21,6 @@ from tribent.analysis import (
     CosetStructure,
     TernaryFunction,
     coset_structure,
-    coset_tiling,
 )
 from tribent.codes import (
     CodeCase,
@@ -288,19 +287,18 @@ def test_verdict_stages_at_n12_peak_within_12_bytes_per_point(monkeypatch, side)
     tracemalloc.start()
     try:
         p = stage("bent_profile", lambda: analysis.bent_profile(f))
-        stage("dual_profile", lambda: p.dual_profile)
+        stage("dual_sign", lambda: p.dual_sign)
         stage("is_even", f.is_even)
         stage("type_span", lambda: p.type_span)
         hyp = stage("establish", lambda: analysis.establish(f, p))
         ctx = stage("defining_set_for", lambda: defining_set_for(hyp))
-        cs = stage("coset_tiling", lambda: coset_tiling(hyp))
         code = stage("build_code", lambda: build_code(ctx.defining, ctx.hypotheses.v))
         bad = stage("classifier", lambda: WeightClassifier(ctx).check_all(code))
         fresh = TernaryFunction(g.n, g.table)
         rep = stage("run_pipeline", lambda: run_pipeline(fresh))
     finally:
         tracemalloc.stop()
-    assert hyp.ok and cs.coset_union_ok and cs.constant_ok and bad is None and rep.passed
+    assert hyp.ok and bad is None and rep.passed
     assert peaks.pop("run_pipeline") <= 15, peaks
     assert max(peaks.values()) <= 12, peaks
     # at r = n - 1 a 3^r-wide int64 or intp array alone is 2.7 B/pt

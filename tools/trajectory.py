@@ -5,10 +5,12 @@ For each n in DIMS, 6..16, a child interpreter builds the seeded glue
 instance that `run_search(n - 2, 1, 1, 0)` draws (plus side, m = n - 2,
 s = 1, seed 0) and runs one run_pipeline on it.  The stage functions that
 tribent.pipeline calls are wrapped, as perfbench/tracing.py wraps them, and
-timed with perf_counter: establish (f's transform, the dual's profile, the
-span and the hypotheses), select (defining_set_for), cosets (coset_tiling),
-code (build_code) and classifier (WeightClassifier.check_all); build times
-gmmf_build.  Beside each time, <stage>_faults counts the minor page faults
+timed with perf_counter: establish (f's transform, the span, the dual's
+sign per coset and the hypotheses), select (defining_set_for), code
+(build_code) and classifier (WeightClassifier.check_all); build times
+gmmf_build.  A stage function the measured tree's pipeline does not have is
+not wrapped, so one tool measures the trees before and after a stage is
+dropped.  Beside each time, <stage>_faults counts the minor page faults
 (ru_minflt) the stage took.  First calls pay their cache fills and their
 first touch of every page, as a one-off CLI run does; the same instance is
 then verified a second time, and warm_s and warm_faults record that warm
@@ -80,7 +82,8 @@ def timed(name, fn):
 
 for name, attr in (("establish", "establish"), ("select", "defining_set_for"),
                    ("cosets", "coset_tiling"), ("code", "build_code")):
-    setattr(pipeline, attr, timed(name, getattr(pipeline, attr)))
+    if hasattr(pipeline, attr):
+        setattr(pipeline, attr, timed(name, getattr(pipeline, attr)))
 codes.WeightClassifier.check_all = timed("classifier", codes.WeightClassifier.check_all)
 
 f = timed("build", gmmf_build)(spec)

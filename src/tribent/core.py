@@ -318,47 +318,54 @@ def root_sum(counts: Sequence[int]) -> Eisenstein:
 # Subspaces of F_3^n
 # ---------------------------------------------------------------------------
 
-def _rref(m: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form mod 3 of an int8 matrix with entries in
-    {0, 1, 2}, nonzero rows only.
-
-    One whole-array elimination per pivot column, at most n of them.  The
-    pivot row is the argmax of the column below the reduced rows, nonzero
-    unless the whole tail is zero; any nonzero pivot gives the same form.
-    Every entry stays in {0, 1, 2} after each step and m - f * p lies in
-    [-4, 2], so int8 never overflows.  The reduced echelon form of a row
-    space is unique, so the result depends only on the span of the rows.
-    m itself is overwritten.
-    """
-    rows = 0
-    for col in range(m.shape[1]):
-        if rows == len(m):
-            break
-        tail = m[rows:, col]
-        k = int(tail.argmax())
-        if not tail[k]:
+def _rref(rows: Iterable[Sequence[int]], n: int,
+          echelon: Sequence[Sequence[int] | None] = ()) -> list[Sequence[int] | None]:
+    """Reduced row echelon form mod 3, in plain integers, of rows of n
+    digits in {0, 1, 2} joined to a form given as this returns it (which
+    is not changed): n slots, slot p holding the row whose pivot, its
+    first nonzero entry, is a 1 in column p, and None for a free column.
+    Each row in turn is reduced against the rows so far, left to right:
+    its entry c at a filled slot p is cleared by subtracting c times that
+    row, which is 0 before p and at every other pivot.  A nonzero
+    remainder is scaled to a unit pivot (a * a = 1 mod 3: a is its own
+    inverse), cleared from the other rows, and fills its slot.  The
+    reduced echelon form of a row space is unique, so the result depends
+    only on the span of the rows."""
+    slots = list(echelon) or [None] * n
+    for row in rows:
+        pivot = None
+        for p in range(n):
+            c = row[p]
+            if c and slots[p] is not None:
+                row = [(x - c * y) % 3 for x, y in zip(row, slots[p])]
+            elif c and pivot is None:
+                pivot = p
+        if pivot is None:
             continue
-        p = rows + k
-        pivot = m[p] * m[p, col] % 3  # a * a = 1 mod 3: a is its own inverse
-        m[p] = m[rows]
-        m = (m - m[:, col, None] * pivot) % 3
-        m[rows] = pivot
-        rows += 1
-    return m[:rows]
+        if row[pivot] == 2:
+            row = [2 * x % 3 for x in row]
+        for p, other in enumerate(slots):
+            if other is not None and other[pivot]:
+                c = other[pivot]
+                slots[p] = [(x - c * y) % 3 for x, y in zip(other, row)]
+        slots[pivot] = row
+    return slots
 
 
-def _null_basis(r: np.ndarray) -> np.ndarray:
-    """Basis of {x : r x = 0 mod 3} for a reduced echelon r (as _rref
-    returns it), one vector per free column: 1 in that column, 0 in the
-    other free columns, and minus that column of r at the pivots."""
-    # each row's first nonzero column (every row of r is nonzero); argmax
-    # refuses the 0 x 0 matrix of n = 0
-    pivots = (r != 0).argmax(axis=1) if r.size else np.zeros(0, dtype=np.intp)
-    free = np.ones(r.shape[1], dtype=bool)
-    free[pivots] = False
-    null = np.eye(r.shape[1], dtype=np.int8)[free]
-    null[:, pivots] = -r[:, free].T % 3
-    return null
+def _null_basis(echelon: list[Sequence[int] | None]) -> np.ndarray:
+    """Basis of {x : r x = 0 mod 3} for the rows r of a reduced echelon
+    form in slots (as _rref returns it), as the rows of an int8 matrix,
+    one per free column c: 1 in column c, 0 in the other free columns,
+    and minus column c of r at the pivots."""
+    null = [[int(p == c) if row is None else -row[c] % 3 for p, row in enumerate(echelon)]
+            for c, slot in enumerate(echelon) if slot is None]
+    return np.array(null, dtype=np.int8).reshape(len(null), len(echelon))
+
+
+def _encoded(echelon: list[Sequence[int] | None]) -> tuple[int, ...]:
+    """The filled slots of a reduced echelon form as point indices, in
+    pivot order."""
+    return tuple(encode(row) for row in echelon if row is not None)
 
 
 def span_points(rows: np.ndarray) -> np.ndarray:
@@ -384,8 +391,8 @@ class Subspace:
     perp is a basis of V-perp as the rows of an int8 matrix of shape
     (n - dim, n), made read-only here; equality and hash ignore it.  span
     passes the null basis of its last round, orthogonal_complement the
-    basis of V.  _rref overwrites its input, so a caller that reduces
-    perp passes a copy.
+    basis of V.  V and V-perp are reduced in plain integers (_rref): a
+    reduction of perp reads perp.tolist() and never writes perp.
     """
 
     n: int
@@ -427,10 +434,16 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The first nonzero coordinate of each basis point, ascending.
-        span and orthogonal_complement give the reduced echelon basis B,
-        so B[:, pivots] is the identity."""
-        return tuple((coord_rows(self.basis, self.n) != 0).argmax(axis=1).tolist())
+        """The lowest nonzero digit of each basis point, ascending.  span
+        and orthogonal_complement give the reduced echelon basis B, so
+        B[:, pivots] is the identity."""
+        pivots = []
+        for b in self.basis:
+            p = 0
+            while not b % 3:
+                b, p = b // 3, p + 1
+            pivots.append(p)
+        return tuple(pivots)
 
     def coordinates(self, points: np.ndarray) -> np.ndarray:
         """Each point's coordinates in the basis, as an index into F_3^dim
@@ -458,11 +471,14 @@ def _band_members(mask: np.ndarray, n: int) -> list[int]:
     equals 1, where there is one.  For a subspace these are a basis: each
     lowest nonzero digit of a member is that of such a member (the member
     or its double), there are dim of them, and points with distinct
-    lowest nonzero digits are independent."""
+    lowest nonzero digits are independent.  argmax reads all of a strided
+    band, so its first 81 entries are probed first."""
     picked = []
     for p in range(n):
         band = mask[3 ** p::3 ** (p + 1)]
-        i = int(band.argmax())
+        i = int(band[:81].argmax())
+        if not band[i]:
+            i = int(band.argmax())
         if band[i]:
             picked.append(3 ** p + i * 3 ** (p + 1))
     return picked
@@ -487,7 +503,8 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     over the (3^(n-k), 3^k) view of the mask marks the failing points,
     whatever the number of null vectors.  The last round's candidate is
     the result, so neither V-perp nor the tables are built again
-    downstream.  Only the sample and the folded points become indices.
+    downstream.  Only the sample and the folded points become digit
+    lists, reduced in plain integers (_rref).
     """
     k = n // 2
     if not (isinstance(points, np.ndarray) and points.dtype == bool):
@@ -495,16 +512,17 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
         points = np.zeros(size(n), dtype=bool)
         points[idx] = True
     members = points.reshape(size(n - k), size(k))
-    basis = _rref(coord_rows(_band_members(points, n), n))
+    echelon = _rref([decode(b, n) for b in _band_members(points, n)], n)
     while True:
-        v = Subspace(n, tuple((basis @ 3 ** np.arange(n)).tolist()), _null_basis(basis))
+        v = Subspace(n, _encoded(echelon), _null_basis(echelon))
         high, minus_low = v.syndromes
         failing = (high[:, None] != minus_low) & members
         if not failing.any():
             return v
-        grown = _rref(np.vstack([basis, coord_rows([failing.argmax()], n)]))
-        assert len(grown) > len(basis), "a point failed the check but lies in the span"
-        basis, members = grown, failing
+        grown = _rref([decode(int(failing.argmax()), n)], n, echelon)
+        assert grown.count(None) < echelon.count(None), \
+            "a point failed the check but lies in the span"
+        echelon, members = grown, failing
 
 
 def is_subspace(points: np.ndarray, n: int) -> bool:
@@ -522,14 +540,16 @@ def is_nondegenerate(v: Subspace) -> bool:
 
     V meets V-perp in the radical of both, so V is non-degenerate iff
     V-perp is: iff the Gram matrix P P^T of the perp basis P has full
-    rank mod 3 (int8 entries, at most 4n); no member is enumerated.
+    rank mod 3, that is when its reduced echelon form (_rref, in plain
+    integers) leaves no column free; no member is enumerated.
     """
-    return len(_rref(v.perp @ v.perp.T % 3)) == len(v.perp)
+    perp = v.perp.tolist()
+    gram = [[sum(a * b for a, b in zip(p, q)) % 3 for q in perp] for p in perp]
+    return None not in _rref(gram, len(perp))
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All points orthogonal to every basis vector of V, as the reduced
-    echelon form of v.perp (reduced on a copy: _rref overwrites its
-    input); any basis of V is a basis of the complement's perp."""
-    basis = _rref(v.perp.copy()) @ 3 ** np.arange(v.n)
-    return Subspace(v.n, tuple(basis.tolist()), coord_rows(v.basis, v.n))
+    echelon form of the rows of v.perp (_rref); any basis of V is a basis
+    of the complement's perp."""
+    return Subspace(v.n, _encoded(_rref(v.perp.tolist(), v.n)), coord_rows(v.basis, v.n))

@@ -84,6 +84,50 @@ def dot(u: int, v: int, n: int) -> int:
     return sum(a * b for a, b in zip(decode(u, n), decode(v, n))) % 3
 
 
+# Whole-array row reduction: the numpy references for core._rref and
+# core._null_basis, which reduce digit lists in plain integers.
+
+def rref(m: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form mod 3 of an int8 matrix with entries in
+    {0, 1, 2}, nonzero rows only.
+
+    One whole-array elimination per pivot column, at most n of them.  The
+    pivot row is the argmax of the column below the reduced rows, nonzero
+    unless the whole tail is zero; any nonzero pivot gives the same form.
+    Every entry stays in {0, 1, 2} after each step and m - f * p lies in
+    [-4, 2], so int8 never overflows.  m itself is overwritten.
+    """
+    rows = 0
+    for col in range(m.shape[1]):
+        if rows == len(m):
+            break
+        tail = m[rows:, col]
+        k = int(tail.argmax())
+        if not tail[k]:
+            continue
+        p = rows + k
+        pivot = m[p] * m[p, col] % 3  # a * a = 1 mod 3: a is its own inverse
+        m[p] = m[rows]
+        m = (m - m[:, col, None] * pivot) % 3
+        m[rows] = pivot
+        rows += 1
+    return m[:rows]
+
+
+def null_basis(r: np.ndarray) -> np.ndarray:
+    """Basis of {x : r x = 0 mod 3} for a reduced echelon r (as rref
+    returns it), one vector per free column: 1 in that column, 0 in the
+    other free columns, and minus that column of r at the pivots."""
+    # each row's first nonzero column (every row of r is nonzero); argmax
+    # refuses the 0 x 0 matrix of n = 0
+    pivots = (r != 0).argmax(axis=1) if r.size else np.zeros(0, dtype=np.intp)
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    null = np.eye(r.shape[1], dtype=np.int8)[free]
+    null[:, pivots] = -r[:, free].T % 3
+    return null
+
+
 def subspace_pivots(v: Subspace) -> tuple[int, ...]:
     """The first nonzero digit of each basis point of v."""
     return tuple(next(i for i, c in enumerate(decode(b, v.n)) if c) for b in v.basis)

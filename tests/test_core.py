@@ -37,7 +37,16 @@ from tribent.core import (
     translation_table,
 )
 
-from conftest import add_points, combination, dot, neg_point, subspace_coordinates, subspace_pivots
+from conftest import (
+    add_points,
+    combination,
+    dot,
+    neg_point,
+    null_basis,
+    rref,
+    subspace_coordinates,
+    subspace_pivots,
+)
 
 
 def test_encode_decode_roundtrip_exhaustive():
@@ -352,6 +361,75 @@ def test_orthogonal_complement_extremes():
     assert np.array_equal(orthogonal_complement(full).points(), [0])
     zero = span([], 3)
     assert orthogonal_complement(zero).dim == 3
+
+
+def test_zero_subspace_of_f3_0():
+    v = span(np.ones(1, dtype=bool), 0)
+    assert v.dim == 0 and v.pivots == () and v.perp.shape == (0, 0)
+
+
+def _reduction_cases():
+    """The 0 x 0 and 0 x n matrices, and random {0, 1, 2} matrices up to
+    18 x 18: uniform ones and products of a rows x d and a d x n factor
+    (rank at most d), each with a zero row and a duplicate row inserted."""
+    rng = np.random.default_rng(37)
+    for n in (0, 1, 7, 18):
+        yield np.zeros((0, n), dtype=np.int8)
+    for trial in range(400):
+        n, rows = rng.integers(1, 19), rng.integers(1, 17)
+        if trial % 2:
+            d = rng.integers(0, n + 1)
+            m = rng.integers(0, 3, (rows, d)) @ rng.integers(0, 3, (d, n)) % 3
+        else:
+            m = rng.integers(0, 3, (rows, n))
+        m = np.insert(m, rng.integers(0, rows + 1), 0, axis=0)
+        m = np.insert(m, rng.integers(0, rows + 2), m[rng.integers(0, rows + 1)], axis=0)
+        yield m.astype(np.int8)
+
+
+def _slot_lists(echelon):
+    """core._rref's slots with every row as a list, for comparison."""
+    return [None if row is None else list(row) for row in echelon]
+
+
+def test_reduction_matches_the_numpy_oracle():
+    # the plain-integer reduction and its null basis against the
+    # whole-array numpy ones; folding the rows in one at a time, as span
+    # folds a failing point, gives the same form and leaves the form it
+    # is given unchanged
+    for m in _reduction_cases():
+        n = m.shape[1]
+        echelon = core._rref(m.tolist(), n)
+        expected = rref(m.copy())
+        assert len(echelon) == n
+        assert [row for row in _slot_lists(echelon) if row is not None] == expected.tolist()
+        null = core._null_basis(echelon)
+        assert null.dtype == np.int8 and np.array_equal(null, null_basis(expected))
+        grown = core._rref([], n)
+        for row in m.tolist():
+            before = _slot_lists(grown)
+            folded = core._rref([row], n, grown)
+            assert _slot_lists(grown) == before
+            grown = folded
+        assert _slot_lists(grown) == _slot_lists(echelon)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_nondegeneracy_and_complement_against_brute_force(n):
+    # random subspaces spanned by d random rows (rank d or less): the
+    # radical V meets V-perp in is {0} exactly when V is non-degenerate,
+    # with V from span_points and V-perp from a scan of all 3^n points;
+    # the complement is that scan, checked at n <= 4 (x is in V-perp when
+    # it is orthogonal to each row)
+    rng = np.random.default_rng(n)
+    for _ in range(30):
+        rows = rng.integers(0, 3, (rng.integers(0, n + 1), n)).astype(np.int8)
+        members = span_points(rows)
+        v = span(members, n)
+        perp = [x for x in range(size(n)) if all(dot(x, encode(r), n) == 0 for r in rows.tolist())]
+        assert is_nondegenerate(v) == (np.intersect1d(members, perp).tolist() == [0])
+        if n <= 4:
+            assert orthogonal_complement(v).points().tolist() == perp
 
 
 def test_span_size_and_complement_properties():

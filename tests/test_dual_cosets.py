@@ -28,7 +28,7 @@ from tribent.constructions import GmmfSpec, gmmf_build, quadratic_function
 from tribent.core import coord_matrix, dots_with, neg_table, size
 from tribent.search import random_instance, random_quadratic, random_subspace
 
-from conftest import assert_dual_by_cosets_matches_transform, brute_perp, pivot_messages
+from conftest import assert_dual_by_cosets_matches_transform, brute_perp, pivot_messages, rref
 
 
 def _glue(rng: random.Random, m: int, s: int, k: int, side: BentType) -> TernaryFunction:
@@ -45,7 +45,7 @@ def _sheared(rng: random.Random, f: TernaryFunction) -> TernaryFunction:
     n = f.n
     while True:
         a = np.array([[rng.randrange(3) for _ in range(n)] for _ in range(n)], dtype=np.int8)
-        if len(core._rref(a.copy())) == n:
+        if len(rref(a.copy())) == n:
             break
     image = core.coord_matrix(n).astype(np.int64) @ a.T % 3 @ 3 ** np.arange(n)
     return TernaryFunction(n, f.table[image])

@@ -742,7 +742,7 @@ def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
     digits are 0, with those digits dropped.  The fold digits are the free
     columns of V's reduced basis (_coset_folds), so the digits kept are
     V's pivots in ascending order, and y is the message u_c of
-    codes.LinearCode.messages(): entry c is the dual's sign at u_c.
+    core.pivot_points(V.pivots): entry c is the dual's sign at u_c.
     """
     f, n = p.f, p.n
     k = n - p.type_span.dim

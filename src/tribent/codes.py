@@ -31,38 +31,49 @@ from .analysis import (
 from .core import (
     EXACT_DIM,
     Subspace,
-    digit_sum_table,
+    pivot_points,
     size,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Distinct nonzero points of F_3^n, as a sorted read-only int64 index
-    array (a copy of the given points).  Equality is identity."""
+    """Nonzero points of F_3^n as a read-only boolean mask over F_3^n (a
+    copy of the given one), and their number, size.  Equality is
+    identity."""
 
     n: int
-    points: np.ndarray
+    mask: np.ndarray
+    size: int = field(init=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.int64)
-        if not pts.size:
+        mask = np.array(self.mask)
+        if mask.dtype != bool or mask.shape != (size(self.n),):
+            raise ValueError(f"defining set must be a boolean mask of shape ({size(self.n)},), "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        if not mask.any():
             raise ValueError("defining set must be nonempty")
-        if not pts.all():
+        if mask[0]:
             raise ValueError("defining set must not contain 0")
-        if (np.diff(pts) <= 0).any():
-            raise ValueError("defining set must be sorted and duplicate-free")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "size", np.count_nonzero(mask))
 
     @classmethod
     def from_points(cls, points: np.ndarray | Sequence[int], n: int) -> "DefiningSet":
-        """The distinct nonzero points of an index array, sorted."""
-        pts = np.unique(np.asarray(points, dtype=np.int64))
-        return cls(n, pts[pts != 0])
+        """The distinct nonzero points of an index array; a point that is
+        not an integer in [0, 3^n) raises ValueError naming it."""
+        pts = np.asarray(points)
+        bad = pts if pts.dtype.kind not in "iu" else pts[(pts < 0) | (pts >= size(n))]
+        if bad.size:
+            raise ValueError(f"defining-set point {bad.flat[0]} is not an integer in [0, 3^{n})")
+        mask = np.zeros(size(n), dtype=bool)
+        mask[pts.astype(np.int64)] = True
+        mask[0] = False
+        return cls(n, mask)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +104,7 @@ class LinearCode:
     def messages(self) -> np.ndarray:
         """The message u_c of every entry c of message_weights (int64):
         u_0 = 0 first, and one message per coset of v-perp."""
-        return digit_sum_table([(0, 3 ** p, 2 * 3 ** p) for p in self.pivots])
+        return pivot_points(self.pivots)
 
 
 def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.ndarray]:
@@ -105,12 +116,13 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     u_c = sum_i c_i e_{P_i} has u_c . x = c . x[P] for x in v: the u_c
     are one message per coset of v-perp, whose members all give the
     codeword of u_c on S.  v is reduced once by its caller (run_pipeline
-    passes the type side's span V); v.coordinates asserts S inside v and
-    gives the index of each x[P] in F_3^r.  One radix-3
-    transform of the coordinate indicator gives a + b*w at every c, the
-    conjugate of chi_c = sum over S of w^(c . x[P]); 2a - b is the sum of
-    chi_c over the two nontrivial field automorphisms, which conjugation
-    keeps, so the weight at c is num / 3 with num = 2|S| - (2a - b).
+    passes the type side's span V).  S's mask read at v.members(), x = c B
+    at entry c, is S's indicator over F_3^r.  One radix-3 transform of it
+    gives a + b*w at every c, the conjugate of chi_c = sum over S of
+    w^(c . x[P]); at c = 0, the count of the gathered ones, |S| exactly
+    when S lies in v.  2a - b is the sum of chi_c over the two nontrivial
+    field automorphisms, which conjugation keeps, so the weight at c is
+    num / 3 with num = 2|S| - (2a - b).
 
     The division is a product with the inverse of 3 mod 2^32 (as in
     analysis._unit_lookup): q = num * 0xAAAAAAAB wraps in uint32, and
@@ -124,8 +136,8 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     """
     r = v.dim
     # the indicator is built in the call, so _radix3 drops it after one pass
-    a, b = _radix3(np.bincount(v.coordinates(s.points), minlength=size(r)).astype(np.int8),
-                   np.zeros(size(r), np.int8), r)
+    a, b = _radix3(s.mask[v.members()].view(np.int8), np.zeros(size(r), np.int8), r)
+    assert a[0] == len(s), "the defining set must lie in v"
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"
     num = 2 * len(s) - (2 * a - b)
     q = num.view(np.uint32) * np.uint32(pow(3, -1, 2 ** 32))
@@ -263,9 +275,10 @@ def select_defining_set(f: TernaryFunction,
 
 def preimage_points(profile: BentProfile, side: BentType, value: int) -> np.ndarray:
     """The nonzero points on `side` where the dual takes `value`, as a
-    sorted int64 index array: a candidate defining set."""
-    points = np.flatnonzero((profile.dual.table == value) & profile.side_mask(side))
-    return points[points != 0]
+    boolean mask over F_3^n: a candidate defining set."""
+    mask = (profile.dual.table == value) & profile.side_mask(side)
+    mask[0] = False
+    return mask
 
 
 def defining_set_for(hyp: Hypotheses) -> SelectionContext:

@@ -368,25 +368,16 @@ def _encoded(echelon: list[Sequence[int] | None]) -> tuple[int, ...]:
     return tuple(encode(row) for row in echelon if row is not None)
 
 
-def span_points(rows: np.ndarray) -> np.ndarray:
-    """The sorted indices (int64) of all 3^len(rows) F_3-combinations of
-    the rows of an int8 matrix with entries in {0, 1, 2}.  Digit j of the
-    combination c B is c . B[:, j] (dots_with of column j), so the indices
-    are accumulated one output digit at a time, highest first: beside the
-    int64 result only one digit's dots_with is live, and nothing is
-    cached."""
-    dim = len(rows)
-    members = np.zeros(size(dim), dtype=np.int64)
-    for column in rows.T[::-1].tolist():
-        members *= 3
-        members += dots_with(encode(column), dim)
-    members.sort()
-    return members
+def pivot_points(pivots: Sequence[int]) -> np.ndarray:
+    """For every c in F_3^len(pivots), in the order of c, the point whose
+    digit P_i is digit i of c and whose other digits are 0 (int64)."""
+    return digit_sum_table([(0, 3 ** p, 2 * 3 ** p) for p in pivots])
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """An F_3-linear subspace V of F_3^n given by an echelon basis of points.
+    """An F_3-linear subspace V of F_3^n given by its reduced echelon basis
+    of points (span and orthogonal_complement build it).
 
     perp is a basis of V-perp as the rows of an int8 matrix of shape
     (n - dim, n), made read-only here; equality and hash ignore it.  span
@@ -406,9 +397,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def members(self) -> np.ndarray:
+        """All 3^dim members in the order of c (int64): entry c is c B for
+        the reduced echelon basis B.  B[:, P] is the identity at the pivots
+        P, so c B has c's digits there (pivot_points); its digit at a free
+        column j is c . B[:, j], a dots_with over F_3^dim, added times 3^j."""
+        members = pivot_points(self.pivots)
+        for j in sorted(set(range(self.n)) - set(self.pivots)):
+            column = encode([b // 3 ** j % 3 for b in self.basis])
+            if column:
+                members += np.multiply(dots_with(column, self.dim), 3 ** j, dtype=np.int64)
+        return members
+
     def points(self) -> np.ndarray:
         """All 3^dim members as a sorted int64 index array."""
-        return span_points(coord_rows(self.basis, self.n))
+        members = self.members()
+        members.sort()
+        return members
 
     @cached_property
     def syndromes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,25 +449,6 @@ class Subspace:
                 b, p = b // 3, p + 1
             pivots.append(p)
         return tuple(pivots)
-
-    def coordinates(self, points: np.ndarray) -> np.ndarray:
-        """Each point's coordinates in the basis, as an index into F_3^dim
-        (int64): x = sum_i x[P_i] B_i, P the pivots, gives sum_i 3^i x[P_i].
-        Membership in V is asserted by one syndrome compare per point
-        (syndromes).  Each index is split once at 3^k,
-        k = n // 2, as in span, and read off two digit-additive half
-        tables; the int64 halves are freed on return."""
-        k = self.n // 2
-        high, low = np.divmod(points, 3 ** k)
-        high_syndrome, minus_low_syndrome = self.syndromes
-        assert (high_syndrome[high] == minus_low_syndrome[low]).all(), \
-            "the points must lie in v"
-        place = [(0, 0, 0)] * self.n
-        for i, p in enumerate(self.pivots):
-            place[p] = (0, 3 ** i, 2 * 3 ** i)
-        coords = digit_sum_table(place[k:])[high]
-        coords += digit_sum_table(place[:k])[low]
-        return coords
 
 
 def _band_members(mask: np.ndarray, n: int) -> list[int]:

@@ -114,11 +114,11 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
 
     if not hyp.ok:
         if forced is not None:
-            points = preimage_points(profile, *forced)
-            if points.size:
-                s = DefiningSet(f.n, points)
-                del points  # s holds its own copy
-                code = build_code(s, span(s.points, f.n))
+            mask = preimage_points(profile, *forced)
+            if mask.any():
+                s = DefiningSet(f.n, mask)
+                del mask  # s holds its own copy
+                code = build_code(s, span(s.mask, f.n))
                 rep.code = code_report(code, None, None, code.dimension)
                 rep.defining_set = force_set
                 rep.notes.append(

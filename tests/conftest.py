@@ -128,6 +128,22 @@ def null_basis(r: np.ndarray) -> np.ndarray:
     return null
 
 
+def span_points(rows: np.ndarray) -> np.ndarray:
+    """The sorted indices (int64) of all 3^len(rows) F_3-combinations of
+    the rows of an int8 matrix with entries in {0, 1, 2}, whatever their
+    rank (so with repeats when they are dependent): the all-combinations
+    reference for Subspace.members and Subspace.points.  Digit j of the
+    combination c B is c . B[:, j] (dots_with of column j), accumulated
+    one output digit at a time, highest first."""
+    dim = len(rows)
+    members = np.zeros(size(dim), dtype=np.int64)
+    for column in rows.T[::-1].tolist():
+        members *= 3
+        members += dots_with(encode(column), dim)
+    members.sort()
+    return members
+
+
 def subspace_pivots(v: Subspace) -> tuple[int, ...]:
     """The first nonzero digit of each basis point of v."""
     return tuple(next(i for i, c in enumerate(decode(b, v.n)) if c) for b in v.basis)
@@ -179,12 +195,12 @@ def weight_of(u: int, s: DefiningSet) -> int:
     """Hamming weight of the codeword of message u: |{x in S : u.x != 0}|."""
     if u == 0:
         return 0
-    return int(np.count_nonzero(dots_with(u, s.n)[s.points]))
+    return int(np.count_nonzero(dots_with(u, s.n)[s.mask]))
 
 
 def character_sum(u: int, s: DefiningSet) -> Eisenstein:
     """chi_u(S) = sum over S of w^(u.x)."""
-    counts = np.bincount(dots_with(u, s.n)[s.points], minlength=3)
+    counts = np.bincount(dots_with(u, s.n)[s.mask], minlength=3)
     return root_sum([int(c) for c in counts])
 
 
@@ -218,7 +234,7 @@ def direct_weights(s: DefiningSet) -> np.ndarray:
     def digits(m: int) -> np.ndarray:
         return np.arange(3 ** m)[:, None] // 3 ** np.arange(m) % 3
 
-    high, low = np.divmod(s.points, 3 ** k)
+    high, low = np.divmod(np.flatnonzero(s.mask), 3 ** k)
     low_dots = digits(k) @ digits(k)[low].T % 3
     minus_high_dots = -(digits(n - k) @ digits(n - k)[high].T) % 3
     zeros = sum((minus_high_dots == t).astype(float) @ (low_dots == t).astype(float).T
@@ -330,7 +346,7 @@ def negation_check(f: TernaryFunction) -> NegationReport:
     f_side, g_side = (c.hypotheses.profile.side_mask(c.case.side) for c in (ctx_f, ctx_g))
     sides_swap = bool(np.array_equal(negation(f.n)(f_side), g_side))
     j0_negates = ctx_g.j0 == (-ctx_f.j0) % 3
-    same_points = bool(np.array_equal(ctx_f.defining.points, ctx_g.defining.points))
+    same_points = bool(np.array_equal(ctx_f.defining.mask, ctx_g.defining.mask))
     code_f = build_code(ctx_f.defining, ctx_f.hypotheses.v)
     code_g = build_code(ctx_g.defining, ctx_g.hypotheses.v)
     return NegationReport(

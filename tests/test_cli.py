@@ -84,6 +84,17 @@ def test_csv_and_table_reports_match_the_golden_outputs(capsys, golden, argv):
     assert out.encode() == (DATA / golden).read_bytes()
 
 
+def test_forced_set_below_full_rank_matches_the_golden_output(capsys):
+    # a seeded n = 7 glue instance, Random(0): U of dimension 1 in F_3^3,
+    # plus side, j0 = 0; its type side is degenerate, so the forced set
+    # C0 is measured over its own span, an [80, 5] code with r < n
+    code, out, _ = run_cli(capsys, "verify", "--spec-file",
+                           str(DATA / "glue-m1-s3-u1-seed0-spec.json"),
+                           "--defining-set", "C0", "--format", "json")
+    assert code == 1
+    assert out == (DATA / "verify-glue-m1-s3-u1-C0.json").read_text()
+
+
 def test_examples_single_fixture(capsys):
     code, out, _ = run_cli(capsys, "examples", "--name", "code36")
     assert code == 0

@@ -46,27 +46,51 @@ from conftest import (
 # Defining sets and measurement
 # ---------------------------------------------------------------------------
 
+def _mask(points, n: int) -> np.ndarray:
+    mask = np.zeros(size(n), dtype=bool)
+    mask[points] = True
+    return mask
+
+
 def test_defining_set_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        DefiningSet(2, np.array([], dtype=np.int64))
+        DefiningSet(2, np.zeros(9, dtype=bool))
     with pytest.raises(ValueError, match="0"):
-        DefiningSet(2, np.array([0, 1]))
-    with pytest.raises(ValueError, match="sorted"):
-        DefiningSet(2, np.array([2, 1]))
-    with pytest.raises(ValueError, match="sorted"):
-        DefiningSet(2, np.array([1, 1]))
+        DefiningSet(2, _mask([0, 1], 2))
+    # a mask over F_3^n: index arrays, other shapes and dtypes are refused
+    for bad in (np.array([1, 3]), _mask([1], 3), _mask([1], 2).view(np.int8), [1.7, 3.2]):
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            DefiningSet(2, bad)
     s = DefiningSet.from_points(np.array([3, 1, 3, 0]), 2)
-    assert s.points.dtype == np.int64 and np.array_equal(s.points, [1, 3])
-    assert not s.points.flags.writeable
+    assert s.mask.dtype == bool and np.flatnonzero(s.mask).tolist() == [1, 3]
+    assert len(s) == s.size == 2
+    assert not s.mask.flags.writeable
     with pytest.raises(ValueError, match="nonempty"):
         DefiningSet.from_points(np.array([0, 0]), 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        DefiningSet.from_points([], 2)
+
+
+@pytest.mark.parametrize("points, bad", [
+    ([-1, 1], "point -1 is not"),
+    ([9], "point 9 is not"),
+    ([1, 3 ** 5], "point 243 is not"),
+    ([1.7, 3.2], "point 1.7 is not"),
+    (np.array([1.0, 3.0]), "point 1.0 is not"),
+    ([True], "point True is not"),
+], ids=["negative", "at-3^n", "past-3^n", "fraction", "float", "bool"])
+def test_defining_set_from_points_names_a_bad_point(points, bad):
+    # a negative index used to scatter into the mask from its end (-1 as
+    # point 8), and a float used to be truncated (1.7 read as 1)
+    with pytest.raises(ValueError, match=bad + r" an integer in \[0, 3\^2\)"):
+        DefiningSet.from_points(points, 2)
 
 
 def test_defining_set_copies_its_points():
-    points = np.array([1, 3])
-    s = DefiningSet(2, points)
-    points[0] = 0
-    assert np.array_equal(s.points, [1, 3]) and points.flags.writeable
+    mask = _mask([1, 3], 2)
+    s = DefiningSet(2, mask)
+    mask[1] = False
+    assert np.flatnonzero(s.mask).tolist() == [1, 3] and mask.flags.writeable
 
 
 def test_toy_code():
@@ -110,7 +134,7 @@ def _assert_weights_cover_every_message(pivots, weights, every: np.ndarray, s) -
     """weights agree with the weights of all 3^n messages `every` at the
     representatives, and each codeword weight arises 3^(n - r) times."""
     n, r = s.n, len(pivots)
-    assert r == span(s.points, n).dim and weights.shape == (size(r),)
+    assert r == span(s.mask, n).dim and weights.shape == (size(r),)
     assert np.array_equal(weights, every[_representatives(pivots)])
     assert np.array_equal(np.sort(every), np.sort(np.repeat(weights, size(n - r))))
 
@@ -120,7 +144,7 @@ def _assert_weights_cover_every_message(pivots, weights, every: np.ndarray, s) -
 def test_message_weights_equal_direct_count(n_points):
     n, points = n_points
     s = DefiningSet.from_points(sorted(points), n)
-    pivots, weights = message_weights(s, span(s.points, n))
+    pivots, weights = message_weights(s, span(s.mask, n))
     every = np.array([weight_of(u, s) for u in range(size(n))])
     _assert_weights_cover_every_message(pivots, weights, every, s)
 
@@ -133,10 +157,9 @@ def test_message_weights_equal_int64_oracle(n):
     half = np.flatnonzero(rng.integers(0, 2, size(n)))
     for points in (range(1, size(n)), half, range(3, size(n), 3) if n > 1 else half):
         s = DefiningSet.from_points(points, n)
-        indicator = np.zeros(size(n), dtype=np.int64)
-        indicator[s.points] = 1
+        indicator = s.mask.astype(np.int64)
         a, b = radix3_oracle(indicator, np.zeros_like(indicator), n)
-        pivots, weights = message_weights(s, span(s.points, n))
+        pivots, weights = message_weights(s, span(s.mask, n))
         assert weights.dtype == np.int32
         _assert_weights_cover_every_message(pivots, weights, (2 * len(s) - (2 * a - b)) // 3, s)
 
@@ -144,7 +167,7 @@ def test_message_weights_equal_int64_oracle(n):
 def test_build_code_dimension_is_rank():
     # rank-deficient defining set
     s = DefiningSet.from_points([1, 2], 2)  # both multiples of e1
-    code = build_code(s, span(s.points, 2))
+    code = build_code(s, span(s.mask, 2))
     assert code.dimension == 1 and code.pivots == (0,)
     assert sum(code.distribution.values()) == 3
     assert code.messages().tolist() == [0, 1, 2]
@@ -159,7 +182,7 @@ def test_code_over_a_superspace_of_span_s(n):
     rng = np.random.default_rng(n)
     ninths = np.arange(9, size(n), 9)
     s = DefiningSet.from_points(ninths[rng.random(len(ninths)) < 0.6], n)
-    own = build_code(s, span(s.points, n))
+    own = build_code(s, span(s.mask, n))
     every = direct_weights(s)
     kernel = int((every == 0).sum())
     direct = {int(w): int(c) // kernel for w, c in zip(*np.unique(every, return_counts=True))}
@@ -170,7 +193,7 @@ def test_code_over_a_superspace_of_span_s(n):
         assert code.dimension == own.dimension and code.distribution == own.distribution
         assert np.array_equal(code.message_weights, every[_representatives(code.pivots)])
     with pytest.raises(AssertionError, match="must lie in v"):
-        build_code(s, span(s.points[:1], n))
+        build_code(s, span(np.flatnonzero(s.mask)[:1], n))
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -179,7 +202,7 @@ def test_code_over_a_superspace_of_span_s(n):
 ], ids=["zeros-not-a-power", "zeros-not-dividing"])
 def test_build_code_asserts_the_kernel_multiplicity(monkeypatch, weights, message):
     s = DefiningSet.from_points([1, 3], 2)
-    v = span(s.points, 2)
+    v = span(s.mask, 2)
     monkeypatch.setattr(codes, "message_weights",
                         lambda s, v: ((0, 1), np.array(weights, dtype=np.int32)))
     with pytest.raises(AssertionError, match=message):
@@ -205,7 +228,7 @@ def test_selection_on_fixtures(built_fixtures, name, case, label_value, length):
     assert ctx.case is case
     assert selected_dual_value(case, ctx.j0) == label_value
     assert len(ctx.defining) == length
-    assert 0 not in ctx.defining.points
+    assert not ctx.defining.mask[0]
 
 
 def test_selection_hypothesis_failures(built_fixtures):
@@ -230,7 +253,7 @@ def test_even_minus_alternative_shift(built_fixtures):
     ctx2 = select_defining_set(f)
     assert ctx2.case is CodeCase.EVEN_MINUS
     other = DefiningSet(f.n, preimage_points(ctx2.hypotheses.profile, ctx2.case.side, (ctx2.j0 + 1) % 3))
-    assert not np.array_equal(other.points, ctx2.defining.points)
+    assert not np.array_equal(other.mask, ctx2.defining.mask)
     c1 = build_code(other, ctx2.hypotheses.v)
     c2 = build_code(ctx2.defining, ctx2.hypotheses.v)
     assert c1.dimension == c2.dimension == ctx2.r

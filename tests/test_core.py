@@ -32,7 +32,6 @@ from tribent.core import (
     root_sum,
     size,
     span,
-    span_points,
     translation,
     translation_table,
 )
@@ -44,6 +43,7 @@ from conftest import (
     neg_point,
     null_basis,
     rref,
+    span_points,
     subspace_coordinates,
     subspace_pivots,
 )
@@ -780,20 +780,20 @@ def test_span_points_enumerates_every_combination_of_the_rows():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_subspace_coordinates_against_the_digit_loop(n):
+    # entry c of members() is the member whose coordinates in the basis
+    # are c: the combination c B point by point, whose digits at the
+    # pivots read c back; sorted, they are points() and every combination
+    # of the basis rows
     rng = np.random.default_rng(n)
     for trial in range(6):
         v = span(rng.integers(0, size(n), rng.integers(0, n + 1)).tolist(), n)
         for w in (v, orthogonal_complement(v)):
             assert w.pivots == subspace_pivots(w)
-            members = w.points()
-            coords = w.coordinates(members)
-            assert coords.dtype == np.int64
-            assert np.array_equal(np.sort(coords), np.arange(size(w.dim)))
-            for i in rng.permutation(len(members))[:40]:
-                x, c = int(members[i]), int(coords[i])
+            members = w.members()
+            assert members.dtype == np.int64 and len(members) == size(w.dim)
+            assert np.array_equal(np.sort(members), w.points())
+            assert np.array_equal(w.points(), span_points(coord_rows(w.basis, n)))
+            for c in rng.permutation(len(members))[:40].tolist():
+                x = int(members[c])
                 assert c == subspace_coordinates(w, x)
                 assert combination(c, w) == x
-            if w.dim < n:
-                outside = rng.choice(np.setdiff1d(np.arange(size(n)), members))
-                with pytest.raises(AssertionError, match="must lie in v"):
-                    w.coordinates(np.append(members, outside))

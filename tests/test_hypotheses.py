@@ -418,16 +418,29 @@ def test_involution_guard_fires_on_the_transform_route(monkeypatch, flagship):
         analysis.is_dual_bent(flagship, p)
 
 
-def test_verdict_enumerates_no_subspace(monkeypatch):
-    # neither V nor V-perp is listed point by point: non-degeneracy comes
-    # from the Gram rank, the code stage works on coordinates
-    def refuse(rows):
-        raise AssertionError("a subspace was enumerated on the verdict path")
+def test_verdict_lists_v_once_and_never_v_perp(monkeypatch):
+    # the hypotheses list no subspace: non-degeneracy comes from the Gram
+    # rank.  The code stage lists V once, 3^r members in the order of c,
+    # to gather the defining set's mask, and sorts none; V-perp is never
+    # listed
+    listed, members = [], core.Subspace.members
+
+    def recorded(v):
+        table = members(v)
+        listed.append((v, len(table)))
+        return table
+
+    def refuse(v):
+        raise AssertionError("a subspace was sorted on the verdict path")
 
     f = _eligible_glue()
-    monkeypatch.setattr(core, "span_points", refuse)
+    monkeypatch.setattr(core.Subspace, "members", recorded)
+    monkeypatch.setattr(core.Subspace, "points", refuse)
     _run_public_path(f)
+    assert listed == []
+    hyp = establish(f)
     assert run_pipeline(f).passed
+    assert listed == [(hyp.v, size(hyp.r))]
 
 
 def test_type_span_kernel_of_random_subspaces():

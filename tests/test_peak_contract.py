@@ -124,7 +124,7 @@ CODE_STAGE_BYTES_PER_POINT = 17.1
 def test_the_forced_code_stage_holds_no_input_through_its_transform():
     f = quadratic_function(QuadraticForm((1,) * N))
     s = DefiningSet(N, preimage_points(bent_profile(f), BentType.PLUS, 0))
-    v = span(s.points, N)
+    v = span(s.mask, N)
     tracemalloc.start()
     try:
         code = build_code(s, v)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tribent import analysis, codes, pipeline
@@ -179,7 +180,7 @@ def test_per_codeword_stage_needs_the_full_dimension(built_fixtures, monkeypatch
     # keep the points of S orthogonal to one of them: span(S) drops to a
     # hyperplane of V (V is non-degenerate, so no point of S is in V-perp)
     def hyperplane(ctx):
-        points = ctx.defining.points
+        points = np.flatnonzero(ctx.defining.mask)
         return points[dots_with(int(points[0]), ctx.defining.n)[points] == 0]
 
     _with_defining_points(monkeypatch, hyperplane)

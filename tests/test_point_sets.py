@@ -1,4 +1,5 @@
-"""Point sets are masks or sorted int64 index arrays end to end.
+"""Point sets are masks or sorted int64 index arrays end to end; a
+defining set is a mask.
 
 A verdict never builds the six pre-image sets of the dual, and never
 tabulates the coordinates of all 3^n points: the subspace layer decodes
@@ -86,18 +87,19 @@ def test_selection_context_builds_preimages_on_access():
     assert "preimages" not in {fld.name for fld in dataclasses.fields(SelectionContext)}
     sets = ctx.preimages.plus if ctx.case.side is BentType.PLUS else ctx.preimages.minus
     chosen = sets[ctx.value]
-    assert np.array_equal(chosen[chosen != 0], ctx.defining.points)
+    assert np.array_equal(chosen[chosen != 0], np.flatnonzero(ctx.defining.mask))
 
 
-def test_defining_set_is_a_read_only_index_array():
+def test_defining_set_is_a_read_only_mask():
     ctx = select_defining_set(_glue(5, 1, BentType.MINUS, seed=4))
-    points = ctx.defining.points
-    assert isinstance(points, np.ndarray) and points.dtype == np.int64
-    assert not points.flags.writeable
-    assert (np.diff(points) > 0).all() and points[0] > 0
-    assert len(ctx.defining) == points.size
+    mask = ctx.defining.mask
+    assert isinstance(mask, np.ndarray) and mask.dtype == bool
+    assert mask.shape == (size(ctx.defining.n),)
+    assert not mask.flags.writeable
+    assert not mask[0]
+    assert len(ctx.defining) == ctx.defining.size == np.count_nonzero(mask)
     # equality is identity: no elementwise comparison of two arrays
-    twin = DefiningSet(ctx.defining.n, points)
+    twin = DefiningSet(ctx.defining.n, mask)
     assert twin != ctx.defining and twin == twin
 
 

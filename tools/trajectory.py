@@ -81,7 +81,7 @@ def timed(name, fn):
     return run
 
 for name, attr in (("establish", "establish"), ("select", "defining_set_for"),
-                   ("cosets", "coset_tiling"), ("code", "build_code")):
+                   ("code", "build_code")):
     if hasattr(pipeline, attr):
         setattr(pipeline, attr, timed(name, getattr(pipeline, attr)))
 codes.WeightClassifier.check_all = timed("classifier", codes.WeightClassifier.check_all)

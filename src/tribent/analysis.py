@@ -9,6 +9,7 @@ partition of F_3^n into the plus and minus point sets.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -21,6 +22,7 @@ from .core import (
     Eisenstein,
     Subspace,
     check_dim,
+    coord_matrix,
     decode,
     dots_with,
     encode,
@@ -169,11 +171,9 @@ class WalshSpectrum:
         return sum(int(norms.sum()) for _, norms in self.norm_blocks())
 
 
-# The digits per round of radix-3 passes, each with the last n that takes
-# it (see _radix3).  Through n = 9 one-digit interleaved rounds are the
-# fastest; above, n - d >= 7, since an in-place pass whose contiguous runs
-# are 3^6 values or shorter ran about twice as slow.
-_ROUND_DIGITS = ((9, 1), (10, 3), (EXACT_DIM, 4))
+# The last n whose transform runs in gather passes (see _radix3): at n = 9
+# they took 1.3 times as long as blocked rounds, and at n = 10 2.6 times.
+_GATHER_MAX_N = 8
 
 
 @cache
@@ -185,17 +185,66 @@ def _pass_dtype(p: int, width: type = np.int32) -> type:
     a^2 - a b + b^2 >= (3/4) a^2 bounds its coefficients, their
     difference and every butterfly partial sum by (2/sqrt 3) 3^p, the
     square root of 4 * 3^(2p - 1): an integer partial sum is at most
-    isqrt of that.
+    isqrt of that.  A gather pass that ends with pass p sums up to nine
+    values w^(-e) u of magnitude at most 3^(p-2) (or three of 3^(p-1)), so
+    each lane and every partial sum is a coefficient of a value of
+    magnitude at most 3^p too, and the pass runs in the type of pass p.
     """
     bound = _narrowest(math.isqrt(4 * 3 ** (2 * p - 1)))
     return min(bound, width, key=lambda t: np.iinfo(t).bits)
 
 
-def _round_digits(n: int) -> int:
-    """The digits per round of the radix-3 transform at n."""
-    for last, d in _ROUND_DIGITS:
-        if n <= last:
-            return d
+def _round_plan(n: int) -> tuple[int, ...]:
+    """The digits per round of the radix-3 transform at n (see _radix3):
+    two per gather pass through _GATHER_MAX_N, the last pass taking one
+    when n is odd; above, ceil(n/4) blocked rounds as near equal as can
+    be, the larger first, so of three or four digits."""
+    if n <= _GATHER_MAX_N:
+        return (2,) * (n // 2) + (1,) * (n % 2)
+    rounds = -(-n // 4)
+    q, extra = divmod(n, rounds)
+    return (q + 1,) * extra + (q,) * (rounds - extra)
+
+
+@cache
+def _gather_plan(d: int) -> np.ndarray:
+    """The rows that a gather pass on d digits sums, as (2, 3^d, 3^d)
+    indices into the (6 * 3^d, 3^(n-d)) view of its lanes: at [c, k, j],
+    coefficient c of lane pair e = k.j mod 3 at top digits j, which is
+    row (2e + c) 3^d + j (see _gather_sums)."""
+    digits = coord_matrix(d).astype(np.intp)
+    e, rows = digits @ digits.T % 3, size(d)
+    return np.stack([(2 * e + c) * rows + np.arange(rows) for c in (0, 1)])
+
+
+def _gather_sums(lanes: np.ndarray, d: int) -> np.ndarray:
+    """sum_j w^(-k.j) u[j] over the top d digits j of u = lanes[0] +
+    lanes[1] w, as a (2, 3^d, 3^(n-d)) coefficient array indexed by
+    (coefficient, k, low digits), in the lanes' type.
+
+    Rows 2..5 of the (6, 3^n) lanes are written first, so that the six
+    read A, B, B-A, -A, -B, A-B for u = A + B w: rows 2e and 2e + 1 are
+    the coefficients of w^(-e) u.  One take gathers lane pair k.j mod 3
+    at every (k, j) (_gather_plan), and one reduce sums over j."""
+    np.subtract(lanes[1], lanes[0], out=lanes[2])
+    np.negative(lanes[:3], out=lanes[3:])
+    terms = lanes.reshape(6 * size(d), -1).take(_gather_plan(d), axis=0)
+    return np.add.reduce(terms, axis=2, dtype=lanes.dtype)
+
+
+def _gather_passes(a: np.ndarray, b: np.ndarray, plan: Sequence[int],
+                   width: type) -> tuple[np.ndarray, np.ndarray]:
+    """_radix3 by one gather pass per entry of plan, each on that many of
+    the top digits: its sums are copied into the next pass's lanes (or
+    the result) with those digits moved to the bottom."""
+    types = [_pass_dtype(p, width) for p in itertools.accumulate(plan)] + [width]
+    lanes = np.empty((6, a.size), types[0])
+    lanes[0], lanes[1] = a, b
+    for i, d in enumerate(plan):
+        sums = _gather_sums(lanes, d)
+        lanes = np.empty((6 if i + 1 < len(plan) else 2, a.size), types[i + 1])
+        np.copyto(lanes[:2].reshape(2, -1, size(d)), sums.transpose(0, 2, 1))
+    return lanes[0], lanes[1]
 
 
 def _butterflies(ua: np.ndarray, ub: np.ndarray,
@@ -226,24 +275,6 @@ def _butterflies(ua: np.ndarray, ub: np.ndarray,
     b2 -= u2a
 
 
-def _interleaved_pass(a: np.ndarray, b: np.ndarray,
-                      va: np.ndarray, vb: np.ndarray) -> None:
-    """The butterflies on the top digit of a + b w, written interleaved
-    into the (3^(n-1), 3) views of va + vb w from third-size temporaries,
-    so the digit becomes the lowest one."""
-    u0a, u1a, u2a = a.reshape(3, -1)
-    u0b, u1b, u2b = b.reshape(3, -1)
-    va, vb = va.reshape(-1, 3), vb.reshape(-1, 3)
-    d1 = u1b - u1a
-    d2 = u2b - u2a
-    va[:, 0] = u0a + u1a + u2a
-    vb[:, 0] = u0b + u1b + u2b
-    va[:, 1] = u0a + d1 - u2b
-    vb[:, 1] = u0b - u1a - d2
-    va[:, 2] = u0a - u1b + d2
-    vb[:, 2] = u0b - d1 - u2a
-
-
 def _radix3(a: np.ndarray, b: np.ndarray, n: int,
             width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
@@ -253,18 +284,26 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     way, as arrays of type width.  Each pass is the 3-point transform
     along one index digit, out[k] = u0 + w^(-k) u1 + w^(-2k) u2, with
     w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).  The passes run in
-    rounds of d = _round_digits(n) digits (the last round takes what is
-    left), after the four-step blocking of Bailey (J. Supercomputing
-    1990).  A round transforms the top d digits where they lie, the pass
-    on digit q through the (3^(n-1-q), 3, 3^q) view (_butterflies), so
-    every read and write runs over at least 3^(n-d) contiguous values;
-    one transposing copy of the (3^d, 3^(n-d)) view then moves those
-    digits to the bottom.  A round of one digit writes its butterflies
-    interleaved into the (3^(n-1), 3) view instead (_interleaved_pass).
-    After ceil(n/d) rounds every digit is transformed and back in place.
-    The passes alternate between two array pairs allocated once per pass
-    type, and an in-place round allocates nothing else; the first pass
-    reads the caller's arrays, which are never written.
+    the rounds of _round_plan(n): each round transforms the top digits
+    that it is given and moves them to the bottom, so after the last one
+    every digit is transformed and back in place.  n alone picks one of
+    two kernels, and neither writes the caller's arrays:
+
+    - through n = _GATHER_MAX_N, where a pass is bound by numpy's per-call
+      cost, gather passes (_gather_passes) of two digits, the last of one
+      when n is odd: a pass is the radix-9 (or radix-3) transform
+      out[k] = sum_j w^(-k.j) u[j] over the top digits j, in a fixed
+      handful of calls whatever n (_gather_sums), and its transposing
+      copy moves the digits down;
+    - above, blocked rounds of three or four digits, after the four-step
+      blocking of Bailey (J. Supercomputing 1990).  A round of d digits
+      transforms them where they lie, the pass on digit q through the
+      (3^(n-1-q), 3, 3^q) view (_butterflies), so every read and write
+      runs over at least 3^(n-d) contiguous values; one transposing copy
+      of the (3^d, 3^(n-d)) view then moves them to the bottom.  The
+      passes alternate between two array pairs allocated once per pass
+      type, and a round allocates nothing else; the first pass reads the
+      caller's arrays, which are dropped after it.
 
     Each pass multiplies magnitudes by at most 3, whatever digit it
     transforms, so after pass p every value has magnitude at most 3^p
@@ -272,43 +311,44 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     absolute value: at most 93 through pass 4, 22 730 through pass 9.
     The bound depends on p alone, and each pass runs in the narrowest
     type that holds it (_pass_dtype: int8 through pass 4, int16 through
-    pass 9, int32 after).  The live pair is widened with astype before
-    the first pass of a wider type, never inside a pass, where a
+    pass 9, int32 after); a gather pass of passes p - 1 and p runs in the
+    type of pass p, its lanes and nine-term sums included.  The live pair
+    is widened before the first pass of a wider type (by astype, or as
+    the last gather pass's sums are copied), never inside a pass, where a
     mixed-type sum would wrap first.  int32 holds every partial sum,
     below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n up
     front), so with the default width the result is exact.
 
     A narrower width of B bits caps the pass types there: the passes past
-    its bound wrap mod 2^B, and since the butterflies only add and
-    subtract, the result is then the exact transform mod 2^B in both
+    its bound wrap mod 2^B, and since both kernels only add, subtract and
+    negate, the result is then the exact transform mod 2^B in both
     coefficients (the residues bent_profile reads).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
     assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
-    points, digits = size(n), _round_digits(n)
+    plan = _round_plan(n)
+    if n <= _GATHER_MAX_N:
+        return _gather_passes(a, b, plan, width)
+    points, done = size(n), 0
     spare = None  # the pair the next pass writes
-    for done in range(0, n, digits):
-        d = min(digits, n - done)
+    for d in plan:
         for j in range(d):  # pass done + j + 1, on digit n - 1 - j
             dtype = _pass_dtype(done + j + 1, width)
             if a.dtype != dtype:
                 spare = None
                 a, b = a.astype(dtype), b.astype(dtype)
-            if spare is None:
-                spare = np.empty(points, dtype), np.empty(points, dtype)
-            if d == 1:
-                _interleaved_pass(a, b, *spare)
-            else:
-                view = (3 ** j, 3, 3 ** (n - 1 - j))
-                _butterflies(a.reshape(view), b.reshape(view),
-                             spare[0].reshape(view), spare[1].reshape(view))
+            spare = spare or (np.empty(points, dtype), np.empty(points, dtype))
+            view = (3 ** j, 3, 3 ** (n - 1 - j))
+            _butterflies(a.reshape(view), b.reshape(view),
+                         spare[0].reshape(view), spare[1].reshape(view))
             # the first pass read the caller's arrays: never a spare
             a, b, spare = *spare, (None if done + j == 0 else (a, b))
-        if d > 1:
-            low = 3 ** (n - d)
-            np.copyto(spare[0].reshape(low, -1), a.reshape(-1, low).T)
-            np.copyto(spare[1].reshape(low, -1), b.reshape(-1, low).T)
-            a, b, spare = *spare, (a, b)
+        spare = spare or (np.empty_like(a), np.empty_like(b))  # a first round of one pass leaves none
+        low = 3 ** (n - d)
+        np.copyto(spare[0].reshape(low, -1), a.reshape(-1, low).T)
+        np.copyto(spare[1].reshape(low, -1), b.reshape(-1, low).T)
+        a, b, spare = *spare, (a, b)
+        done += d
     spare = None  # dropped before any widening copy below
     return a.astype(width, copy=False), b.astype(width, copy=False)
 
@@ -331,8 +371,10 @@ def _transform(f: TernaryFunction, width: type = np.int32) -> tuple[np.ndarray, 
     The inputs w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 are the
     int8 coefficients 1 - t and t - 3 * (t >> 1) (_omega_sums of the one
     table), written out as the call's arguments so that _radix3 holds the
-    only references and drops them after its first pass: a tuple unpacked
-    into the call would keep them for the whole transform, 2 B/point more.
+    only references and its blocked rounds drop them after their first
+    pass: a tuple unpacked into the call would keep them for the whole
+    transform, 2 B/point more.  The gather passes, at n <= 8 only, keep
+    them to the end.
     """
     t = f.table
     return _radix3(1 - t, t - 3 * (t >> 1), f.n, width)

@@ -135,7 +135,7 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     r = v.dim
-    # the indicator is built in the call, so _radix3 drops it after one pass
+    # the indicator is built in the call, so from r = 9 _radix3 drops it after one pass
     a, b = _radix3(s.mask[v.members()].view(np.int8), np.zeros(size(r), np.int8), r)
     assert a[0] == len(s), "the defining set must lie in v"
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"

@@ -402,6 +402,17 @@ def radix3_oracle(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.
     return a, b
 
 
+def unit_powers(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (1, w) of w^(-k.j) at [k, j] for k, j in F_3^d,
+    the dot product taken digit by digit."""
+    powers = np.empty((2, size(d), size(d)), dtype=np.int64)
+    for k in range(size(d)):
+        for j in range(size(d)):
+            dot = sum(x * y for x, y in zip(decode(k, d), decode(j, d)))
+            powers[:, k, j] = ((1, 0), (0, 1), (-1, -1))[-dot % 3]
+    return powers[0], powers[1]
+
+
 def oracle_spectrum(f: TernaryFunction) -> tuple[np.ndarray, np.ndarray]:
     """(coeff_1, coeff_w) of f's transform by radix3_oracle."""
     w_re, w_im = np.array([1, 0, -1]), np.array([0, 1, -1])

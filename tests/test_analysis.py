@@ -42,6 +42,7 @@ from conftest import (
     radix3_oracle,
     random_function,
     s0_s1,
+    unit_powers,
 )
 
 
@@ -100,10 +101,13 @@ def test_fast_equals_matrix_oracle():
 # Narrow-integer passes.  Constant tables reach the largest partial sums
 # (3^p after pass p at u = 0), and near-constant ones, a drawn share of
 # points redrawn, stay near that bound; they and indicators are compared
-# at every n up to the cap against the int64 oracle.  The schedule alone
-# takes rounds of more than one digit only from n = 10, so every round
-# size d = 1..4 is forced through _ROUND_DIGITS, each in int32 and in the
-# residue width, where astype wraps the oracle mod 2^B.
+# at every n up to 12 against the int64 oracle.  _round_plan runs gather
+# passes only through n = 8 and blocked rounds of three or four digits
+# only from n = 9, so each kernel is forced at every n: the gather passes
+# (two digits, one for an odd remainder) and blocked rounds of 2, 3 and 4
+# digits (the last taking what is left), each in int32 and in the residue
+# width, where astype wraps the oracle mod 2^B.  The inputs are read-only,
+# so any write to the caller's arrays raises.
 
 def _assert_spectrum_exact(f: TernaryFunction) -> None:
     sp = walsh_spectrum(f)
@@ -112,15 +116,24 @@ def _assert_spectrum_exact(f: TernaryFunction) -> None:
     assert np.array_equal(sp.coeff_1, oa) and np.array_equal(sp.coeff_w, ob)
 
 
-def _assert_exact_at_every_round_size(monkeypatch, a, b, n):
+def _forced_plans(n):
+    """(gather, plan) for each kernel and round size forced at n."""
+    yield True, (2,) * (n // 2) + (1,) * (n % 2)
+    for d in (2, 3, 4):
+        yield False, (d,) * (n // d) + ((n % d,) if n % d else ())
+
+
+def _assert_exact_in_every_kernel(monkeypatch, a, b, n, widths=None):
     oa, ob = radix3_oracle(a, b, n)
-    for d in range(1, 5):
-        monkeypatch.setattr(analysis, "_ROUND_DIGITS", ((EXACT_DIM, d),))
-        for width in (np.int32, _residue_dtype(n)):
+    a.flags.writeable = b.flags.writeable = False
+    for gather, plan in _forced_plans(n):
+        monkeypatch.setattr(analysis, "_GATHER_MAX_N", EXACT_DIM if gather else 0)
+        monkeypatch.setattr(analysis, "_round_plan", lambda n: plan)
+        for width in widths or (np.int32, _residue_dtype(n)):
             ra, rb = _radix3(a, b, n, width)
             assert ra.dtype == rb.dtype == width
-            assert np.array_equal(ra, oa.astype(width)), (d, width)
-            assert np.array_equal(rb, ob.astype(width)), (d, width)
+            assert np.array_equal(ra, oa.astype(width)), (plan, width)
+            assert np.array_equal(rb, ob.astype(width)), (plan, width)
 
 
 def _near_constant(rng, n, value, noise):
@@ -142,7 +155,7 @@ def test_narrow_passes_exact_on_constant_tables(monkeypatch, n):
     tables = [np.full(size(n), value) for value in range(3)]
     tables += [_near_constant(rng, n, rng.integers(0, 3), noise) for noise in (0.01, 0.2)]
     for table in tables:
-        _assert_exact_at_every_round_size(monkeypatch, *_unit_coefficients(table), n)
+        _assert_exact_in_every_kernel(monkeypatch, *_unit_coefficients(table), n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -150,10 +163,10 @@ def test_narrow_passes_exact_on_indicators(monkeypatch, n):
     rng = np.random.default_rng(n)
     for indicator in (np.ones(size(n), dtype=np.int8),
                       rng.integers(0, 2, size(n)).astype(np.int8)):
-        _assert_exact_at_every_round_size(monkeypatch, indicator, np.zeros_like(indicator), n)
+        _assert_exact_in_every_kernel(monkeypatch, indicator, np.zeros_like(indicator), n)
 
 
-@given(st.integers(1, 8), st.integers(0, 2), st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+@given(st.integers(1, 10), st.integers(0, 2), st.sampled_from([0.0, 0.01, 0.2, 1.0]),
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_narrow_passes_exact_on_drawn_tables(n, value, noise, seed):
@@ -162,24 +175,44 @@ def test_narrow_passes_exact_on_drawn_tables(n, value, noise, seed):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_radix3_never_writes_its_inputs(monkeypatch, n):
-    # the passes alternate between two pairs of their own; read-only inputs
-    # make any write to the caller's arrays raise
     a, b = _unit_coefficients(np.random.default_rng(n).integers(0, 3, size(n)))
     saved = a.copy(), b.copy()
-    a.flags.writeable = b.flags.writeable = False
-    for d in range(1, 5):
-        monkeypatch.setattr(analysis, "_ROUND_DIGITS", ((EXACT_DIM, d),))
-        for width in (np.int32, np.int16, np.int8):
-            _radix3(a, b, n, width)
+    _assert_exact_in_every_kernel(monkeypatch, a, b, n, (np.int32, np.int16, np.int8))
     assert np.array_equal(a, saved[0]) and np.array_equal(b, saved[1])
 
 
-def test_round_digits_schedule():
-    # one-digit interleaved rounds through n = 9, where an in-place round
-    # is slower; from n = 10 every in-place pass reads runs of 3^7 or more
-    assert [analysis._round_digits(n) for n in (1, 9, 10, 11, 12, EXACT_DIM)] == [
-        1, 1, 3, 4, 4, 4]
-    assert all(n - analysis._round_digits(n) >= 7 for n in range(10, EXACT_DIM + 1))
+def test_round_plan_at_every_n(monkeypatch):
+    # gather passes of two digits (one for an odd remainder) exactly
+    # through n = 8; above, blocked rounds, none of one digit
+    for n in range(EXACT_DIM + 1):
+        plan = analysis._round_plan(n)
+        assert sum(plan) == n
+        if n <= 8:
+            assert plan == (2,) * (n // 2) + (1,) * (n % 2)
+        else:
+            assert min(plan) > 1, (n, plan)
+    gathered = []
+    original = analysis._gather_passes
+    monkeypatch.setattr(analysis, "_gather_passes",
+                        lambda a, b, plan, width: gathered.append(sum(plan)) or original(a, b, plan, width))
+    for n in range(11):
+        t = np.zeros(size(n), dtype=np.int8)
+        _radix3(t, t, n)
+    assert gathered == list(range(9))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gather_plan_sums_the_unit_powers(d):
+    # a unit at top digits j, through the lanes and the cached plan, sums
+    # to w^(-k.j) at every k
+    assert analysis._gather_plan(d) is analysis._gather_plan(d)
+    re, im = unit_powers(d)
+    for j in range(size(d)):
+        lanes = np.zeros((6, size(d)), dtype=np.int8)
+        lanes[0, j] = 1
+        sums = analysis._gather_sums(lanes, d)
+        assert np.array_equal(sums[0, :, 0], re[:, j]), j
+        assert np.array_equal(sums[1, :, 0], im[:, j]), j
 
 
 def test_pass_types_are_the_narrowest_the_bound_allows():

@@ -25,7 +25,6 @@ from .core import (
     coord_matrix,
     decode,
     dots_with,
-    encode,
     is_nondegenerate,
     legendre,
     negation,
@@ -33,7 +32,6 @@ from .core import (
     root_sum,
     size,
     span,
-    translation,
 )
 
 
@@ -696,21 +694,6 @@ def _narrowest(bound: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= bound)
 
 
-def _coset_folds(perp: np.ndarray) -> list[tuple[int, Callable, Callable]]:
-    """(p, translation by q, translation by -q) over F_3^p for each row
-    3^p + q of the basis perp of V-perp, in decreasing p: the row's
-    highest nonzero digit and its digits below.  span's null basis is in
-    echelon form from the top digit, asserted here: its row for a free
-    column of V's reduced basis is 1 there, 0 at the other free columns,
-    and nonzero elsewhere only at V's pivots below it."""
-    rows = perp.tolist()  # at most EXACT_DIM^2 entries: plain lists beat numpy calls
-    tops = [max(i for i, d in enumerate(row) if d) for row in rows]
-    assert all(row[p] == (i == j) for i, row in enumerate(rows) for j, p in enumerate(tops)), \
-        "perp is not in echelon form"
-    return [(p, translation(encode(row[:p]), p), translation(encode([-d for d in row[:p]]), p))
-            for p, row in sorted(zip(tops, rows), reverse=True)]
-
-
 def _folded(h: np.ndarray, p: int, plus: Callable, minus: Callable) -> list[np.ndarray]:
     """The three slices of h at digit p, as (a, c, y) with y the p digits
     below it, slice c translated by c q: by q (plus) or -q = 2q (minus)."""
@@ -720,12 +703,12 @@ def _folded(h: np.ndarray, p: int, plus: Callable, minus: Callable) -> list[np.n
 
 def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]]) -> np.ndarray:
     """G(y) = sum_{z in V-perp} w^t(y + z) for an int8 exponent table t and
-    V-perp spanned by the k rows q_j = 3^p + q of _coset_folds: 1 at digit
-    p, nothing above it and nothing at the other p.  The points y whose
-    digits p are all 0 hold one point of each coset, and G is given there
-    only, in index order with those digits dropped, as h = a + 2^L b for
-    G = a + b w, in the signed type of 2L bits, L those of the narrowest
-    type that holds 3^k.
+    V-perp spanned by the k rows q_j = 3^p + q of Subspace.coset_folds: 1
+    at digit p, nothing above it and nothing at the other p.  The points y
+    whose digits p are all 0 hold one point of each coset, and G is given
+    there only, in index order with those digits dropped, as h = a + 2^L b
+    for G = a + b w, in the signed type of 2L bits, L those of the
+    narrowest type that holds 3^k.
 
     A fold removes one digit p, highest first: G_j(y) = sum_c
     G_(j-1)(y + c q_j) over c in F_3 for the y with digit p zero, and
@@ -782,14 +765,15 @@ def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
     sums (_coset_sums) are compared with 0 and the three 3^k w^c, one per
     coset.  They are indexed by the point y of each coset whose fold
     digits are 0, with those digits dropped.  The fold digits are the free
-    columns of V's reduced basis (_coset_folds), so the digits kept are
-    V's pivots in ascending order, and y is the message u_c of
-    core.pivot_points(V.pivots): entry c is the dual's sign at u_c.
+    columns of V's reduced basis (V.coset_folds, built once per interned
+    V), so the digits kept are V's pivots in ascending order, and y is
+    the message u_c of core.pivot_points(V.pivots): entry c is the dual's
+    sign at u_c.
     """
     f, n = p.f, p.n
     k = n - p.type_span.dim
     t = f.table if f.is_even() else negation(n)(f.table)
-    sums = _coset_sums(t, _coset_folds(p.type_span.perp)).reshape(-1)
+    sums = _coset_sums(t, p.type_span.coset_folds).reshape(-1)
     unit, bits = 3 ** k, 4 * sums.itemsize
     constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
     if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:

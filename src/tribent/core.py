@@ -199,8 +199,13 @@ def _halfwise(high: np.ndarray | None, low: np.ndarray | None,
     None for a half that t leaves alone.  The halves of x then move
     independently, so a take along each moved axis of the
     (..., 3^(n-k), 3^k) view replaces a gather by one 3^n-entry table.
+    The map may be kept (Subspace.coset_folds), so both tables are made
+    read-only.
     """
     halves = (size(n - n // 2), size(n // 2))
+    for table in (high, low):
+        if table is not None:
+            table.flags.writeable = False
 
     def apply(a: np.ndarray) -> np.ndarray:
         view = a.reshape(a.shape[:-1] + halves)
@@ -381,9 +386,17 @@ class Subspace:
 
     perp is a basis of V-perp as the rows of an int8 matrix of shape
     (n - dim, n), made read-only here; equality and hash ignore it.  span
-    passes the null basis of its last round, orthogonal_complement the
-    basis of V.  V and V-perp are reduced in plain integers (_rref): a
-    reduction of perp reads perp.tolist() and never writes perp.
+    interns its result by the reduced basis (_interned), so every verdict
+    on one V reads one object, whose perp is the null basis of V's
+    reduced form; orthogonal_complement passes the basis of V.  V and
+    V-perp are reduced in plain integers (_rref): a reduction of perp
+    reads perp.tolist() and never writes perp.
+
+    Everything that depends on V alone is a cached property, built on
+    first access and kept with the object, each table read-only:
+    syndromes, pivots, coset_folds, nondegenerate and member_halves.
+    None of them is wider than 3^(n - n // 2) entries; members(), 3^dim
+    wide, is assembled afresh on every call.
     """
 
     n: int
@@ -399,21 +412,50 @@ class Subspace:
 
     def members(self) -> np.ndarray:
         """All 3^dim members in the order of c (int64): entry c is c B for
-        the reduced echelon basis B.  B[:, P] is the identity at the pivots
-        P, so c B has c's digits there (pivot_points); its digit at a free
-        column j is c . B[:, j], a dots_with over F_3^dim, added times 3^j."""
-        members = pivot_points(self.pivots)
-        for j in sorted(set(range(self.n)) - set(self.pivots)):
-            column = encode([b // 3 ** j % 3 for b in self.basis])
-            if column:
-                members += np.multiply(dots_with(column, self.dim), 3 ** j, dtype=np.int64)
-        return members
+        the reduced echelon basis B, assembled from member_halves.  With
+        c = c_high 3^h + c_low, the pivot digits are one outer sum of the
+        two halves' pivot points, and each nonzero free column j adds its
+        digit table read at one outer sum of the halves' dot tables, so
+        reduced mod 3 and scaled by 3^j.  Not kept: the caller owns the
+        array."""
+        high, low, columns = self.member_halves
+        members = np.add.outer(high, low)
+        for digit, high_dots, low_dots in columns:
+            members += digit[np.add.outer(high_dots, low_dots)]
+        return members.reshape(-1)
 
     def points(self) -> np.ndarray:
         """All 3^dim members as a sorted int64 index array."""
         members = self.members()
         members.sort()
         return members
+
+    @cached_property
+    def member_halves(self) -> tuple[np.ndarray, np.ndarray,
+                                     tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+        """The half-width tables members() is assembled from, for the
+        split c = c_high 3^h + c_low of c in F_3^dim at h = dim // 2:
+        pivot_points of the pivots read by c_high's and by c_low's digits
+        (int64), and for each free column j where B is nonzero, its digit
+        table (d mod 3) 3^j for d = 0..2 dim (int64) and the dot tables of
+        c_high and of c_low with the column's two halves, as int8 digit
+        sums of residues, so the two sum to some d <= 2 dim <= 36.
+        B[:, P] is the identity at the pivots P, so c B has c's digits
+        there; its digit at a free column j is c . B[:, j], the two
+        halves' dots summed mod 3.  Cached, so made read-only."""
+        h, pivots = self.dim // 2, self.pivots
+        tables = [pivot_points(pivots[h:]), pivot_points(pivots[:h])]
+        columns, residues = [], np.arange(2 * self.dim + 1) % 3
+        for j in sorted(set(range(self.n)) - set(pivots)):
+            column = [b // 3 ** j % 3 for b in self.basis]
+            if any(column):
+                dots = [digit_sum_table([(0, d, 2 * d % 3) for d in half]).astype(np.int8)
+                        for half in (column[h:], column[:h])]
+                columns.append((residues * 3 ** j, *dots))
+                tables += columns[-1]
+        for t in tables:
+            t.flags.writeable = False
+        return tables[0], tables[1], tuple(columns)
 
     @cached_property
     def syndromes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -450,6 +492,36 @@ class Subspace:
             pivots.append(p)
         return tuple(pivots)
 
+    @cached_property
+    def coset_folds(self) -> tuple[tuple[int, Callable, Callable], ...]:
+        """(p, translation by q, translation by -q) over F_3^p for each row
+        3^p + q of perp, in decreasing p: the row's highest nonzero digit
+        and its digits below, the folds analysis._dual_by_cosets sums the
+        cosets of V-perp along.  The null basis that span gives is in
+        echelon form from the top digit, asserted here: its row for a free
+        column of V's reduced basis is 1 there, 0 at the other free
+        columns, and nonzero elsewhere only at V's pivots below it.  Each
+        map holds its two half-width tables (_halfwise), read-only."""
+        rows = self.perp.tolist()  # at most EXACT_DIM^2 entries: plain lists beat numpy calls
+        tops = [max(i for i, d in enumerate(row) if d) for row in rows]
+        assert all(row[p] == (i == j) for i, row in enumerate(rows) for j, p in enumerate(tops)), \
+            "perp is not in echelon form"
+        return tuple((p, translation(encode(row[:p]), p), translation(encode([-d for d in row[:p]]), p))
+                     for p, row in sorted(zip(tops, rows), reverse=True))
+
+    @cached_property
+    def nondegenerate(self) -> bool:
+        """True iff only 0 in V is orthogonal to all of V.
+
+        V meets V-perp in the radical of both, so V is non-degenerate iff
+        V-perp is: iff the Gram matrix P P^T of the perp basis P has full
+        rank mod 3, that is when its reduced echelon form (_rref, in plain
+        integers) leaves no column free; no member is enumerated.
+        """
+        perp = self.perp.tolist()
+        gram = [[sum(a * b for a, b in zip(p, q)) % 3 for q in perp] for p in perp]
+        return None not in _rref(gram, len(perp))
+
 
 def _band_members(mask: np.ndarray, n: int) -> list[int]:
     """For each digit p, the first member of a boolean mask over F_3^n in
@@ -470,6 +542,28 @@ def _band_members(mask: np.ndarray, n: int) -> list[int]:
     return picked
 
 
+# The most subspaces _interned keeps, least recently used first out.  At
+# n = 16 a glue type side keeps 75-122 KB (syndromes 51 KB, the rest
+# coset_folds and member_halves), and the worst V met, whose perp rows
+# reach into both halves below their top digits, 373 KB, most of it
+# coset_folds (tracemalloc): a full table holds at most 8 MB of glue
+# sides there, and 24 MB of the worst.
+INTERNED_SUBSPACES = 64
+
+
+@lru_cache(maxsize=INTERNED_SUBSPACES)
+def _interned(n: int, basis: tuple[int, ...]) -> Subspace:
+    """The one Subspace of F_3^n with this reduced echelon basis, its
+    perp the null basis (_null_basis) of the basis's digit rows, built
+    only when the table misses.  The reduced form of a subspace is
+    unique, so equal subspaces share one object and each table cached on
+    it is built once per distinct V, not once per verdict."""
+    echelon: list[Sequence[int] | None] = [None] * n
+    for row in (decode(b, n) for b in basis):
+        echelon[row.index(1)] = row  # the pivot, the first nonzero entry, is 1
+    return Subspace(n, basis, _null_basis(echelon))
+
+
 def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     """The F_3-span of a set of points ({0} for the empty set), given as a
     boolean mask over all 3^n points or as point indices, which are
@@ -484,13 +578,14 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     rank, so there are at most n rounds.  The reduced echelon form of a
     row space is unique, so the basis does not depend on the sample.
 
-    Each round builds the candidate Subspace, with the null basis as its
-    perp, and one broadcast compare of its membership tables (syndromes)
-    over the (3^(n-k), 3^k) view of the mask marks the failing points,
-    whatever the number of null vectors.  The last round's candidate is
-    the result, so neither V-perp nor the tables are built again
-    downstream.  Only the sample and the folded points become digit
-    lists, reduced in plain integers (_rref).
+    Each round asks _interned for the candidate Subspace of the reduced
+    sample, built with its null basis as perp on a miss, and one
+    broadcast compare of its membership tables (syndromes) over the
+    (3^(n-k), 3^k) view of the mask marks the failing points, whatever
+    the number of null vectors; this check runs on every call.  The last
+    round's candidate is the result, so a V met before returns with its
+    perp and every table it has built.  Only the sample and the folded
+    points become digit lists, reduced in plain integers (_rref).
     """
     k = n // 2
     if not (isinstance(points, np.ndarray) and points.dtype == bool):
@@ -500,7 +595,7 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     members = points.reshape(size(n - k), size(k))
     echelon = _rref([decode(b, n) for b in _band_members(points, n)], n)
     while True:
-        v = Subspace(n, _encoded(echelon), _null_basis(echelon))
+        v = _interned(n, _encoded(echelon))
         high, minus_low = v.syndromes
         failing = (high[:, None] != minus_low) & members
         if not failing.any():
@@ -522,16 +617,9 @@ def is_subspace(points: np.ndarray, n: int) -> bool:
 
 
 def is_nondegenerate(v: Subspace) -> bool:
-    """True iff only 0 in V is orthogonal to all of V.
-
-    V meets V-perp in the radical of both, so V is non-degenerate iff
-    V-perp is: iff the Gram matrix P P^T of the perp basis P has full
-    rank mod 3, that is when its reduced echelon form (_rref, in plain
-    integers) leaves no column free; no member is enumerated.
-    """
-    perp = v.perp.tolist()
-    gram = [[sum(a * b for a, b in zip(p, q)) % 3 for q in perp] for p in perp]
-    return None not in _rref(gram, len(perp))
+    """True iff only 0 in V is orthogonal to all of V: v.nondegenerate,
+    the Gram rank of V-perp's basis, decided once per interned V."""
+    return v.nondegenerate
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:

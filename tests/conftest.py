@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tribent import analysis
+from tribent import analysis, core
 from tribent.analysis import (
     BentProfile,
     BentType,
@@ -39,6 +39,13 @@ from tribent.core import (
     size,
 )
 from tribent.fixtures import FIXTURES, get_fixture
+
+
+@pytest.fixture(autouse=True)
+def cold_subspace_table():
+    """Each test starts on an empty table of interned subspaces, so the
+    tables a verdict builds once per distinct V are built within it."""
+    core._interned.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -259,7 +266,7 @@ def coset_tiling(f: TernaryFunction, p: BentProfile, dual_sign: np.ndarray) -> t
     The cosets over i_plus tile the dual's plus set D+ exactly when D+ is
     invariant under V-perp, and D- is its complement.  So one int8 code,
     3 [x in D+] + f(x) [x on the branch's side], walks the folds of
-    V-perp's basis (analysis._coset_folds), highest digit first: each fold
+    V-perp's basis (Subspace.coset_folds), highest digit first: each fold
     keeps slice 0 and checks the two moved slices against it.  Each coset
     meets the points whose fold digits are all 0 once, so no move anywhere
     means invariance.  A moved D+ (the high part) breaks the tiling and
@@ -271,7 +278,7 @@ def coset_tiling(f: TernaryFunction, p: BentProfile, dual_sign: np.ndarray) -> t
     branch_side = dual_plus if on_plus else dual_sign == -1
     code = dual_plus.view(np.int8) * np.int8(3) + f.table * branch_side
     constant_ok = True
-    for fold in analysis._coset_folds(p.type_span.perp):
+    for fold in p.type_span.coset_folds:
         code, *moved = analysis._folded(code, *fold)
         changed = [m for m in moved if not np.array_equal(m, code)]
         if any(not np.array_equal(m >= 3, code >= 3) for m in changed):

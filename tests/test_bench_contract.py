@@ -69,7 +69,8 @@ def test_dual_profile_by_cosets_on_every_benchmark_instance():
 
 def test_every_benchmark_type_side_spans_in_one_round(monkeypatch):
     # each workload input's type side is a subspace, so span's band sample
-    # is already its basis: one null-space check (_null_basis) per span
+    # is already its basis: one null-space check (_null_basis) per span on
+    # an empty table of interned subspaces
     instances = [inst for workload in workloads.WORKLOADS.values() for inst in workload.build(1)]
     profiles = [bent_profile(inst.f) for inst in instances]
     calls = []
@@ -77,5 +78,6 @@ def test_every_benchmark_type_side_spans_in_one_round(monkeypatch):
     monkeypatch.setattr(core, "_null_basis", lambda r: calls.append(r) or null_basis(r))
     for p in profiles:
         calls.clear()
+        core._interned.cache_clear()
         v = core.span(p.side_mask(p.type), p.n)
         assert len(calls) == 1 and p.type_side_size == size(v.dim)

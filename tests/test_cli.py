@@ -58,6 +58,11 @@ PREDICT_N6 = ["predict", "--case", "even-plus", "--n", "6", "--r", "5"]
     # odd-plus at n = 5 with the minimal r = 3: two-weight codes
     ("search-m1-s2-count5-seed1.json",
      ["search", "--m", "1", "--s", "2", "--count", "5", "--seed", "1", "--format", "json"]),
+    # n = 7 with U of dimension 1: the twenty instances share a handful of
+    # type sides V, so most verdicts read an interned V's tables
+    ("search-m3-s2-u1-count20-seed0.json",
+     ["search", "--m", "3", "--s", "2", "--count", "20", "--seed", "0", "--u-dim", "1",
+      "--format", "json"]),
 ])
 def test_json_reports_match_the_golden_outputs(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import os
 import subprocess
 import sys
@@ -642,14 +643,15 @@ def _row_space_closure(points: list[int], n: int) -> list[int]:
 
 
 def _count_rounds(monkeypatch) -> list[int]:
-    """Count span's rounds: one _null_basis call each."""
-    rounds, null_basis = [0], core._null_basis
+    """Count span's rounds: one lookup of the candidate (_interned) each,
+    whether the table of interned subspaces holds it or not."""
+    rounds, interned = [0], core._interned
 
-    def counted(r):
+    def counted(n, basis):
         rounds[0] += 1
-        return null_basis(r)
+        return interned(n, basis)
 
-    monkeypatch.setattr(core, "_null_basis", counted)
+    monkeypatch.setattr(core, "_interned", counted)
     return rounds
 
 
@@ -797,3 +799,72 @@ def test_subspace_coordinates_against_the_digit_loop(n):
                 x = int(members[c])
                 assert c == subspace_coordinates(w, x)
                 assert combination(c, w) == x
+
+
+def _reduced_basis(rng, n: int, dim: int, nonzero_free: int) -> list[int]:
+    """A reduced echelon basis of dimension dim in F_3^n, as points: the
+    pivots are digit 0 and dim - 1 others, and exactly nonzero_free of
+    the free columns are nonzero, each in row 0 and at random in the
+    other rows whose pivot lies below it."""
+    pivots = [0] + sorted(rng.choice(np.arange(1, n), dim - 1, replace=False).tolist()) if dim else []
+    free = [j for j in range(n) if j not in pivots]
+    rows = np.zeros((dim, n), dtype=np.int64)
+    rows[np.arange(dim), pivots] = 1
+    for j in rng.choice(free, nonzero_free, replace=False).tolist():
+        below = [i for i, p in enumerate(pivots) if p < j]
+        rows[below, j] = rng.integers(0, 3, len(below))
+        rows[0, j] = rng.integers(1, 3)
+    return [encode(row) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_half_table_members_against_the_digit_loop(n):
+    # members() assembled from the half tables of an interned V, at every
+    # dimension from the zero space to the whole space, with 0 to n - dim
+    # nonzero free columns: entry c is the combination c B point by point,
+    # whose digits at the pivots read c back, and sorted they are every
+    # combination of the basis rows
+    rng = np.random.default_rng(100 + n)
+    for dim in range(n + 1):
+        for nonzero_free in range(n - dim + 1 if dim else 1):
+            basis = _reduced_basis(rng, n, dim, nonzero_free)
+            v = span(basis, n)
+            assert v.basis == tuple(basis) and len(v.member_halves[2]) == nonzero_free
+            members = v.members()
+            assert members.dtype == np.int64 and members.shape == (size(dim),)
+            assert np.array_equal(np.sort(members), span_points(coord_rows(v.basis, n)))
+            for c in rng.permutation(size(dim))[:20].tolist():
+                assert subspace_coordinates(v, int(members[c])) == c
+                assert combination(c, v) == members[c]
+            assert v.members() is not v.members()  # the caller owns each one
+
+
+def test_every_table_cached_on_an_interned_subspace_is_read_only():
+    rng = np.random.default_rng(8)
+    v = span(_reduced_basis(rng, 7, 4, 3), 7)
+    assert len(v.perp) == 3 and is_nondegenerate(v) in (True, False)
+    high, low, columns = v.member_halves
+    tables = [v.perp, *v.syndromes, high, low, *(t for column in columns for t in column)]
+    for _, *moves in v.coset_folds:
+        for move in moves:
+            halves = inspect.getclosurevars(move).nonlocals
+            tables += [halves[h] for h in ("high", "low") if halves[h] is not None]
+    assert len(tables) > 3 + 2 + 2 + 3 * 3
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t.reshape(-1)[0] = 1
+
+
+def test_the_table_of_interned_subspaces_keeps_its_bound():
+    n = 7
+    first = span([1], n)
+    assert span([2], n) is first  # one line, one object
+    bases, x = {first.basis}, 2
+    while len(bases) <= core.INTERNED_SUBSPACES + 10:
+        x += 1
+        bases.add(span([x], n).basis)
+    assert core._interned.cache_info().currsize == core.INTERNED_SUBSPACES
+    assert span([x], n) is span([x], n)
+    again = span([1], n)  # the least recently used went first
+    assert again == first and again is not first

@@ -224,16 +224,32 @@ def test_coset_tiling_detects_a_break_the_first_basis_vector_keeps(name, f):
     assert not _pointwise_tiling(f, hyp, sign, perp)[0]
 
 
-def _count_calls(monkeypatch, name: str) -> list[tuple]:
-    """Record the arguments of every call to analysis.<name>."""
+def _count_calls(monkeypatch, name: str, module=analysis) -> list[tuple]:
+    """Record the arguments of every call to module.<name>."""
     calls = []
-    original = getattr(analysis, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(analysis, name, counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _count_builds(monkeypatch, name: str, wrap=lambda value: value) -> list[core.Subspace]:
+    """Record every Subspace whose cached property <name> is built, the
+    built value passed through wrap."""
+    calls = []
+    build = core.Subspace.__dict__[name].func
+
+    def counted(self):
+        calls.append(self)
+        return wrap(build(self))
+
+    prop = cached_property(counted)
+    prop.__set_name__(core.Subspace, name)
+    monkeypatch.setattr(core.Subspace, name, prop)
     return calls
 
 
@@ -250,25 +266,22 @@ def test_a_holding_tiling_translates_once_per_basis_vector(monkeypatch, name, f)
             return step(a)
         return move
 
-    folds = []
-    coset_folds = analysis._coset_folds
-
-    def recorded(perp):
-        folds.extend((p, counted(p, 1, plus), counted(p, 2, minus))
-                     for p, plus, minus in coset_folds(perp))
-        return folds
+    def recorded(folds):
+        return tuple((p, counted(p, 1, plus), counted(p, 2, minus)) for p, plus, minus in folds)
 
     p = analysis.bent_profile(f)
     assert f.is_even() and p.type_side_is_subspace()
-    monkeypatch.setattr(analysis, "_coset_folds", recorded)
-    translations = _count_calls(monkeypatch, "translation")
+    built = _count_builds(monkeypatch, "coset_folds", recorded)
+    translations = _count_calls(monkeypatch, "translation", core)
     assert p.dual_sign is not None
+    folds = p.type_span.coset_folds
+    assert built == [p.type_span]
     assert len(translations) == 2 * len(folds) == 2 * len(p.type_span.perp)
     assert moves == [(q, c) for q, _, _ in folds for c in (1, 2)]
 
 
 def test_a_passing_verdict_builds_the_coset_folds_once(monkeypatch, flagship):
-    folds = _count_calls(monkeypatch, "_coset_folds")
+    folds = _count_builds(monkeypatch, "coset_folds")
     assert run_pipeline(flagship).passed
     assert len(folds) == 1
 
@@ -294,6 +307,7 @@ def _eligible_glue() -> TernaryFunction:
     rng = random.Random(5)
     f = gmmf_build(random_instance(rng, 4, 1, BentType.PLUS, random_subspace(rng, 1, 0), 1))
     assert establish(f).ok
+    core._interned.cache_clear()  # the check leaves no V behind for the caller
     return f
 
 
@@ -348,20 +362,13 @@ def _count_membership_tables(monkeypatch) -> tuple[list, list]:
     """Record every Subspace whose membership tables (Subspace.syndromes)
     are built, and the subspace each code is built on, with the number of
     tables built by then."""
-    calls, measured = [], []
-    build = core.Subspace.__dict__["syndromes"].func
-
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    measured = []
+    calls = _count_builds(monkeypatch, "syndromes")
 
     def recorded(s, v):
         measured.append((v, len(calls)))
         return build_code(s, v)
 
-    tables = cached_property(counted)
-    tables.__set_name__(core.Subspace, "syndromes")
-    monkeypatch.setattr(core.Subspace, "syndromes", tables)
     monkeypatch.setattr(pipeline, "build_code", recorded)
     return calls, measured
 
@@ -374,6 +381,54 @@ def test_passing_verdict_builds_the_membership_tables_once(monkeypatch):
     assert run_pipeline(f).passed
     [(v, before)] = measured
     assert before == len(calls) == 1 and calls[0] is v
+
+
+def test_a_second_verdict_on_a_v_met_before_builds_none_of_its_tables(monkeypatch):
+    # two glue functions on one U share the type side V: the second
+    # verdict finds V interned and builds neither its perp nor any table
+    rng = random.Random(2)
+    u = random_subspace(rng, 2, 1)
+    first, second = (gmmf_build(random_instance(rng, 3, 2, BentType.PLUS, u, 1))
+                     for _ in range(2))
+    assert not np.array_equal(first.table, second.table)
+    assert run_pipeline(first).passed
+    v = establish(first).v
+    perps = _count_calls(monkeypatch, "_null_basis", core)
+    builds = [_count_builds(monkeypatch, name) for name in
+              ("syndromes", "pivots", "coset_folds", "nondegenerate", "member_halves")]
+    assert establish(second).v is v
+    assert run_pipeline(second).passed
+    assert perps == [] and builds == [[]] * 5
+
+
+def test_a_side_off_a_warm_v_still_fails_type_side_subspace(flagship):
+    # the membership check runs on every span: one point off V moved onto
+    # the type side makes a side that is no subspace.  Its lowest nonzero
+    # digit is 2, so span's band sample is still V's basis and the first
+    # round reads the interned V with all its tables
+    p = analysis.bent_profile(flagship)
+    hyp = establish(flagship, p)
+    assert hyp.ok and run_pipeline(flagship).passed
+
+    def lowest_digit(x: int) -> int:
+        while x % 3 == 0:
+            x //= 3
+        return x % 3
+
+    side = p.side_mask(p.type)
+    off = next(x for x in np.flatnonzero(~side).tolist() if lowest_digit(x) == 2)
+    moved_side = side.copy()
+    moved_side[off] = True
+    hits = core._interned.cache_info().hits
+    w = span(moved_side, flagship.n)
+    assert core._interned.cache_info().hits == hits + 1 and w.dim > hyp.v.dim
+    sign = p.sign.copy()
+    sign[off] = -sign[off]
+    moved = dataclasses.replace(p, sign=sign)
+    assert np.array_equal(moved.side_mask(moved.type), moved_side)
+    stages = {stage.name: stage.ok for stage in establish(flagship, moved).stages}
+    assert stages["type-side-subspace"] is False
+    assert span(side, flagship.n) is hyp.v
 
 
 def test_forced_code_builds_its_subspaces_tables_once(monkeypatch):

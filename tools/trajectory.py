@@ -14,7 +14,10 @@ dropped.  Beside each time, <stage>_faults counts the minor page faults
 (ru_minflt) the stage took.  First calls pay their cache fills and their
 first touch of every page, as a one-off CLI run does; the same instance is
 then verified a second time, and warm_s and warm_faults record that warm
-verdict, as a process that verifies many instances sees each one.  A row
+verdict, as a process that verifies many instances sees each one.  The
+warm verdict also reads a warm table of interned subspaces: its span
+returns the first verdict's V, whose perp and tables (core.Subspace's
+cached properties) were built then, so warm_s does not count them.  A row
 records the report's verdict, passed (of both runs) and failed_stage,
 import_rss_mb (ru_maxrss once the package is imported) and ru_maxrss.
 

@@ -8,7 +8,7 @@ Subcommands:
 
 Output formats: json (one document), csv, or a human-readable table.
 Exit codes: 0 all checks passed, 1 some comparison failed, 2 usage or
-parse errors.
+parse errors, 141 a closed output pipe (`| head`), as a shell reports SIGPIPE.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
@@ -32,6 +33,7 @@ from .search import run_search
 
 USAGE_ERROR = 2
 MISMATCH = 1
+CLOSED_PIPE = 141
 
 
 class InputError(ValueError):
@@ -119,6 +121,7 @@ def _emit(fmt: str, doc: dict | list, header: list[str], rows: list,
         writer.writerows(rows)
     else:
         print("\n".join(lines))
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def _parameters(length: int, dimension: int, min_distance: int) -> str:
@@ -322,6 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send that nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import resource
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -381,30 +381,19 @@ def pivot_points(pivots: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """An F_3-linear subspace V of F_3^n given by its reduced echelon basis
-    of points (span and orthogonal_complement build it).
+    """An F_3-linear subspace V of F_3^n, given by its reduced echelon
+    basis B of points.  That form is unique, so (n, basis) is the whole
+    state, whoever built it: span, orthogonal_complement, random_subspace.
 
-    perp is a basis of V-perp as the rows of an int8 matrix of shape
-    (n - dim, n), made read-only here; equality and hash ignore it.  span
-    interns its result by the reduced basis (_interned), so every verdict
-    on one V reads one object, whose perp is the null basis of V's
-    reduced form; orthogonal_complement passes the basis of V.  V and
-    V-perp are reduced in plain integers (_rref): a reduction of perp
-    reads perp.tolist() and never writes perp.
-
-    Everything that depends on V alone is a cached property, built on
-    first access and kept with the object, each table read-only:
-    syndromes, pivots, coset_folds, nondegenerate and member_halves.
+    Everything else depends on V alone and is a cached property, built
+    on first access and kept with the object, each table read-only:
+    pivots, perp, syndromes, coset_folds, nondegenerate and member_halves.
     None of them is wider than 3^(n - n // 2) entries; members(), 3^dim
     wide, is assembled afresh on every call.
     """
 
     n: int
     basis: tuple[int, ...]
-    perp: np.ndarray = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        self.perp.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -481,24 +470,29 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The lowest nonzero digit of each basis point, ascending.  span
-        and orthogonal_complement give the reduced echelon basis B, so
-        B[:, pivots] is the identity."""
-        pivots = []
-        for b in self.basis:
-            p = 0
-            while not b % 3:
-                b, p = b // 3, p + 1
-            pivots.append(p)
-        return tuple(pivots)
+        """The first nonzero digit of each basis row, which is 1,
+        ascending: B[:, pivots] is the identity."""
+        return tuple(decode(b, self.n).index(1) for b in self.basis)
+
+    @cached_property
+    def perp(self) -> np.ndarray:
+        """A basis of V-perp as the rows of a read-only int8 matrix of
+        shape (n - dim, n): the null basis (_null_basis) of B's digit
+        rows, one row per free column."""
+        echelon: list[Sequence[int] | None] = [None] * self.n
+        for p, b in zip(self.pivots, self.basis):
+            echelon[p] = decode(b, self.n)
+        perp = _null_basis(echelon)
+        perp.flags.writeable = False
+        return perp
 
     @cached_property
     def coset_folds(self) -> tuple[tuple[int, Callable, Callable], ...]:
         """(p, translation by q, translation by -q) over F_3^p for each row
         3^p + q of perp, in decreasing p: the row's highest nonzero digit
         and its digits below, the folds analysis._dual_by_cosets sums the
-        cosets of V-perp along.  The null basis that span gives is in
-        echelon form from the top digit, asserted here: its row for a free
+        cosets of V-perp along.  The null basis perp is in echelon form
+        from the top digit, asserted here: its row for a free
         column of V's reduced basis is 1 there, 0 at the other free
         columns, and nonzero elsewhere only at V's pivots below it.  Each
         map holds its two half-width tables (_halfwise), read-only."""
@@ -551,17 +545,10 @@ def _band_members(mask: np.ndarray, n: int) -> list[int]:
 INTERNED_SUBSPACES = 64
 
 
-@lru_cache(maxsize=INTERNED_SUBSPACES)
-def _interned(n: int, basis: tuple[int, ...]) -> Subspace:
-    """The one Subspace of F_3^n with this reduced echelon basis, its
-    perp the null basis (_null_basis) of the basis's digit rows, built
-    only when the table misses.  The reduced form of a subspace is
-    unique, so equal subspaces share one object and each table cached on
-    it is built once per distinct V, not once per verdict."""
-    echelon: list[Sequence[int] | None] = [None] * n
-    for row in (decode(b, n) for b in basis):
-        echelon[row.index(1)] = row  # the pivot, the first nonzero entry, is 1
-    return Subspace(n, basis, _null_basis(echelon))
+# span's table: the one Subspace of F_3^n with a given reduced echelon
+# basis, so each table cached on it is built once per distinct V, not
+# once per verdict.
+_interned = lru_cache(maxsize=INTERNED_SUBSPACES)(Subspace)
 
 
 def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
@@ -579,13 +566,13 @@ def span(points: Iterable[int] | np.ndarray, n: int) -> Subspace:
     row space is unique, so the basis does not depend on the sample.
 
     Each round asks _interned for the candidate Subspace of the reduced
-    sample, built with its null basis as perp on a miss, and one
-    broadcast compare of its membership tables (syndromes) over the
-    (3^(n-k), 3^k) view of the mask marks the failing points, whatever
-    the number of null vectors; this check runs on every call.  The last
-    round's candidate is the result, so a V met before returns with its
-    perp and every table it has built.  Only the sample and the folded
-    points become digit lists, reduced in plain integers (_rref).
+    sample, and one broadcast compare of its membership tables
+    (syndromes) over the (3^(n-k), 3^k) view of the mask marks the
+    failing points, whatever the number of null vectors; this check runs
+    on every call.  The last round's candidate is the result, so a V met
+    before returns with every table it has built.  Only the sample and
+    the folded points become digit lists, reduced in plain integers
+    (_rref).
     """
     k = n // 2
     if not (isinstance(points, np.ndarray) and points.dtype == bool):
@@ -623,7 +610,7 @@ def is_nondegenerate(v: Subspace) -> bool:
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    """All points orthogonal to every basis vector of V, as the reduced
-    echelon form of the rows of v.perp (_rref); any basis of V is a basis
-    of the complement's perp."""
-    return Subspace(v.n, _encoded(_rref(v.perp.tolist(), v.n)), coord_rows(v.basis, v.n))
+    """All points orthogonal to every basis vector of V: the reduced
+    echelon form (_rref) of the rows of v.perp, as a plain Subspace, not
+    interned, whose own perp is derived from that basis."""
+    return Subspace(v.n, _encoded(_rref(v.perp.tolist(), v.n)))

@@ -22,7 +22,7 @@ from .constructions import (
     quadratic_function,
     quadratic_type,
 )
-from .core import Subspace, check_dim, neg_table, size, span
+from .core import Subspace, _encoded, _rref, check_dim, decode, neg_table, size
 from .pipeline import PipelineReport, run_pipeline
 
 
@@ -41,14 +41,13 @@ def random_quadratic(rng: random.Random, m: int, target: BentType,
 
 
 def random_subspace(rng: random.Random, s: int, dim: int) -> Subspace:
-    """A random dim-dimensional subspace of F_3^s."""
-    if dim == 0:
-        return span([], s)
+    """A random dim-dimensional subspace of F_3^s: the reduced echelon
+    form (core._rref) of dim nonzero points, drawn until independent, as
+    a plain Subspace, which span's table of interned subspaces never holds."""
     while True:
-        pts = [rng.randrange(1, size(s)) for _ in range(dim)]
-        v = span(pts, s)
-        if v.dim == dim:
-            return v
+        echelon = _rref([decode(rng.randrange(1, size(s)), s) for _ in range(dim)], s)
+        if echelon.count(None) == s - dim:
+            return Subspace(s, _encoded(echelon))
 
 
 def random_instance(rng: random.Random, m: int, s: int, side: BentType,

@@ -588,14 +588,18 @@ def test_input_surfaces_tabulate_within_12_bytes_per_point(tmp_path, surface):
     assert peak <= 12 * size(n), peak / size(n)
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with the package's source first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _run_with_address_space(limit: int, *argv: str) -> subprocess.CompletedProcess:
     """python argv in a child process whose RLIMIT_AS is lowered to limit
     bytes before it starts; this process keeps its own limits."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=_child_env(), timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
@@ -646,3 +650,20 @@ def test_memory_guard_admits_a_forced_set_that_then_fits():
     doc = json.loads(proc.stdout)
     assert (doc["regularity"], doc["defining_set"]) == ("weakly-regular", "D0")
     assert doc["code"]["dimension"] == 14
+
+
+def test_a_closed_output_pipe_ends_quietly_with_its_own_status():
+    # `tribent search ... | head -1`: the reader closes stdout after one
+    # line of a 0.5 MB document, far past what a pipe buffers, so the
+    # write fails; the run exits 141, apart from 0, 1 and 2, and writes
+    # nothing to stderr, not even at the interpreter's final flush
+    argv = ["search", "--m", "4", "--s", "1", "--count", "400", "--seed", "7", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "tribent.cli", *argv], env=_child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (141, b"")

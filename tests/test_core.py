@@ -749,12 +749,41 @@ def test_perp_is_read_only_and_survives_its_readers():
 
 
 def test_equality_and_hash_ignore_perp():
+    # a subspace is (n, basis): one built directly is equal to span's and
+    # hashes the same, but is a plain value, not the interned object
     for n, pts in _perp_cases():
         v = span(pts, n)
-        other = Subspace(n, v.basis, np.zeros((0, n), dtype=np.int8))
-        assert v == other and hash(v) == hash(other)
+        other = Subspace(n, v.basis)
+        assert v == other and hash(v) == hash(other) and other is not v
         assert "perp" not in repr(v)
         assert len({v, other}) == 1
+
+
+def _derived_tables(v: Subspace) -> tuple:
+    """perp, pivots, syndromes and coset_folds of v as plain values, each
+    fold by its digit p and its two maps applied to the points of F_3^p."""
+    folds = [(p, *(move(np.arange(size(p))).tolist() for move in moves))
+             for p, *moves in v.coset_folds]
+    return v.perp.tolist(), v.pivots, [t.tolist() for t in v.syndromes], folds
+
+
+def test_one_v_one_perp_whoever_built_it():
+    # V = span(pts) and its complement, each built four ways: by span of
+    # its rows, as the complement of its complement, from span's basis
+    # directly, and from the reduced rows as search.random_subspace builds
+    # it; all give one perp and one set of tables, and so does
+    # orthogonal_complement(V) itself
+    cases = [(3, [encode((1, 0, 1)), encode((0, 1, 1))]), *_perp_cases()]
+    for n, pts in cases:
+        v = span(pts, n)
+        for given, rows in ((v, [decode(p, n) for p in pts]),
+                            (orthogonal_complement(v), v.perp.tolist())):
+            w = span([encode(row) for row in rows], n)
+            ways = (given, orthogonal_complement(orthogonal_complement(w)), Subspace(n, w.basis),
+                    Subspace(n, core._encoded(core._rref(rows, n))))
+            expected = _derived_tables(w)
+            for built in ways:
+                assert built == w and _derived_tables(built) == expected
 
 
 def test_the_complements_perp_spans_v():

@@ -1,5 +1,6 @@
 import pytest
 
+from tribent import core
 from tribent.analysis import BentType
 from tribent.codes import CodeCase
 from tribent.constructions import gmmf_build, quadratic_type
@@ -28,6 +29,19 @@ def test_random_subspace_dimension():
     for s, d in [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2)]:
         v = random_subspace(rng, s, d)
         assert v.dim == d
+
+
+def test_search_leaves_only_verdict_results_in_the_table():
+    # on a cold table each verdict asks for its type side once; the draw of
+    # U is a plain value and never enters the table
+    core._interned.cache_clear()
+    run_search(2, 4, 150, 0, u_dim=2)
+    info = core._interned.cache_info()
+    assert info.hits + info.misses == 150
+    rng = random.Random(3)
+    for d in range(5):
+        u = random_subspace(rng, 4, d)
+        assert u == span(u.points(), 4) and u is not span(u.points(), 4)
 
 
 def test_random_instance_even_and_typed():

@@ -76,7 +76,8 @@ class TernaryFunction:
     """A function F_3^n -> F_3 stored as a dense table over point indices.
 
     The table is read-only, so is_even is decided once per function and
-    kept in a slot.
+    kept in a slot.  A table of bools or integers is reduced mod 3; any
+    other entry (a float, NaN, str or None) is refused, never truncated.
     """
 
     __slots__ = ("n", "table", "_even")
@@ -85,6 +86,10 @@ class TernaryFunction:
         arr = np.asarray(table)
         if arr.shape != (size(n),):
             raise ValueError(f"table must have 3^{n} = {size(n)} entries, got {arr.shape}")
+        if arr.dtype.kind not in "biu":  # an object array may still hold only ints
+            for i, x in enumerate(arr.flat if isinstance(table, np.ndarray) else table):
+                if not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"table entry {i} is {np.asarray(x).item()!r}, not an integer")
         # an int8 table already in {0, 1, 2} is only copied; any other is
         # reduced mod 3 in its own type first, so no entry wraps in the cast
         if arr.dtype == np.int8 and arr.view(np.uint8).max() <= 2:
@@ -135,34 +140,37 @@ class TernaryFunction:
 _NORM_BLOCK = 1 << 16
 
 
+def _squared_norms(ab: np.ndarray, dtype: type) -> np.ndarray:
+    """a^2 - a b + b^2 of every value a + b w of the (2, ...) array ab,
+    computed in dtype, which must hold 3 max(|a|, |b|)^2: the norm at
+    a = -b, and above every partial sum."""
+    a, b = ab.astype(dtype, copy=False)
+    return a * (a - b) + b * b
+
+
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:
-    """All 3^n transform values, as parallel integer coefficient arrays.
-
-    value(a) = coeff_1[a] + coeff_w[a] * w.
+    """All 3^n transform values, as one (2, 3^n) integer array:
+    value(a) = coeffs[0, a] + coeffs[1, a] w.
     """
 
     n: int
-    coeff_1: np.ndarray
-    coeff_w: np.ndarray
+    coeffs: np.ndarray
 
     def value(self, a: int) -> Eisenstein:
-        return Eisenstein(int(self.coeff_1[a]), int(self.coeff_w[a]))
+        return Eisenstein(*self.coeffs[:, a].tolist())
 
     def squared_norms(self) -> np.ndarray:
         """a^2 - a b + b^2 at every point, in int64: off a bent spectrum a
         single coefficient reaches 3^n, whose square int32 cannot hold."""
-        a, b = self.coeff_1.astype(np.int64), self.coeff_w.astype(np.int64)
-        return a * a - a * b + b * b
+        return _squared_norms(self.coeffs, np.int64)
 
     def norm_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(start, squared_norms of the block from start) for each block of
         _NORM_BLOCK points, so that no int64 array 3^n wide is built beside
         the spectrum."""
         for start in range(0, size(self.n), _NORM_BLOCK):
-            block = slice(start, start + _NORM_BLOCK)
-            part = WalshSpectrum(self.n, self.coeff_1[block], self.coeff_w[block])
-            yield start, part.squared_norms()
+            yield start, _squared_norms(self.coeffs[:, start:start + _NORM_BLOCK], np.int64)
 
     def parseval_total(self) -> int:
         """Sum of squared norms; always 3^(2n)."""
@@ -230,62 +238,50 @@ def _gather_sums(lanes: np.ndarray, d: int) -> np.ndarray:
     return np.add.reduce(terms, axis=2, dtype=lanes.dtype)
 
 
-def _gather_passes(a: np.ndarray, b: np.ndarray, plan: Sequence[int],
-                   width: type) -> tuple[np.ndarray, np.ndarray]:
+def _gather_passes(ab: np.ndarray, plan: Sequence[int], width: type) -> np.ndarray:
     """_radix3 by one gather pass per entry of plan, each on that many of
-    the top digits: its sums are copied into the next pass's lanes (or
-    the result) with those digits moved to the bottom."""
+    the top digits: its sums are copied into rows 0-1 of the next pass's
+    lanes (or the result) with those digits moved to the bottom."""
     types = [_pass_dtype(p, width) for p in itertools.accumulate(plan)] + [width]
-    lanes = np.empty((6, a.size), types[0])
-    lanes[0], lanes[1] = a, b
+    lanes = np.empty((6, ab.shape[1]), types[0])
+    lanes[:2] = ab
     for i, d in enumerate(plan):
         sums = _gather_sums(lanes, d)
-        lanes = np.empty((6 if i + 1 < len(plan) else 2, a.size), types[i + 1])
+        lanes = np.empty((6 if i + 1 < len(plan) else 2, ab.shape[1]), types[i + 1])
         np.copyto(lanes[:2].reshape(2, -1, size(d)), sums.transpose(0, 2, 1))
-    return lanes[0], lanes[1]
+    return lanes[:2]
 
 
-def _butterflies(ua: np.ndarray, ub: np.ndarray,
-                 va: np.ndarray, vb: np.ndarray) -> None:
-    """v[k] = u0 + w^(-k) u1 + w^(-2k) u2 along axis 1 of (x, 3, y) views,
-    written into va + vb w with no temporary: d1 = u1b - u1a and
-    d2 = u2b - u2a wait in the slots vb[:, 2] and va[:, 2], which are
-    finished last, in place.  Every partial sum is a coefficient of a sum
-    of at most three of the values u0, w^j u1, w^j u2 (see _pass_dtype)."""
-    u0a, u1a, u2a = ua[:, 0], ua[:, 1], ua[:, 2]
-    u0b, u1b, u2b = ub[:, 0], ub[:, 1], ub[:, 2]
-    a0, a1, a2 = va[:, 0], va[:, 1], va[:, 2]
-    b0, b1, b2 = vb[:, 0], vb[:, 1], vb[:, 2]
-    d1, d2 = b2, a2
-    np.subtract(u1b, u1a, out=d1)
-    np.subtract(u2b, u2a, out=d2)
-    np.add(u0a, u1a, out=a0)
-    a0 += u2a
-    np.add(u0b, u1b, out=b0)
-    b0 += u2b
-    np.add(u0a, d1, out=a1)
-    a1 -= u2b
-    np.subtract(u0b, u1a, out=b1)
-    b1 -= d2
-    a2 += u0a  # a2 = u0a - u1b + d2
-    a2 -= u1b
-    np.subtract(u0b, d1, out=b2)  # b2 = u0b - d1 - u2a
-    b2 -= u2a
+def _butterflies(u: np.ndarray, v: np.ndarray) -> None:
+    """v[:, :, k] = u0 + w^(-k) u1 + w^(-2k) u2 along axis 2 of (2, x, 3, y)
+    views of u = A + B w, in six calls with no temporary.  At k = 1, 2,
+    row 0 is A0 + d - B[2:0:-1] and row 1 is B0 - A[1:3] - d[::-1] for
+    d = B[1:3] - A[1:3], which waits in row 0's slots; one subtraction
+    from u0, broadcast along axis 2, finishes both rows.  Every partial sum is,
+    up to sign, a coefficient of a sum of at most three of the values u0,
+    w^j u1, w^j u2 (see _pass_dtype)."""
+    np.add(u[:, :, 0], u[:, :, 1], out=v[:, :, 0])
+    v[:, :, 0] += u[:, :, 2]
+    d = v[0, :, 1:3]
+    np.subtract(u[1, :, 1:3], u[0, :, 1:3], out=d)
+    np.add(u[0, :, 1:3], d[:, ::-1], out=v[1, :, 1:3])
+    np.subtract(u[1, :, 2:0:-1], d, out=d)
+    np.subtract(u[:, :, :1], v[:, :, 1:3], out=v[:, :, 1:3])
 
 
-def _radix3(a: np.ndarray, b: np.ndarray, n: int,
-            width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
+def _radix3(ab: np.ndarray, n: int, width: type = np.int32) -> np.ndarray:
     """sum_x (a[x] + b[x] w) w^(-u.x) for every u, by n radix-3 passes.
 
-    a and b are flat int8 coefficient arrays over the 3^n point indices,
-    each value a + b w of norm at most 1; the result is indexed the same
-    way, as arrays of type width.  Each pass is the 3-point transform
-    along one index digit, out[k] = u0 + w^(-k) u1 + w^(-2k) u2, with
-    w*(a, b) = (-b, a-b) and w^2*(a, b) = (b-a, -a).  The passes run in
-    the rounds of _round_plan(n): each round transforms the top digits
-    that it is given and moves them to the bottom, so after the last one
-    every digit is transformed and back in place.  n alone picks one of
-    two kernels, and neither writes the caller's arrays:
+    ab is a (2, 3^n) int8 array over the 3^n point indices, row 0 the
+    coefficients a of 1 and row 1 those b of w, each value a + b w of norm
+    at most 1; the result is a (2, 3^n) array of type width indexed the
+    same way.  Each pass is the 3-point transform along one index digit,
+    out[k] = u0 + w^(-k) u1 + w^(-2k) u2, with w*(a, b) = (-b, a-b) and
+    w^2*(a, b) = (b-a, -a).  The passes run in the rounds of
+    _round_plan(n): each round transforms the top digits that it is given
+    and moves them to the bottom, so after the last one every digit is
+    transformed and back in place.  n alone picks one of two kernels, and
+    neither writes the caller's array:
 
     - through n = _GATHER_MAX_N, where a pass is bound by numpy's per-call
       cost, gather passes (_gather_passes) of two digits, the last of one
@@ -296,12 +292,12 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     - above, blocked rounds of three or four digits, after the four-step
       blocking of Bailey (J. Supercomputing 1990).  A round of d digits
       transforms them where they lie, the pass on digit q through the
-      (3^(n-1-q), 3, 3^q) view (_butterflies), so every read and write
+      (2, 3^(n-1-q), 3, 3^q) view (_butterflies), so every read and write
       runs over at least 3^(n-d) contiguous values; one transposing copy
-      of the (3^d, 3^(n-d)) view then moves them to the bottom.  The
-      passes alternate between two array pairs allocated once per pass
-      type, and a round allocates nothing else; the first pass reads the
-      caller's arrays, which are dropped after it.
+      of the (2, 3^d, 3^(n-d)) view then moves them to the bottom.  The
+      passes alternate between the live array and one spare allocated
+      once per pass type, and a round allocates nothing else; the first
+      pass reads the caller's array, which is dropped after it.
 
     Each pass multiplies magnitudes by at most 3, whatever digit it
     transforms, so after pass p every value has magnitude at most 3^p
@@ -310,7 +306,7 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     The bound depends on p alone, and each pass runs in the narrowest
     type that holds it (_pass_dtype: int8 through pass 4, int16 through
     pass 9, int32 after); a gather pass of passes p - 1 and p runs in the
-    type of pass p, its lanes and nine-term sums included.  The live pair
+    type of pass p, its lanes and nine-term sums included.  The live array
     is widened before the first pass of a wider type (by astype, or as
     the last gather pass's sums are copied), never inside a pass, where a
     mixed-type sum would wrap first.  int32 holds every partial sum,
@@ -323,65 +319,66 @@ def _radix3(a: np.ndarray, b: np.ndarray, n: int,
     coefficients (the residues bent_profile reads).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
-    assert a.dtype == b.dtype == np.int8, "transform inputs are int8"
+    assert ab.dtype == np.int8 and ab.shape == (2, size(n)), "the transform input is (2, 3^n) int8"
     plan = _round_plan(n)
     if n <= _GATHER_MAX_N:
-        return _gather_passes(a, b, plan, width)
-    points, done = size(n), 0
-    spare = None  # the pair the next pass writes
+        return _gather_passes(ab, plan, width)
+    done = 0
+    spare = None  # the array the next pass writes
     for d in plan:
         for j in range(d):  # pass done + j + 1, on digit n - 1 - j
             dtype = _pass_dtype(done + j + 1, width)
-            if a.dtype != dtype:
+            if ab.dtype != dtype:
                 spare = None
-                a, b = a.astype(dtype), b.astype(dtype)
-            spare = spare or (np.empty(points, dtype), np.empty(points, dtype))
-            view = (3 ** j, 3, 3 ** (n - 1 - j))
-            _butterflies(a.reshape(view), b.reshape(view),
-                         spare[0].reshape(view), spare[1].reshape(view))
-            # the first pass read the caller's arrays: never a spare
-            a, b, spare = *spare, (None if done + j == 0 else (a, b))
-        spare = spare or (np.empty_like(a), np.empty_like(b))  # a first round of one pass leaves none
+                ab = ab.astype(dtype)
+            spare = np.empty_like(ab) if spare is None else spare
+            view = (2, 3 ** j, 3, 3 ** (n - 1 - j))
+            _butterflies(ab.reshape(view), spare.reshape(view))
+            # the first pass read the caller's array: never a spare
+            ab, spare = spare, (None if done + j == 0 else ab)
+        # a first round of one pass leaves no spare
+        spare = np.empty_like(ab) if spare is None else spare
         low = 3 ** (n - d)
-        np.copyto(spare[0].reshape(low, -1), a.reshape(-1, low).T)
-        np.copyto(spare[1].reshape(low, -1), b.reshape(-1, low).T)
-        a, b, spare = *spare, (a, b)
+        np.copyto(spare.reshape(2, low, -1), ab.reshape(2, -1, low).transpose(0, 2, 1))
+        ab, spare = spare, ab
         done += d
     spare = None  # dropped before any widening copy below
-    return a.astype(width, copy=False), b.astype(width, copy=False)
+    return ab.astype(width, copy=False)
 
 
-def _omega_sums(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i w^(t_i) over m int8 exponent tables t_i with entries in
-    {0, 1, 2}, as int8 coefficient arrays a + b w.
+def _omega_sums(tables: Sequence[np.ndarray], dtype: type = np.int8) -> np.ndarray:
+    """sum_i w^(t_i) over m int8 exponent tables t_i of one shape, with
+    entries in {0, 1, 2}, as a (2, ...) array of type dtype.
 
     w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 is (1 - t) + (t - 3 c) w
     with c = t >> 1, so the sum is (m - s) + (s - 3 C) w for s the sum of
-    the exponents and C that of the c: at most 2m in magnitude.
+    the exponents and C that of the c: at most 2m in magnitude.  Both rows
+    are written into one array, and a single table is read where it lies,
+    with no copy through a sum.
     """
-    s = sum(tables)
-    return len(tables) - s, s - 3 * sum(t >> 1 for t in tables)
+    s = sum(tables[1:], tables[0])
+    ab = np.empty((2,) + s.shape, dtype)
+    np.subtract(len(tables), s, out=ab[0])
+    np.subtract(s, 3 * sum((t >> 1 for t in tables[1:]), tables[0] >> 1), out=ab[1])
+    return ab
 
 
-def _transform(f: TernaryFunction, width: type = np.int32) -> tuple[np.ndarray, np.ndarray]:
+def _transform(f: TernaryFunction, width: type = np.int32) -> np.ndarray:
     """_radix3 of f's values w^f(x), in the given width.
 
-    The inputs w^t = (1, 0), (0, 1), (-1, -1) for t = 0, 1, 2 are the
-    int8 coefficients 1 - t and t - 3 * (t >> 1) (_omega_sums of the one
-    table), written out as the call's arguments so that _radix3 holds the
-    only references and its blocked rounds drop them after their first
-    pass: a tuple unpacked into the call would keep them for the whole
-    transform, 2 B/point more.  The gather passes, at n <= 8 only, keep
-    them to the end.
+    The input, _omega_sums of the one table, is built in the call, so
+    that _radix3 holds the only reference and its blocked rounds drop it
+    after their first pass: a name bound to it here would keep it for the
+    whole transform, 2 B/point more.  The gather passes, at n <= 8 only,
+    keep it to the end.
     """
-    t = f.table
-    return _radix3(1 - t, t - 3 * (t >> 1), f.n, width)
+    return _radix3(_omega_sums([f.table]), f.n, width)
 
 
 def walsh_spectrum(f: TernaryFunction) -> WalshSpectrum:
     """All transform values, exact in int32, via n rounds of radix-3
     butterflies in Z[w]."""
-    return WalshSpectrum(f.n, *_transform(f))
+    return WalshSpectrum(f.n, _transform(f))
 
 
 def walsh_point(f: TernaryFunction, alpha: int) -> Eisenstein:
@@ -548,12 +545,11 @@ def _signed_inverse(scale: int, bits: int) -> int:
     return inv - 2 ** bits if inv >= 2 ** (bits - 1) else inv
 
 
-def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_lookup(ab: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign (+-1, or 0 where the value is no unit) and dual value of every
-    spectral value coeff_1 + coeff_w w, given as int8, int16 or int32
-    arrays of one type, of B bits, as two int8 arrays.  Both inputs are
-    overwritten, so a caller that reads them afterwards passes copies.
+    spectral value a + b w of the (2, ...) array ab, of type int8, int16
+    or int32, of B bits, as two int8 arrays.  ab is overwritten, so a
+    caller that reads it afterwards passes a copy.
     The dual value means something only where the sign is nonzero.
 
     A value has squared norm 3^n exactly when it is a unit times
@@ -594,12 +590,11 @@ def _unit_lookup(coeff_1: np.ndarray, coeff_w: np.ndarray,
     inverse as a Python int would promote them under 1.24 and lose the
     wrap.
     """
-    dtype = coeff_1.dtype
-    assert coeff_w.dtype == dtype and dtype in (np.int8, np.int16, np.int32), \
-        "the lookup wraps int8, int16 or int32 products"
+    dtype = ab.dtype
+    assert dtype in (np.int8, np.int16, np.int32), "the lookup wraps int8, int16 or int32 products"
     bits = 8 * dtype.itemsize
     assert 3 ** ((n + 1) // 2) < 2 ** (bits - 1), f"the scale at n={n} is no {bits}-bit value"
-    qa, qb, odd = coeff_1, coeff_w, n % 2
+    (qa, qb), odd = ab, n % 2
     if odd:
         qb += qa
     qb *= dtype.type(_signed_inverse(3 ** (n - n // 2), bits))
@@ -671,7 +666,7 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
     n = f.n
     width = _residue_dtype(n)
     assert 4 ** (np.iinfo(width).bits - 1) > 3 ** n, "residues too narrow to certify bentness"
-    sign, dual = _unit_lookup(*_transform(f, width), n)
+    sign, dual = _unit_lookup(_transform(f, width), n)
     if not sign.all():
         del sign, dual  # room for the exact spectrum
         raise _not_bent_witness(walsh_spectrum(f))
@@ -690,8 +685,8 @@ def bent_profile(f: TernaryFunction) -> BentProfile:
 
 @cache
 def _narrowest(bound: int) -> type:
-    """The narrowest of int8, int16 and int32 that holds bound."""
-    return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= bound)
+    """The narrowest of int8, int16, int32 and int64 that holds bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
 
 
 def _folded(h: np.ndarray, p: int, plus: Callable, minus: Callable) -> list[np.ndarray]:
@@ -706,9 +701,8 @@ def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]]) 
     V-perp spanned by the k rows q_j = 3^p + q of Subspace.coset_folds: 1
     at digit p, nothing above it and nothing at the other p.  The points y
     whose digits p are all 0 hold one point of each coset, and G is given
-    there only, in index order with those digits dropped, as h = a + 2^L b
-    for G = a + b w, in the signed type of 2L bits, L those of the
-    narrowest type that holds 3^k.
+    there only, in index order with those digits dropped, as a (2, 3^(n-k))
+    array in the narrowest type that holds 3^k.
 
     A fold removes one digit p, highest first: G_j(y) = sum_c
     G_(j-1)(y + c q_j) over c in F_3 for the y with digit p zero, and
@@ -718,19 +712,15 @@ def _coset_sums(t: np.ndarray, folds: Sequence[tuple[int, Callable, Callable]]) 
     the higher digits, which q_j leaves alone, stay where they are.
 
     The first fold reads t (_omega_sums of its slices; with no fold, of t
-    itself).  The rest run on the packed h, so that one translation moves
-    both coefficients: while both are at most 3^k <= 2^(L-1) - 1 in
-    magnitude, neither spills into the other's lane.
+    itself).  The rest run on the (2, ...) array, whose rows only stack
+    more slices on the folds' first axis, so one translation moves both
+    coefficients.
     """
-    bits = 8 * np.dtype(_narrowest(3 ** len(folds))).itemsize
-    a, b = _omega_sums(_folded(t, *folds[0]) if folds else [t])
-    h = a.astype(f"i{bits // 4}")
-    h += b.astype(h.dtype) << bits
-    del a, b
+    h = _omega_sums(_folded(t, *folds[0]) if folds else [t], _narrowest(3 ** len(folds)))
     for fold in folds[1:]:
         base, *shifted = _folded(h, *fold)
         h = sum(shifted, base)
-    return h
+    return h.reshape(2, -1)
 
 
 def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
@@ -761,9 +751,12 @@ def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
     bent exactly when t, or equally f, is constant or balanced on every
     coset of V-perp; then f** = t (f itself for even f), and s is +1 on a
     constant coset and -1 on a balanced one, so the constant cosets make
-    up the dual's plus set exactly when constant_on_dual_plus.  The folded
-    sums (_coset_sums) are compared with 0 and the three 3^k w^c, one per
-    coset.  They are indexed by the point y of each coset whose fold
+    up the dual's plus set exactly when constant_on_dual_plus.  So each
+    folded sum (_coset_sums), one per coset, is read by its squared norm
+    |G|^2 = a^2 - ab + b^2, which is 9^k on a constant coset and 0 on a
+    balanced one; f* is bent exactly when no other norm occurs.  Its type
+    holds 3^(2k+1), the norm at a = -b = 3^k, past int32 from k = 10.
+    The sums are indexed by the point y of each coset whose fold
     digits are 0, with those digits dropped.  The fold digits are the free
     columns of V's reduced basis (V.coset_folds, built once per interned
     V), so the digits kept are V's pivots in ascending order, and y is
@@ -773,10 +766,9 @@ def _dual_by_cosets(p: BentProfile) -> np.ndarray | None:
     f, n = p.f, p.n
     k = n - p.type_span.dim
     t = f.table if f.is_even() else negation(n)(f.table)
-    sums = _coset_sums(t, p.type_span.coset_folds).reshape(-1)
-    unit, bits = 3 ** k, 4 * sums.itemsize
-    constant = (sums == unit) | (sums == unit << bits) | (sums == -unit - (unit << bits))
-    if np.count_nonzero(constant) + np.count_nonzero(sums == 0) < sums.size:
+    norms = _squared_norms(_coset_sums(t, p.type_span.coset_folds), _narrowest(3 ** (2 * k + 1)))
+    constant = norms == 9 ** k
+    if np.count_nonzero(constant) + np.count_nonzero(norms == 0) < norms.size:
         return None
     s = 1 if constant_on_dual_plus(n, p.type) else -1
     sign = constant.view(np.int8) * np.int8(2 * s)

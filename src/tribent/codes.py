@@ -117,7 +117,8 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     are one message per coset of v-perp, whose members all give the
     codeword of u_c on S.  v is reduced once by its caller (run_pipeline
     passes the type side's span V).  S's mask read at v.members(), x = c B
-    at entry c, is S's indicator over F_3^r.  One radix-3 transform of it
+    at entry c, is S's indicator over F_3^r.  One radix-3 transform of it,
+    as the (2, 3^r) coefficient array of _radix3 whose row of w is zero,
     gives a + b*w at every c, the conjugate of chi_c = sum over S of
     w^(c . x[P]); at c = 0, the count of the gathered ones, |S| exactly
     when S lies in v.  2a - b is the sum of chi_c over the two nontrivial
@@ -135,8 +136,8 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     r = v.dim
-    # the indicator is built in the call, so from r = 9 _radix3 drops it after one pass
-    a, b = _radix3(s.mask[v.members()].view(np.int8), np.zeros(size(r), np.int8), r)
+    # the indicator times 1 = (1, 0), built in the call: from r = 9 _radix3 drops it after one pass
+    a, b = _radix3(np.multiply.outer(np.int8([1, 0]), s.mask[v.members()]), r)
     assert a[0] == len(s), "the defining set must lie in v"
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"
     num = 2 * len(s) - (2 * a - b)

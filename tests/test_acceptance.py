@@ -199,8 +199,8 @@ def test_criterion_6_transform_correctness():
             f = random_function(rng, n)
             sp = walsh_spectrum(f)
             oa, ob = naive_spectrum_pair(f)
-            assert np.array_equal(sp.coeff_1, oa)
-            assert np.array_equal(sp.coeff_w, ob)
+            assert np.array_equal(sp.coeffs[0], oa)
+            assert np.array_equal(sp.coeffs[1], ob)
             total += 1
     _announce(6, True, f"fast transform equals the pointwise sum on {total} "
                        f"random functions across n=1..5")

@@ -94,8 +94,8 @@ def test_fast_equals_matrix_oracle():
         f = random_function(rng, n)
         sp = walsh_spectrum(f)
         oa, ob = naive_spectrum_pair(f)
-        assert np.array_equal(sp.coeff_1, oa)
-        assert np.array_equal(sp.coeff_w, ob)
+        assert np.array_equal(sp.coeffs[0], oa)
+        assert np.array_equal(sp.coeffs[1], ob)
 
 
 # Narrow-integer passes.  Constant tables reach the largest partial sums
@@ -106,14 +106,14 @@ def test_fast_equals_matrix_oracle():
 # only from n = 9, so each kernel is forced at every n: the gather passes
 # (two digits, one for an odd remainder) and blocked rounds of 2, 3 and 4
 # digits (the last taking what is left), each in int32 and in the residue
-# width, where astype wraps the oracle mod 2^B.  The inputs are read-only,
-# so any write to the caller's arrays raises.
+# width, where astype wraps the oracle mod 2^B.  The input is read-only,
+# so any write to the caller's array raises.
 
 def _assert_spectrum_exact(f: TernaryFunction) -> None:
     sp = walsh_spectrum(f)
     oa, ob = oracle_spectrum(f)
-    assert sp.coeff_1.dtype == sp.coeff_w.dtype == np.int32
-    assert np.array_equal(sp.coeff_1, oa) and np.array_equal(sp.coeff_w, ob)
+    assert sp.coeffs.dtype == np.int32
+    assert np.array_equal(sp.coeffs[0], oa) and np.array_equal(sp.coeffs[1], ob)
 
 
 def _forced_plans(n):
@@ -123,15 +123,15 @@ def _forced_plans(n):
         yield False, (d,) * (n // d) + ((n % d,) if n % d else ())
 
 
-def _assert_exact_in_every_kernel(monkeypatch, a, b, n, widths=None):
-    oa, ob = radix3_oracle(a, b, n)
-    a.flags.writeable = b.flags.writeable = False
+def _assert_exact_in_every_kernel(monkeypatch, ab, n, widths=None):
+    oa, ob = radix3_oracle(*ab, n)
+    ab.flags.writeable = False
     for gather, plan in _forced_plans(n):
         monkeypatch.setattr(analysis, "_GATHER_MAX_N", EXACT_DIM if gather else 0)
         monkeypatch.setattr(analysis, "_round_plan", lambda n: plan)
         for width in widths or (np.int32, _residue_dtype(n)):
-            ra, rb = _radix3(a, b, n, width)
-            assert ra.dtype == rb.dtype == width
+            ra, rb = result = _radix3(ab, n, width)
+            assert result.dtype == width and result.shape == (2, size(n))
             assert np.array_equal(ra, oa.astype(width)), (plan, width)
             assert np.array_equal(rb, ob.astype(width)), (plan, width)
 
@@ -146,7 +146,7 @@ def _near_constant(rng, n, value, noise):
 def _unit_coefficients(table):
     """The int8 coefficients of w^t, as analysis._transform builds them."""
     t = table.astype(np.int8)
-    return 1 - t, t - 3 * (t >> 1)
+    return np.stack([1 - t, t - 3 * (t >> 1)])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -155,7 +155,7 @@ def test_narrow_passes_exact_on_constant_tables(monkeypatch, n):
     tables = [np.full(size(n), value) for value in range(3)]
     tables += [_near_constant(rng, n, rng.integers(0, 3), noise) for noise in (0.01, 0.2)]
     for table in tables:
-        _assert_exact_in_every_kernel(monkeypatch, *_unit_coefficients(table), n)
+        _assert_exact_in_every_kernel(monkeypatch, _unit_coefficients(table), n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -163,7 +163,7 @@ def test_narrow_passes_exact_on_indicators(monkeypatch, n):
     rng = np.random.default_rng(n)
     for indicator in (np.ones(size(n), dtype=np.int8),
                       rng.integers(0, 2, size(n)).astype(np.int8)):
-        _assert_exact_in_every_kernel(monkeypatch, indicator, np.zeros_like(indicator), n)
+        _assert_exact_in_every_kernel(monkeypatch, np.stack([indicator, np.zeros_like(indicator)]), n)
 
 
 @given(st.integers(1, 10), st.integers(0, 2), st.sampled_from([0.0, 0.01, 0.2, 1.0]),
@@ -175,10 +175,10 @@ def test_narrow_passes_exact_on_drawn_tables(n, value, noise, seed):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_radix3_never_writes_its_inputs(monkeypatch, n):
-    a, b = _unit_coefficients(np.random.default_rng(n).integers(0, 3, size(n)))
-    saved = a.copy(), b.copy()
-    _assert_exact_in_every_kernel(monkeypatch, a, b, n, (np.int32, np.int16, np.int8))
-    assert np.array_equal(a, saved[0]) and np.array_equal(b, saved[1])
+    ab = _unit_coefficients(np.random.default_rng(n).integers(0, 3, size(n)))
+    saved = ab.copy()
+    _assert_exact_in_every_kernel(monkeypatch, ab, n, (np.int32, np.int16, np.int8))
+    assert np.array_equal(ab, saved)
 
 
 def test_round_plan_at_every_n(monkeypatch):
@@ -194,10 +194,9 @@ def test_round_plan_at_every_n(monkeypatch):
     gathered = []
     original = analysis._gather_passes
     monkeypatch.setattr(analysis, "_gather_passes",
-                        lambda a, b, plan, width: gathered.append(sum(plan)) or original(a, b, plan, width))
+                        lambda ab, plan, width: gathered.append(sum(plan)) or original(ab, plan, width))
     for n in range(11):
-        t = np.zeros(size(n), dtype=np.int8)
-        _radix3(t, t, n)
+        _radix3(np.zeros((2, size(n)), dtype=np.int8), n)
     assert gathered == list(range(9))
 
 
@@ -357,7 +356,7 @@ def test_profile_matches_squared_norms_on_fixtures_and_duals(built_fixtures):
 def _lookup_against_norms(a: np.ndarray, b: np.ndarray, n: int) -> int:
     """_unit_lookup on the values a + b w against their exact norms; the
     number of values of bent magnitude."""
-    sign, dual = _unit_lookup(a.astype(np.int32), b.astype(np.int32), n)
+    sign, dual = _unit_lookup(np.stack([a, b]).astype(np.int32), n)
     units = 0
     for k in range(a.size):
         value = Eisenstein(int(a[k]), int(b[k]))
@@ -402,7 +401,7 @@ def _exact_profile(f: TernaryFunction):
     int32 lookup, or the exact (witness, norm) when f is not bent."""
     spectrum = walsh_spectrum(f)
     norms = spectrum.squared_norms()
-    sign, dual = _unit_lookup(spectrum.coeff_1, spectrum.coeff_w, f.n)
+    sign, dual = _unit_lookup(spectrum.coeffs, f.n)
     bad = np.flatnonzero(norms != size(f.n))
     assert np.array_equal(np.flatnonzero(sign == 0), bad)
     if bad.size:
@@ -474,7 +473,7 @@ def test_witness_is_exact_where_a_residue_aliases():
     # the exact spectrum
     n, k = 12, 3 ** 11 - 3 ** 5
     f = TernaryFunction(n, np.repeat([0, 1, 2], [k + 3 ** 6 + 2 ** 16, k - 2 ** 16, k]))
-    assert _unit_lookup(*analysis._transform(f, np.int16), n)[0][0] == 1
+    assert _unit_lookup(analysis._transform(f, np.int16), n)[0][0] == 1
     with pytest.raises(NotBentError) as exc:
         bent_profile(f)
     a, b = 3 ** 6 + 2 ** 16, -2 ** 16
@@ -490,9 +489,9 @@ def test_residue_lookup_aliases_where_exact_lookup_misses():
             unit = base * sgn
             a = np.array([unit.a + 2 ** 16], dtype=np.int64)
             b = np.array([unit.b], dtype=np.int64)
-            sign, dual = _unit_lookup(a.astype(np.int16), b.astype(np.int16), n)
+            sign, dual = _unit_lookup(np.stack([a, b]).astype(np.int16), n)
             assert (int(sign[0]), int(dual[0])) == (sgn, j)
-            assert _unit_lookup(a.astype(np.int32), b.astype(np.int32), n)[0][0] == 0
+            assert _unit_lookup(np.stack([a, b]).astype(np.int32), n)[0][0] == 0
 
 
 def test_bent_verdict_computes_no_exact_spectrum(flagship, monkeypatch):
@@ -543,9 +542,12 @@ def test_evenness_helpers():
     (np.array([128, -129, 2], dtype=np.int64), [2, 0, 2]),
     ([0, 1, 300], [0, 1, 0]),
     (np.array([0, -1, 5], dtype=np.int8), [0, 2, 2]),
+    ([10 ** 30, -1, True], [1, 2, 1]),
+    (np.array([True, False, True]), [1, 0, 1]),
 ])
 def test_table_reduced_before_the_int8_cast(table, expected):
-    # int8 would wrap 300 to 44 and 128 to -128 before reducing mod 3
+    # int8 would wrap 300 to 44 and 128 to -128 before reducing mod 3;
+    # ints past int64 make an object array, still reduced as integers
     f = TernaryFunction(1, table)
     assert f.table.dtype == np.int8 and f.table.tolist() == expected
 
@@ -557,6 +559,38 @@ def test_reduced_int8_table_is_copied():
     f = TernaryFunction(1, table)
     table[1] = 2
     assert f.table.tolist() == [0, 1, 1] and f.is_even()
+
+
+@pytest.mark.parametrize("table, message", [
+    ([0.5] * 9, "table entry 0 is 0.5, not an integer"),
+    ([1.7] * 9, "table entry 0 is 1.7, not an integer"),
+    ([float("nan")] * 9, "table entry 0 is nan, not an integer"),
+    (np.full(9, 2.0), "table entry 0 is 2.0, not an integer"),
+    ([0, 1, 2, 0, 0, 2.5, 0, 0, 0], "table entry 5 is 2.5, not an integer"),
+    ([0, 1, 2, "1", 0, 0, 0, 0, 0], "table entry 3 is '1', not an integer"),
+    ([0, 1, 2, 0, None, 0, 0, 0, 0], "table entry 4 is None, not an integer"),
+])
+def test_a_table_entry_that_is_no_integer_is_refused(table, message):
+    # never truncated into the table (0.5 read as 0, 1.7 as 1, NaN as 0
+    # with a RuntimeWarning), and a str is refused like the rest
+    with pytest.raises(ValueError) as exc:
+        TernaryFunction(2, table)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", range(EXACT_DIM + 1))
+def test_coset_norm_type_holds_three_to_the_2k_plus_1(k):
+    # _dual_by_cosets reads each coset sum G of 3^k units by |G|^2 in
+    # _narrowest(3^(2k+1)): over the coefficients' box [-3^k, 3^k] the norm
+    # and its partial sums peak at a = -b = 3^k, 3^(2k+1), which int32
+    # cannot hold from k = 10
+    unit, bound = 3 ** k, 3 ** (2 * k + 1)
+    dtype = analysis._narrowest(bound)
+    assert np.iinfo(dtype).max >= bound
+    sums = np.array([[unit, -unit, unit, 0, -unit, 0],
+                     [-unit, unit, 0, unit, -unit, 0]], dtype=analysis._narrowest(unit))
+    norms = analysis._squared_norms(sums, dtype)
+    assert norms.dtype == dtype and norms.tolist() == [bound] * 2 + [9 ** k] * 3 + [0]
 
 
 # ---------------------------------------------------------------------------

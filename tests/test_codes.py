@@ -521,11 +521,11 @@ def _perturbed_radix3(monkeypatch, shift):
     shift(a[1], |S|) for the defining set S of the call."""
     original = codes._radix3
 
-    def perturbed(a, b, n):
-        k = int(a.sum())  # a is the indicator of S
-        a, b = original(a, b, n)
-        a[1] = shift(int(a[1]), k)
-        return a, b
+    def perturbed(ab, n):
+        k = int(ab[0].sum())  # row 0 is the indicator of S
+        ab = original(ab, n)
+        ab[0, 1] = shift(int(ab[0, 1]), k)
+        return ab
 
     monkeypatch.setattr(codes, "_radix3", perturbed)
 

@@ -9,8 +9,8 @@ partition of F_3^n into the plus and minus point sets.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
@@ -76,13 +76,18 @@ class TernaryFunction:
     """A function F_3^n -> F_3 stored as a dense table over point indices.
 
     The table is read-only, so is_even is decided once per function and
-    kept in a slot.  A table of bools or integers is reduced mod 3; any
-    other entry (a float, NaN, str or None) is refused, never truncated.
+    kept in a slot.  n is kept as a Python int (a numpy integer is
+    converted); a float, str, bool or negative n is refused.  A table of
+    bools or integers is reduced mod 3; any other entry (a float, NaN, str
+    or None) is refused, never truncated.
     """
 
     __slots__ = ("n", "table", "_even")
 
     def __init__(self, n: int, table: Sequence[int] | np.ndarray):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"dimension n must be a non-negative integer, got {n!r}")
+        n = operator.index(n)  # a numpy integer becomes an int
         arr = np.asarray(table)
         if arr.shape != (size(n),):
             raise ValueError(f"table must have 3^{n} = {size(n)} entries, got {arr.shape}")
@@ -177,8 +182,9 @@ class WalshSpectrum:
         return sum(int(norms.sum()) for _, norms in self.norm_blocks())
 
 
-# The last n whose transform runs in gather passes (see _radix3): at n = 9
-# they took 1.3 times as long as blocked rounds, and at n = 10 2.6 times.
+# The last n whose transform runs in rounds of one or two digits, each a
+# gather pass (see _round_plan): at n = 9 they took 1.3 times as long as
+# rounds of three or more digits, and at n = 10 2.6 times.
 _GATHER_MAX_N = 8
 
 
@@ -201,10 +207,12 @@ def _pass_dtype(p: int, width: type = np.int32) -> type:
 
 
 def _round_plan(n: int) -> tuple[int, ...]:
-    """The digits per round of the radix-3 transform at n (see _radix3):
-    two per gather pass through _GATHER_MAX_N, the last pass taking one
-    when n is odd; above, ceil(n/4) blocked rounds as near equal as can
-    be, the larger first, so of three or four digits."""
+    """The digits per round of the radix-3 transform at n, whose sizes
+    alone pick how the rounds run (see _radix3): two per round through
+    _GATHER_MAX_N, the last round taking one when n is odd, so every round
+    is one gather pass; above, ceil(n/4) rounds as near equal as can be,
+    the larger first, so of three or four digits, each run in butterfly
+    passes."""
     if n <= _GATHER_MAX_N:
         return (2,) * (n // 2) + (1,) * (n % 2)
     rounds = -(-n // 4)
@@ -223,33 +231,21 @@ def _gather_plan(d: int) -> np.ndarray:
     return np.stack([(2 * e + c) * rows + np.arange(rows) for c in (0, 1)])
 
 
-def _gather_sums(lanes: np.ndarray, d: int) -> np.ndarray:
-    """sum_j w^(-k.j) u[j] over the top d digits j of u = lanes[0] +
-    lanes[1] w, as a (2, 3^d, 3^(n-d)) coefficient array indexed by
-    (coefficient, k, low digits), in the lanes' type.
+def _gather_sums(ab: np.ndarray, d: int, dtype: type) -> np.ndarray:
+    """sum_j w^(-k.j) u[j] over the top d digits j of the values u of the
+    (2, 3^n) array ab, as a (2, 3^n) array of type dtype whose top d
+    digits are k.
 
-    Rows 2..5 of the (6, 3^n) lanes are written first, so that the six
-    read A, B, B-A, -A, -B, A-B for u = A + B w: rows 2e and 2e + 1 are
-    the coefficients of w^(-e) u.  One take gathers lane pair k.j mod 3
-    at every (k, j) (_gather_plan), and one reduce sums over j."""
+    ab's rows A, B are copied into six lanes of type dtype that read A, B,
+    B-A, -A, -B, A-B for u = A + B w: lanes 2e and 2e + 1 are the
+    coefficients of w^(-e) u.  One take gathers lane pair k.j mod 3 at
+    every (k, j) (_gather_plan), and one reduce sums over j."""
+    lanes = np.empty((6, ab.shape[1]), dtype)
+    lanes[:2] = ab
     np.subtract(lanes[1], lanes[0], out=lanes[2])
     np.negative(lanes[:3], out=lanes[3:])
     terms = lanes.reshape(6 * size(d), -1).take(_gather_plan(d), axis=0)
-    return np.add.reduce(terms, axis=2, dtype=lanes.dtype)
-
-
-def _gather_passes(ab: np.ndarray, plan: Sequence[int], width: type) -> np.ndarray:
-    """_radix3 by one gather pass per entry of plan, each on that many of
-    the top digits: its sums are copied into rows 0-1 of the next pass's
-    lanes (or the result) with those digits moved to the bottom."""
-    types = [_pass_dtype(p, width) for p in itertools.accumulate(plan)] + [width]
-    lanes = np.empty((6, ab.shape[1]), types[0])
-    lanes[:2] = ab
-    for i, d in enumerate(plan):
-        sums = _gather_sums(lanes, d)
-        lanes = np.empty((6 if i + 1 < len(plan) else 2, ab.shape[1]), types[i + 1])
-        np.copyto(lanes[:2].reshape(2, -1, size(d)), sums.transpose(0, 2, 1))
-    return lanes[:2]
+    return np.add.reduce(terms, axis=2, dtype=dtype).reshape(2, -1)
 
 
 def _butterflies(u: np.ndarray, v: np.ndarray) -> None:
@@ -278,26 +274,24 @@ def _radix3(ab: np.ndarray, n: int, width: type = np.int32) -> np.ndarray:
     same way.  Each pass is the 3-point transform along one index digit,
     out[k] = u0 + w^(-k) u1 + w^(-2k) u2, with w*(a, b) = (-b, a-b) and
     w^2*(a, b) = (b-a, -a).  The passes run in the rounds of
-    _round_plan(n): each round transforms the top digits that it is given
-    and moves them to the bottom, so after the last one every digit is
-    transformed and back in place.  n alone picks one of two kernels, and
-    neither writes the caller's array:
+    _round_plan(n), after the four-step blocking of Bailey
+    (J. Supercomputing 1990): each round transforms the top d digits that
+    it is given where they lie, and one transposing copy of the
+    (2, 3^d, 3^(n-d)) view then moves them to the bottom, so after the
+    last round every digit is transformed and back in place.  The size of
+    a round alone picks how it runs, and no round writes the caller's
+    array:
 
-    - through n = _GATHER_MAX_N, where a pass is bound by numpy's per-call
-      cost, gather passes (_gather_passes) of two digits, the last of one
-      when n is odd: a pass is the radix-9 (or radix-3) transform
-      out[k] = sum_j w^(-k.j) u[j] over the top digits j, in a fixed
-      handful of calls whatever n (_gather_sums), and its transposing
-      copy moves the digits down;
-    - above, blocked rounds of three or four digits, after the four-step
-      blocking of Bailey (J. Supercomputing 1990).  A round of d digits
-      transforms them where they lie, the pass on digit q through the
-      (2, 3^(n-1-q), 3, 3^q) view (_butterflies), so every read and write
-      runs over at least 3^(n-d) contiguous values; one transposing copy
-      of the (2, 3^d, 3^(n-d)) view then moves them to the bottom.  The
-      passes alternate between the live array and one spare allocated
-      once per pass type, and a round allocates nothing else; the first
-      pass reads the caller's array, which is dropped after it.
+    - a round of one or two digits is one gather pass, the radix-3 (or
+      radix-9) transform out[k] = sum_j w^(-k.j) u[j] over the top digits
+      j, in a fixed handful of calls whatever n (_gather_sums): where a
+      pass is bound by numpy's per-call cost, through n = 8;
+    - a longer round runs its passes one digit at a time, the pass on
+      digit q through the (2, 3^(n-1-q), 3, 3^q) view (_butterflies), so
+      every read and write runs over at least 3^(n-d) contiguous values.
+      The passes alternate between the live array and one spare allocated
+      once per pass type; the first pass reads the caller's array, which
+      is dropped after it.
 
     Each pass multiplies magnitudes by at most 3, whatever digit it
     transforms, so after pass p every value has magnitude at most 3^p
@@ -308,36 +302,37 @@ def _radix3(ab: np.ndarray, n: int, width: type = np.int32) -> np.ndarray:
     pass 9, int32 after); a gather pass of passes p - 1 and p runs in the
     type of pass p, its lanes and nine-term sums included.  The live array
     is widened before the first pass of a wider type (by astype, or as
-    the last gather pass's sums are copied), never inside a pass, where a
+    a gather pass copies it into its lanes), never inside a pass, where a
     mixed-type sum would wrap first.  int32 holds every partial sum,
     below 2 * 3^n, for n <= EXACT_DIM (check_dim refuses larger n up
     front), so with the default width the result is exact.
 
     A narrower width of B bits caps the pass types there: the passes past
-    its bound wrap mod 2^B, and since both kernels only add, subtract and
-    negate, the result is then the exact transform mod 2^B in both
+    its bound wrap mod 2^B, and since every pass only adds, subtracts and
+    negates, the result is then the exact transform mod 2^B in both
     coefficients (the residues bent_profile reads).
     """
     assert 2 * 3 ** n < 2 ** 31, f"int32 transform is exact only for n <= {EXACT_DIM}"
     assert ab.dtype == np.int8 and ab.shape == (2, size(n)), "the transform input is (2, 3^n) int8"
-    plan = _round_plan(n)
-    if n <= _GATHER_MAX_N:
-        return _gather_passes(ab, plan, width)
     done = 0
-    spare = None  # the array the next pass writes
-    for d in plan:
-        for j in range(d):  # pass done + j + 1, on digit n - 1 - j
-            dtype = _pass_dtype(done + j + 1, width)
-            if ab.dtype != dtype:
-                spare = None
-                ab = ab.astype(dtype)
-            spare = np.empty_like(ab) if spare is None else spare
-            view = (2, 3 ** j, 3, 3 ** (n - 1 - j))
-            _butterflies(ab.reshape(view), spare.reshape(view))
-            # the first pass read the caller's array: never a spare
-            ab, spare = spare, (None if done + j == 0 else ab)
-        # a first round of one pass leaves no spare
-        spare = np.empty_like(ab) if spare is None else spare
+    spare = None  # the array the next pass or copy writes
+    for d in _round_plan(n):
+        if d <= 2:  # passes done + 1 .. done + d in one gather pass
+            ab = _gather_sums(ab, d, _pass_dtype(done + d, width))
+        else:
+            for j in range(d):  # pass done + j + 1, on digit n - 1 - j
+                dtype = _pass_dtype(done + j + 1, width)
+                if ab.dtype != dtype:
+                    spare = None
+                    ab = ab.astype(dtype)
+                spare = np.empty_like(ab) if spare is None else spare
+                view = (2, 3 ** j, 3, 3 ** (n - 1 - j))
+                _butterflies(ab.reshape(view), spare.reshape(view))
+                # the first pass read the caller's array: never a spare
+                ab, spare = spare, (None if done + j == 0 else ab)
+        # a gather pass may leave no spare, or one of a narrower type
+        if spare is None or spare.dtype != ab.dtype:
+            spare = np.empty_like(ab)
         low = 3 ** (n - d)
         np.copyto(spare.reshape(2, low, -1), ab.reshape(2, -1, low).transpose(0, 2, 1))
         ab, spare = spare, ab
@@ -367,10 +362,9 @@ def _transform(f: TernaryFunction, width: type = np.int32) -> np.ndarray:
     """_radix3 of f's values w^f(x), in the given width.
 
     The input, _omega_sums of the one table, is built in the call, so
-    that _radix3 holds the only reference and its blocked rounds drop it
-    after their first pass: a name bound to it here would keep it for the
-    whole transform, 2 B/point more.  The gather passes, at n <= 8 only,
-    keep it to the end.
+    that _radix3 holds the only reference and drops it after its first
+    pass: a name bound to it here would keep it for the whole transform,
+    2 B/point more.
     """
     return _radix3(_omega_sums([f.table]), f.n, width)
 

@@ -136,7 +136,7 @@ def message_weights(s: DefiningSet, v: Subspace) -> tuple[tuple[int, ...], np.nd
     a zero remainder: a multiple of 3 outside [0, 3|S|] fails it too.
     """
     r = v.dim
-    # the indicator times 1 = (1, 0), built in the call: from r = 9 _radix3 drops it after one pass
+    # the indicator times 1 = (1, 0), built in the call: _radix3 drops it after one pass
     a, b = _radix3(np.multiply.outer(np.int8([1, 0]), s.mask[v.members()]), r)
     assert a[0] == len(s), "the defining set must lie in v"
     assert 5 * size(r) < 2 ** 31, f"int32 weights are exact only for r <= {EXACT_DIM}"

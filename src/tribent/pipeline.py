@@ -138,8 +138,9 @@ def run_pipeline(f: TernaryFunction, force_set: str | None = None) -> PipelineRe
                          f"was measured, not the requested set {force_set}")
 
     sizes = expected_preimage_sizes(f.n, ctx.r, ctx.j0, ctx.case.side)
-    counts = np.bincount(profile.dual.table[profile.side_mask(ctx.case.side)], minlength=3)
-    measured = {i: int(counts[i]) for i in range(3)}
+    # counted in int8, one value at a time: bincount would widen to intp
+    level = profile.dual.table[profile.side_mask(ctx.case.side)]
+    measured = {i: int(np.count_nonzero(level == i)) for i in range(3)}
     rep.stages.append(Stage("preimage-sizes", measured == sizes,
                             f"measured {measured}, closed form {sizes}"))
 

@@ -101,13 +101,15 @@ def test_fast_equals_matrix_oracle():
 # Narrow-integer passes.  Constant tables reach the largest partial sums
 # (3^p after pass p at u = 0), and near-constant ones, a drawn share of
 # points redrawn, stay near that bound; they and indicators are compared
-# at every n up to 12 against the int64 oracle.  _round_plan runs gather
-# passes only through n = 8 and blocked rounds of three or four digits
-# only from n = 9, so each kernel is forced at every n: the gather passes
-# (two digits, one for an odd remainder) and blocked rounds of 2, 3 and 4
-# digits (the last taking what is left), each in int32 and in the residue
-# width, where astype wraps the oracle mod 2^B.  The input is read-only,
-# so any write to the caller's array raises.
+# at every n up to 12 against the int64 oracle.  A round of one or two
+# digits is a gather pass and a longer one runs in butterfly passes, and
+# _round_plan gives the first only through n = 8 and the second only from
+# n = 9, so plans are forced at every n: rounds of 1, 2, 3 and 4 digits
+# (the last taking what is left), and mixed plans that hand over between
+# gather and butterfly rounds, and between pass types, in either order.
+# Each runs in int32 and in the residue width, where astype wraps the
+# oracle mod 2^B.  The input is read-only, so any write to the caller's
+# array raises.
 
 def _assert_spectrum_exact(f: TernaryFunction) -> None:
     sp = walsh_spectrum(f)
@@ -116,18 +118,31 @@ def _assert_spectrum_exact(f: TernaryFunction) -> None:
     assert np.array_equal(sp.coeffs[0], oa) and np.array_equal(sp.coeffs[1], ob)
 
 
+def _filled(plan, n):
+    """plan cut or padded with rounds of four to n digits in all."""
+    out = []
+    for d in plan + (4,) * n:
+        d = min(d, n - sum(out))
+        if not d:
+            return tuple(out)
+        out.append(d)
+    return tuple(out)
+
+
+_ROUND_PLAN = analysis._round_plan  # kept before any test patches it
+
+
 def _forced_plans(n):
-    """(gather, plan) for each kernel and round size forced at n."""
-    yield True, (2,) * (n // 2) + (1,) * (n % 2)
-    for d in (2, 3, 4):
-        yield False, (d,) * (n // d) + ((n % d,) if n % d else ())
+    """_round_plan's own plan, each uniform round size, and mixed plans of
+    gather and butterfly rounds, at n."""
+    plans = [(d,) * n for d in (1, 2, 3, 4)] + [(3, 2, 1), (2, 3), (4, 1), (1, 4), (2, 1, 3)]
+    return sorted({_ROUND_PLAN(n)} | {_filled(plan, n) for plan in plans})
 
 
 def _assert_exact_in_every_kernel(monkeypatch, ab, n, widths=None):
     oa, ob = radix3_oracle(*ab, n)
     ab.flags.writeable = False
-    for gather, plan in _forced_plans(n):
-        monkeypatch.setattr(analysis, "_GATHER_MAX_N", EXACT_DIM if gather else 0)
+    for plan in _forced_plans(n):
         monkeypatch.setattr(analysis, "_round_plan", lambda n: plan)
         for width in widths or (np.int32, _residue_dtype(n)):
             ra, rb = result = _radix3(ab, n, width)
@@ -182,22 +197,22 @@ def test_radix3_never_writes_its_inputs(monkeypatch, n):
 
 
 def test_round_plan_at_every_n(monkeypatch):
-    # gather passes of two digits (one for an odd remainder) exactly
-    # through n = 8; above, blocked rounds, none of one digit
+    # rounds of two digits (one for an odd remainder), each a gather pass,
+    # exactly through n = 8; above, butterfly rounds of three or more
     for n in range(EXACT_DIM + 1):
         plan = analysis._round_plan(n)
         assert sum(plan) == n
         if n <= 8:
             assert plan == (2,) * (n // 2) + (1,) * (n % 2)
         else:
-            assert min(plan) > 1, (n, plan)
+            assert min(plan) > 2, (n, plan)
     gathered = []
-    original = analysis._gather_passes
-    monkeypatch.setattr(analysis, "_gather_passes",
-                        lambda ab, plan, width: gathered.append(sum(plan)) or original(ab, plan, width))
+    original = analysis._gather_sums
+    monkeypatch.setattr(analysis, "_gather_sums",
+                        lambda ab, d, dtype: gathered.append((ab.shape[1], d)) or original(ab, d, dtype))
     for n in range(11):
         _radix3(np.zeros((2, size(n)), dtype=np.int8), n)
-    assert gathered == list(range(9))
+    assert gathered == [(size(n), d) for n in range(9) for d in analysis._round_plan(n)]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -207,11 +222,12 @@ def test_gather_plan_sums_the_unit_powers(d):
     assert analysis._gather_plan(d) is analysis._gather_plan(d)
     re, im = unit_powers(d)
     for j in range(size(d)):
-        lanes = np.zeros((6, size(d)), dtype=np.int8)
-        lanes[0, j] = 1
-        sums = analysis._gather_sums(lanes, d)
-        assert np.array_equal(sums[0, :, 0], re[:, j]), j
-        assert np.array_equal(sums[1, :, 0], im[:, j]), j
+        ab = np.zeros((2, size(d)), dtype=np.int8)
+        ab[0, j] = 1
+        sums = analysis._gather_sums(ab, d, np.int8)
+        assert sums.dtype == np.int8 and sums.shape == (2, size(d))
+        assert np.array_equal(sums[0], re[:, j]), j
+        assert np.array_equal(sums[1], im[:, j]), j
 
 
 def test_pass_types_are_the_narrowest_the_bound_allows():
@@ -576,6 +592,27 @@ def test_a_table_entry_that_is_no_integer_is_refused(table, message):
     with pytest.raises(ValueError) as exc:
         TernaryFunction(2, table)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, table", [
+    (2.0, [0] * 9), ("2", [0] * 9), (True, [0, 1, 1]), (np.True_, [0, 1, 1]),
+    (-1, [0]), (np.int64(-1), [0]), (None, [0]),
+])
+def test_a_dimension_that_is_no_non_negative_integer_is_refused(n, table):
+    # refused where f is built: a float would die in the transform, a bool
+    # would be kept as n = True, and n = -1 would be told that its table
+    # needs 3^-1 entries
+    with pytest.raises(ValueError) as exc:
+        TernaryFunction(n, table)
+    assert str(exc.value) == f"dimension n must be a non-negative integer, got {n!r}"
+
+
+def test_a_numpy_integer_dimension_becomes_an_int(flagship):
+    # an np.int64 n kept as such makes _signed_inverse's pow raise TypeError
+    f = TernaryFunction(np.int64(flagship.n), flagship.table)
+    assert type(f.n) is int and f == flagship
+    rep = run_pipeline(f)
+    assert rep.passed and rep.to_dict() == run_pipeline(flagship).to_dict()
 
 
 @pytest.mark.parametrize("k", range(EXACT_DIM + 1))
